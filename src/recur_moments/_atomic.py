@@ -72,11 +72,6 @@ class AtomicDist:
             return cls(values, np.log(probs))
 
     @classmethod
-    def from_log_pairs(cls, values, log_probs, log_tail: float = LOG_ZERO) -> "AtomicDist":
-        order = np.argsort(np.asarray(values))
-        return cls(np.asarray(values)[order], np.asarray(log_probs, dtype=float)[order], log_tail)
-
-    @classmethod
     def point_mass(cls, value: int) -> "AtomicDist":
         return cls(np.array([int(value)], dtype=np.int64), np.array([0.0]))
 

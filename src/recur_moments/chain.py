@@ -372,7 +372,6 @@ class PetalChain:
         return values, probs / probs.sum()
 
 
-ParametricChain = Union[TwoStateChain, PetalChain]
 ChainLike = Union[TransitionKernel, TwoStateChain, PetalChain]
 
 
@@ -383,8 +382,8 @@ ChainLike = Union[TransitionKernel, TwoStateChain, PetalChain]
 @dataclass(frozen=True)
 class TrajectorySample:
     """One simulated passage.  ``passage_time`` is None when the walk was
-    censored at the cap; ``steps_used`` counts simulation steps consumed
-    (macro-steps for parametric chains)."""
+    censored at the cap; ``steps_used`` is the passage time, or the cap when
+    censored."""
 
     passage_time: int | None
     censored: bool
@@ -436,8 +435,7 @@ def _two_state_times(chain: TwoStateChain, src: int, tgt: int, n: int,
 
 
 def _petal_times(chain: PetalChain, src: int, tgt: int, n: int,
-                 rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
-    """Returns (times, macro_steps).  Loop traversals count as one macro-step."""
+                 rng: np.random.Generator) -> np.ndarray:
     values, probs = chain.loop_mixture()
     p = chain.p
 
@@ -447,7 +445,7 @@ def _petal_times(chain: PetalChain, src: int, tgt: int, n: int,
         return _segment_sums(draws, counts)
 
     if (src, tgt) == (0, 1):
-        return np.ones(n, dtype=np.int64), np.ones(n, dtype=np.int64)
+        return np.ones(n, dtype=np.int64)
     if (src, tgt) == (1, 1):
         exit_first = rng.random(n) < p
         times = np.empty(n, dtype=np.int64)
@@ -455,13 +453,13 @@ def _petal_times(chain: PetalChain, src: int, tgt: int, n: int,
         k = int((~exit_first).sum())
         if k:
             times[~exit_first] = rng.choice(values, size=k, p=probs)
-        return times, np.where(exit_first, 2, 1).astype(np.int64)
+        return times
     loops = rng.geometric(p, size=n).astype(np.int64) - 1  # loops before exiting
     sums = loop_sums(loops)
     if (src, tgt) == (1, 0):
-        return sums + 1, loops + 1
+        return sums + 1
     if (src, tgt) == (0, 0):
-        return sums + 2, loops + 2
+        return sums + 2
     raise InvalidInput(f"unsupported petal macro passage {src} -> {tgt}")
 
 
@@ -498,7 +496,7 @@ def sample_passage_times(chain: ChainLike, source: StateRef, target: StateRef,
     if isinstance(chain, TwoStateChain):
         times = _two_state_times(chain, src, tgt, n_samples, rng)
     else:
-        times, _ = _petal_times(chain, src, tgt, n_samples, rng)
+        times = _petal_times(chain, src, tgt, n_samples, rng)
     censored = times > cap
     times = np.where(censored, cap, times).astype(np.int64)
     return times, censored

@@ -36,7 +36,7 @@ from .errors import InvalidInput, PreconditionFailed, WitnessSearchExhausted
 from .logspace import LOG_ZERO, logsumexp
 from .momentfn import FunctionKind, MomentFunction, burst_fn, default_burst_schedule, exp_fn
 from .moments import SeriesVerdict, f_moment, lower_bound_series
-from .passage import first_passage_law
+from .passage import _opened, first_passage_law
 
 __all__ = [
     "Witness", "witness_search", "HeavyTailPair", "heavy_tail_pair",
@@ -228,16 +228,11 @@ class DemoReport:
 def write_series_trace(report: DemoReport, path_or_file) -> None:
     """CSV of the divergence series: one row (k, log_term, log_partial) per
     term consumed."""
-    own = isinstance(path_or_file, (str, bytes)) or hasattr(path_or_file, "__fspath__")
-    fh = open(path_or_file, "w", newline="") if own else path_or_file
-    try:
+    with _opened(path_or_file, "w") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(["k", "log_term", "log_partial"])
         for k, lt, lp in report.series.trace:
             writer.writerow([k, f"{lt:.17g}", f"{lp:.17g}"])
-    finally:
-        if own:
-            fh.close()
 
 
 def _hub_return_log_ef(f: MomentFunction, pair: HeavyTailPair, p: float) -> float:

@@ -530,7 +530,7 @@ class Classification:
     profile: GrowthProfile | None = None
 
 
-def _nested_grid(f: MomentFunction, log2_max: int) -> np.ndarray:
+def _nested_grid(log2_max: int) -> np.ndarray:
     """Quarter-power-of-two grid up to 2^log2_max; nested as log2_max grows."""
     pts = [1, 2, 3, 4, 5, 6, 7, 8]
     pts.extend(int(round(2.0 ** (j / 4.0))) for j in range(12, 4 * log2_max + 1))
@@ -559,7 +559,7 @@ def classify(f: MomentFunction, budget: ClassifyBudget | None = None) -> Classif
     increases = 0
     last_report: SubmultReport | None = None
     for k in range(budget.grid_log2_min, budget.grid_log2_max + 1):
-        grid = _nested_grid(f, k)
+        grid = _nested_grid(k)
         report = submult_scan(f, grid, grid)
         if maxima and report.log_grid_k > maxima[-1] + 1e-9:
             increases += 1

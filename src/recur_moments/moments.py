@@ -302,10 +302,6 @@ def _truncate_sparse(law: PassageLaw, horizon: int) -> PassageLaw:
                                         log_add(atoms.log_tail, moved)))
 
 
-def _in_horizon_log_ef(law: PassageLaw, f: MomentFunction) -> float:
-    return _log_partial_sum(law, f)
-
-
 def compound_growth_curve(u: PassageLaw, v: PassageLaw, pi: float,
                           f: MomentFunction, *, n_terms: int = 32,
                           horizon: int | None = None,
@@ -334,7 +330,7 @@ def compound_growth_curve(u: PassageLaw, v: PassageLaw, pi: float,
     out: list[tuple[int, float, float]] = []
     cum = LOG_ZERO
     for m in range(n_terms):
-        log_ef = _in_horizon_log_ef(c, f)
+        log_ef = _log_partial_sum(c, f)
         term = log_pi + m * log_q + log_ef
         cum = log_add(cum, term)
         out.append((m, term, cum))

@@ -3,17 +3,19 @@
 A law is the distribution of a first-passage time T_ij (first hit of j from
 i, counting from step 1; i = j gives the first return).  Representations:
 
-* dense: log-pmf over n = 1..horizon plus explicitly tracked tail mass
-  P(T > horizon), computed by propagating the taboo vector
-  q_n(k) = P(X_n = k, j not yet hit) with one sparse vector-matrix product
-  per step;
+* dense: a linear pmf over n = 1..horizon with its log view, plus the tail
+  mass P(T > horizon) kept in log space.  The pmf comes from propagating the
+  taboo vector q_n(k) = P(X_n = k, j not yet hit) with one sparse
+  vector-matrix product per step.  Entries below ``PRUNE_FLOOR_LOG``, which
+  the linear pmf cannot hold, are folded into the tail;
 * sparse: integer atoms with log-weights (:class:`AtomicDist`), for laws with
   few support points or astronomically small masses.
 
 Every operation conserves mass explicitly: whatever cannot be assigned to a
 support point (truncation beyond the horizon, pruning below the underflow
-floor, operand tails) is moved into the tail bucket, never dropped.  Tail
-*certificates* (N0, rho) assert the computed survival ratios satisfy
+floor, operand tails) is moved into the tail bucket, never dropped.  Tails
+are combined in log space, so a law is never made complete by an underflow.
+Tail *certificates* (N0, rho) assert the computed survival ratios satisfy
 P(T > n+1) <= rho P(T > n) for all computed n >= N0; downstream moment code
 refuses to extrapolate without one.
 """
@@ -23,12 +25,13 @@ from __future__ import annotations
 import csv
 import io
 import math
+from contextlib import contextmanager
 from dataclasses import dataclass
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from ._atomic import AtomicDist
+from ._atomic import _MASS_TOL, AtomicDist
 from .chain import TransitionKernel, StateRef
 from .errors import IncomparableLaws, InvalidInput, NoSuchPath
 from .logspace import LOG_ZERO, PRUNE_FLOOR_LOG, log_add, log_sub, logsumexp
@@ -40,11 +43,6 @@ __all__ = [
     "geometric_compound", "mixture", "stochastic_dominates",
     "law_to_csv", "law_from_csv",
 ]
-
-_MASS_TOL = 1e-10
-
-#: Linear-space cache threshold: below this, exp() underflows unacceptably.
-_LIN_FLOOR = 1e-300
 
 
 @dataclass(frozen=True)
@@ -80,26 +78,38 @@ class PassageLaw:
     @classmethod
     def dense(cls, pmf, tail: float, tail_cert: TailCert | None = None) -> "PassageLaw":
         """Dense law from a linear-space pmf over n = 1..len(pmf)."""
+        if tail < 0:
+            raise InvalidInput("probabilities must be nonnegative")
+        return cls._dense(pmf, math.log(tail) if tail > 0 else LOG_ZERO, tail_cert)
+
+    @classmethod
+    def _dense(cls, pmf, log_tail: float, tail_cert: TailCert | None = None) -> "PassageLaw":
+        """Dense law from a linear-space pmf and a log-space tail."""
         pmf = np.asarray(pmf, dtype=float)
         if pmf.ndim != 1 or pmf.size == 0:
             raise InvalidInput("dense pmf must be a nonempty 1-d array")
-        if np.any(pmf < 0) or tail < 0:
+        if np.any(pmf < 0):
             raise InvalidInput("probabilities must be nonnegative")
         with np.errstate(divide="ignore"):
             log_pmf = np.log(pmf)
-        log_tail = math.log(tail) if tail > 0 else LOG_ZERO
         return cls(log_pmf=log_pmf, lin_pmf=pmf, log_tail=log_tail, tail_cert=tail_cert)
 
     @classmethod
     def dense_log(cls, log_pmf, log_tail: float, tail_cert: TailCert | None = None) -> "PassageLaw":
+        """Dense law from a log-pmf over n = 1..len(log_pmf).
+
+        The logs are kept as given.  Entries below ``PRUNE_FLOOR_LOG`` would
+        underflow in the linear pmf, so their mass moves into the tail.
+        """
         log_pmf = np.asarray(log_pmf, dtype=float)
         if log_pmf.ndim != 1 or log_pmf.size == 0:
             raise InvalidInput("dense log-pmf must be a nonempty 1-d array")
-        finite = log_pmf[log_pmf > LOG_ZERO]
-        lin = None
-        if finite.size == 0 or finite.min() >= math.log(_LIN_FLOOR):
-            lin = np.exp(log_pmf)
-        return cls(log_pmf=log_pmf, lin_pmf=lin, log_tail=log_tail, tail_cert=tail_cert)
+        low = (log_pmf > LOG_ZERO) & (log_pmf < PRUNE_FLOOR_LOG)
+        if low.any():
+            log_tail = log_add(log_tail, logsumexp(log_pmf[low]))
+            log_pmf = np.where(low, LOG_ZERO, log_pmf)
+        return cls(log_pmf=log_pmf, lin_pmf=np.exp(log_pmf), log_tail=log_tail,
+                   tail_cert=tail_cert)
 
     @classmethod
     def sparse(cls, atomic: AtomicDist, tail_cert: TailCert | None = None) -> "PassageLaw":
@@ -167,8 +177,9 @@ class PassageLaw:
         return self._atomic.log_mass()
 
     def linear_pmf(self) -> np.ndarray | None:
-        """Linear-space dense pmf when it is exactly representable, else None."""
-        return self._lin_pmf if self.is_dense else None
+        """Linear-space pmf over 1..horizon; every dense law carries one.
+        None for sparse laws."""
+        return self._lin_pmf
 
     def log_prob(self, n: int) -> float:
         if n < 1:
@@ -188,8 +199,7 @@ class PassageLaw:
         if self.is_dense:
             if h > self.horizon:
                 raise InvalidInput("cannot extend a dense pmf beyond its horizon")
-            return (self._lin_pmf if self._lin_pmf is not None
-                    else np.exp(self._log_pmf))[:h].copy()
+            return self._lin_pmf[:h].copy()
         if not self._atomic.is_complete:
             raise IncomparableLaws("sparse law has unassigned mass at unknown support points")
         out = np.zeros(h)
@@ -199,22 +209,13 @@ class PassageLaw:
         return out
 
     def survival_array(self) -> np.ndarray:
-        """S_n = P(T > n) for n = 1..horizon (linear space)."""
-        if self.is_dense:
-            pmf = self._lin_pmf if self._lin_pmf is not None else np.exp(self._log_pmf)
-            tail = math.exp(self._log_tail) if self._log_tail > LOG_ZERO else 0.0
-            return tail + np.cumsum(pmf[::-1])[::-1] - pmf
+        """S_n = P(T > n) for n = 1..horizon (linear space), summed from the
+        tail upwards as tail + sum_{k>n} p_k, with no subtraction."""
         pmf = self.pmf_array()
-        tail = math.exp(self._log_tail) if self._log_tail > LOG_ZERO else 0.0
-        return tail + np.cumsum(pmf[::-1])[::-1] - pmf
-
-    def mean_within_horizon(self) -> float:
-        """sum_n n P(T = n) over the computed support (ignores the tail)."""
-        if self.is_dense:
-            ns = np.arange(1, self.horizon + 1, dtype=float)
-            mask = self._log_pmf > LOG_ZERO
-            return float(math.exp(logsumexp(np.log(ns[mask]) + self._log_pmf[mask]))) if mask.any() else 0.0
-        return float(math.exp(logsumexp(np.log(self._atomic.atoms.astype(float)) + self._atomic.log_probs)))
+        terms = np.empty(pmf.size)
+        terms[0] = math.exp(self._log_tail)
+        terms[1:] = pmf[:0:-1]
+        return np.cumsum(terms)[::-1]
 
     def to_dense(self, horizon: int) -> "PassageLaw":
         """Re-represent on 1..horizon; mass beyond moves into the tail.
@@ -511,34 +512,23 @@ def _conv_atomic(a: AtomicDist, b: AtomicDist, horizon: int | None,
     return AtomicDist(vals, lws, tail)
 
 
+def _log_mass_beyond(la: np.ndarray, lb: np.ndarray, h: int) -> float:
+    """log of sum over i + k > h of a_i b_k, in log space so that products
+    below the underflow threshold still count."""
+    log_suffix_b = np.logaddexp.accumulate(lb[::-1])[::-1]  # log sum_{k >= m} b_k
+    first_k = np.maximum(h + 1 - np.arange(1, la.size + 1), 1)
+    ok = first_k <= lb.size
+    return logsumexp(la[ok] + log_suffix_b[first_k[ok] - 1])
+
+
 def _conv_dense(a: PassageLaw, b: PassageLaw, horizon: int | None) -> PassageLaw:
-    ha, hb = a.horizon, b.horizon
-    h = horizon if horizon is not None else ha + hb
-    lin_a, lin_b = a.linear_pmf(), b.linear_pmf()
-    if lin_a is not None and lin_b is not None:
-        full = np.convolve(lin_a, lin_b)  # support 2..ha+hb
-        out = np.zeros(h)
-        upper = min(h, ha + hb)
-        if upper >= 2:
-            out[1:upper] = full[:upper - 1]
-        moved = float(full[max(upper - 1, 0):].sum())
-        ta = math.exp(a.log_tail) if a.log_tail > LOG_ZERO else 0.0
-        tb = math.exp(b.log_tail) if b.log_tail > LOG_ZERO else 0.0
-        return PassageLaw.dense(out, ta + tb - ta * tb + moved)
-    la, lb = a.log_pmf, b.log_pmf
-    out = np.full(h, LOG_ZERO)
-    moved_parts = []
-    for n in range(2, ha + hb + 1):
-        k_lo, k_hi = max(1, n - hb), min(ha, n - 1)
-        if k_lo > k_hi:
-            continue
-        val = logsumexp(la[k_lo - 1:k_hi] + lb[n - k_hi - 1:n - k_lo][::-1])
-        if n <= h:
-            out[n - 1] = val
-        else:
-            moved_parts.append(val)
-    tail = logsumexp([_combined_tail(a.log_tail, b.log_tail)] + moved_parts)
-    return PassageLaw.dense_log(out, tail)
+    h = horizon if horizon is not None else a.horizon + b.horizon
+    full = np.convolve(a.linear_pmf(), b.linear_pmf())  # support 2..ha+hb
+    out = np.zeros(h)
+    upper = min(h, full.size + 1)
+    out[1:upper] = full[:upper - 1]
+    moved = _log_mass_beyond(a.log_pmf, b.log_pmf, h)
+    return PassageLaw._dense(out, log_add(_combined_tail(a.log_tail, b.log_tail), moved))
 
 
 def convolve(a, b, *, horizon: int | None = None,
@@ -565,18 +555,23 @@ def convolve(a, b, *, horizon: int | None = None,
 
 
 def geometric_compound(u: PassageLaw, v: PassageLaw, pi: float, *,
-                       budget: int | None = None, horizon: int | None = None,
+                       horizon: int | None = None,
                        floor_log: float = PRUNE_FLOOR_LOG) -> PassageLaw:
     """Law of U_1 + ... + U_M + V with M geometric: P(M = m) = (1-pi)^m pi.
 
     This is the return-time decomposition of a passage i -> j: M failed
     excursions (law U), then the successful crossing (law V), with pi the
-    hit-before-return probability.  pi = 1 returns V unchanged.  The series
-    sum_m pi (1-pi)^m U^{*m} * V is truncated once the remaining geometric
-    mass falls below the pruning floor, the term count exceeds ``budget``, or
-    every later term lies beyond the horizon; all truncated mass lands in the
-    tail.  Within the horizon the pmf is exact as long as the operand
-    horizons are at least ``horizon - 1``.
+    hit-before-return probability.  pi = 1 returns V unchanged.
+
+    Dense laws solve the renewal equation C = pi V + (1-pi) U * C in one
+    O(horizon^2) pass, for the pmf and, without subtraction, for the
+    survival S_C(n) = pi S_V(n) + (1-pi) [S_U(n) + sum_{k<=n} u_k S_C(n-k)].
+    The tail is never below P(M >= horizon) = (1-pi)^horizon.  Within the
+    horizon the pmf is exact when U covers 1..horizon-1 and V covers
+    1..horizon.  Sparse laws sum the series sum_m pi (1-pi)^m U^{*m} * V
+    term by term until the remaining geometric mass falls below
+    ``floor_log`` or every later term lies beyond the horizon.  All mass
+    not assigned within the horizon lands in the tail.
     """
     if not 0.0 < pi <= 1.0:
         raise InvalidInput(f"pi must be in (0, 1], got {pi}")
@@ -587,53 +582,44 @@ def geometric_compound(u: PassageLaw, v: PassageLaw, pi: float, *,
     if u.is_dense != v.is_dense:
         raise InvalidInput("geometric_compound needs operands in the same representation")
     log_q = math.log1p(-pi)
-    log_pi = math.log(pi)
     if u.is_dense:
         h = horizon if horizon is not None else max(u.horizon, v.horizon)
-        return _compound_dense(u, v, pi, log_q, h, budget)
+        return _compound_dense(u, v, pi, log_q, h)
     if horizon is None:
         raise InvalidInput("sparse geometric_compound needs an explicit horizon")
-    return _compound_sparse(u, v, log_pi, log_q, horizon, budget, floor_log)
+    return _compound_sparse(u, v, math.log(pi), log_q, horizon, floor_log)
+
+
+def _fit(arr: np.ndarray, h: int, fill: float) -> np.ndarray:
+    """``arr`` cut to length h, or padded with ``fill`` up to it."""
+    out = np.full(h, fill)
+    m = min(h, arr.size)
+    out[:m] = arr[:m]
+    return out
 
 
 def _compound_dense(u: PassageLaw, v: PassageLaw, pi: float, log_q: float,
-                    h: int, budget: int | None) -> PassageLaw:
-    budget_eff = min(budget if budget is not None else h, h)
-    lin_u, lin_v = u.linear_pmf(), v.linear_pmf()
-    if lin_u is None or lin_v is None:
-        raise InvalidInput("dense geometric_compound needs linear-representable laws; "
-                           "use sparse laws for sub-underflow masses")
-    tail_u = math.exp(u.log_tail) if u.log_tail > LOG_ZERO else 0.0
-    tail_v = math.exp(v.log_tail) if v.log_tail > LOG_ZERO else 0.0
-    c = np.zeros(h)
-    upper = min(h, v.horizon)
-    c[:upper] = lin_v[:upper]
-    c_tail = tail_v + float(lin_v[upper:].sum())
-    acc = np.zeros(h)
-    acc_tail = 0.0
-    m = 0
-    while True:
-        w = pi * math.exp(m * log_q)
-        acc += w * c
-        acc_tail += w * c_tail
-        m += 1
-        remaining = math.exp(m * log_q)
-        if m > budget_eff or remaining < math.exp(PRUNE_FLOOR_LOG) or c.sum() == 0.0:
-            acc_tail += remaining
-            break
-        full = np.convolve(c, lin_u)
-        nxt = np.zeros(h)
-        nxt[1:] = full[:h - 1]
-        moved = float(full[h - 1:].sum())
-        c_tail = c_tail + tail_u - c_tail * tail_u + moved
-        c = nxt
-    return PassageLaw.dense(acc, acc_tail)
+                    h: int) -> PassageLaw:
+    q = 1.0 - pi
+    # beyond an operand's horizon its pmf is unknown: none of it is assigned
+    # there, and its survival stays at its tail
+    qu_rev = (q * _fit(u.linear_pmf(), h, 0.0))[::-1].copy()  # q u_h, ..., q u_1
+    pv = pi * _fit(v.linear_pmf(), h, 0.0)
+    s_free = (pi * _fit(v.survival_array(), h, math.exp(v.log_tail))
+              + q * _fit(u.survival_array(), h, math.exp(u.log_tail)))
+    c = np.empty(h)         # c[t] = P(C = t+1)
+    s = np.empty(h + 1)     # s[t] = P(C > t)
+    s[0] = 1.0
+    for t in range(h):
+        c[t] = pv[t] + qu_rev[h - t:] @ c[:t]
+        s[t + 1] = s_free[t] + qu_rev[h - t - 1:] @ s[:t + 1]
+    log_tail = max(math.log(s[h]) if s[h] > 0.0 else LOG_ZERO, h * log_q)
+    return PassageLaw._dense(c, log_tail)
 
 
 def _compound_sparse(u: PassageLaw, v: PassageLaw, log_pi: float, log_q: float,
-                     horizon: int, budget: int | None, floor_log: float) -> PassageLaw:
+                     horizon: int, floor_log: float) -> PassageLaw:
     ua, va = u.atomic, v.atomic
-    budget_eff = min(budget if budget is not None else horizon, horizon)
     keep = va.atoms <= horizon
     vals, lws = va.atoms[keep], va.log_probs[keep]
     c_tail = logsumexp([va.log_tail, logsumexp(va.log_probs[~keep])])
@@ -649,7 +635,7 @@ def _compound_sparse(u: PassageLaw, v: PassageLaw, log_pi: float, log_q: float,
         tail_parts.append(w + c_tail)
         m += 1
         remaining = m * log_q
-        if m > budget_eff or remaining < floor_log or vals.size == 0:
+        if remaining < floor_log or vals.size == 0:
             tail_parts.append(remaining)
             break
         vals, lws, moved, pruned = _cross_sum(vals, lws, ua.atoms, ua.log_probs,
@@ -748,12 +734,22 @@ def stochastic_dominates(a: PassageLaw, b: PassageLaw, tol: float = 1e-10) -> Do
 # CSV serialization
 
 
+@contextmanager
+def _opened(path_or_file, mode: str = "r"):
+    """Yield an open text handle: a path is opened (and closed on exit) with
+    ``newline=""`` so the csv module controls line endings; an open handle
+    is passed through and left open."""
+    if isinstance(path_or_file, (str, bytes)) or hasattr(path_or_file, "__fspath__"):
+        with open(path_or_file, mode, newline="") as fh:
+            yield fh
+    else:
+        yield path_or_file
+
+
 def law_to_csv(law: PassageLaw, path_or_file) -> None:
     """Write ``n,prob,log_prob`` rows (all of 1..horizon for dense laws,
     atoms for sparse) plus tail/certificate footer rows."""
-    own = isinstance(path_or_file, (str, bytes)) or hasattr(path_or_file, "__fspath__")
-    fh = open(path_or_file, "w", newline="") if own else path_or_file
-    try:
+    with _opened(path_or_file, "w") as fh:
         # fixed terminator: byte-identical output on every platform
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(["n", "prob", "log_prob"])
@@ -769,22 +765,17 @@ def law_to_csv(law: PassageLaw, path_or_file) -> None:
         cert = law.tail_cert
         writer.writerow(["tail_cert_N0", cert.start if cert else "", ""])
         writer.writerow(["tail_cert_rho", f"{cert.rho:.17g}" if cert else "", ""])
-    finally:
-        if own:
-            fh.close()
 
 
 def law_from_csv(path_or_file) -> PassageLaw:
     """Inverse of :func:`law_to_csv`.  Contiguous support starting at 1 is
     reconstructed as dense, anything else as sparse."""
-    own = isinstance(path_or_file, (str, bytes)) or hasattr(path_or_file, "__fspath__")
-    fh = open(path_or_file, newline="") if own else path_or_file
-    try:
-        ns: list[int] = []
-        lps: list[float] = []
-        log_tail = LOG_ZERO
-        cert_n0: int | None = None
-        cert_rho: float | None = None
+    ns: list[int] = []
+    lps: list[float] = []
+    log_tail = LOG_ZERO
+    cert_n0: int | None = None
+    cert_rho: float | None = None
+    with _opened(path_or_file) as fh:
         for row in csv.reader(fh):
             if not row or row[0] == "n":
                 continue
@@ -798,9 +789,6 @@ def law_from_csv(path_or_file) -> PassageLaw:
             else:
                 ns.append(int(key))
                 lps.append(float(row[2]))
-    finally:
-        if own:
-            fh.close()
     if not ns:
         raise InvalidInput("law CSV contains no support rows")
     cert = TailCert(cert_n0, cert_rho) if cert_n0 is not None and cert_rho is not None else None

@@ -8,13 +8,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from recur_moments import (AtomicDist, IncomparableLaws, InvalidInput,
-                           NoSuchPath, PassageLaw, TailCert, build_two_state,
+from recur_moments import (VERDICT_CONVERGED, AtomicDist, IncomparableLaws,
+                           InvalidInput, NoSuchPath, PassageLaw, TailCert,
+                           TransitionKernel, build_two_state,
                            conditioned_hit_law, conditioned_return_law,
-                           convolve, crossing_return_law, first_passage_law,
-                           geometric_compound, hit_before_return_prob,
-                           law_from_csv, law_to_csv, mixture, random_kernel,
-                           stochastic_dominates)
+                           convolve, crossing_return_law, exp_fn, f_moment,
+                           first_passage_law, geometric_compound,
+                           hit_before_return_prob, law_from_csv, law_to_csv,
+                           mixture, random_kernel, stochastic_dominates)
+from recur_moments.logspace import log_add
 
 from helpers import (absorbed_mass_iterative, brute_convolve_dicts,
                      enumerate_passage_pmf, pmf_dict_to_array,
@@ -61,6 +63,15 @@ def test_survival_is_monotone_and_consistent(kernel3):
     assert abs(surv[-1] - math.exp(law.log_tail)) <= 1e-15
     # S_n = 1 - CDF_n
     assert abs(surv[0] - (1.0 - law.prob(1))) <= 1e-15
+
+
+def test_survival_is_subtraction_free():
+    # ratio 1e-8: S_n = r^n, which cumsum(pmf) - pmf cancelled to 1e-8 relative
+    r, h = 1e-8, 30
+    law = PassageLaw.dense((1.0 - r) * r ** np.arange(h), r ** h)
+    surv = law.survival_array()
+    assert np.all(np.abs(surv[:-1] / r ** np.arange(1, h) - 1.0) <= 1e-15)
+    assert surv[-1] == math.exp(law.log_tail)
 
 
 def test_accepts_state_names(kernel3):
@@ -160,7 +171,12 @@ def _identity_setup(kernel, i, j, h):
 
 def test_geometric_compound_identity(kernel3, kernel4):
     h = 50
-    for kernel, (i, j) in ((kernel3, (0, 2)), (kernel3, (1, 0)), (kernel4, (2, 0))):
+    # a -> c crosses with pi = 0.005: near-critical, every excursion count
+    # up to the horizon carries mass
+    rare = TransitionKernel(["a", "b", "c"], [[(0, 0.5), (1, 0.495), (2, 0.005)],
+                                              [(0, 0.9), (1, 0.1)], [(0, 1.0)]])
+    for kernel, (i, j) in ((kernel3, (0, 2)), (kernel3, (1, 0)), (kernel4, (2, 0)),
+                           (rare, (0, 2))):
         pi, t, u, v = _identity_setup(kernel, i, j, h)
         comp = geometric_compound(u, v, pi, horizon=h)
         assert np.abs(comp.pmf_array() - t.pmf_array()).max() <= 1e-10
@@ -274,6 +290,19 @@ def test_compound_point_masses_give_shifted_geometric():
     assert abs(math.exp(comp.log_tail) - 0.5 ** 40) <= 1e-15
 
 
+def test_dense_tails_never_complete_by_underflow():
+    # P(T > 1100) = 2^-1100 underflows in linear space, yet is not zero
+    one = PassageLaw.point(1).to_dense(1100)
+    comp = geometric_compound(one, one, 0.5, horizon=1100)
+    assert comp.log_tail == 1100 * math.log(0.5)
+    assert f_moment(comp, exp_fn(0.7)).verdict != VERDICT_CONVERGED
+    half = PassageLaw.dense_log([math.log(0.5), math.log(0.5)], -800.0)
+    assert abs(convolve(half, half).log_tail - (-800.0 + math.log(2.0))) <= 1e-12
+    # mass moved past the horizon is e^-1000, below the smallest double
+    rare = PassageLaw.dense_log([math.log1p(-math.exp(-500.0)), -500.0], -math.inf)
+    assert convolve(rare, rare, horizon=3).log_tail == -1000.0
+
+
 def test_compound_pi_one_returns_v(kernel3):
     v = first_passage_law(kernel3, 0, 1, 10)
     assert geometric_compound(v, v, 1.0, horizon=10) is v
@@ -351,11 +380,27 @@ def test_conditioning_on_crossing_dominates_plain_return(kernel3):
 # representation plumbing
 
 
-def test_dense_log_keeps_linear_cache_when_safe(kernel3):
-    law = first_passage_law(kernel3, 0, 1, 10)
-    assert law.linear_pmf() is not None
-    tiny = PassageLaw.dense_log(np.array([math.log(0.5), -2000.0]), math.log(0.5) + math.log1p(-1e-12))
-    assert tiny.linear_pmf() is None  # -2000 would flush to zero in linear space
+def test_dense_log_folds_sub_floor_entries_into_tail():
+    # e^-2000 flushes to zero in linear space, so its mass joins the tail
+    law = PassageLaw.dense_log(np.array([math.log(0.5), -2000.0]), math.log(0.5))
+    assert law.linear_pmf().tolist() == [0.5, 0.0]
+    assert law.log_pmf[0] == math.log(0.5) and law.log_pmf[1] == -math.inf
+    assert law.log_tail == log_add(math.log(0.5), -2000.0)
+    whole = PassageLaw.dense_log(np.array([0.0, -2000.0]), -math.inf)
+    assert whole.log_tail == -2000.0 and not whole.is_complete
+
+
+def test_reloaded_law_keeps_dense_calculus():
+    # the reloaded pmf has entries below 1e-300; the compound and convolve
+    # must treat it like the law it was written from
+    law = first_passage_law(build_two_state(0.9), 0, 1, 400)
+    buf = io.StringIO()
+    law_to_csv(law, buf)
+    back = law_from_csv(io.StringIO(buf.getvalue()))
+    for op in (lambda x: geometric_compound(x, x, 0.5), lambda x: convolve(x, x)):
+        want, got = op(law), op(back)
+        assert np.abs(got.pmf_array() - want.pmf_array()).max() <= 1e-15
+        assert abs(math.exp(got.log_tail) - math.exp(want.log_tail)) <= 1e-15
 
 
 def test_point_and_to_dense_roundtrip():
