@@ -5,9 +5,11 @@ i, counting from step 1; i = j gives the first return).  Representations:
 
 * dense: a linear pmf over n = 1..horizon with its log view, plus the tail
   mass P(T > horizon) kept in log space.  The pmf comes from propagating the
-  taboo vector q_n(k) = P(X_n = k, j not yet hit) with one sparse
-  vector-matrix product per step.  Entries below ``PRUNE_FLOOR_LOG``, which
-  the linear pmf cannot hold, are folded into the tail;
+  taboo vector q_n(k) = P(X_n = k, j not yet hit), one product per step with
+  the kernel's cached transposed operator (a zero-copy view of its CSR
+  matrix).  The vector is rescaled by exact powers of two before its mass
+  can underflow, so a tail is zero only when no mass is left.  Entries below
+  ``PRUNE_FLOOR_LOG``, which the linear pmf cannot hold, join the tail;
 * sparse: integer atoms with log-weights (:class:`AtomicDist`), for laws with
   few support points or astronomically small masses.
 
@@ -252,22 +254,23 @@ class PassageLaw:
 # first-passage propagation
 
 
-def _derive_tail_cert(surv: np.ndarray, *, window: int = 20,
+def _derive_tail_cert(surv: np.ndarray, scale: np.ndarray, *, window: int = 20,
                       var_tol: float = 1e-6, slack: float = 1e-6) -> TailCert | None:
-    """Detect a stabilized survival ratio and certify it.
+    """Detect a stabilized survival ratio and certify it, given
+    P(T > t+1) = surv[t] 2^-scale[t] as :func:`_propagate` returns it.
 
     Once the ratio P(T > n+1)/P(T > n) varies by less than ``var_tol`` over
     ``window`` consecutive steps, the certified rho is the maximum observed
     ratio from the window start through the horizon, plus ``slack`` — so the
-    certificate holds on every computed point by construction.  A survival
-    that hits exactly zero certifies trivially.
+    certificate holds on every computed point by construction.  Only an
+    exactly zero taboo vector (never an underflow) certifies trivially.
     """
     zero = np.nonzero(surv == 0.0)[0]
     if zero.size:
         return TailCert(start=int(zero[0]) + 1, rho=0.5)
     if surv.size < window + 1:
         return None
-    ratios = surv[1:] / surv[:-1]
+    ratios = np.ldexp(surv[1:] / surv[:-1], scale[:-1] - scale[1:])
     windows = sliding_window_view(ratios, window)
     spread = windows.max(axis=1) - windows.min(axis=1)
     hits = np.nonzero(spread < var_tol)[0]
@@ -280,30 +283,89 @@ def _derive_tail_cert(surv: np.ndarray, *, window: int = 20,
     return TailCert(start=w + 1, rho=rho)
 
 
+_RESCALE_BELOW = 2.0 ** -600
+_LN2 = math.log(2.0)
+
+
+def _propagate(kernel: TransitionKernel, start: int, horizon: int, *, absorb: int,
+               kill: int | None = None, flag: int | None = None) -> tuple[np.ndarray, ...]:
+    """Step the taboo vector q_n(k) = P(X_n = k, not absorbed or killed) from
+    ``start``, one ``kernel._step_op @ q`` (= ``q @ csr`` bit for bit) a step.
+
+    Mass entering ``absorb`` is recorded and removed; mass entering ``kill``
+    is removed.  With ``flag``, q has a second column for mass that has
+    visited ``flag``, and only that column's absorbed mass is recorded.
+    Alive mass in (0, 2^-600) is rescaled by an exact power of two before
+    the next step, so q never underflows.  Returns (pmf, surv, scale, q):
+    the mass recorded in and alive after step t, both times 2^scale[t], and
+    the final q, times 2^scale[-1].
+    """
+    n = kernel.n_states
+    op = kernel._step_op
+    q = np.zeros(n if flag is None else (n, 2))
+    q[start if flag is None else (start, 0)] = 1.0
+    hit = absorb if flag is None else (absorb, 1)
+    pmf = np.empty(horizon)
+    surv = np.empty(horizon)
+    scale = np.zeros(horizon, dtype=np.int64)
+    s = 1.0
+    for t in range(horizon):
+        if 0.0 < s < _RESCALE_BELOW:
+            e = -math.frexp(s)[1]
+            np.ldexp(q, e, out=q)
+            scale[t:] += e
+        q = op @ q
+        pmf[t] = q[hit]
+        q[absorb] = 0.0
+        if kill is not None:
+            q[kill] = 0.0
+        if flag is not None:
+            q[flag, 1] += q[flag, 0]
+            q[flag, 0] = 0.0
+        s = surv[t] = q.sum()
+    return pmf, surv, scale, q
+
+
+def _log_scaled(x: float, scale: int) -> float:
+    """log(x * 2^-scale) for x >= 0."""
+    return math.log(x) - scale * _LN2 if x > 0.0 else LOG_ZERO
+
+
 def first_passage_law(kernel: TransitionKernel, source: StateRef, target: StateRef,
                       horizon: int) -> PassageLaw:
     """Exact law of the first hit of ``target`` from ``source`` up to
     ``horizon`` (source = target gives the first return).
 
-    One sparse vector-matrix product per step: mass flowing into the target
-    at step n is recorded as P(T = n) and removed before propagating on.
+    One product per step with the kernel's cached transposed operator (a
+    zero-copy view of its CSR matrix): mass flowing into the target at step
+    n is recorded as P(T = n) and removed.  The taboo vector is rescaled by
+    exact powers of two once its mass falls below 2^-600, so the log tail is
+    -inf only when no mass is left, never because a float underflowed.
     """
     if horizon < 1:
         raise InvalidInput("horizon must be >= 1")
     i, j = kernel.index_of(source), kernel.index_of(target)
-    mat = kernel.csr
-    q = np.zeros(kernel.n_states)
-    q[i] = 1.0
-    pmf = np.zeros(horizon)
-    surv = np.zeros(horizon)
-    for t in range(horizon):
-        r = q @ mat
-        pmf[t] = r[j]
-        r[j] = 0.0
-        q = r
-        surv[t] = q.sum()
-    cert = _derive_tail_cert(surv)
-    return PassageLaw.dense(pmf, float(surv[-1]), tail_cert=cert)
+    pmf, surv, scale, _ = _propagate(kernel, i, horizon, absorb=j)
+    cert = _derive_tail_cert(surv, scale)
+    return PassageLaw._dense(np.ldexp(pmf, -scale), _log_scaled(surv[-1], scale[-1]),
+                             tail_cert=cert)
+
+
+def _hit_split(kernel: TransitionKernel, i: int, j: int) -> tuple[float, np.ndarray]:
+    """(pi, h): pi = P_i(visit j before returning to i); h[k] = (P_k(hit i
+    before j), P_k(hit j before i)) off {i, j}, zero on them.  The columns
+    are solved apart: a two-column solve rounds pi differently."""
+    mat = kernel.dense_matrix
+    others = [k for k in range(kernel.n_states) if k not in (i, j)]
+    h = np.zeros((kernel.n_states, 2))
+    if others:
+        a = np.eye(len(others)) - mat[np.ix_(others, others)]
+        for col, end in enumerate((i, j)):
+            h[others, col] = np.linalg.solve(a, mat[others, end])
+        pi = float(mat[i, j] + mat[i, others] @ h[others, 1])
+    else:
+        pi = float(mat[i, j])
+    return min(max(pi, 0.0), 1.0), h
 
 
 def hit_before_return_prob(kernel: TransitionKernel, source: StateRef,
@@ -313,16 +375,7 @@ def hit_before_return_prob(kernel: TransitionKernel, source: StateRef,
     i, j = kernel.index_of(source), kernel.index_of(target)
     if i == j:
         raise InvalidInput("source and target must differ")
-    mat = kernel.dense_matrix
-    others = [k for k in range(kernel.n_states) if k not in (i, j)]
-    if others:
-        sub = mat[np.ix_(others, others)]
-        rhs = mat[others, j]
-        h = np.linalg.solve(np.eye(len(others)) - sub, rhs)
-        pi = float(mat[i, j] + mat[i, others] @ h)
-    else:
-        pi = float(mat[i, j])
-    return min(max(pi, 0.0), 1.0)
+    return _hit_split(kernel, i, j)[0]
 
 
 def _reachable_without(kernel: TransitionKernel, sources, blocked: int) -> set[int]:
@@ -357,10 +410,23 @@ def _has_hit_avoiding_return(kernel: TransitionKernel, i: int, j: int) -> bool:
     return j in reach or any(j in (k for k, _ in kernel.out_edges(r)) for r in reach)
 
 
-def _conditional_dense(pmf_raw: np.ndarray, denom: float) -> PassageLaw:
-    pmf = pmf_raw / denom
-    tail = max(0.0, 1.0 - float(pmf.sum()))
-    return PassageLaw.dense(pmf, tail)
+def _distinct(kernel: TransitionKernel, source: StateRef, target: StateRef,
+              horizon: int) -> tuple[int, int]:
+    if horizon < 1:
+        raise InvalidInput("horizon must be >= 1")
+    i, j = kernel.index_of(source), kernel.index_of(target)
+    if i == j:
+        raise InvalidInput("source and target must differ")
+    return i, j
+
+
+def _conditioned(pmf: np.ndarray, alive: float, scale: np.ndarray, p: float) -> PassageLaw:
+    """Law conditioned on an event of probability p, from :func:`_propagate`
+    output: the event's pmf within the horizon, and as tail the probability
+    ``alive`` that the mass still alive there ends in the event, both
+    divided by p.  The tail is computed directly, never as a difference."""
+    return PassageLaw._dense(np.ldexp(pmf / p, -scale),
+                             _log_scaled(alive, scale[-1]) - math.log(p))
 
 
 def conditioned_return_law(kernel: TransitionKernel, source: StateRef, target: StateRef,
@@ -369,93 +435,47 @@ def conditioned_return_law(kernel: TransitionKernel, source: StateRef, target: S
     j, renormalized (the U law of the return-time decomposition).
 
     Raises :class:`NoSuchPath` when every return from i passes through j.
-    No tail certificate is attached: the conditional survival comes from a
-    cancellation-prone subtraction, so certifying its ratios would be
-    guesswork.
+    The tail is q_N . h_i / (1 - pi), with q_N the taboo vector at the
+    horizon and h_i(k) = P_k(hit i before j).  No tail certificate is
+    attached: that needs a bound holding past the horizon, which survival
+    ratio stabilization does not give.
     """
-    if horizon < 1:
-        raise InvalidInput("horizon must be >= 1")
-    i, j = kernel.index_of(source), kernel.index_of(target)
-    if i == j:
-        raise InvalidInput("source and target must differ")
+    i, j = _distinct(kernel, source, target, horizon)
     if not _has_return_avoiding(kernel, i, j):
         raise NoSuchPath(f"every return from {kernel.states[i]!r} visits {kernel.states[j]!r}")
-    p = 1.0 - hit_before_return_prob(kernel, i, j)
-    pmf_raw, _ = _taboo_absorb(kernel, i, absorb=i, kill=j, horizon=horizon)
-    return _conditional_dense(pmf_raw, p)
+    pi, h = _hit_split(kernel, i, j)
+    pmf, _, scale, q = _propagate(kernel, i, horizon, absorb=i, kill=j)
+    return _conditioned(pmf, q @ h[:, 0], scale, 1.0 - pi)
 
 
 def conditioned_hit_law(kernel: TransitionKernel, source: StateRef, target: StateRef,
                         horizon: int) -> PassageLaw:
     """Law of the first hit of j from i restricted to paths that do not
-    return to i first, renormalized (the V law of the decomposition)."""
-    if horizon < 1:
-        raise InvalidInput("horizon must be >= 1")
-    i, j = kernel.index_of(source), kernel.index_of(target)
-    if i == j:
-        raise InvalidInput("source and target must differ")
+    return to i first, renormalized (the V law of the decomposition).  The
+    tail is q_N . h_j / pi, with h_j(k) = P_k(hit j before i)."""
+    i, j = _distinct(kernel, source, target, horizon)
     if not _has_hit_avoiding_return(kernel, i, j):
         raise NoSuchPath(f"no path from {kernel.states[i]!r} reaches {kernel.states[j]!r} "
                          "before returning")
-    pi = hit_before_return_prob(kernel, i, j)
-    pmf_raw, _ = _taboo_absorb(kernel, i, absorb=j, kill=i, horizon=horizon)
-    return _conditional_dense(pmf_raw, pi)
+    pi, h = _hit_split(kernel, i, j)
+    pmf, _, scale, q = _propagate(kernel, i, horizon, absorb=j, kill=i)
+    return _conditioned(pmf, q @ h[:, 1], scale, pi)
 
 
 def crossing_return_law(kernel: TransitionKernel, source: StateRef, target: StateRef,
                         horizon: int) -> PassageLaw:
     """Law of the return time of i restricted to excursions that do visit j,
     renormalized; computed by propagating a visited-j flag alongside the
-    taboo vector (an independent route from the unconditioned law)."""
-    if horizon < 1:
-        raise InvalidInput("horizon must be >= 1")
-    i, j = kernel.index_of(source), kernel.index_of(target)
-    if i == j:
-        raise InvalidInput("source and target must differ")
-    pi = hit_before_return_prob(kernel, i, j)
+    taboo vector (an independent route from the unconditioned law).  Mass
+    that has visited j returns to i surely, so the tail is
+    (sum q1_N + q0_N . h_j) / pi, with q0, q1 the unflagged and flagged
+    parts of the taboo vector."""
+    i, j = _distinct(kernel, source, target, horizon)
+    pi, h = _hit_split(kernel, i, j)
     if pi <= 0.0:
         raise NoSuchPath(f"no return from {kernel.states[i]!r} visits {kernel.states[j]!r}")
-    _, pmf_cross = _return_split(kernel, i, j, horizon)
-    return _conditional_dense(pmf_cross, pi)
-
-
-def _taboo_absorb(kernel: TransitionKernel, start: int, *, absorb: int, kill: int,
-                  horizon: int) -> tuple[np.ndarray, float]:
-    """Propagate from ``start``; record mass entering ``absorb`` per step and
-    delete mass entering ``kill``.  Returns (absorbed pmf, alive mass)."""
-    mat = kernel.csr
-    q = np.zeros(kernel.n_states)
-    q[start] = 1.0
-    pmf = np.zeros(horizon)
-    for t in range(horizon):
-        r = q @ mat
-        pmf[t] = r[absorb]
-        r[absorb] = 0.0
-        r[kill] = 0.0
-        q = r
-    return pmf, float(q.sum())
-
-
-def _return_split(kernel: TransitionKernel, i: int, j: int,
-                  horizon: int) -> tuple[np.ndarray, np.ndarray]:
-    """Return-time pmf of i split by whether j was visited en route."""
-    mat = kernel.csr
-    q0 = np.zeros(kernel.n_states)  # j not yet visited
-    q1 = np.zeros(kernel.n_states)  # j visited
-    q0[i] = 1.0
-    pmf_avoid = np.zeros(horizon)
-    pmf_cross = np.zeros(horizon)
-    for t in range(horizon):
-        r0 = q0 @ mat
-        r1 = q1 @ mat
-        pmf_avoid[t] = r0[i]
-        pmf_cross[t] = r1[i]
-        r1[j] += r0[j]
-        r0[j] = 0.0
-        r0[i] = 0.0
-        r1[i] = 0.0
-        q0, q1 = r0, r1
-    return pmf_avoid, pmf_cross
+    pmf, _, scale, q = _propagate(kernel, i, horizon, absorb=i, flag=j)
+    return _conditioned(pmf, q[:, 1].sum() + q[:, 0] @ h[:, 1], scale, pi)
 
 
 # ---------------------------------------------------------------------------

@@ -104,3 +104,59 @@ def two_state_return_pmf_11(p: float, horizon: int) -> np.ndarray:
     for k in range(2, horizon + 1):
         out[k - 1] = p * (1.0 - p) ** (k - 2)
     return out
+
+
+
+def reference_laws(kernel: TransitionKernel, i: int, j: int,
+                   horizon: int) -> dict[str, tuple[np.ndarray, float]]:
+    """The four passage laws by the plain ``q @ csr`` loops the library used
+    before its propagation engine: law name -> (raw pmf, divisor), the law's
+    pmf being raw / divisor.  ``passage`` (i -> j) has divisor 1 and is the
+    only key when i == j; ``return_avoiding``, ``hit_first`` and
+    ``crossing`` are divided by the hit-before-return probability pi, from
+    one single-column solve.  ``passage_surv`` holds the alive mass after
+    each step of ``passage``."""
+    mat = kernel.csr
+    n = kernel.n_states
+
+    def start() -> np.ndarray:
+        q = np.zeros(n)
+        q[i] = 1.0
+        return q
+
+    q, pmf, surv = start(), np.zeros(horizon), np.zeros(horizon)
+    for t in range(horizon):
+        r = q @ mat
+        pmf[t] = r[j]
+        r[j] = 0.0
+        q = r
+        surv[t] = q.sum()
+    out = {"passage": (pmf, 1.0), "passage_surv": (surv, 1.0)}
+    if i == j:
+        return out
+    dense = kernel.dense_matrix
+    others = [k for k in range(n) if k not in (i, j)]
+    pi = float(dense[i, j])
+    if others:
+        sub = dense[np.ix_(others, others)]
+        h = np.linalg.solve(np.eye(len(others)) - sub, dense[others, j])
+        pi = float(dense[i, j] + dense[i, others] @ h)
+    for key, absorb, kill, denom in (("return_avoiding", i, j, 1.0 - pi),
+                                     ("hit_first", j, i, pi)):
+        q, pmf = start(), np.zeros(horizon)
+        for t in range(horizon):
+            r = q @ mat
+            pmf[t] = r[absorb]
+            r[absorb] = 0.0
+            r[kill] = 0.0
+            q = r
+        out[key] = (pmf, denom)
+    q0, q1, pmf = start(), np.zeros(n), np.zeros(horizon)
+    for t in range(horizon):
+        r0, r1 = q0 @ mat, q1 @ mat
+        pmf[t] = r1[i]
+        r1[j] += r0[j]
+        r0[j] = r0[i] = r1[i] = 0.0
+        q0, q1 = r0, r1
+    out["crossing"] = (pmf, pi)
+    return out

@@ -180,6 +180,17 @@ def test_moment_heuristic_gamma_flag(capsys):
 # demo
 
 
+def test_moment_past_underflow_horizon_is_not_converged(tmp_path, capsys):
+    # survival 2^-(n-1) underflows near n = 1075; e^0.6935 * 0.5 > 1, so the
+    # moment is infinite and must not be certified from a zero tail
+    path = tmp_path / "k.json"
+    path.write_text('{"states":["a","b"],"rows":[[["b",1.0]],[["b",0.5],["a",0.5]]]}')
+    rc, out, _ = run_cli(capsys, "moment", "--kernel", str(path), "--from", "a",
+                         "--to", "a", "--function", "exp:0.6935", "--horizon", "1100")
+    assert rc == 0
+    assert json.loads(out)["verdict"] == "inconclusive"
+
+
 def test_demo_output_dir_writes_report_and_trace(tmp_path, capsys):
     rc, out, _ = run_cli(capsys, "demo", "sharp",
                          "--output-dir", str(tmp_path))

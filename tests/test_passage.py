@@ -5,6 +5,7 @@ import math
 
 import numpy as np
 import pytest
+import scipy.sparse
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -17,10 +18,11 @@ from recur_moments import (VERDICT_CONVERGED, AtomicDist, IncomparableLaws,
                            hit_before_return_prob, law_from_csv, law_to_csv,
                            mixture, random_kernel, stochastic_dominates)
 from recur_moments.logspace import log_add
+from recur_moments.passage import _derive_tail_cert
 
 from helpers import (absorbed_mass_iterative, brute_convolve_dicts,
                      enumerate_passage_pmf, pmf_dict_to_array,
-                     two_state_return_pmf_11)
+                     reference_laws, two_state_return_pmf_11)
 
 ORACLE_H = 8
 
@@ -72,6 +74,67 @@ def test_survival_is_subtraction_free():
     surv = law.survival_array()
     assert np.all(np.abs(surv[:-1] / r ** np.arange(1, h) - 1.0) <= 1e-15)
     assert surv[-1] == math.exp(law.log_tail)
+
+
+def test_first_passage_tail_survives_underflow():
+    # P(T > 400) = 0.1^400 is below the smallest double, yet not zero
+    law = first_passage_law(build_two_state(0.9), 0, 1, 400)
+    assert abs(law.log_tail - 400 * math.log(0.1)) <= 1e-9
+    assert not law.is_complete
+    # the survival ratio is 0.1 on every step, across the rescales too
+    assert law.tail_cert.start == 1 and 0.1 < law.tail_cert.rho < 0.1 + 2e-6
+
+
+_LAWS = {"passage": first_passage_law, "return_avoiding": conditioned_return_law,
+         "hit_first": conditioned_hit_law, "crossing": crossing_return_law}
+_SMALLEST_NORMAL = 2.2250738585072014e-308
+
+
+def _engine_cases():
+    yield pytest.param("kernel3", [(i, j) for i in range(3) for j in range(3)], id="kernel3")
+    yield pytest.param("kernel4", [(0, 3), (3, 0), (2, 2), (1, 2)], id="kernel4")
+    for n in range(2, 9):
+        yield pytest.param(n, [(0, 0), (0, 1), (n - 1, 0)], id=f"random{n}")
+
+
+@pytest.mark.parametrize("which,pairs", _engine_cases())
+def test_engine_bit_identical_to_reference_loop(which, pairs, request):
+    kernel = (request.getfixturevalue(which) if isinstance(which, str)
+              else random_kernel(which, np.random.default_rng(which)))
+    h = 600
+    for i, j in pairs:
+        ref = reference_laws(kernel, i, j, h)
+        for name, law_fn in _LAWS.items():
+            if name not in ref:
+                continue
+            raw, divisor = ref[name]
+            # a raw mass below the smallest normal was rounded by the old
+            # loop; the rescaled engine computes it accurately
+            normal = raw >= _SMALLEST_NORMAL
+            got = law_fn(kernel, i, j, h).pmf_array()
+            assert np.array_equal(got[normal], raw[normal] / divisor), (which, i, j, name)
+        surv = ref["passage_surv"][0]
+        law = first_passage_law(kernel, i, j, h)
+        assert law.tail_cert == _derive_tail_cert(surv, np.zeros(h, dtype=np.int64))
+        if surv[-1] >= 2.0 ** -600:  # never rescaled
+            assert law.log_tail == math.log(surv[-1])
+        else:
+            assert math.isfinite(law.log_tail)
+
+
+def test_propagation_never_builds_a_transpose(kernel3, monkeypatch):
+    # ``q @ csr`` rebuilds a transposed matrix on every call, about 20 us a
+    # step on small chains; every law must step over the cached operator
+    def refuse(self, other):
+        raise AssertionError("q @ csr used in a propagation step")
+
+    monkeypatch.setattr(scipy.sparse.csr_matrix, "__rmatmul__", refuse)
+    with pytest.raises(AssertionError):
+        np.zeros(3) @ kernel3.csr
+    op = kernel3._step_op
+    for law_fn in _LAWS.values():
+        law_fn(kernel3, 0, 1, 50)
+    assert kernel3._step_op is op
 
 
 def test_accepts_state_names(kernel3):
@@ -138,6 +201,25 @@ def test_conditioned_mass_accounting(kernel3):
     assert abs(u.pmf_array().sum() - 1.0) <= 1e-12
     # conditioned laws never carry extrapolation certificates
     assert u.tail_cert is None
+
+
+def test_conditioned_tails_are_never_clipped_to_zero():
+    # the old tail max(0, 1 - pmf.sum()) made 33 of these 40 laws complete
+    for seed in range(40):
+        k = random_kernel(5, np.random.default_rng(seed), min_prob=0.01)
+        assert not conditioned_return_law(k, 0, 1, 300).is_complete
+
+
+def test_compound_tail_matches_direct_law():
+    # the compound inherits the conditioned tails; with 1 - pmf.sum() its
+    # log tail was the rounding noise -36.7
+    rng = np.random.default_rng(3)
+    kernel = [random_kernel(n, rng) for n in (3, 4, 5)][2]
+    h = 600
+    pi, t, u, v = _identity_setup(kernel, 0, 1, h)
+    assert abs(t.log_tail - (-150.49)) <= 0.01
+    comp = geometric_compound(u, v, pi, horizon=h)
+    assert abs(comp.log_tail - t.log_tail) <= 1e-6
 
 
 def test_no_such_path_raised():
