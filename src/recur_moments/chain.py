@@ -85,13 +85,6 @@ class TransitionKernel:
                 data.append(p)
         return sparse.csr_matrix((data, (ri, ci)), shape=(self.n_states, self.n_states))
 
-    @cached_property
-    def _step_op(self) -> sparse.csc_matrix:
-        """P^T as a zero-copy CSC view of :attr:`csr`.  ``_step_op @ q``
-        gives ``q @ csr`` bit for bit, without the transpose that scipy
-        builds on every ``q @ csr``."""
-        return self.csr.T
-
     def out_edges(self, i: int) -> list[tuple[int, float]]:
         return self.rows[i]
 

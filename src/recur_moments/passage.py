@@ -5,11 +5,17 @@ i, counting from step 1; i = j gives the first return).  Representations:
 
 * dense: a linear pmf over n = 1..horizon with its log view, plus the tail
   mass P(T > horizon) kept in log space.  The pmf comes from propagating the
-  taboo vector q_n(k) = P(X_n = k, j not yet hit), one product per step with
-  the kernel's cached transposed operator (a zero-copy view of its CSR
-  matrix).  The vector is rescaled by exact powers of two before its mass
-  can underflow, so a tail is zero only when no mass is left.  Entries below
-  ``PRUNE_FLOOR_LOG``, which the linear pmf cannot hold, join the tail;
+  taboo vector q_n(k) = P(X_n = k, j not yet hit), one compiled sparse
+  product per step with a taboo operator built once per law from the
+  kernel's CSR arrays: P^T with the mass entering j routed to a sink slot,
+  whose column is empty, and the mass entering a killed state dropped.
+  Laws that track a visited-flag step the interleaved pairs (k, visited).
+  Steps run in blocks of up to 64 rows; the pmf is read from the sink
+  column and the survivals summed once per block.  The vector is rescaled
+  by exact powers of two before its mass can underflow (the rows of a block
+  past the rescale point are recomputed from the rescaled row), so a tail
+  is zero only when no mass is left.  Entries below ``PRUNE_FLOOR_LOG``,
+  which the linear pmf cannot hold, join the tail;
 * sparse: integer atoms with log-weights (:class:`AtomicDist`), for laws with
   few support points or astronomically small masses.
 
@@ -32,6 +38,7 @@ from dataclasses import dataclass
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
+from scipy.sparse._sparsetools import csc_matvec as _csc_matvec
 
 from ._atomic import _MASS_TOL, AtomicDist
 from .chain import TransitionKernel, StateRef
@@ -45,6 +52,8 @@ __all__ = [
     "geometric_compound", "mixture", "stochastic_dominates",
     "law_to_csv", "law_from_csv",
 ]
+
+_SMALLEST_NORMAL = np.finfo(float).tiny
 
 
 @dataclass(frozen=True)
@@ -124,6 +133,11 @@ class PassageLaw:
     # -- validation --------------------------------------------------------
 
     def _check(self) -> None:
+        """Mass sums to one within 1e-10, and a dense law's certificate holds
+        on its computed survival, S(n+1) <= rho S(n) (1 + 1e-12), wherever
+        rho S(n) is a normal double.  Below that the linear survival has
+        lost its relative precision and cannot resolve a ratio, so those
+        points are not checked."""
         total = self.log_total_mass()
         if not abs(total) <= _MASS_TOL:
             raise InvalidInput(f"law mass off by more than 1e-10: log total = {total}")
@@ -133,7 +147,8 @@ class PassageLaw:
             if n0 <= surv.size - 1:
                 lhs = surv[n0:]
                 rhs = rho * surv[n0 - 1:-1]
-                if not np.all(lhs <= rhs + 1e-15):
+                resolved = rhs >= _SMALLEST_NORMAL
+                if np.any(lhs[resolved] > rhs[resolved] * (1.0 + 1e-12)):
                     raise InvalidInput("tail certificate violated on computed points")
 
     # -- accessors ---------------------------------------------------------
@@ -285,45 +300,113 @@ def _derive_tail_cert(surv: np.ndarray, scale: np.ndarray, *, window: int = 20,
 
 _RESCALE_BELOW = 2.0 ** -600
 _LN2 = math.log(2.0)
+_BLOCK_ROWS = 64
+_BLOCK_DOUBLES = 2 ** 16
+
+
+def _taboo_operator(kernel: TransitionKernel, absorb: int, kill: int | None,
+                    flag: int | None) -> tuple[np.ndarray, np.ndarray, np.ndarray, int]:
+    """CSC arrays (indptr, indices, data) of the taboo operator, P^T with its
+    destinations rerouted, and the width of its alive part.
+
+    Column c holds the out-edges of slot c in the order of the kernel's CSR
+    rows, so each output still sums its sources in ascending order.  Mass
+    entering ``absorb`` goes to a sink slot at index ``width``, whose column
+    is empty; mass entering ``kill`` is dropped.  With ``flag``, slot 2k+v
+    is state k with visited-flag v, and only (absorb, 1) goes to the sink.
+    """
+    csr = kernel.csr
+    ptr, dest, data = csr.indptr, csr.indices, csr.data
+    sink, drop = absorb, [] if kill is None else [kill]
+    if flag is not None:
+        # column 2k+v holds the out-edges of k, to slots 2d+v: the entries of
+        # CSR row k twice, first for v = 0, then for v = 1
+        lens = np.diff(ptr)
+        first = np.arange(dest.size) + np.repeat(ptr[:-1], lens)
+        at = np.concatenate((first, first + np.repeat(lens, lens)))
+        ptr2 = np.empty(2 * ptr.size - 1, dtype=dest.dtype)
+        ptr2[0::2], ptr2[1::2] = 2 * ptr, ptr[:-1] + ptr[1:]
+        dest2, data2 = np.empty(2 * dest.size, dtype=dest.dtype), np.empty(2 * data.size)
+        dest2[at] = np.concatenate((2 * dest, 2 * dest + 1))
+        data2[at] = np.concatenate((data, data))
+        ptr, dest, data = ptr2, dest2, data2
+        sink = 2 * absorb + 1
+        drop = [2 * absorb] + [2 * k + v for k in drop for v in (0, 1)]
+    width = ptr.size - 1
+    dest = np.where(dest == sink, width, dest)
+    if drop:
+        keep = dest != drop[0]
+        for slot in drop[1:]:
+            keep &= dest != slot
+        kept = np.concatenate(([0], np.cumsum(keep)))
+        ptr, dest, data = kept[ptr], dest[keep], data[keep]
+    return np.append(ptr, ptr[-1]).astype(dest.dtype), dest, data, width
 
 
 def _propagate(kernel: TransitionKernel, start: int, horizon: int, *, absorb: int,
                kill: int | None = None, flag: int | None = None) -> tuple[np.ndarray, ...]:
     """Step the taboo vector q_n(k) = P(X_n = k, not absorbed or killed) from
-    ``start``, one ``kernel._step_op @ q`` (= ``q @ csr`` bit for bit) a step.
+    ``start``: one compiled ``csc_matvec`` a step over the operator of
+    :func:`_taboo_operator`, which gives ``q @ csr`` bit for bit.
 
-    Mass entering ``absorb`` is recorded and removed; mass entering ``kill``
-    is removed.  With ``flag``, q has a second column for mass that has
-    visited ``flag``, and only that column's absorbed mass is recorded.
-    Alive mass in (0, 2^-600) is rescaled by an exact power of two before
-    the next step, so q never underflows.  Returns (pmf, surv, scale, q):
-    the mass recorded in and alive after step t, both times 2^scale[t], and
-    the final q, times 2^scale[-1].
+    Mass entering ``absorb`` is recorded from the sink slot; mass entering
+    ``kill`` is gone.  With ``flag``, q holds the pairs (k, visited) and
+    only mass that has visited ``flag`` is recorded; each step moves the
+    mass entering (flag, 0) to (flag, 1).
+
+    Steps fill the rows of a block buffer, at most ``_BLOCK_ROWS`` rows and
+    ``_BLOCK_DOUBLES`` doubles; two buffers alternate, so the carried vector
+    is never copied.  After each block, the pmf is read from its sink column
+    and the survivals are its row sums.  Alive mass in (0, 2^-600) is
+    rescaled by an exact power of two before the next step, so q never
+    underflows: the rows after the first such step are dropped, and the
+    next block starts from that row, rescaled.  A block holds at least two
+    and at most four times as many steps as were kept since the last
+    rescale, so a rollback drops at most four steps for each step kept.
+    Once the alive mass is exactly zero every later step is zero, and
+    stepping stops.  Returns (pmf, surv, scale, q): the mass recorded in
+    and alive after step t, both times 2^scale[t], and the final q, times
+    2^scale[-1].
     """
-    n = kernel.n_states
-    op = kernel._step_op
-    q = np.zeros(n if flag is None else (n, 2))
-    q[start if flag is None else (start, 0)] = 1.0
-    hit = absorb if flag is None else (absorb, 1)
-    pmf = np.empty(horizon)
-    surv = np.empty(horizon)
+    indptr, indices, data, width = _taboo_operator(kernel, absorb, kill, flag)
+    w = width + 1
+    rows = max(1, min(_BLOCK_ROWS, _BLOCK_DOUBLES // w))
+    bufs = (np.empty((rows, w)), np.empty((rows, w)))
+    views = tuple(list(b) for b in bufs)
+    x = np.zeros(w)
+    x[start if flag is None else 2 * start] = 1.0
+    pmf, surv = np.zeros(horizon), np.zeros(horizon)
     scale = np.zeros(horizon, dtype=np.int64)
-    s = 1.0
-    for t in range(horizon):
-        if 0.0 < s < _RESCALE_BELOW:
-            e = -math.frexp(s)[1]
-            np.ldexp(q, e, out=q)
+    matvec = _csc_matvec
+    t = since = k = 0
+    while t < horizon:
+        m = min(horizon - t, rows, max(2, 4 * since))
+        buf, block = bufs[k], views[k][:m]
+        k ^= 1
+        buf[:m] = 0.0
+        for y in block:
+            matvec(w, w, indptr, indices, data, x, y)
+            if flag is not None:
+                y[2 * flag + 1] += y[2 * flag]
+                y[2 * flag] = 0.0
+            x = y
+        s = np.add.reduce(buf[:m, :width], axis=1)
+        low = np.nonzero(s < _RESCALE_BELOW)[0]
+        kept = int(low[0]) + 1 if low.size else m
+        pmf[t:t + kept] = buf[:kept, width]
+        surv[t:t + kept] = s[:kept]
+        t += kept
+        since += kept
+        if low.size and t < horizon:
+            if s[kept - 1] == 0.0:
+                break
+            x = block[kept - 1]
+            e = -math.frexp(s[kept - 1])[1]
+            np.ldexp(x, e, out=x)
             scale[t:] += e
-        q = op @ q
-        pmf[t] = q[hit]
-        q[absorb] = 0.0
-        if kill is not None:
-            q[kill] = 0.0
-        if flag is not None:
-            q[flag, 1] += q[flag, 0]
-            q[flag, 0] = 0.0
-        s = surv[t] = q.sum()
-    return pmf, surv, scale, q
+            since = 0
+    q = x[:width]
+    return pmf, surv, scale, (q if flag is None else q.reshape(-1, 2))
 
 
 def _log_scaled(x: float, scale: int) -> float:
@@ -336,9 +419,9 @@ def first_passage_law(kernel: TransitionKernel, source: StateRef, target: StateR
     """Exact law of the first hit of ``target`` from ``source`` up to
     ``horizon`` (source = target gives the first return).
 
-    One product per step with the kernel's cached transposed operator (a
-    zero-copy view of its CSR matrix): mass flowing into the target at step
-    n is recorded as P(T = n) and removed.  The taboo vector is rescaled by
+    One compiled sparse product per step with the taboo operator: mass
+    flowing into the target at step n is recorded as P(T = n) and removed
+    (see :func:`_propagate`).  The taboo vector is rescaled by
     exact powers of two once its mass falls below 2^-600, so the log tail is
     -inf only when no mass is left, never because a float underflowed.
     """

@@ -6,7 +6,7 @@ import math
 import numpy as np
 import pytest
 import scipy.sparse
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from recur_moments import (VERDICT_CONVERGED, AtomicDist, IncomparableLaws,
@@ -18,6 +18,7 @@ from recur_moments import (VERDICT_CONVERGED, AtomicDist, IncomparableLaws,
                            hit_before_return_prob, law_from_csv, law_to_csv,
                            mixture, random_kernel, stochastic_dominates)
 from recur_moments.logspace import log_add
+from recur_moments import passage
 from recur_moments.passage import _derive_tail_cert
 
 from helpers import (absorbed_mass_iterative, brute_convolve_dicts,
@@ -85,9 +86,54 @@ def test_first_passage_tail_survives_underflow():
     assert law.tail_cert.start == 1 and 0.1 < law.tail_cert.rho < 0.1 + 2e-6
 
 
+_RANDOM3 = random_kernel(3, np.random.default_rng(3))
+
+
+@pytest.mark.parametrize("kernel,absorb,h,mode", [
+    (build_two_state(0.9), 1, 181, {}), (build_two_state(0.9), 1, 1500, {}),
+    (_RANDOM3, 0, 1500, {}), (_RANDOM3, 0, 1500, {"kill": 1}), (_RANDOM3, 0, 1500, {"flag": 1})],
+    ids=["two-state-181", "two-state-1500", "plain", "kill", "flag"])
+def test_rescale_schedule(kernel, absorb, h, mode):
+    # the vector is rescaled before exactly the steps it enters with alive
+    # mass in (0, 2^-600), by the power of two that lifts that mass to
+    # [1/2, 1); the final vector keeps the scale of the last step (on
+    # two-state 0.9, step 181 is the first to fall below 2^-600)
+    pmf, surv, scale, q = passage._propagate(kernel, 0, h, absorb=absorb, **mode)
+    entering = np.concatenate(([1.0], surv[:-1]))
+    low = (entering > 0.0) & (entering < 2.0 ** -600)
+    jumps = np.diff(scale, prepend=0)
+    assert low.any() or surv[-1] < 2.0 ** -600  # the case reaches a rescale point
+    assert np.array_equal(jumps != 0, low)
+    assert all(jumps[t] == -math.frexp(entering[t])[1] for t in np.flatnonzero(low))
+    assert q.sum() == surv[-1]
+
+
 _LAWS = {"passage": first_passage_law, "return_avoiding": conditioned_return_law,
          "hit_first": conditioned_hit_law, "crossing": crossing_return_law}
 _SMALLEST_NORMAL = 2.2250738585072014e-308
+# block edges (blocks hold up to 64 steps) and, on the small chains, many
+# rescales past 2^-600 with their rolled-back rows
+_ENGINE_HORIZONS = (1, 63, 64, 65, 600, 1500)
+# The old loop rounded a raw mass below the smallest normal.  Past step 600,
+# where the chains that decay fast reach the subnormal range, it also summed
+# masses just above it from subnormal products, so there only masses from
+# 2^-1000 on are compared.  The rescaled engine computes all of them exactly.
+_EXACT_THROUGH = 600
+_COMPARABLE = np.where(np.arange(1, max(_ENGINE_HORIZONS) + 1) <= _EXACT_THROUGH,
+                       _SMALLEST_NORMAL, 2.0 ** -1000)
+
+
+def _sparse_kernel(n: int, per_row: int, seed: int) -> TransitionKernel:
+    """Seeded chain with ``per_row`` distinct targets in every row, one of
+    them the next state on a ring."""
+    rng = np.random.default_rng(seed)
+    rows = []
+    for i in range(n):
+        targets = {(i + 1) % n}
+        while len(targets) < per_row:
+            targets.add(int(rng.integers(n)))
+        rows.append(list(zip(sorted(targets), rng.dirichlet(np.ones(per_row)).tolist())))
+    return TransitionKernel([str(i) for i in range(n)], rows)
 
 
 def _engine_cases():
@@ -95,46 +141,94 @@ def _engine_cases():
     yield pytest.param("kernel4", [(0, 3), (3, 0), (2, 2), (1, 2)], id="kernel4")
     for n in range(2, 9):
         yield pytest.param(n, [(0, 0), (0, 1), (n - 1, 0)], id=f"random{n}")
+    for n in (16, 64, 200):
+        yield pytest.param(n, [(0, 0), (n - 1, 0)], id=f"random{n}")
+    yield pytest.param("sparse3000", [(0, 0), (7, 1500)], id="sparse3000")
 
 
 @pytest.mark.parametrize("which,pairs", _engine_cases())
 def test_engine_bit_identical_to_reference_loop(which, pairs, request):
-    kernel = (request.getfixturevalue(which) if isinstance(which, str)
-              else random_kernel(which, np.random.default_rng(which)))
-    h = 600
+    if which == "sparse3000":
+        kernel = _sparse_kernel(3000, 5, seed=3000)
+    elif isinstance(which, str):
+        kernel = request.getfixturevalue(which)
+    else:
+        kernel = random_kernel(which, np.random.default_rng(which))
     for i, j in pairs:
-        ref = reference_laws(kernel, i, j, h)
-        for name, law_fn in _LAWS.items():
-            if name not in ref:
-                continue
-            raw, divisor = ref[name]
-            # a raw mass below the smallest normal was rounded by the old
-            # loop; the rescaled engine computes it accurately
-            normal = raw >= _SMALLEST_NORMAL
-            got = law_fn(kernel, i, j, h).pmf_array()
-            assert np.array_equal(got[normal], raw[normal] / divisor), (which, i, j, name)
-        surv = ref["passage_surv"][0]
-        law = first_passage_law(kernel, i, j, h)
-        assert law.tail_cert == _derive_tail_cert(surv, np.zeros(h, dtype=np.int64))
-        if surv[-1] >= 2.0 ** -600:  # never rescaled
-            assert law.log_tail == math.log(surv[-1])
-        else:
-            assert math.isfinite(law.log_tail)
+        full = reference_laws(kernel, i, j, max(_ENGINE_HORIZONS))
+        for h in _ENGINE_HORIZONS:
+            ref = {name: (raw[:h], divisor) for name, (raw, divisor) in full.items()}
+            for name, law_fn in _LAWS.items():
+                if name not in ref:
+                    continue
+                raw, divisor = ref[name]
+                normal = raw >= _COMPARABLE[:h]
+                got = law_fn(kernel, i, j, h).pmf_array()
+                assert np.array_equal(got[normal], raw[normal] / divisor), (which, i, j, h, name)
+            surv = ref["passage_surv"][0]
+            law = first_passage_law(kernel, i, j, h)
+            if h <= _EXACT_THROUGH or surv[-1] >= _COMPARABLE[h - 1]:
+                assert law.tail_cert == _derive_tail_cert(surv, np.zeros(h, dtype=np.int64))
+            if surv[-1] >= 2.0 ** -600:  # never rescaled
+                assert law.log_tail == math.log(surv[-1])
+            else:
+                assert math.isfinite(law.log_tail)
 
 
 def test_propagation_never_builds_a_transpose(kernel3, monkeypatch):
-    # ``q @ csr`` rebuilds a transposed matrix on every call, about 20 us a
-    # step on small chains; every law must step over the cached operator
+    # ``q @ csr`` rebuilds a transposed matrix on every call, and any sparse
+    # ``@`` costs several microseconds of dispatch around a 1 us kernel;
+    # every law must step with the compiled kernel alone
     def refuse(self, other):
-        raise AssertionError("q @ csr used in a propagation step")
+        raise AssertionError("sparse @ used in a propagation step")
 
     monkeypatch.setattr(scipy.sparse.csr_matrix, "__rmatmul__", refuse)
+    monkeypatch.setattr(scipy.sparse.csc_matrix, "__matmul__", refuse)
     with pytest.raises(AssertionError):
         np.zeros(3) @ kernel3.csr
-    op = kernel3._step_op
+    with pytest.raises(AssertionError):
+        kernel3.csr.T @ np.zeros(3)
     for law_fn in _LAWS.values():
         law_fn(kernel3, 0, 1, 50)
-    assert kernel3._step_op is op
+
+
+def test_propagation_stops_at_an_exactly_zero_vector(monkeypatch):
+    # the walk from 0 has returned surely after step 2; stepping on to
+    # h = 6000 used to take 33 ms
+    calls = []
+
+    def counting(*args):
+        calls.append(1)
+        return kernel_call(*args)
+
+    kernel_call = passage._csc_matvec
+    monkeypatch.setattr(passage, "_csc_matvec", counting)
+    law = first_passage_law(build_two_state(0.5), 0, 0, 6000)
+    assert len(calls) <= 2
+    expected = np.zeros(6000)
+    expected[:2] = 0.5
+    assert np.array_equal(law.pmf_array(), expected)
+    assert law.log_tail == -math.inf and law.is_complete
+
+
+@settings(max_examples=40, deadline=None)
+@given(p=st.floats(0.01, 0.99), h=st.integers(1, 3000))
+@example(p=0.9, h=3000)
+def test_long_horizons_match_two_state_closed_forms(p, h):
+    # first hit of 1 from 0 is geometric(p); the return to 1 is one step
+    # more.  At p = 0.9 the taboo vector is rescaled every ~180 steps
+    k = build_two_state(p)
+    stay = 1.0 - p  # the kernel's own rounded probability
+    n = np.arange(1, h + 1)
+    hit, ret = first_passage_law(k, 0, 1, h), first_passage_law(k, 1, 1, h)
+    assert ret.prob(1) == 0.0
+    for law, expected, log_tail in (
+            (hit, p * stay ** (n - 1.0), h * math.log(stay)),
+            (ret, np.where(n > 1, p * stay ** (n - 2.0), 0.0), (h - 1) * math.log(stay))):
+        got = law.pmf_array()
+        normal = expected >= _SMALLEST_NORMAL
+        assert np.all(np.abs(got[normal] / expected[normal] - 1.0) <= 1e-12)
+        assert abs(law.log_tail - log_tail) <= 1e-9
 
 
 def test_accepts_state_names(kernel3):
@@ -509,6 +603,13 @@ def test_tail_cert_validation():
     pmf = np.array([0.1, 0.1, 0.1, 0.7])
     with pytest.raises(InvalidInput):
         PassageLaw.dense(pmf, 0.0, tail_cert=TailCert(start=1, rho=0.2))
+    # so is one whose survival is tiny: 1e-16 at the horizon, decaying at
+    # 0.999 against a claimed 0.01 (an absolute slack of 1e-15 let it pass)
+    surv = 1e-16 * 0.999 ** np.arange(-49.0, 1.0)
+    pmf = np.concatenate(([1.0 - surv[0]], surv[:-1] - surv[1:]))
+    PassageLaw.dense(pmf, surv[-1])
+    with pytest.raises(InvalidInput):
+        PassageLaw.dense(pmf, surv[-1], tail_cert=TailCert(start=5, rho=0.01))
 
 
 def test_tail_cert_derived_for_geometric_chain():
