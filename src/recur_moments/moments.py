@@ -21,8 +21,6 @@ from __future__ import annotations
 
 import json
 import math
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -44,9 +42,13 @@ VERDICT_CONVERGED = "converged"
 VERDICT_DIVERGED = "diverged"
 VERDICT_INCONCLUSIVE = "inconclusive"
 
-#: Samples per Monte Carlo chunk; fixed so that results are reproducible
-#: independent of thread count.
+#: Samples per Monte Carlo chunk, each drawn from its own stream spawned
+#: from the seed; changing it changes every result for a given seed.
 _MC_CHUNK = 65536
+
+#: Number of growth ratios f(n+1)/f(n) past the cutoff whose maximum is the
+#: empirical gamma.
+_EMPIRICAL_GAMMA_WINDOW = 100
 
 
 @dataclass(frozen=True)
@@ -56,18 +58,16 @@ class MomentPolicy:
     ``divergence_log_threshold`` is relative to f(1): divergence is declared
     once the partial sum exceeds f(1) * exp(threshold), so rescaling f does
     not change verdicts.  ``require_cert`` forbids the empirical growth-ratio
-    fallback for functions without a registered bound.
+    fallback for functions without a registered bound; that fallback takes
+    the largest ratio over a fixed window of 100 steps past the cutoff.
     """
 
     divergence_log_threshold: float = math.log(1e6)
     require_cert: bool = True
-    empirical_gamma_window: int = 100
 
     def __post_init__(self):
         if not math.isfinite(self.divergence_log_threshold):
             raise InvalidInput("divergence threshold must be finite")
-        if self.empirical_gamma_window < 1:
-            raise InvalidInput("gamma window must be >= 1")
 
 
 @dataclass(frozen=True)
@@ -120,8 +120,8 @@ def _log_partial_sum(law: PassageLaw, f: MomentFunction) -> float:
     return logsumexp(f.log_f_array(atoms.atoms) + atoms.log_probs)
 
 
-def _empirical_gamma(f: MomentFunction, start: int, window: int) -> float:
-    vals = f.log_f_array(np.arange(start, start + window + 1))
+def _empirical_gamma(f: MomentFunction, start: int) -> float:
+    vals = f.log_f_array(np.arange(start, start + _EMPIRICAL_GAMMA_WINDOW + 1))
     return float(math.exp(np.diff(vals).max()))
 
 
@@ -150,7 +150,7 @@ def f_moment(law: PassageLaw, f: MomentFunction,
     if gamma is None:
         if policy.require_cert:
             return MomentEstimate(log_partial, None, VERDICT_INCONCLUSIVE, n_cutoff)
-        gamma = _empirical_gamma(f, n_cutoff, policy.empirical_gamma_window)
+        gamma = _empirical_gamma(f, n_cutoff)
         source = "empirical"
     rho = cert.rho
     if not gamma * rho < 1.0:
@@ -244,9 +244,8 @@ def mc_f_moment(sampler, f: MomentFunction, *, n_samples: int, cap: int,
 
     ``sampler(n, cap, rng)`` must return (times, censored): passage times as
     int64 (cap where censored) and the censoring mask.  Sampling is split
-    into fixed-size chunks with independent spawned RNG streams and combined
-    in chunk order, so results are byte-identical for a given seed no matter
-    how many worker threads the RECUR_MOMENTS_THREADS variable allows.
+    into fixed-size chunks with independent spawned RNG streams, run and
+    combined in chunk order, so results are byte-identical for a given seed.
     """
     if n_samples < 2:
         raise InvalidInput("need at least 2 samples")
@@ -255,25 +254,13 @@ def mc_f_moment(sampler, f: MomentFunction, *, n_samples: int, cap: int,
     n_chunks = (n_samples + _MC_CHUNK - 1) // _MC_CHUNK
     sizes = [_MC_CHUNK] * (n_chunks - 1) + [n_samples - _MC_CHUNK * (n_chunks - 1)]
     children = np.random.SeedSequence(seed).spawn(n_chunks)
-
-    def work(idx: int) -> tuple[float, float, int]:
-        rng = np.random.default_rng(children[idx])
-        times, censored = sampler(sizes[idx], cap, rng)
-        lf = f.log_f_array(np.asarray(times, dtype=np.int64))
-        return logsumexp(lf), logsumexp(2.0 * lf), int(np.count_nonzero(censored))
-
-    threads = max(1, int(os.environ.get("RECUR_MOMENTS_THREADS", "1")))
-    if threads > 1 and n_chunks > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            results = list(pool.map(work, range(n_chunks)))
-    else:
-        results = [work(i) for i in range(n_chunks)]
-
     log_s1, log_s2, n_cens = LOG_ZERO, LOG_ZERO, 0
-    for l1, l2, c in results:
-        log_s1 = log_add(log_s1, l1)
-        log_s2 = log_add(log_s2, l2)
-        n_cens += c
+    for child, size in zip(children, sizes):
+        times, censored = sampler(size, cap, np.random.default_rng(child))
+        lf = f.log_f_array(np.asarray(times, dtype=np.int64))
+        log_s1 = log_add(log_s1, logsumexp(lf))
+        log_s2 = log_add(log_s2, logsumexp(2.0 * lf))
+        n_cens += int(np.count_nonzero(censored))
     log_n = math.log(n_samples)
     log_mean = log_s1 - log_n
     log_m2 = log_s2 - log_n

@@ -435,19 +435,16 @@ def first_passage_law(kernel: TransitionKernel, source: StateRef, target: StateR
 
 
 def _hit_split(kernel: TransitionKernel, i: int, j: int) -> tuple[float, np.ndarray]:
-    """(pi, h): pi = P_i(visit j before returning to i); h[k] = (P_k(hit i
-    before j), P_k(hit j before i)) off {i, j}, zero on them.  The columns
-    are solved apart: a two-column solve rounds pi differently."""
+    """(pi, h): pi = P_i(visit j before returning to i); h[k] = P_k(hit j
+    before i) off {i, j}, zero on them.  One column a call: a two-column
+    solve rounds pi differently, so P_k(hit i before j) is the h of the call
+    with i and j swapped, the same single-column solve."""
     mat = kernel.dense_matrix
     others = [k for k in range(kernel.n_states) if k not in (i, j)]
-    h = np.zeros((kernel.n_states, 2))
-    if others:
-        a = np.eye(len(others)) - mat[np.ix_(others, others)]
-        for col, end in enumerate((i, j)):
-            h[others, col] = np.linalg.solve(a, mat[others, end])
-        pi = float(mat[i, j] + mat[i, others] @ h[others, 1])
-    else:
-        pi = float(mat[i, j])
+    h = np.zeros(kernel.n_states)
+    h[others] = np.linalg.solve(np.eye(len(others)) - mat[np.ix_(others, others)],
+                                mat[others, j])
+    pi = float(mat[i, j] + mat[i, others] @ h[others])
     return min(max(pi, 0.0), 1.0), h
 
 
@@ -461,36 +458,18 @@ def hit_before_return_prob(kernel: TransitionKernel, source: StateRef,
     return _hit_split(kernel, i, j)[0]
 
 
-def _reachable_without(kernel: TransitionKernel, sources, blocked: int) -> set[int]:
-    """States reachable from ``sources`` along positive-probability edges
-    that never enter ``blocked``."""
-    seen = set()
-    stack = [s for s in sources if s != blocked]
+def _reaches(kernel: TransitionKernel, start: int, goal: int, avoid: int) -> bool:
+    """Whether a path of one or more positive-probability steps leads from
+    ``start`` into ``goal`` without entering ``avoid`` first."""
+    seen, stack = set(), [start]
     while stack:
-        k = stack.pop()
-        if k in seen:
-            continue
-        seen.add(k)
-        for nxt, _ in kernel.out_edges(k):
-            if nxt != blocked and nxt not in seen:
+        for nxt, _ in kernel.out_edges(stack.pop()):
+            if nxt == goal:
+                return True
+            if nxt != avoid and nxt not in seen:
+                seen.add(nxt)
                 stack.append(nxt)
-    return seen
-
-
-def _has_return_avoiding(kernel: TransitionKernel, i: int, j: int) -> bool:
-    first = [k for k, _ in kernel.out_edges(i)]
-    if i in first:
-        return True
-    reach = _reachable_without(kernel, [k for k in first if k != j], j)
-    return any(i in (k for k, _ in kernel.out_edges(r)) for r in reach)
-
-
-def _has_hit_avoiding_return(kernel: TransitionKernel, i: int, j: int) -> bool:
-    first = [k for k, _ in kernel.out_edges(i)]
-    if j in first:
-        return True
-    reach = _reachable_without(kernel, [k for k in first if k != i], i)
-    return j in reach or any(j in (k for k, _ in kernel.out_edges(r)) for r in reach)
+    return False
 
 
 def _distinct(kernel: TransitionKernel, source: StateRef, target: StateRef,
@@ -524,41 +503,49 @@ def conditioned_return_law(kernel: TransitionKernel, source: StateRef, target: S
     ratio stabilization does not give.
     """
     i, j = _distinct(kernel, source, target, horizon)
-    if not _has_return_avoiding(kernel, i, j):
+    if not _reaches(kernel, i, i, j):
         raise NoSuchPath(f"every return from {kernel.states[i]!r} visits {kernel.states[j]!r}")
-    pi, h = _hit_split(kernel, i, j)
+    pi = _hit_split(kernel, i, j)[0]
+    h_i = _hit_split(kernel, j, i)[1]
     pmf, _, scale, q = _propagate(kernel, i, horizon, absorb=i, kill=j)
-    return _conditioned(pmf, q @ h[:, 0], scale, 1.0 - pi)
+    return _conditioned(pmf, q @ h_i, scale, 1.0 - pi)
 
 
 def conditioned_hit_law(kernel: TransitionKernel, source: StateRef, target: StateRef,
                         horizon: int) -> PassageLaw:
     """Law of the first hit of j from i restricted to paths that do not
-    return to i first, renormalized (the V law of the decomposition).  The
-    tail is q_N . h_j / pi, with h_j(k) = P_k(hit j before i)."""
+    return to i first, renormalized (the V law of the decomposition).
+    Raises :class:`NoSuchPath` when no path from i reaches j before
+    returning.  The tail is q_N . h_j / pi, with h_j(k) = P_k(hit j before
+    i)."""
     i, j = _distinct(kernel, source, target, horizon)
-    if not _has_hit_avoiding_return(kernel, i, j):
+    if not _reaches(kernel, i, j, i):
         raise NoSuchPath(f"no path from {kernel.states[i]!r} reaches {kernel.states[j]!r} "
                          "before returning")
-    pi, h = _hit_split(kernel, i, j)
+    pi, h_j = _hit_split(kernel, i, j)
     pmf, _, scale, q = _propagate(kernel, i, horizon, absorb=j, kill=i)
-    return _conditioned(pmf, q @ h[:, 1], scale, pi)
+    return _conditioned(pmf, q @ h_j, scale, pi)
 
 
 def crossing_return_law(kernel: TransitionKernel, source: StateRef, target: StateRef,
                         horizon: int) -> PassageLaw:
     """Law of the return time of i restricted to excursions that do visit j,
     renormalized; computed by propagating a visited-j flag alongside the
-    taboo vector (an independent route from the unconditioned law).  Mass
-    that has visited j returns to i surely, so the tail is
-    (sum q1_N + q0_N . h_j) / pi, with q0, q1 the unflagged and flagged
-    parts of the taboo vector."""
+    taboo vector (an independent route from the unconditioned law).
+
+    Raises :class:`NoSuchPath` when no path from i reaches j before
+    returning, the same path check as :func:`conditioned_hit_law`; the
+    solved pi is not tested, as its rounding can leave it above zero when
+    no path exists.  Mass that has visited j returns to i surely, so the
+    tail is (sum q1_N + q0_N . h_j) / pi, with q0, q1 the unflagged and
+    flagged parts of the taboo vector.
+    """
     i, j = _distinct(kernel, source, target, horizon)
-    pi, h = _hit_split(kernel, i, j)
-    if pi <= 0.0:
+    if not _reaches(kernel, i, j, i):
         raise NoSuchPath(f"no return from {kernel.states[i]!r} visits {kernel.states[j]!r}")
+    pi, h_j = _hit_split(kernel, i, j)
     pmf, _, scale, q = _propagate(kernel, i, horizon, absorb=i, flag=j)
-    return _conditioned(pmf, q[:, 1].sum() + q[:, 0] @ h[:, 1], scale, pi)
+    return _conditioned(pmf, q[:, 1].sum() + q[:, 0] @ h_j, scale, pi)
 
 
 # ---------------------------------------------------------------------------

@@ -46,6 +46,23 @@ def enumerate_passage_pmf(kernel: TransitionKernel, start: int, absorb: int,
     return out
 
 
+def reaches_oracle(kernel: TransitionKernel, start: int, goal: int, avoid: int) -> bool:
+    """Whether some path of 1..n steps goes from ``start`` into ``goal`` with
+    no state in between equal to ``avoid`` (or to ``goal``), by OR-ing the
+    boolean reach vectors e_start A M^(m-1), m = 1..n: A is the adjacency
+    of the positive entries and M is A with the rows of ``avoid`` and
+    ``goal`` emptied, so no later step leaves them."""
+    adj = kernel.dense_matrix > 0.0
+    inner = adj.copy()
+    inner[[avoid, goal], :] = False
+    front = adj[start].astype(int)
+    found = False
+    for _ in range(kernel.n_states):
+        found |= bool(front[goal])
+        front = (front @ inner > 0).astype(int)
+    return found
+
+
 def pmf_dict_to_array(pmf: dict[int, float], horizon: int) -> np.ndarray:
     out = np.zeros(horizon)
     for t, p in pmf.items():

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import io
+import itertools
 import math
 
 import numpy as np
@@ -23,7 +24,7 @@ from recur_moments.passage import _derive_tail_cert
 
 from helpers import (absorbed_mass_iterative, brute_convolve_dicts,
                      enumerate_passage_pmf, pmf_dict_to_array,
-                     reference_laws, two_state_return_pmf_11)
+                     reaches_oracle, reference_laws, two_state_return_pmf_11)
 
 ORACLE_H = 8
 
@@ -324,6 +325,49 @@ def test_no_such_path_raised():
     # but the holding state can return while avoiding the bouncer
     u = conditioned_return_law(k, 0, 1, 20)
     assert abs(u.prob(1) - 1.0) <= 1e-15
+
+
+def test_no_such_path_despite_rounded_pi():
+    # a never reaches d, yet the linear solve rounds P_a(hit d before a) to
+    # 2.8e-17 instead of 0: the path check, not pi, decides
+    k = TransitionKernel(list("abcd"), [[(0, .9), (1, .1)], [(0, .1), (1, .9)],
+                                        [(1, .1), (2, .6), (3, .3)], [(0, 1.0)]])
+    for law in (conditioned_hit_law, crossing_return_law):
+        with pytest.raises(NoSuchPath):
+            law(k, 0, 3, 20)
+
+
+def _zero_pattern_kernel(n: int, rng: np.random.Generator) -> TransitionKernel:
+    """Seeded chain with 1-3 random targets a row: self-loops, and states
+    that cannot reach each other, are common."""
+    rows = []
+    for _ in range(n):
+        size = int(rng.integers(1, 4))
+        targets = sorted(rng.choice(n, size=size, replace=False).tolist())
+        rows.append(list(zip(targets, rng.dirichlet(np.ones(size)).tolist())))
+    return TransitionKernel([str(s) for s in range(n)], rows)
+
+
+def test_path_check_matches_boolean_reachability():
+    outcomes, loops = set(), set()
+    for seed in range(40):
+        rng = np.random.default_rng(seed)
+        k = _zero_pattern_kernel(int(rng.integers(3, 8)), rng)
+        loops.add(any(t == s for s, row in enumerate(k.rows) for t, _ in row))
+        for start, goal, avoid in itertools.product(range(k.n_states), repeat=3):
+            if goal != avoid:
+                want = reaches_oracle(k, start, goal, avoid)
+                assert passage._reaches(k, start, goal, avoid) == want, (seed, start, goal, avoid)
+                outcomes.add(want)
+        for i, j in itertools.permutations(range(k.n_states), 2):
+            checks = ((conditioned_return_law, reaches_oracle(k, i, i, j)),
+                      (conditioned_hit_law, reaches_oracle(k, i, j, i)),
+                      (crossing_return_law, reaches_oracle(k, i, j, i)))
+            for law, exists in checks:
+                if not exists:
+                    with pytest.raises(NoSuchPath):
+                        law(k, i, j, 5)
+    assert outcomes == loops == {True, False}
 
 
 def test_crossing_return_two_state_exact():
