@@ -22,8 +22,8 @@ from .momentfn import (MomentFunction, FunctionKind, BurstSchedule,
                        default_burst_schedule, burst_schedule_from_csv,
                        power_fn, log_power_fn, exp_fn, burst_fn, custom_fn,
                        parse_function_spec, SubmultReport, submult_scan,
-                       GrowthProfile, growth_profile, ClassifyBudget,
-                       Classification, classify, VERDICT_SATISFIES,
+                       GrowthProfile, growth_profile, Classification,
+                       classify, VERDICT_SATISFIES,
                        VERDICT_VIOLATES_SUBMULT, VERDICT_VIOLATES_GROWTH,
                        VERDICT_INCONCLUSIVE)
 from .moments import (MomentPolicy, MomentEstimate, f_moment, SeriesVerdict,
@@ -53,7 +53,7 @@ __all__ = [
     "default_burst_schedule", "burst_schedule_from_csv", "power_fn",
     "log_power_fn", "exp_fn", "burst_fn", "custom_fn", "parse_function_spec",
     "SubmultReport", "submult_scan", "GrowthProfile", "growth_profile",
-    "ClassifyBudget", "Classification", "classify", "VERDICT_SATISFIES",
+    "Classification", "classify", "VERDICT_SATISFIES",
     "VERDICT_VIOLATES_SUBMULT", "VERDICT_VIOLATES_GROWTH",
     "VERDICT_INCONCLUSIVE",
     "MomentPolicy", "MomentEstimate", "f_moment", "SeriesVerdict",

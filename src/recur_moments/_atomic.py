@@ -6,7 +6,7 @@ re-exported from :mod:`recur_moments.passage`.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -57,7 +57,7 @@ class AtomicDist:
     # -- constructors ------------------------------------------------------
 
     @classmethod
-    def from_pairs(cls, pairs, *, normalize: bool = False) -> "AtomicDist":
+    def from_pairs(cls, pairs) -> "AtomicDist":
         """Build from (value, probability) pairs in linear space."""
         items = sorted((int(v), float(p)) for v, p in dict(pairs).items())
         if not items:
@@ -66,8 +66,6 @@ class AtomicDist:
         probs = np.array([p for _, p in items], dtype=float)
         if np.any(probs <= 0):
             raise InvalidInput("atom probabilities must be positive")
-        if normalize:
-            probs = probs / probs.sum()
         with np.errstate(divide="ignore"):
             return cls(values, np.log(probs))
 

@@ -106,20 +106,14 @@ class TransitionKernel:
         index = {name: i for i, name in enumerate(states)}
         if len(index) != len(states):
             raise InvalidInput("duplicate state names")
-        if len(raw_rows) != len(states):
+        try:
+            rows = [[(index[target], float(p)) for target, p in raw] for raw in raw_rows]
+        except KeyError as exc:
+            raise InvalidInput(f"unknown target state {exc.args[0]!r}") from None
+        except (TypeError, ValueError) as exc:
+            raise InvalidInput(f"bad chain rows: {exc}") from None
+        if len(rows) != len(states):
             raise InvalidInput("rows and states disagree in length")
-        rows: list[list[tuple[int, float]]] = []
-        for raw in raw_rows:
-            row: list[tuple[int, float]] = []
-            for entry in raw:
-                try:
-                    target, p = entry
-                except (TypeError, ValueError):
-                    raise InvalidInput(f"bad row entry {entry!r}") from None
-                if target not in index:
-                    raise InvalidInput(f"unknown target state {target!r}")
-                row.append((index[target], float(p)))
-            rows.append(row)
         kernel = cls(states, rows)
         report = validate_kernel(kernel)
         if not report.ok:
@@ -133,13 +127,18 @@ def save_kernel_json(kernel: TransitionKernel, path) -> None:
         fh.write("\n")
 
 
+def _read_json(path, what: str):
+    """The JSON value in the file at ``path``; a file that is not JSON is an
+    :class:`InvalidInput` naming it as ``what``."""
+    with open(path) as fh:
+        try:
+            return json.load(fh)
+        except ValueError as exc:
+            raise InvalidInput(f"{what} {str(path)!r} is not valid JSON: {exc}") from None
+
+
 def load_kernel_json(path) -> TransitionKernel:
-    try:
-        with open(path) as fh:
-            obj = json.load(fh)
-    except json.JSONDecodeError as exc:
-        raise InvalidInput(f"chain file is not valid JSON: {exc}") from None
-    return TransitionKernel.from_json_dict(obj)
+    return TransitionKernel.from_json_dict(_read_json(path, "chain file"))
 
 
 # ---------------------------------------------------------------------------
@@ -175,8 +174,8 @@ class KernelReport:
         return "; ".join(parts) if parts else "ok"
 
 
-def validate_kernel(kernel: TransitionKernel, tol: float = ROW_SUM_TOL) -> KernelReport:
-    """Check row sums (within ``tol`` of 1), probability ranges, target
+def validate_kernel(kernel: TransitionKernel) -> KernelReport:
+    """Check row sums (within ROW_SUM_TOL of 1), probability ranges, target
     indices, and strong connectivity of the positive-probability graph."""
     n = kernel.n_states
     row_sum_bad: list[tuple[str, float]] = []
@@ -189,13 +188,13 @@ def validate_kernel(kernel: TransitionKernel, tol: float = ROW_SUM_TOL) -> Kerne
             if not 0 <= j < n:
                 target_bad.append((kernel.states[i], j))
                 continue
-            if not 0.0 < p <= 1.0 + tol:
+            if not 0.0 < p <= 1.0 + ROW_SUM_TOL:
                 prob_bad.append((kernel.states[i], kernel.states[j], p))
             total += p
             if p > 0:
                 edges_r.append(i)
                 edges_c.append(j)
-        if abs(total - 1.0) > tol:
+        if abs(total - 1.0) > ROW_SUM_TOL:
             row_sum_bad.append((kernel.states[i], total))
     graph = sparse.csr_matrix((np.ones(len(edges_r)), (edges_r, edges_c)), shape=(n, n))
     n_comp, _ = connected_components(graph, directed=True, connection="strong")
@@ -295,13 +294,13 @@ def random_kernel(n_states: int, rng: np.random.Generator,
 # stationary distribution
 
 
-def stationary_distribution(kernel: TransitionKernel, tol: float = 1e-10) -> np.ndarray:
+def stationary_distribution(kernel: TransitionKernel) -> np.ndarray:
     """Stationary vector of an irreducible kernel by state-reduction
     elimination, which keeps every intermediate quantity nonnegative (no
     cancellation, and periodic chains need no special treatment).
 
     Raises :class:`ConvergenceFailure` if the residual ||pi P - pi||_1
-    exceeds ``tol``, e.g. because the kernel is reducible.
+    exceeds 1e-10, e.g. because the kernel is reducible.
     """
     n = kernel.n_states
     mat = kernel.dense_matrix.copy()
@@ -318,8 +317,8 @@ def stationary_distribution(kernel: TransitionKernel, tol: float = 1e-10) -> np.
         pi[k] = (pi[:k] @ mat[:k, k]) / scales[k]
     pi /= pi.sum()
     residual = float(np.abs(pi @ kernel.dense_matrix - pi).sum())
-    if residual > tol:
-        raise ConvergenceFailure(f"stationary residual {residual:g} exceeds {tol:g}")
+    if residual > 1e-10:
+        raise ConvergenceFailure(f"stationary residual {residual:g} exceeds 1e-10")
     return pi
 
 

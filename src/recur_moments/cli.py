@@ -23,10 +23,10 @@ import sys
 
 from ._atomic import AtomicDist
 from .chain import (ChainLike, PetalChain, TransitionKernel, TwoStateChain,
-                    load_kernel_json)
+                    _read_json, load_kernel_json)
 from .errors import (ConvergenceFailure, IncomparableLaws, InvalidInput,
                      NoSuchPath, PreconditionFailed)
-from .momentfn import ClassifyBudget, classify, parse_function_spec
+from .momentfn import classify, parse_function_spec
 from .moments import MomentPolicy, f_moment, mc_f_moment
 from .constructions import demo_exponential, demo_sharp, write_series_trace
 from .passage import (conditioned_hit_law, conditioned_return_law,
@@ -63,11 +63,7 @@ def _add_output_args(sub: argparse.ArgumentParser) -> None:
 
 
 def _load_petal(path: str) -> PetalChain:
-    with open(path) as fh:
-        try:
-            obj = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise InvalidInput(f"bad petal JSON {path!r}: {exc}") from None
+    obj = _read_json(path, "petal file")
     try:
         p = float(obj["p"])
         u1 = AtomicDist.from_pairs({int(k): float(v) for k, v in obj["u1"].items()})
@@ -144,23 +140,9 @@ def _cmd_fpt(args) -> int:
     return 0
 
 
-def _classify_budget(profile_n: int | None) -> ClassifyBudget:
-    if profile_n is None:
-        return ClassifyBudget()
-    decades = tuple(c for c in (10 ** 4, 10 ** 5, 10 ** 6) if c <= profile_n)
-    if len(decades) >= 3:
-        cps = decades
-    else:
-        # rate stabilization needs three checkpoints; space them geometrically
-        cps = tuple(sorted({max(1, profile_n // 100), max(1, profile_n // 10),
-                            profile_n}))
-    return ClassifyBudget(profile_n=profile_n, checkpoints=cps)
-
-
 def _cmd_classify(args) -> int:
     f = parse_function_spec(args.function)
-    budget = _classify_budget(args.profile_n)
-    result = classify(f, budget)
+    result = classify(f, args.profile_n)
     payload = {
         "function": f.name,
         "verdict": result.verdict,
@@ -260,7 +242,7 @@ def build_parser() -> argparse.ArgumentParser:
                     "under the search budget.")
     cls.add_argument("--function", required=True, metavar="SPEC",
                      help="power:P | logpow:Q | exp:DELTA | burst:default | burst:file=PATH")
-    cls.add_argument("--profile-n", type=int, default=None,
+    cls.add_argument("--profile-n", type=int, default=10 ** 6,
                      help="growth-profile extent (default 1e6)")
     _add_output_args(cls)
     cls.set_defaults(func=_cmd_classify)

@@ -76,7 +76,7 @@ def _burst_witnesses(f: MomentFunction, ks, required_fn) -> tuple[Witness, ...]:
         need = float(required_fn(k))
         i += 1
         while True:
-            if not table.extend_to_index(i):
+            if not table.extend(i):
                 raise WitnessSearchExhausted(
                     f"burst schedule ends before a margin above {need:.6g} for k={k}",
                     found)
@@ -251,24 +251,22 @@ def _hub_return_log_ef(f: MomentFunction, pair: HeavyTailPair, p: float) -> floa
 
 
 def demo_sharp(*, k_max: int = 8, p: float = 0.5,
-               log_threshold: float = math.log(1e6),
-               schedule=None, budget: int = 200_000) -> DemoReport:
+               log_threshold: float = math.log(1e6)) -> DemoReport:
     """Burst-function counterexample, end to end.
 
-    Builds f = e^g from the burst schedule, finds witnesses, forms the pair,
-    and evaluates both sides on the petal chain with exit probability ``p``:
-    the hub-return f-moment is exact and small, while the series over
-    two-petal excursion patterns (complete petal k of one loop, one exit
-    excursion, traverse petal k of the other loop; probability
+    Builds f = e^g from the default burst schedule, finds witnesses, forms
+    the pair, and evaluates both sides on the petal chain with exit
+    probability ``p``: the hub-return f-moment is exact and small, while the
+    series over two-petal excursion patterns (complete petal k of one loop,
+    one exit excursion, traverse petal k of the other loop; probability
     p ((1-p)/2)^2 P_U(x_k) P_V(y_k), elapsed time > x_k + y_k) certifies a
     lower bound on the f-moment of the third hub return that crosses the
     threshold.
     """
     if not 0.0 < p < 1.0:
         raise InvalidInput(f"exit probability must be in (0, 1), got {p}")
-    f = burst_fn(schedule, "burst:custom") if schedule is not None \
-        else burst_fn(default_burst_schedule(), "burst:default")
-    pair = heavy_tail_pair(f, k_max=k_max, budget=budget)
+    f = burst_fn(default_burst_schedule(), "burst:default")
+    pair = heavy_tail_pair(f, k_max=k_max)
     const = math.log(p) + 2.0 * math.log((1.0 - p) / 2.0)
 
     def terms():

@@ -51,8 +51,9 @@ class BurstSchedule:
     """Windows on which the log-moment function g climbs with slope 1.
 
     ``start_of(i)`` and ``length_of(i)`` give the i-th burst start s_i and
-    length u_i (1-based).  Constraints, checked on a prefix at construction
-    and incrementally as the schedule is consumed:
+    length u_i (1-based).  Constraints, checked at construction on every
+    burst of a finite schedule and on the first 24 of an unbounded one, and
+    incrementally as the schedule is consumed:
 
     * s strictly increasing integers, u_i >= 1;
     * u_i <= s_{i+1} - s_i, so each burst ends before the next begins;
@@ -65,10 +66,9 @@ class BurstSchedule:
     start_of: Callable[[int], int]
     length_of: Callable[[int], int]
     n_bursts: int | None = None
-    check_prefix: int = 24
 
     def __post_init__(self):
-        limit = self.check_prefix if self.n_bursts is None else min(self.check_prefix, self.n_bursts)
+        limit = 24 if self.n_bursts is None else self.n_bursts
         if limit < 1:
             raise InvalidInput("schedule must contain at least one burst")
         s = [int(self.start_of(i)) for i in range(1, limit + 1)]
@@ -133,7 +133,7 @@ def burst_schedule_from_csv(path) -> BurstSchedule:
                 continue
             try:
                 rows.append((int(raw[0]), int(raw[1]), int(raw[2])))
-            except ValueError:
+            except (ValueError, IndexError):
                 if not rows:  # tolerate a header line
                     continue
                 raise InvalidInput(f"bad schedule row: {raw!r}")
@@ -144,8 +144,7 @@ def burst_schedule_from_csv(path) -> BurstSchedule:
         raise InvalidInput("schedule rows must be indexed 1..n without gaps")
     s = [si for _, si, _ in rows]
     u = [ui for _, _, ui in rows]
-    return BurstSchedule(lambda i: s[i - 1], lambda i: u[i - 1], n_bursts=len(rows),
-                         check_prefix=len(rows))
+    return BurstSchedule(lambda i: s[i - 1], lambda i: u[i - 1], n_bursts=len(rows))
 
 
 class _BurstTable:
@@ -176,15 +175,11 @@ class _BurstTable:
         self._cum.append((self._cum[-1] if self._cum else 0) + u_i)
         return True
 
-    def _extend_past(self, x: int) -> None:
+    def extend(self, count: int, start: int = 0) -> bool:
+        """Append bursts until there are at least ``count`` >= 1 and the last
+        one starts at or after ``start``; False if the schedule ends first."""
         with self._lock:
-            while not self._s or self._s[-1] < x:
-                if not self._append_next():
-                    return
-
-    def extend_to_index(self, i: int) -> bool:
-        with self._lock:
-            while len(self._s) < i:
+            while len(self._s) < count or self._s[-1] < start:
                 if not self._append_next():
                     return False
         return True
@@ -193,7 +188,7 @@ class _BurstTable:
         """Integer value of g at integer x: sum_i min(max(x - s_i, 0), u_i)."""
         if x <= 0:
             return 0
-        self._extend_past(x)
+        self.extend(1, x)
         idx = bisect_left(self._s, x)  # number of bursts with s_i < x
         if idx == 0:
             return 0
@@ -201,7 +196,7 @@ class _BurstTable:
         return self._cum[last] - self._u[last] + min(x - self._s[last], self._u[last])
 
     def burst(self, i: int) -> tuple[int, int]:
-        if not self.extend_to_index(i):
+        if not self.extend(i):
             raise InvalidInput(f"schedule has no burst {i}")
         return self._s[i - 1], self._u[i - 1]
 
@@ -215,29 +210,15 @@ class _BurstTable:
         s_i, u_i = self.burst(i)
         return (s_i + u_i) // 2
 
-    def midpoints_upto(self, limit: int) -> list[int]:
-        out = []
-        i = 1
-        while True:
-            if not self.extend_to_index(i):
-                break
-            m = self.midpoint(i)
-            if m > limit:
-                break
-            out.append(m)
-            i += 1
-        return out
-
     def ends_upto(self, limit: int) -> list[int]:
+        """The burst ends s_i + u_i, in order, up to ``limit``."""
         out = []
         i = 1
-        while True:
-            if not self.extend_to_index(i):
+        while self.extend(i):
+            end = self._s[i - 1] + self._u[i - 1]
+            if end > limit:
                 break
-            s_i, u_i = self._s[i - 1], self._u[i - 1]
-            if s_i + u_i > limit:
-                break
-            out.append(s_i + u_i)
+            out.append(end)
             i += 1
         return out
 
@@ -413,9 +394,9 @@ class SubmultReport:
         return math.exp(self.log_grid_k)
 
 
-def submult_scan(f: MomentFunction, xs: Iterable[int], ys: Iterable[int],
-                 *, max_witnesses: int = 64) -> SubmultReport:
-    """Evaluate the submultiplicativity defect on xs x ys.
+def submult_scan(f: MomentFunction, xs: Iterable[int], ys: Iterable[int]) -> SubmultReport:
+    """Evaluate the submultiplicativity defect on xs x ys, keeping the 64
+    largest positive defects as witnesses.
 
     The defect is computed as log f(x+y) - (log f(x) + log f(y)), which makes
     it exactly symmetric under swapping x and y.  For burst functions the
@@ -430,7 +411,10 @@ def submult_scan(f: MomentFunction, xs: Iterable[int], ys: Iterable[int],
         raise InvalidInput("scan grids must contain integers >= 1")
     if f.kind is FunctionKind.BURST:
         top = int(max(xs.max(), ys.max()))
-        mids = np.asarray(f.burst_table.midpoints_upto(top), dtype=np.int64)
+        # a midpoint (s_i + u_i) // 2 is at most top exactly when its burst
+        # end s_i + u_i is at most 2 top + 1
+        ends = f.burst_table.ends_upto(2 * top + 1)
+        mids = np.asarray([e // 2 for e in ends], dtype=np.int64)
         if mids.size:
             xs = np.unique(np.concatenate([xs, mids]))
             ys = np.unique(np.concatenate([ys, mids]))
@@ -445,7 +429,7 @@ def submult_scan(f: MomentFunction, xs: Iterable[int], ys: Iterable[int],
     wi, wj = np.nonzero(defect > 0.0)
     entries = [(int(xs[i]), int(ys[j]), float(defect[i, j])) for i, j in zip(wi, wj)]
     entries.sort(key=lambda t: (-t[2], t[0], t[1]))
-    return SubmultReport(log_grid_k, tuple(entries[:max_witnesses]))
+    return SubmultReport(log_grid_k, tuple(entries[:64]))
 
 
 # ---------------------------------------------------------------------------
@@ -466,9 +450,8 @@ class GrowthProfile:
     running_sup_tail: tuple[float, ...]
 
 
-def growth_profile(f: MomentFunction, n_max: int, checkpoints: Sequence[int],
-                   *, samples: int = 256) -> GrowthProfile:
-    """Profile log f(n)/n on a log-spaced grid up to ``n_max``.
+def growth_profile(f: MomentFunction, n_max: int, checkpoints: Sequence[int]) -> GrowthProfile:
+    """Profile log f(n)/n on a grid of 256 log-spaced points up to ``n_max``.
 
     The grid always contains the checkpoints, ``n_max`` itself, and for burst
     functions every burst end (the structural peaks of the profile).
@@ -480,7 +463,7 @@ def growth_profile(f: MomentFunction, n_max: int, checkpoints: Sequence[int],
         raise InvalidInput("checkpoints must be >= 1")
     if n_max < max(checkpoints):
         raise InvalidInput("n_max must be at least the largest checkpoint")
-    grid = np.unique(np.round(np.geomspace(1.0, float(n_max), samples)).astype(np.int64))
+    grid = np.unique(np.round(np.geomspace(1.0, float(n_max), 256)).astype(np.int64))
     extra = list(checkpoints)
     if f.kind is FunctionKind.BURST:
         extra.extend(f.burst_table.ends_upto(n_max))
@@ -501,26 +484,6 @@ VERDICT_INCONCLUSIVE = "Inconclusive"
 
 
 @dataclass(frozen=True)
-class ClassifyBudget:
-    """Search effort for :func:`classify`.
-
-    The submultiplicativity sweep runs nested grids capped at 2^k for
-    k = grid_log2_min..grid_log2_max and demands ``min_increases`` strict
-    increases of the grid maximum before declaring unbounded growth.  The
-    growth profile extends to ``profile_n`` and must stabilize (spread below
-    ``stability_tol``) above ``rate_floor`` on the last three checkpoints.
-    """
-
-    grid_log2_min: int = 2
-    grid_log2_max: int = 18
-    min_increases: int = 5
-    profile_n: int = 10 ** 6
-    checkpoints: tuple[int, ...] = (10 ** 4, 10 ** 5, 10 ** 6)
-    stability_tol: float = 1e-9
-    rate_floor: float = 1e-9
-
-
-@dataclass(frozen=True)
 class Classification:
     verdict: str
     detail: str
@@ -537,17 +500,29 @@ def _nested_grid(log2_max: int) -> np.ndarray:
     return np.unique(np.asarray(pts, dtype=np.int64))
 
 
-def classify(f: MomentFunction, budget: ClassifyBudget | None = None) -> Classification:
+def _checkpoints(profile_n: int) -> tuple[int, ...]:
+    """The decades 1e4, 1e5, 1e6 once ``profile_n`` reaches 1e6; below that
+    profile_n / 100, profile_n / 10 and profile_n, since rate stabilization
+    needs three checkpoints."""
+    decades = tuple(c for c in (10 ** 4, 10 ** 5, 10 ** 6) if c <= profile_n)
+    if len(decades) == 3:
+        return decades
+    return tuple(sorted({max(1, profile_n // 100), max(1, profile_n // 10), profile_n}))
+
+
+def classify(f: MomentFunction, profile_n: int = 10 ** 6) -> Classification:
     """Sort f into SatisfiesC / ViolatesC_i / ViolatesC_ii / Inconclusive.
 
     SatisfiesC is only issued on the strength of an analytic certificate
     (power and log-power families).  ViolatesC_i requires the grid maxima of
-    the submultiplicativity defect to keep increasing strictly across nested
-    dyadic grid extensions.  ViolatesC_ii requires the tail suprema of
-    log f(n)/n to stabilize above a positive floor.  Everything else is
+    the submultiplicativity defect to increase strictly (by more than 1e-9)
+    5 times across the nested grids capped at 2^k, k = 2..18.  ViolatesC_ii
+    requires the tail suprema of log f(n)/n, on a profile extending to
+    ``profile_n``, to agree within 1e-9 above a floor of 1e-9 at the last
+    three checkpoints (see :func:`_checkpoints`).  The budget is fixed, so
+    no caller can ask for a verdict on less evidence.  Everything else is
     Inconclusive; the scans are evidence, not proof, for custom functions.
     """
-    budget = budget or ClassifyBudget()
     cert = f.submult_certificate()
     if cert is not None:
         return Classification(
@@ -557,29 +532,27 @@ def classify(f: MomentFunction, budget: ClassifyBudget | None = None) -> Classif
 
     maxima: list[float] = []
     increases = 0
-    last_report: SubmultReport | None = None
-    for k in range(budget.grid_log2_min, budget.grid_log2_max + 1):
+    for k in range(2, 19):
         grid = _nested_grid(k)
         report = submult_scan(f, grid, grid)
         if maxima and report.log_grid_k > maxima[-1] + 1e-9:
             increases += 1
         maxima.append(report.log_grid_k)
-        last_report = report
-        if increases >= budget.min_increases and report.log_grid_k > 0:
+        if increases >= 5 and report.log_grid_k > 0:
             return Classification(
                 VERDICT_VIOLATES_SUBMULT,
                 f"defect maxima increased {increases} times across nested grids, "
                 f"reaching log K = {report.log_grid_k:.6g}",
-                witnesses=last_report.violation_witnesses,
+                witnesses=report.violation_witnesses,
                 grid_maxima=tuple(maxima),
             )
 
-    profile = growth_profile(f, budget.profile_n, budget.checkpoints)
-    tail = profile.running_sup_tail[-3:] if len(profile.running_sup_tail) >= 3 else profile.running_sup_tail
-    if len(tail) >= 3 and max(tail) - min(tail) <= budget.stability_tol and min(tail) > budget.rate_floor:
+    profile = growth_profile(f, profile_n, _checkpoints(profile_n))
+    tail = profile.running_sup_tail[-3:]
+    if len(tail) == 3 and max(tail) - min(tail) <= 1e-9 and min(tail) > 1e-9:
         return Classification(
             VERDICT_VIOLATES_GROWTH,
-            f"log f(n)/n stabilized at {tail[-1]:.12g} across the last {len(tail)} checkpoints",
+            f"log f(n)/n stabilized at {tail[-1]:.12g} across the last 3 checkpoints",
             rate=tail[-1],
             grid_maxima=tuple(maxima),
             profile=profile,

@@ -26,7 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidInput
-from .logspace import LOG_ZERO, PRUNE_FLOOR_LOG, log_add, log_sub, logsumexp
+from .logspace import LOG_ZERO, log_add, log_sub, logsumexp
 from .momentfn import MomentFunction
 from .passage import PassageLaw, convolve
 
@@ -291,8 +291,7 @@ def _truncate_sparse(law: PassageLaw, horizon: int) -> PassageLaw:
 
 def compound_growth_curve(u: PassageLaw, v: PassageLaw, pi: float,
                           f: MomentFunction, *, n_terms: int = 32,
-                          horizon: int | None = None,
-                          floor_log: float = PRUNE_FLOOR_LOG) -> tuple[tuple[int, float, float], ...]:
+                          horizon: int | None = None) -> tuple[tuple[int, float, float], ...]:
     """How each excursion count feeds E f(T) under the return decomposition.
 
     Term m is log of pi (1-pi)^m E[f(U_1 + ... + U_m + V); sum <= horizon]:
@@ -324,7 +323,7 @@ def compound_growth_curve(u: PassageLaw, v: PassageLaw, pi: float,
         if m + 1 == n_terms or pi == 1.0:
             break
         try:
-            c = convolve(c, u, horizon=horizon, floor_log=floor_log)
+            c = convolve(c, u, horizon=horizon)
         except InvalidInput:
             break
     return tuple(out)

@@ -75,14 +75,13 @@ class PassageLaw:
     """Distribution of a positive-integer passage time (dense or sparse)."""
 
     def __init__(self, *, log_pmf=None, lin_pmf=None, atomic=None,
-                 log_tail=LOG_ZERO, tail_cert=None, _validate=True):
+                 log_tail=LOG_ZERO, tail_cert=None):
         self._log_pmf = log_pmf
         self._lin_pmf = lin_pmf
         self._atomic = atomic
         self._log_tail = float(atomic.log_tail) if atomic is not None else float(log_tail)
         self._tail_cert = tail_cert
-        if _validate:
-            self._check()
+        self._check()
 
     # -- constructors ------------------------------------------------------
 
@@ -438,12 +437,18 @@ def _hit_split(kernel: TransitionKernel, i: int, j: int) -> tuple[float, np.ndar
     """(pi, h): pi = P_i(visit j before returning to i); h[k] = P_k(hit j
     before i) off {i, j}, zero on them.  One column a call: a two-column
     solve rounds pi differently, so P_k(hit i before j) is the h of the call
-    with i and j swapped, the same single-column solve."""
+    with i and j swapped, the same single-column solve.  Raises
+    :class:`InvalidInput` when the solve finds the system singular, as it is
+    when a closed class of the chain avoids both i and j."""
     mat = kernel.dense_matrix
     others = [k for k in range(kernel.n_states) if k not in (i, j)]
     h = np.zeros(kernel.n_states)
-    h[others] = np.linalg.solve(np.eye(len(others)) - mat[np.ix_(others, others)],
-                                mat[others, j])
+    try:
+        h[others] = np.linalg.solve(np.eye(len(others)) - mat[np.ix_(others, others)],
+                                    mat[others, j])
+    except np.linalg.LinAlgError:
+        raise InvalidInput(f"a closed class avoids both {kernel.states[i]!r} and "
+                           f"{kernel.states[j]!r}: no unique hitting probabilities") from None
     pi = float(mat[i, j] + mat[i, others] @ h[others])
     return min(max(pi, 0.0), 1.0), h
 
@@ -561,10 +566,9 @@ def _merge_sorted(vals: np.ndarray, lws: np.ndarray) -> tuple[np.ndarray, np.nda
     return uniq, merged
 
 
-def _cross_sum(va, la, vb, lb, horizon: int | None,
-               floor_log: float) -> tuple[np.ndarray, np.ndarray, float, float]:
-    """All pairwise sums with log-weight products; returns
-    (values, log-weights, log moved beyond horizon, log pruned below floor)."""
+def _cross_sum(va, la, vb, lb, horizon: int | None) -> tuple[np.ndarray, np.ndarray, float, float]:
+    """All pairwise sums with log-weight products; returns (values,
+    log-weights, log moved beyond horizon, log pruned below PRUNE_FLOOR_LOG)."""
     vals = (va[:, None] + vb[None, :]).ravel()
     lws = (la[:, None] + lb[None, :]).ravel()
     moved = LOG_ZERO
@@ -576,7 +580,7 @@ def _cross_sum(va, la, vb, lb, horizon: int | None,
     if vals.size:
         vals, lws = _merge_sorted(vals, lws)
     pruned = LOG_ZERO
-    low = lws < floor_log
+    low = lws < PRUNE_FLOOR_LOG
     if low.any():
         pruned = logsumexp(lws[low])
         vals, lws = vals[~low], lws[~low]
@@ -592,10 +596,9 @@ def _combined_tail(log_tail_a: float, log_tail_b: float) -> float:
     return log_sub(log_add(log_tail_a, log_tail_b), log_tail_a + log_tail_b)
 
 
-def _conv_atomic(a: AtomicDist, b: AtomicDist, horizon: int | None,
-                 floor_log: float) -> AtomicDist:
+def _conv_atomic(a: AtomicDist, b: AtomicDist, horizon: int | None) -> AtomicDist:
     vals, lws, moved, pruned = _cross_sum(a.atoms, a.log_probs, b.atoms, b.log_probs,
-                                          horizon, floor_log)
+                                          horizon)
     if vals.size == 0:
         raise InvalidInput("convolution left no atoms within the horizon")
     tail = logsumexp([_combined_tail(a.log_tail, b.log_tail), moved, pruned])
@@ -621,22 +624,21 @@ def _conv_dense(a: PassageLaw, b: PassageLaw, horizon: int | None) -> PassageLaw
     return PassageLaw._dense(out, log_add(_combined_tail(a.log_tail, b.log_tail), moved))
 
 
-def convolve(a, b, *, horizon: int | None = None,
-             floor_log: float = PRUNE_FLOOR_LOG):
+def convolve(a, b, *, horizon: int | None = None):
     """Distribution of the sum of two independent passage times.
 
     Dense x dense and sparse x sparse only (convert explicitly to mix);
     :class:`AtomicDist` inputs convolve to an :class:`AtomicDist`.  Mass
-    landing beyond ``horizon`` or below the pruning floor moves to the tail.
+    landing beyond ``horizon`` or below ``PRUNE_FLOOR_LOG`` moves to the tail.
     """
     if isinstance(a, AtomicDist) and isinstance(b, AtomicDist):
-        return _conv_atomic(a, b, horizon, floor_log)
+        return _conv_atomic(a, b, horizon)
     if not (isinstance(a, PassageLaw) and isinstance(b, PassageLaw)):
         raise InvalidInput("convolve needs two PassageLaw or two AtomicDist operands")
     if a.is_dense and b.is_dense:
         return _conv_dense(a, b, horizon)
     if not a.is_dense and not b.is_dense:
-        return PassageLaw.sparse(_conv_atomic(a.atomic, b.atomic, horizon, floor_log))
+        return PassageLaw.sparse(_conv_atomic(a.atomic, b.atomic, horizon))
     raise InvalidInput("cannot convolve dense with sparse; convert one side first")
 
 
@@ -645,8 +647,7 @@ def convolve(a, b, *, horizon: int | None = None,
 
 
 def geometric_compound(u: PassageLaw, v: PassageLaw, pi: float, *,
-                       horizon: int | None = None,
-                       floor_log: float = PRUNE_FLOOR_LOG) -> PassageLaw:
+                       horizon: int | None = None) -> PassageLaw:
     """Law of U_1 + ... + U_M + V with M geometric: P(M = m) = (1-pi)^m pi.
 
     This is the return-time decomposition of a passage i -> j: M failed
@@ -659,8 +660,9 @@ def geometric_compound(u: PassageLaw, v: PassageLaw, pi: float, *,
     The tail is never below P(M >= horizon) = (1-pi)^horizon.  Within the
     horizon the pmf is exact when U covers 1..horizon-1 and V covers
     1..horizon.  Sparse laws sum the series sum_m pi (1-pi)^m U^{*m} * V
-    term by term until the remaining geometric mass falls below
-    ``floor_log`` or every later term lies beyond the horizon.  All mass
+    term by term until the log of the remaining geometric mass falls below
+    ``PRUNE_FLOOR_LOG`` or every later term lies beyond the horizon; atoms
+    below that floor are pruned into the tail.  All mass
     not assigned within the horizon lands in the tail.
     """
     if not 0.0 < pi <= 1.0:
@@ -677,7 +679,7 @@ def geometric_compound(u: PassageLaw, v: PassageLaw, pi: float, *,
         return _compound_dense(u, v, pi, log_q, h)
     if horizon is None:
         raise InvalidInput("sparse geometric_compound needs an explicit horizon")
-    return _compound_sparse(u, v, math.log(pi), log_q, horizon, floor_log)
+    return _compound_sparse(u, v, math.log(pi), log_q, horizon)
 
 
 def _fit(arr: np.ndarray, h: int, fill: float) -> np.ndarray:
@@ -708,7 +710,7 @@ def _compound_dense(u: PassageLaw, v: PassageLaw, pi: float, log_q: float,
 
 
 def _compound_sparse(u: PassageLaw, v: PassageLaw, log_pi: float, log_q: float,
-                     horizon: int, floor_log: float) -> PassageLaw:
+                     horizon: int) -> PassageLaw:
     ua, va = u.atomic, v.atomic
     keep = va.atoms <= horizon
     vals, lws = va.atoms[keep], va.log_probs[keep]
@@ -725,11 +727,10 @@ def _compound_sparse(u: PassageLaw, v: PassageLaw, log_pi: float, log_q: float,
         tail_parts.append(w + c_tail)
         m += 1
         remaining = m * log_q
-        if remaining < floor_log or vals.size == 0:
+        if remaining < PRUNE_FLOOR_LOG or vals.size == 0:
             tail_parts.append(remaining)
             break
-        vals, lws, moved, pruned = _cross_sum(vals, lws, ua.atoms, ua.log_probs,
-                                              horizon, floor_log)
+        vals, lws, moved, pruned = _cross_sum(vals, lws, ua.atoms, ua.log_probs, horizon)
         c_tail = logsumexp([_combined_tail(c_tail, ua.log_tail), moved, pruned])
     if not acc_vals:
         raise InvalidInput("geometric compound left no atoms within the horizon")
@@ -743,11 +744,11 @@ def _compound_sparse(u: PassageLaw, v: PassageLaw, log_pi: float, log_q: float,
 # mixtures and domination
 
 
-def mixture(laws, weights, *, tol: float = 1e-12) -> PassageLaw:
+def mixture(laws, weights) -> PassageLaw:
     """Weighted mixture of laws in a common representation.
 
     Dense inputs are truncated to the shortest horizon (excess mass moves to
-    the respective tails); weights must sum to 1 within ``tol``.
+    the respective tails); weights must sum to 1 within 1e-12.
     """
     laws = list(laws)
     weights = np.asarray(list(weights), dtype=float)
@@ -755,8 +756,8 @@ def mixture(laws, weights, *, tol: float = 1e-12) -> PassageLaw:
         raise InvalidInput("need matching nonempty laws and weights")
     if np.any(weights < 0):
         raise InvalidInput("mixture weights must be nonnegative")
-    if abs(weights.sum() - 1.0) > tol:
-        raise InvalidInput(f"mixture weights must sum to 1 within {tol}")
+    if abs(weights.sum() - 1.0) > 1e-12:
+        raise InvalidInput("mixture weights must sum to 1 within 1e-12")
     pairs = [(w, law) for w, law in zip(weights, laws) if w > 0]
     if not pairs:
         raise InvalidInput("all mixture weights are zero")

@@ -263,6 +263,39 @@ def test_bad_petal_file_exits_2(tmp_path, capsys):
     assert rc == 2 and "petal" in err
 
 
+@pytest.mark.parametrize("rows", [
+    5,
+    [5],
+    [[["a", "x"]]],
+    [[["a", None]]],
+])
+def test_malformed_kernel_rows_exit_2(tmp_path, capsys, rows):
+    path = tmp_path / "k.json"
+    path.write_text(json.dumps({"states": ["a"], "rows": rows}))
+    rc, out, err = run_cli(capsys, "fpt", "--kernel", str(path),
+                           "--from", "a", "--to", "a", "--horizon", "5")
+    assert rc == 2 and out == ""
+    assert err.startswith("error:")
+
+
+@pytest.mark.parametrize("flag, prefix", [("--kernel", ""), ("--builtin", "petal:")])
+def test_non_utf8_json_file_exits_2(tmp_path, capsys, flag, prefix):
+    path = tmp_path / "chain.json"
+    path.write_bytes(b"\xff\xfe{}")
+    rc, out, err = run_cli(capsys, "fpt", flag, f"{prefix}{path}",
+                           "--from", "0", "--to", "0", "--horizon", "5")
+    assert rc == 2 and out == ""
+    assert err.startswith("error:") and "not valid JSON" in err
+
+
+def test_short_burst_schedule_row_exits_2(tmp_path, capsys):
+    path = tmp_path / "sched.csv"
+    path.write_text("i,s,u\n1,2,2\n2,16\n3,72,24\n")
+    rc, out, err = run_cli(capsys, "classify", "--function", f"burst:file={path}")
+    assert rc == 2 and out == ""
+    assert err.startswith("error:")
+
+
 def test_usage_error_returns_argparse_code(capsys):
     rc, _, err = run_cli(capsys, "fpt", "--builtin", "two-state:0.5")
     assert rc == 2  # argparse: missing required arguments

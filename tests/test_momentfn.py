@@ -12,7 +12,6 @@ from recur_moments import (BurstSchedule, FunctionKind, InvalidInput,
                            custom_fn, default_burst_schedule, exp_fn,
                            growth_profile, log_power_fn, parse_function_spec,
                            power_fn, submult_scan)
-from recur_moments.momentfn import ClassifyBudget
 
 
 def default_burst():
@@ -240,10 +239,21 @@ def test_classify_burst_flags_submult():
 
 def test_classify_slow_custom_inconclusive():
     # e^sqrt(n): submultiplicative (so no C_i witnesses) but the growth
-    # profile has not stabilized near zero by n = 1e6
+    # profile has not stabilized near zero by n = 1e5
     f = custom_fn("expsqrt", lambda n: math.sqrt(n))
-    out = classify(f, ClassifyBudget(profile_n=10**5, checkpoints=(10**3, 10**4, 10**5)))
+    out = classify(f, profile_n=10**5)
     assert out.verdict == VERDICT_INCONCLUSIVE
+
+
+@pytest.mark.parametrize("profile_n, checkpoints", [
+    (50, (1, 5, 50)),
+    (1000, (10, 100, 1000)),
+    (10**5, (10**3, 10**4, 10**5)),
+    (10**6, (10**4, 10**5, 10**6)),
+])
+def test_classify_checkpoints_follow_profile_n(profile_n, checkpoints):
+    f = custom_fn("hidden-exp", lambda n: 0.2 * n)
+    assert classify(f, profile_n=profile_n).profile.checkpoints == checkpoints
 
 
 def test_classify_custom_exponential_like():

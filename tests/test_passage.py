@@ -337,6 +337,22 @@ def test_no_such_path_despite_rounded_pi():
             law(k, 0, 3, 20)
 
 
+@pytest.mark.parametrize("kernel", [
+    # c is absorbing
+    TransitionKernel(list("abc"), [[(1, .5), (2, .5)], [(0, 1.0)], [(2, 1.0)]]),
+    # {c, d} is a closed class
+    TransitionKernel(list("abcd"), [[(1, .5), (2, .5)], [(0, 1.0)],
+                                    [(2, .3), (3, .7)], [(2, .6), (3, .4)]]),
+])
+def test_closed_class_avoiding_the_pair_is_invalid_input(kernel):
+    # the hitting system is singular when a closed class avoids a and b
+    with pytest.raises(InvalidInput, match="'a' and 'b'"):
+        hit_before_return_prob(kernel, 0, 1)
+    for law in (conditioned_hit_law, crossing_return_law):
+        with pytest.raises(InvalidInput, match="'a' and 'b'"):
+            law(kernel, 0, 1, 10)
+
+
 def _zero_pattern_kernel(n: int, rng: np.random.Generator) -> TransitionKernel:
     """Seeded chain with 1-3 random targets a row: self-loops, and states
     that cannot reach each other, are common."""
@@ -472,7 +488,7 @@ def test_convolve_prunes_tiny_masses_into_tail():
     a = AtomicDist(np.array([1, 5], dtype=np.int64),
                    np.array([-1e-300, -800.0]))
     b = AtomicDist.point_mass(1)
-    c = convolve(a, b, floor_log=-700.0)
+    c = convolve(a, b)
     assert c.atoms.tolist() == [2]
     assert abs(c.log_tail - (-800.0)) <= 1e-9
 
