@@ -26,7 +26,7 @@ from .momentfn import (MomentFunction, FunctionKind, BurstSchedule,
                        classify, VERDICT_SATISFIES,
                        VERDICT_VIOLATES_SUBMULT, VERDICT_VIOLATES_GROWTH,
                        VERDICT_INCONCLUSIVE)
-from .moments import (MomentPolicy, MomentEstimate, f_moment, SeriesVerdict,
+from .moments import (MomentEstimate, f_moment, SeriesVerdict,
                       lower_bound_series, MCMomentEstimate, mc_f_moment,
                       compound_growth_curve, VERDICT_CONVERGED,
                       VERDICT_DIVERGED, VERDICT_INCONCLUSIVE as MOMENT_INCONCLUSIVE)
@@ -56,7 +56,7 @@ __all__ = [
     "Classification", "classify", "VERDICT_SATISFIES",
     "VERDICT_VIOLATES_SUBMULT", "VERDICT_VIOLATES_GROWTH",
     "VERDICT_INCONCLUSIVE",
-    "MomentPolicy", "MomentEstimate", "f_moment", "SeriesVerdict",
+    "MomentEstimate", "f_moment", "SeriesVerdict",
     "lower_bound_series", "MCMomentEstimate", "mc_f_moment",
     "compound_growth_curve", "VERDICT_CONVERGED", "VERDICT_DIVERGED",
     "MOMENT_INCONCLUSIVE",

@@ -27,7 +27,7 @@ from .chain import (ChainLike, PetalChain, TransitionKernel, TwoStateChain,
 from .errors import (ConvergenceFailure, IncomparableLaws, InvalidInput,
                      NoSuchPath, PreconditionFailed)
 from .momentfn import classify, parse_function_spec
-from .moments import MomentPolicy, f_moment, mc_f_moment
+from .moments import f_moment, mc_f_moment
 from .constructions import demo_exponential, demo_sharp, write_series_trace
 from .passage import (conditioned_hit_law, conditioned_return_law,
                       crossing_return_law, first_passage_law, law_to_csv_text)
@@ -167,9 +167,7 @@ def _cmd_moment(args) -> int:
         src = _resolve_state(kernel, args.source)
         tgt = _resolve_state(kernel, args.target)
         law = first_passage_law(kernel, src, tgt, args.horizon)
-        policy = MomentPolicy(divergence_log_threshold=args.threshold_log,
-                              require_cert=not args.allow_heuristic_gamma)
-        est = f_moment(law, f, policy)
+        est = f_moment(law, f, log_threshold=args.threshold_log)
         _emit(_json_text(est.to_json_dict()), args, "moment.json")
         return 0
     # Monte Carlo: parametric chains sample through their closed forms.
@@ -262,9 +260,6 @@ def build_parser() -> argparse.ArgumentParser:
     mom.add_argument("--threshold-log", type=float, default=math.log(1e6),
                      help="divergence threshold on the log partial sum, relative "
                           "to log f(1) (default ln 1e6)")
-    mom.add_argument("--allow-heuristic-gamma", action="store_true",
-                     help="let custom functions use an empirical growth ratio "
-                          "for the tail bound (uncertified)")
     mom.add_argument("--samples", type=int, default=100_000,
                      help="Monte Carlo sample count (default 100000)")
     mom.add_argument("--cap", type=int, default=10 ** 6,

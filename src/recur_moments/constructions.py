@@ -81,6 +81,9 @@ def _burst_witnesses(f: MomentFunction, ks, required_fn) -> tuple[Witness, ...]:
                     f"burst schedule ends before a margin above {need:.6g} for k={k}",
                     found)
             x = table.midpoint(i)
+            if x > np.iinfo(np.int64).max:
+                raise WitnessSearchExhausted(
+                    f"burst midpoints left the int64 range at k={k}", found)
             if table.margin(i) > need and (not found or x > found[-1].x):
                 break
             i += 1

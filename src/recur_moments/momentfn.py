@@ -311,8 +311,8 @@ class MomentFunction:
 def power_fn(p: float) -> MomentFunction:
     """f(n) = n^p, log f(n) = p ln n."""
     p = float(p)
-    if not p > 0:
-        raise InvalidInput(f"power exponent must be positive, got {p}")
+    if not 0 < p < math.inf:
+        raise InvalidInput(f"power exponent must be positive and finite, got {p}")
     return MomentFunction(f"power:{p:g}", FunctionKind.POWER,
                           lambda n: p * math.log(n), param=p)
 
@@ -320,8 +320,8 @@ def power_fn(p: float) -> MomentFunction:
 def log_power_fn(q: float) -> MomentFunction:
     """f(n) = (ln(n+2))^q, log f(n) = q ln ln(n+2)."""
     q = float(q)
-    if not q > 0:
-        raise InvalidInput(f"log-power exponent must be positive, got {q}")
+    if not 0 < q < math.inf:
+        raise InvalidInput(f"log-power exponent must be positive and finite, got {q}")
     return MomentFunction(f"logpow:{q:g}", FunctionKind.LOG_POWER,
                           lambda n: q * math.log(math.log(n + 2)), param=q)
 
@@ -329,8 +329,8 @@ def log_power_fn(q: float) -> MomentFunction:
 def exp_fn(delta: float) -> MomentFunction:
     """f(n) = e^(delta n), log f(n) = delta n."""
     delta = float(delta)
-    if not delta > 0:
-        raise InvalidInput(f"exponential rate must be positive, got {delta}")
+    if not 0 < delta < math.inf:
+        raise InvalidInput(f"exponential rate must be positive and finite, got {delta}")
     return MomentFunction(f"exp:{delta:g}", FunctionKind.EXPONENTIAL,
                           lambda n: delta * n, param=delta)
 
@@ -523,6 +523,8 @@ def classify(f: MomentFunction, profile_n: int = 10 ** 6) -> Classification:
     no caller can ask for a verdict on less evidence.  Everything else is
     Inconclusive; the scans are evidence, not proof, for custom functions.
     """
+    if profile_n < 1:
+        raise InvalidInput(f"profile_n must be >= 1, got {profile_n}")
     cert = f.submult_certificate()
     if cert is not None:
         return Classification(

@@ -11,10 +11,11 @@ computed support and a tail contribution.  The partial sum is always exact
 
 Then sum_{k>=1} f(N+k) P(T = N+k) <= f(N) P(T > N) gamma / (1 - gamma rho)
 whenever gamma rho < 1, since f(N+k) <= f(N) gamma^k and P(T = N+k) <=
-P(T > N+k-1) <= rho^(k-1) P(T > N).  Without both pieces the verdict is
-``inconclusive`` rather than a guess.  ``diverged`` means the partial sum
-alone crossed the divergence threshold: a certified lower-bound crossing,
-not a claim that the series is infinite.
+P(T > N+k-1) <= rho^(k-1) P(T > N).  Growth ratio bounds are registered for
+the power, log-power, exponential and burst families only; without a tail
+certificate and such a bound the verdict is ``inconclusive``, never a guess.
+``diverged`` means the partial sum alone crossed the divergence threshold: a
+certified lower-bound crossing, not a claim that the series is infinite.
 """
 
 from __future__ import annotations
@@ -31,7 +32,7 @@ from .momentfn import MomentFunction
 from .passage import PassageLaw, convolve
 
 __all__ = [
-    "MomentPolicy", "MomentEstimate", "f_moment",
+    "MomentEstimate", "f_moment",
     "SeriesVerdict", "lower_bound_series",
     "MCMomentEstimate", "mc_f_moment",
     "compound_growth_curve",
@@ -45,29 +46,6 @@ VERDICT_INCONCLUSIVE = "inconclusive"
 #: Samples per Monte Carlo chunk, each drawn from its own stream spawned
 #: from the seed; changing it changes every result for a given seed.
 _MC_CHUNK = 65536
-
-#: Number of growth ratios f(n+1)/f(n) past the cutoff whose maximum is the
-#: empirical gamma.
-_EMPIRICAL_GAMMA_WINDOW = 100
-
-
-@dataclass(frozen=True)
-class MomentPolicy:
-    """Knobs for :func:`f_moment`.
-
-    ``divergence_log_threshold`` is relative to f(1): divergence is declared
-    once the partial sum exceeds f(1) * exp(threshold), so rescaling f does
-    not change verdicts.  ``require_cert`` forbids the empirical growth-ratio
-    fallback for functions without a registered bound; that fallback takes
-    the largest ratio over a fixed window of 100 steps past the cutoff.
-    """
-
-    divergence_log_threshold: float = math.log(1e6)
-    require_cert: bool = True
-
-    def __post_init__(self):
-        if not math.isfinite(self.divergence_log_threshold):
-            raise InvalidInput("divergence threshold must be finite")
 
 
 @dataclass(frozen=True)
@@ -86,7 +64,6 @@ class MomentEstimate:
     N: int
     gamma: float | None = None
     rho: float | None = None
-    gamma_source: str | None = None
 
     @property
     def log_upper_bound(self) -> float | None:
@@ -120,25 +97,22 @@ def _log_partial_sum(law: PassageLaw, f: MomentFunction) -> float:
     return logsumexp(f.log_f_array(atoms.atoms) + atoms.log_probs)
 
 
-def _empirical_gamma(f: MomentFunction, start: int) -> float:
-    vals = f.log_f_array(np.arange(start, start + _EMPIRICAL_GAMMA_WINDOW + 1))
-    return float(math.exp(np.diff(vals).max()))
-
-
-def f_moment(law: PassageLaw, f: MomentFunction,
-             policy: MomentPolicy | None = None) -> MomentEstimate:
+def f_moment(law: PassageLaw, f: MomentFunction, *,
+             log_threshold: float = math.log(1e6)) -> MomentEstimate:
     """Certified estimate of E f(T) for a passage-time law.
 
-    Verdict order: ``diverged`` if the exact partial sum crosses the
-    threshold; ``converged`` if the law is complete or a valid tail bound
-    exists (certificate + growth ratio with gamma * rho < 1); otherwise
-    ``inconclusive``.
+    Verdict order: ``diverged`` if the exact partial sum exceeds
+    f(1) * exp(log_threshold), so rescaling f does not change verdicts;
+    ``converged`` if the law is complete or a valid tail bound exists (a
+    tail certificate and f's registered growth ratio bound with
+    gamma * rho < 1); otherwise ``inconclusive``.  Functions without a
+    registered bound (:func:`custom_fn`) never get a tail bound.
     """
-    policy = policy if policy is not None else MomentPolicy()
+    if not math.isfinite(log_threshold):
+        raise InvalidInput("divergence threshold must be finite")
     n_cutoff = law.horizon
     log_partial = _log_partial_sum(law, f)
-    threshold = policy.divergence_log_threshold + f.log_f(1)
-    if log_partial > threshold:
+    if log_partial > log_threshold + f.log_f(1):
         return MomentEstimate(log_partial, None, VERDICT_DIVERGED, n_cutoff)
     if law.log_tail == LOG_ZERO:
         return MomentEstimate(log_partial, LOG_ZERO, VERDICT_CONVERGED, n_cutoff)
@@ -146,19 +120,15 @@ def f_moment(law: PassageLaw, f: MomentFunction,
     if cert is None or cert.start > n_cutoff:
         return MomentEstimate(log_partial, None, VERDICT_INCONCLUSIVE, n_cutoff)
     gamma = f.growth_ratio_bound(n_cutoff)
-    source = "registered"
     if gamma is None:
-        if policy.require_cert:
-            return MomentEstimate(log_partial, None, VERDICT_INCONCLUSIVE, n_cutoff)
-        gamma = _empirical_gamma(f, n_cutoff)
-        source = "empirical"
+        return MomentEstimate(log_partial, None, VERDICT_INCONCLUSIVE, n_cutoff)
     rho = cert.rho
     if not gamma * rho < 1.0:
         return MomentEstimate(log_partial, None, VERDICT_INCONCLUSIVE, n_cutoff,
-                              gamma=gamma, rho=rho, gamma_source=source)
+                              gamma=gamma, rho=rho)
     bound = f.log_f(n_cutoff) + law.log_tail + math.log(gamma) - math.log1p(-gamma * rho)
     return MomentEstimate(log_partial, bound, VERDICT_CONVERGED, n_cutoff,
-                          gamma=gamma, rho=rho, gamma_source=source)
+                          gamma=gamma, rho=rho)
 
 
 # ---------------------------------------------------------------------------
@@ -251,6 +221,8 @@ def mc_f_moment(sampler, f: MomentFunction, *, n_samples: int, cap: int,
         raise InvalidInput("need at least 2 samples")
     if cap < 1:
         raise InvalidInput("cap must be >= 1")
+    if seed < 0:
+        raise InvalidInput(f"seed must be >= 0, got {seed}")
     n_chunks = (n_samples + _MC_CHUNK - 1) // _MC_CHUNK
     sizes = [_MC_CHUNK] * (n_chunks - 1) + [n_samples - _MC_CHUNK * (n_chunks - 1)]
     children = np.random.SeedSequence(seed).spawn(n_chunks)

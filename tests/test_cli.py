@@ -117,6 +117,14 @@ def test_classify_burst_function(capsys):
     assert set(w) == {"x", "y", "log_defect"} and w["log_defect"] > 0
 
 
+@pytest.mark.parametrize("function, profile_n", [("power:2", "-5"), ("exp:0.1", "0")])
+def test_classify_profile_n_below_1_exits_2(capsys, function, profile_n):
+    rc, out, err = run_cli(capsys, "classify", "--function", function,
+                           "--profile-n", profile_n)
+    assert rc == 2 and out == ""
+    assert err.startswith("error:") and "profile_n" in err
+
+
 def test_classify_profile_n_override(capsys):
     rc, out, _ = run_cli(capsys, "classify", "--function", "exp:0.5",
                          "--profile-n", "1000")
@@ -166,7 +174,7 @@ def test_moment_mc_deterministic(capsys):
     assert first == second
 
 
-def test_moment_heuristic_gamma_flag(capsys):
+def test_moment_converges_only_with_a_tail_certificate(capsys):
     base = ("moment", "--builtin", "two-state:0.5", "--from", "1", "--to", "1",
             "--function", "power:1", "--horizon", "100")
     _, strict, _ = run_cli(capsys, *base)
@@ -217,6 +225,13 @@ def test_demo_unreached_verdict_exits_3(capsys):
     assert json.loads(out)["succeeded"] is False  # report still emitted
 
 
+def test_demo_sharp_past_int64_witnesses_exits_3(capsys):
+    # the burst midpoint for k = 53 is about 1.3e19, past the int64 range
+    rc, out, err = run_cli(capsys, "demo", "sharp", "--k-max", "53")
+    assert rc == 3 and out == ""
+    assert err.startswith("error:") and "int64" in err
+
+
 def test_demo_precondition_failure_exits_3(capsys):
     rc, out, err = run_cli(capsys, "demo", "exponential",
                            "--delta", "0.1", "--p", "0.5")
@@ -239,6 +254,15 @@ def test_demo_precondition_failure_exits_3(capsys):
      "--horizon", "5"),
     ("moment", "--builtin", "two-state:0.5", "--from", "0", "--to", "0",
      "--function", "power:-1", "--horizon", "5"),
+    ("classify", "--function", "power:inf"),
+    ("classify", "--function", "logpow:inf"),
+    ("classify", "--function", "exp:inf"),
+    ("moment", "--builtin", "two-state:0.5", "--from", "1", "--to", "1",
+     "--function", "exp:inf", "--horizon", "5"),
+    ("moment", "--builtin", "two-state:0.5", "--from", "1", "--to", "1",
+     "--function", "power:1", "--method", "mc", "--seed", "-1"),
+    ("moment", "--builtin", "two-state:0.5", "--from", "1", "--to", "1",
+     "--function", "power:1", "--threshold-log", "inf"),
 ])
 def test_invalid_input_exits_2(capsys, argv):
     rc, out, err = run_cli(capsys, *argv)

@@ -108,11 +108,10 @@ def test_domain_validation():
         f.log_f(0)
     with pytest.raises(InvalidInput):
         f.log_f_array(np.array([0, 1]))
-    for bad in (0.0, -1.0):
-        with pytest.raises(InvalidInput):
-            power_fn(bad)
-        with pytest.raises(InvalidInput):
-            exp_fn(bad)
+    for bad in (0.0, -1.0, math.inf, math.nan):
+        for make in (power_fn, log_power_fn, exp_fn):
+            with pytest.raises(InvalidInput):
+                make(bad)
 
 
 def test_parse_function_spec():
@@ -254,6 +253,16 @@ def test_classify_slow_custom_inconclusive():
 def test_classify_checkpoints_follow_profile_n(profile_n, checkpoints):
     f = custom_fn("hidden-exp", lambda n: 0.2 * n)
     assert classify(f, profile_n=profile_n).profile.checkpoints == checkpoints
+
+
+@pytest.mark.parametrize("profile_n", [0, -5])
+def test_classify_rejects_profile_n_below_1_before_any_scan(profile_n):
+    calls = []
+    scanned = custom_fn("counted", lambda n: calls.append(n) or 0.1 * n)
+    for f in (power_fn(2), scanned):
+        with pytest.raises(InvalidInput, match="profile_n"):
+            classify(f, profile_n=profile_n)
+    assert calls == []
 
 
 def test_classify_custom_exponential_like():

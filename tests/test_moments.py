@@ -6,7 +6,7 @@ import math
 import numpy as np
 import pytest
 
-from recur_moments import (InvalidInput, MomentPolicy, PassageLaw,
+from recur_moments import (InvalidInput, PassageLaw,
                            TwoStateChain, VERDICT_CONVERGED, VERDICT_DIVERGED,
                            MOMENT_INCONCLUSIVE, build_two_state,
                            compound_growth_curve, custom_fn, exp_fn, f_moment,
@@ -99,32 +99,34 @@ def test_inconclusive_when_gamma_rho_too_big():
     assert est.gamma * est.rho >= 1.0
 
 
-def test_custom_function_needs_policy_opt_in():
+def test_custom_function_without_growth_bound_is_inconclusive():
     f = custom_fn("linear", lambda n: math.log(n))
     law = _t11(100)
-    strict = f_moment(law, f)
-    assert strict.verdict == MOMENT_INCONCLUSIVE
-    loose = f_moment(law, f, MomentPolicy(require_cert=False))
-    assert loose.verdict == VERDICT_CONVERGED
-    assert loose.gamma_source == "empirical"
-    lower = math.exp(loose.log_partial_sum)
-    upper = math.exp(loose.log_upper_bound)
-    assert lower - 1e-12 <= 3.0 <= upper + 1e-12
+    assert law.tail_cert is not None
+    assert f_moment(law, f).verdict == MOMENT_INCONCLUSIVE
 
 
 def test_threshold_is_scale_calibrated():
-    # the verdict must not change when f is multiplied by a huge constant
+    # the verdict must not change when f is multiplied by a huge constant;
+    # E T = 3 sits between the two thresholds
     base = custom_fn("plain", lambda n: math.log(n))
     scaled = custom_fn("scaled", lambda n: math.log(n) + 500.0)
     law = _t11(100)
-    pol = MomentPolicy(require_cert=False)
-    assert f_moment(law, base, pol).verdict == f_moment(law, scaled, pol).verdict
+    for lt, verdict in ((math.log(2.0), VERDICT_DIVERGED),
+                        (math.log(4.0), MOMENT_INCONCLUSIVE)):
+        assert f_moment(law, base, log_threshold=lt).verdict == verdict
+        assert f_moment(law, scaled, log_threshold=lt).verdict == verdict
 
 
-def test_policy_threshold_flips_to_diverged():
-    est = f_moment(_t11(100), power_fn(1),
-                   MomentPolicy(divergence_log_threshold=math.log(2.0)))
+def test_threshold_flips_to_diverged():
+    est = f_moment(_t11(100), power_fn(1), log_threshold=math.log(2.0))
     assert est.verdict == VERDICT_DIVERGED
+
+
+@pytest.mark.parametrize("lt", [math.inf, -math.inf, math.nan])
+def test_non_finite_threshold_is_rejected(lt):
+    with pytest.raises(InvalidInput, match="threshold"):
+        f_moment(_t11(100), power_fn(1), log_threshold=lt)
 
 
 def test_moment_json_contract():
@@ -217,6 +219,8 @@ def test_mc_validates():
         mc_f_moment(sampler, power_fn(1), n_samples=1, cap=10, seed=0)
     with pytest.raises(InvalidInput):
         mc_f_moment(sampler, power_fn(1), n_samples=10, cap=0, seed=0)
+    with pytest.raises(InvalidInput, match="seed"):
+        mc_f_moment(sampler, power_fn(1), n_samples=10, cap=10, seed=-1)
 
 
 # ---------------------------------------------------------------------------
