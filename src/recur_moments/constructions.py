@@ -35,7 +35,7 @@ from .chain import build_two_state
 from .errors import InvalidInput, PreconditionFailed, WitnessSearchExhausted
 from .logspace import LOG_ZERO, logsumexp
 from .momentfn import FunctionKind, MomentFunction, burst_fn, default_burst_schedule, exp_fn
-from .moments import SeriesVerdict, f_moment, lower_bound_series
+from .moments import SeriesVerdict, _check_threshold, f_moment, lower_bound_series
 from .passage import _opened, first_passage_law
 
 __all__ = [
@@ -268,6 +268,7 @@ def demo_sharp(*, k_max: int = 8, p: float = 0.5,
     """
     if not 0.0 < p < 1.0:
         raise InvalidInput(f"exit probability must be in (0, 1), got {p}")
+    _check_threshold(log_threshold)  # before the witness search, not after it
     f = burst_fn(default_burst_schedule(), "burst:default")
     pair = heavy_tail_pair(f, k_max=k_max)
     const = math.log(p) + 2.0 * math.log((1.0 - p) / 2.0)

@@ -97,6 +97,11 @@ def _log_partial_sum(law: PassageLaw, f: MomentFunction) -> float:
     return logsumexp(f.log_f_array(atoms.atoms) + atoms.log_probs)
 
 
+def _check_threshold(log_threshold: float) -> None:
+    if not math.isfinite(log_threshold):
+        raise InvalidInput("divergence threshold must be finite")
+
+
 def f_moment(law: PassageLaw, f: MomentFunction, *,
              log_threshold: float = math.log(1e6)) -> MomentEstimate:
     """Certified estimate of E f(T) for a passage-time law.
@@ -108,8 +113,7 @@ def f_moment(law: PassageLaw, f: MomentFunction, *,
     gamma * rho < 1); otherwise ``inconclusive``.  Functions without a
     registered bound (:func:`custom_fn`) never get a tail bound.
     """
-    if not math.isfinite(log_threshold):
-        raise InvalidInput("divergence threshold must be finite")
+    _check_threshold(log_threshold)
     n_cutoff = law.horizon
     log_partial = _log_partial_sum(law, f)
     if log_partial > log_threshold + f.log_f(1):
@@ -160,6 +164,7 @@ def lower_bound_series(log_terms, *, log_threshold: float,
     ``log_terms`` yields floats or (index, log_term) pairs; the trace records
     (index, log_term, log_partial_after) per term consumed.
     """
+    _check_threshold(log_threshold)
     if max_terms < 1:
         raise InvalidInput("max_terms must be >= 1")
     log_partial = LOG_ZERO

@@ -23,6 +23,8 @@ Every operation conserves mass explicitly: whatever cannot be assigned to a
 support point (truncation beyond the horizon, pruning below the underflow
 floor, operand tails) is moved into the tail bucket, never dropped.  Tails
 are combined in log space, so a law is never made complete by an underflow.
+The dense geometric compound is solved 128 rows at a time (one convolution
+and one triangular solve per block), adding only nonnegative terms.
 Tail *certificates* (N0, rho) assert the computed survival ratios satisfy
 P(T > n+1) <= rho P(T > n) for all computed n >= N0; downstream moment code
 refuses to extrapolate without one.
@@ -38,6 +40,7 @@ from dataclasses import dataclass
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
+from scipy.linalg import solve_triangular, toeplitz
 from scipy.sparse._sparsetools import csc_matvec as _csc_matvec
 
 from ._atomic import _MASS_TOL, AtomicDist
@@ -631,6 +634,8 @@ def convolve(a, b, *, horizon: int | None = None):
     :class:`AtomicDist` inputs convolve to an :class:`AtomicDist`.  Mass
     landing beyond ``horizon`` or below ``PRUNE_FLOOR_LOG`` moves to the tail.
     """
+    if horizon is not None and horizon < 1:
+        raise InvalidInput("horizon must be >= 1")
     if isinstance(a, AtomicDist) and isinstance(b, AtomicDist):
         return _conv_atomic(a, b, horizon)
     if not (isinstance(a, PassageLaw) and isinstance(b, PassageLaw)):
@@ -645,6 +650,8 @@ def convolve(a, b, *, horizon: int | None = None):
 # ---------------------------------------------------------------------------
 # geometric compound
 
+_SOLVE_BLOCK = 128
+
 
 def geometric_compound(u: PassageLaw, v: PassageLaw, pi: float, *,
                        horizon: int | None = None) -> PassageLaw:
@@ -654,9 +661,13 @@ def geometric_compound(u: PassageLaw, v: PassageLaw, pi: float, *,
     excursions (law U), then the successful crossing (law V), with pi the
     hit-before-return probability.  pi = 1 returns V unchanged.
 
-    Dense laws solve the renewal equation C = pi V + (1-pi) U * C in one
-    O(horizon^2) pass, for the pmf and, without subtraction, for the
-    survival S_C(n) = pi S_V(n) + (1-pi) [S_U(n) + sum_{k<=n} u_k S_C(n-k)].
+    Dense laws solve the renewal equation C = pi V + (1-pi) U * C for the
+    pmf and the survival S_C(n) = pi S_V(n) + (1-pi) [S_U(n) + sum_{k<=n}
+    u_k S_C(n-k)], a unit lower-triangular Toeplitz system with off-diagonal
+    entries -(1-pi) u_k <= 0, by forward substitution: per ``_SOLVE_BLOCK``
+    rows, one valid-mode convolution over the earlier rows and one solve
+    with the diagonal block (the same for every block).  Every update adds
+    a nonnegative term, so nothing is subtracted; no (horizon+1)^2 matrix.
     The tail is never below P(M >= horizon) = (1-pi)^horizon.  Within the
     horizon the pmf is exact when U covers 1..horizon-1 and V covers
     1..horizon.  Sparse laws sum the series sum_m pi (1-pi)^m U^{*m} * V
@@ -665,6 +676,8 @@ def geometric_compound(u: PassageLaw, v: PassageLaw, pi: float, *,
     below that floor are pruned into the tail.  All mass
     not assigned within the horizon lands in the tail.
     """
+    if horizon is not None and horizon < 1:
+        raise InvalidInput("horizon must be >= 1")
     if not 0.0 < pi <= 1.0:
         raise InvalidInput(f"pi must be in (0, 1], got {pi}")
     if pi == 1.0:
@@ -695,18 +708,23 @@ def _compound_dense(u: PassageLaw, v: PassageLaw, pi: float, log_q: float,
     q = 1.0 - pi
     # beyond an operand's horizon its pmf is unknown: none of it is assigned
     # there, and its survival stays at its tail
-    qu_rev = (q * _fit(u.linear_pmf(), h, 0.0))[::-1].copy()  # q u_h, ..., q u_1
-    pv = pi * _fit(v.linear_pmf(), h, 0.0)
-    s_free = (pi * _fit(v.survival_array(), h, math.exp(v.log_tail))
-              + q * _fit(u.survival_array(), h, math.exp(u.log_tail)))
-    c = np.empty(h)         # c[t] = P(C = t+1)
-    s = np.empty(h + 1)     # s[t] = P(C > t)
-    s[0] = 1.0
-    for t in range(h):
-        c[t] = pv[t] + qu_rev[h - t:] @ c[:t]
-        s[t + 1] = s_free[t] + qu_rev[h - t - 1:] @ s[:t + 1]
-    log_tail = max(math.log(s[h]) if s[h] > 0.0 else LOG_ZERO, h * log_q)
-    return PassageLaw._dense(c, log_tail)
+    qu = q * _fit(u.linear_pmf(), h, 0.0)  # q u_1, ..., q u_h
+    x = np.zeros((h + 1, 2), order="F")  # row t: P(C = t+1), P(C > t)
+    x[:h, 0] = pi * _fit(v.linear_pmf(), h, 0.0)
+    x[0, 1] = 1.0
+    x[1:, 1] = (pi * _fit(v.survival_array(), h, math.exp(v.log_tail))
+                + q * _fit(u.survival_array(), h, math.exp(u.log_tail)))
+    # solve_triangular reads only the strict lower triangle of the block
+    diag = toeplitz(np.concatenate(([1.0], -qu[:_SOLVE_BLOCK - 1])))
+    for t0 in range(0, h + 1, _SOLVE_BLOCK):
+        t1 = min(t0 + _SOLVE_BLOCK, h + 1)
+        if t0:  # add what the rows before the block contribute
+            x[t0:t1, 0] += np.convolve(qu[:t1 - 1], x[:t0, 0], "valid")
+            x[t0:t1, 1] += np.convolve(qu[:t1 - 1], x[:t0, 1], "valid")
+        x[t0:t1] = solve_triangular(diag[:t1 - t0, :t1 - t0], x[t0:t1], lower=True,
+                                    unit_diagonal=True, check_finite=False)
+    log_tail = max(math.log(x[h, 1]) if x[h, 1] > 0.0 else LOG_ZERO, h * log_q)
+    return PassageLaw._dense(x[:h, 0], log_tail)
 
 
 def _compound_sparse(u: PassageLaw, v: PassageLaw, log_pi: float, log_q: float,

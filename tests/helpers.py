@@ -7,6 +7,8 @@ these, not the other way round.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from recur_moments import TransitionKernel
@@ -177,3 +179,32 @@ def reference_laws(kernel: TransitionKernel, i: int, j: int,
         q0, q1 = r0, r1
     out["crossing"] = (pmf, pi)
     return out
+
+
+def reference_compound(u, v, pi: float, horizon: int) -> tuple[np.ndarray, float]:
+    """The dense geometric compound by its renewal recursion, one step at a
+    time with two dot products, as the library computed it before its
+    blocked solve: c_n = pi v_n + (1-pi) sum_{k<n} u_k c_{n-k} and
+    S(n) = pi S_V(n) + (1-pi) [S_U(n) + sum_{k<=n} u_k S(n-k)], with an
+    operand's pmf zero and its survival at its tail past its horizon.
+    Returns the pmf over 1..horizon and the log tail, floored at
+    horizon * log(1 - pi)."""
+    h, q = horizon, 1.0 - pi
+
+    def fit(arr, fill):
+        out = np.full(h, fill)
+        out[:min(h, arr.size)] = arr[:h]
+        return out
+
+    qu_rev = (q * fit(u.linear_pmf(), 0.0))[::-1].copy()  # q u_h, ..., q u_1
+    pv = pi * fit(v.linear_pmf(), 0.0)
+    s_free = (pi * fit(v.survival_array(), math.exp(v.log_tail))
+              + q * fit(u.survival_array(), math.exp(u.log_tail)))
+    c = np.empty(h)      # c[t] = P(C = t+1)
+    s = np.empty(h + 1)  # s[t] = P(C > t)
+    s[0] = 1.0
+    for t in range(h):
+        c[t] = pv[t] + qu_rev[h - t:] @ c[:t]
+        s[t + 1] = s_free[t] + qu_rev[h - t - 1:] @ s[:t + 1]
+    log_tail = max(math.log(s[h]) if s[h] > 0.0 else -math.inf, h * math.log1p(-pi))
+    return c, log_tail

@@ -263,6 +263,8 @@ def test_demo_precondition_failure_exits_3(capsys):
      "--function", "power:1", "--method", "mc", "--seed", "-1"),
     ("moment", "--builtin", "two-state:0.5", "--from", "1", "--to", "1",
      "--function", "power:1", "--threshold-log", "inf"),
+    ("demo", "sharp", "--threshold-log", "nan"),
+    ("demo", "exponential", "--threshold-log", "inf"),
 ])
 def test_invalid_input_exits_2(capsys, argv):
     rc, out, err = run_cli(capsys, *argv)

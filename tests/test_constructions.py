@@ -14,6 +14,7 @@ from recur_moments import (InvalidInput, PreconditionFailed,
                            default_burst_schedule, demo_exponential,
                            demo_sharp, heavy_tail_pair, power_fn,
                            witness_search, write_series_trace)
+from recur_moments import constructions
 
 
 def _burst():
@@ -184,6 +185,16 @@ def test_demo_sharp_validates():
         demo_sharp(p=1.0)
     with pytest.raises(InvalidInput):
         demo_sharp(k_max=2)
+
+
+def test_demo_sharp_rejects_non_finite_threshold_before_witness_search(monkeypatch):
+    def no_search(*args, **kwargs):
+        raise AssertionError("witness search ran")
+
+    monkeypatch.setattr(constructions, "witness_search", no_search)
+    for lt in (math.nan, math.inf):
+        with pytest.raises(InvalidInput, match="divergence threshold must be finite"):
+            demo_sharp(log_threshold=lt)
 
 
 def test_demo_report_json():

@@ -178,6 +178,18 @@ def test_lower_bound_series_validates():
         lower_bound_series([0.0], log_threshold=1.0, max_terms=0)
 
 
+@pytest.mark.parametrize("lt", [math.inf, -math.inf, math.nan])
+def test_lower_bound_series_rejects_non_finite_threshold(lt):
+    # a NaN threshold is never crossed and an infinite one cannot be written
+    # as JSON; both are rejected before any term is drawn
+    def terms():
+        raise AssertionError("term drawn")
+        yield 0.0
+
+    with pytest.raises(InvalidInput, match="divergence threshold must be finite"):
+        lower_bound_series(terms(), log_threshold=lt)
+
+
 # ---------------------------------------------------------------------------
 # Monte Carlo
 

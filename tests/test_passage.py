@@ -3,6 +3,7 @@ from __future__ import annotations
 import io
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -24,7 +25,8 @@ from recur_moments.passage import _derive_tail_cert
 
 from helpers import (absorbed_mass_iterative, brute_convolve_dicts,
                      enumerate_passage_pmf, pmf_dict_to_array,
-                     reaches_oracle, reference_laws, two_state_return_pmf_11)
+                     reaches_oracle, reference_compound, reference_laws,
+                     two_state_return_pmf_11)
 
 ORACLE_H = 8
 
@@ -555,6 +557,63 @@ def test_compound_sparse_needs_horizon():
     u = PassageLaw.point(1)
     with pytest.raises(InvalidInput):
         geometric_compound(u, u, 0.5)
+
+
+def test_horizon_below_1_is_invalid_input(kernel3):
+    # rejected up front: the dense paths would fail inside numpy instead
+    # ("could not broadcast", "negative dimensions")
+    dense = first_passage_law(kernel3, 0, 1, 10)
+    one, two = PassageLaw.point(1), PassageLaw.point(2)
+    for h in (0, -2):
+        for op in (lambda: convolve(dense, dense, horizon=h),
+                   lambda: convolve(one, two, horizon=h),
+                   lambda: geometric_compound(dense, dense, 0.5, horizon=h),
+                   lambda: geometric_compound(one, two, 0.5, horizon=h)):
+            with pytest.raises(InvalidInput, match="horizon must be >= 1"):
+                op()
+
+
+def _reloaded(law):
+    buf = io.StringIO()
+    law_to_csv(law, buf)
+    return law_from_csv(io.StringIO(buf.getvalue()))
+
+
+@pytest.mark.parametrize("h", [1, 2, 127, 128, 129, 600, 1100])
+def test_compound_matches_renewal_reference(h):
+    # the blocked solve sums in another order than the step-by-step
+    # recursion: equal to rounding, on block edges (127-129) as well
+    tiny = np.finfo(float).tiny
+    for seed in range(30):
+        kernel = random_kernel(3 + seed % 6, np.random.default_rng(seed))
+        pi = hit_before_return_prob(kernel, 0, 1)
+        u = conditioned_return_law(kernel, 0, 1, h)
+        v = conditioned_hit_law(kernel, 0, 1, h)
+        short_u = conditioned_return_law(kernel, 0, 1, max(1, h // 3))
+        for a, b, p in ((u, v, pi), (u, v, 0.005), (short_u, v, pi),
+                        (_reloaded(u), _reloaded(v), pi)):
+            want, want_log_tail = reference_compound(a, b, p, h)
+            got = geometric_compound(a, b, p, horizon=h)
+            pmf = got.pmf_array()
+            normal = want >= tiny
+            assert pmf.size == h
+            assert np.all(np.abs(pmf - want)[normal] <= 1e-13 * want[normal])
+            assert abs(got.log_tail - want_log_tail) <= 1e-12
+
+
+def test_compound_builds_no_horizon_squared_temporary(kernel3):
+    # a full (h+1)^2 Toeplitz matrix would take 128 MB at h = 4000
+    h = 4000
+    u = conditioned_return_law(kernel3, 0, 1, h)
+    v = conditioned_hit_law(kernel3, 0, 1, h)
+    pi = hit_before_return_prob(kernel3, 0, 1)
+    tracemalloc.start()
+    try:
+        geometric_compound(u, v, pi, horizon=h)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * 2 ** 20
 
 
 # ---------------------------------------------------------------------------
