@@ -1,8 +1,8 @@
 """Finite Markov chains: construction, validation, stationary laws, sampling.
 
-Kernels are stored as sparse rows of (target index, probability) pairs over
-named states.  Two parametric families get first-class support because their
-passage times have exact closed forms used all over the test suite:
+Kernels are read-only CSR arrays over named states.  Two parametric
+families get first-class support because their passage times have exact
+closed forms used all over the test suite:
 
 * the two-state chain 0 -> 1 with probability p, 0 -> 0 otherwise, 1 -> 0
   surely;
@@ -17,6 +17,7 @@ passage times have exact closed forms used all over the test suite:
 from __future__ import annotations
 
 import json
+import operator
 from dataclasses import dataclass
 from functools import cached_property
 from typing import TYPE_CHECKING, Union
@@ -36,17 +37,27 @@ ROW_SUM_TOL = 1e-12
 StateRef = Union[int, str]
 
 
-@dataclass
+def _csr_arrays(rows, target_index) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(indptr, indices, data) of ``rows``, lists of (target, probability)
+    pairs in the given order; ``target_index`` maps a target to its index.
+    Each array is filled by one streaming pass, with no list of pairs."""
+    lens = [len(row) for row in rows]
+    indices = np.fromiter((target_index(t) for row in rows for t, _ in row), np.int64, sum(lens))
+    data = np.fromiter((float(p) for row in rows for _, p in row), np.float64, indices.size)
+    indptr = np.cumsum([0] + lens)
+    indptr.flags.writeable = indices.flags.writeable = data.flags.writeable = False
+    return indptr, indices, data
+
+
 class TransitionKernel:
-    """Row-stochastic kernel over named states.
+    """Row-stochastic kernel over named states, stored as read-only CSR
+    arrays: row i pairs ``indices[indptr[i]:indptr[i+1]]`` with ``data`` on
+    the same range, as given (strictly positive probabilities; absent
+    targets have probability zero).  ``rows`` is a derived view of them."""
 
-    ``rows[i]`` lists (target index, probability) with strictly positive
-    probabilities; absent targets have probability zero.  Instances are
-    treated as immutable once built.
-    """
-
-    states: list[str]
-    rows: list[list[tuple[int, float]]]
+    def __init__(self, states: list[str], rows) -> None:
+        self.states = states
+        self.indptr, self.indices, self.data = _csr_arrays(rows, operator.index)
 
     @property
     def n_states(self) -> int:
@@ -67,26 +78,29 @@ class TransitionKernel:
             raise InvalidInput(f"state index {idx} out of range")
         return idx
 
+    @property
+    def rows(self) -> tuple[tuple[tuple[int, float], ...], ...]:
+        """Each row's (target index, probability) pairs, rebuilt on every access."""
+        pairs = list(zip(self.indices.tolist(), self.data.tolist()))
+        ptr = self.indptr.tolist()
+        return tuple(tuple(pairs[a:b]) for a, b in zip(ptr, ptr[1:]))
+
     @cached_property
     def dense_matrix(self) -> np.ndarray:
         mat = np.zeros((self.n_states, self.n_states))
-        for i, row in enumerate(self.rows):
-            for j, p in row:
-                mat[i, j] += p
+        row_of = np.repeat(np.arange(self.n_states), np.diff(self.indptr))
+        np.add.at(mat, (row_of, self.indices), self.data)
         return mat
 
     @cached_property
     def csr(self) -> sparse.csr_matrix:
-        data, ri, ci = [], [], []
-        for i, row in enumerate(self.rows):
-            for j, p in row:
-                ri.append(i)
-                ci.append(j)
-                data.append(p)
-        return sparse.csr_matrix((data, (ri, ci)), shape=(self.n_states, self.n_states))
+        """Through COO, as scipy checks targets, sorts rows and sums duplicates."""
+        row_of = np.repeat(np.arange(self.n_states), np.diff(self.indptr))
+        return sparse.csr_matrix((self.data, (row_of, self.indices)), shape=(self.n_states,) * 2)
 
     def out_edges(self, i: int) -> list[tuple[int, float]]:
-        return self.rows[i]
+        a, b = self.indptr[i], self.indptr[i + 1]
+        return list(zip(self.indices[a:b].tolist(), self.data[a:b].tolist()))
 
     # -- JSON round trip ---------------------------------------------------
 
@@ -106,15 +120,17 @@ class TransitionKernel:
         index = {name: i for i, name in enumerate(states)}
         if len(index) != len(states):
             raise InvalidInput("duplicate state names")
+        kernel = cls.__new__(cls)
+        kernel.states = states
         try:
-            rows = [[(index[target], float(p)) for target, p in raw] for raw in raw_rows]
+            kernel.indptr, kernel.indices, kernel.data = _csr_arrays(raw_rows, index.__getitem__)
         except KeyError as exc:
             raise InvalidInput(f"unknown target state {exc.args[0]!r}") from None
         except (TypeError, ValueError) as exc:
             raise InvalidInput(f"bad chain rows: {exc}") from None
-        if len(rows) != len(states):
+        del index  # validation runs while obj is alive: free what it does not need
+        if kernel.indptr.size - 1 != len(states):
             raise InvalidInput("rows and states disagree in length")
-        kernel = cls(states, rows)
         report = validate_kernel(kernel)
         if not report.ok:
             raise InvalidInput(f"invalid chain: {report.summary()}")
@@ -176,30 +192,24 @@ class KernelReport:
 
 def validate_kernel(kernel: TransitionKernel) -> KernelReport:
     """Check row sums (within ROW_SUM_TOL of 1), probability ranges, target
-    indices, and strong connectivity of the positive-probability graph."""
-    n = kernel.n_states
-    row_sum_bad: list[tuple[str, float]] = []
-    prob_bad: list[tuple[str, str, float]] = []
-    target_bad: list[tuple[str, int]] = []
-    edges_r, edges_c = [], []
-    for i, row in enumerate(kernel.rows):
-        total = 0.0
-        for j, p in row:
-            if not 0 <= j < n:
-                target_bad.append((kernel.states[i], j))
-                continue
-            if not 0.0 < p <= 1.0 + ROW_SUM_TOL:
-                prob_bad.append((kernel.states[i], kernel.states[j], p))
-            total += p
-            if p > 0:
-                edges_r.append(i)
-                edges_c.append(j)
-        if abs(total - 1.0) > ROW_SUM_TOL:
-            row_sum_bad.append((kernel.states[i], total))
-    graph = sparse.csr_matrix((np.ones(len(edges_r)), (edges_r, edges_c)), shape=(n, n))
+    indices, and strong connectivity of the positive-probability graph.
+    Out-of-range entries are left out of the other checks."""
+    n, states, ptr, j, p = kernel.n_states, kernel.states, kernel.indptr, kernel.indices, kernel.data
+    row_of = np.repeat(np.arange(n), np.diff(ptr))
+    inside = (j >= 0) & (j < n)
+    # bincount adds each row's weights in entry order, like a running total
+    total = np.bincount(row_of, weights=np.where(inside, p, 0.0), minlength=n)
+    sum_bad = tuple((states[i], float(total[i])) for i in np.flatnonzero(abs(total - 1.0) > ROW_SUM_TOL))
+    prob_bad = tuple((states[row_of[k]], states[j[k]], float(p[k]))
+                     for k in np.flatnonzero(inside & ~((p > 0.0) & (p <= 1.0 + ROW_SUM_TOL))))
+    target_bad = tuple((states[row_of[k]], int(j[k])) for k in np.flatnonzero(~inside))
+    del row_of  # the graph below is the larger transient; keep them apart
+    live = inside & (p > 0.0)
+    live_ptr = np.concatenate(([0], np.cumsum(live)))[ptr]
+    graph = sparse.csr_matrix((np.ones(live_ptr[-1], dtype=bool), j[live], live_ptr), shape=(n, n))
+    graph.sum_duplicates()  # connected_components miscounts or hangs on duplicate entries
     n_comp, _ = connected_components(graph, directed=True, connection="strong")
-    return KernelReport(tuple(row_sum_bad), tuple(prob_bad), tuple(target_bad),
-                        n_comp == 1, int(n_comp))
+    return KernelReport(sum_bad, prob_bad, target_bad, n_comp == 1, int(n_comp))
 
 
 # ---------------------------------------------------------------------------

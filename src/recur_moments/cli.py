@@ -19,6 +19,7 @@ import argparse
 import json
 import math
 import os
+import re
 import sys
 
 from ._atomic import AtomicDist
@@ -33,6 +34,7 @@ from .passage import (conditioned_hit_law, conditioned_return_law,
                       crossing_return_law, first_passage_law, law_to_csv_text)
 
 DEFAULT_SEED = 12345
+_SIGNED_FLOAT = re.compile(r"-(inf(inity)?|nan|(\d+\.?\d*|\.\d+)(e[-+]?\d+)?)", re.IGNORECASE)
 
 _LAW_MODES = {
     "passage": first_passage_law,
@@ -291,10 +293,23 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _attach_signed_values(argv: list[str]) -> list[str]:
+    """``--flag -1e3`` as ``--flag=-1e3``: argparse takes only values like
+    ``-1`` or ``-.5`` for numbers, and ``-1e3`` or ``-inf`` for an option.
+    Every flag here but --help takes one value, so attaching keeps the meaning."""
+    out: list[str] = []
+    for tok in argv:
+        if out and re.fullmatch(r"--[^=]+", out[-1]) and _SIGNED_FLOAT.fullmatch(tok):
+            out[-1] += "=" + tok
+        else:
+            out.append(tok)
+    return out
+
+
 def main(argv=None) -> int:
     parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = parser.parse_args(_attach_signed_values(sys.argv[1:] if argv is None else argv))
     except SystemExit as exc:
         return int(exc.code) if exc.code is not None else 0
     try:

@@ -7,11 +7,15 @@ these, not the other way round.
 
 from __future__ import annotations
 
+import json
 import math
 
 import numpy as np
+from scipy import sparse
+from scipy.sparse.csgraph import connected_components
 
-from recur_moments import TransitionKernel
+from recur_moments import KernelReport, TransitionKernel
+from recur_moments.chain import ROW_SUM_TOL
 
 
 def enumerate_passage_pmf(kernel: TransitionKernel, start: int, absorb: int,
@@ -208,3 +212,75 @@ def reference_compound(u, v, pi: float, horizon: int) -> tuple[np.ndarray, float
         s[t + 1] = s_free[t] + qu_rev[h - t - 1:] @ s[:t + 1]
     log_tail = max(math.log(s[h]) if s[h] > 0.0 else -math.inf, h * math.log1p(-pi))
     return c, log_tail
+
+
+def sparse_ring_kernel(n: int, per_row: int, seed: int) -> TransitionKernel:
+    """Seeded chain with ``per_row`` distinct targets in every row, one of
+    them the next state on a ring."""
+    rng = np.random.default_rng(seed)
+    rows = []
+    for i in range(n):
+        targets = {(i + 1) % n}
+        while len(targets) < per_row:
+            targets.add(int(rng.integers(n)))
+        rows.append(list(zip(sorted(targets), rng.dirichlet(np.ones(per_row)).tolist())))
+    return TransitionKernel([str(i) for i in range(n)], rows)
+
+
+# ---------------------------------------------------------------------------
+# the row loops the library ran before it stored kernels as CSR arrays; each
+# takes the states and the rows as lists of (target index, probability)
+
+
+def reference_csr(states, rows) -> sparse.csr_matrix:
+    """COO lists built edge by edge; scipy sorts each row and sums
+    duplicates."""
+    data, ri, ci = [], [], []
+    for i, row in enumerate(rows):
+        for j, p in row:
+            ri.append(i)
+            ci.append(j)
+            data.append(p)
+    return sparse.csr_matrix((data, (ri, ci)), shape=(len(states), len(states)))
+
+
+def reference_dense(states, rows) -> np.ndarray:
+    """Every entry added in place, duplicates in row order."""
+    mat = np.zeros((len(states), len(states)))
+    for i, row in enumerate(rows):
+        for j, p in row:
+            mat[i, j] += p
+    return mat
+
+
+def reference_report(states, rows) -> KernelReport:
+    """Violations in row order, a running total per row, and the strong
+    components of the graph of the in-range edges with p > 0."""
+    n = len(states)
+    row_sum_bad, prob_bad, target_bad = [], [], []
+    edges_r, edges_c = [], []
+    for i, row in enumerate(rows):
+        total = 0.0
+        for j, p in row:
+            if not 0 <= j < n:
+                target_bad.append((states[i], j))
+                continue
+            if not 0.0 < p <= 1.0 + ROW_SUM_TOL:
+                prob_bad.append((states[i], states[j], p))
+            total += p
+            if p > 0:
+                edges_r.append(i)
+                edges_c.append(j)
+        if abs(total - 1.0) > ROW_SUM_TOL:
+            row_sum_bad.append((states[i], total))
+    graph = sparse.csr_matrix((np.ones(len(edges_r)), (edges_r, edges_c)), shape=(n, n))
+    n_comp, _ = connected_components(graph, directed=True, connection="strong")
+    return KernelReport(tuple(row_sum_bad), tuple(prob_bad), tuple(target_bad),
+                        n_comp == 1, int(n_comp))
+
+
+def reference_kernel_json(states, rows) -> str:
+    """The text ``save_kernel_json`` wrote from the rows."""
+    obj = {"states": list(states),
+           "rows": [[[states[j], p] for j, p in row] for row in rows]}
+    return json.dumps(obj, indent=2, sort_keys=True) + "\n"

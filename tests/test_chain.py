@@ -2,20 +2,22 @@ from __future__ import annotations
 
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from recur_moments import (AtomicDist, InvalidInput, PetalChain,
+from recur_moments import (AtomicDist, InvalidInput, KernelReport, PetalChain,
                            TransitionKernel, TwoStateChain, build_petal_chain,
                            build_two_state, load_kernel_json, random_kernel,
                            sample_passage, sample_passage_times,
                            save_kernel_json, stationary_distribution,
                            validate_kernel)
 
-from helpers import hitting_time_means
+from helpers import (hitting_time_means, reference_csr, reference_dense,
+                     reference_kernel_json, reference_report, sparse_ring_kernel)
 
 
 def test_two_state_structure():
@@ -71,6 +73,127 @@ def test_index_of_accepts_names_and_indices(kernel3):
         kernel3.index_of("missing")
     with pytest.raises(InvalidInput):
         kernel3.index_of(7)
+
+
+# ---------------------------------------------------------------------------
+# CSR storage against the row loops it replaced
+
+
+def _duplicate_kernel(n: int, per_row: int, seed: int):
+    """Rows of ``per_row`` unsorted targets drawn with replacement, so most
+    rows repeat a target, plus the next state on a ring."""
+    rng = np.random.default_rng(seed)
+    rows = []
+    for i in range(n):
+        targets = [(i + 1) % n] + rng.integers(n, size=per_row - 1).tolist()
+        rows.append(list(zip(targets, rng.dirichlet(np.ones(per_row)).tolist())))
+    return [str(i) for i in range(n)], rows
+
+
+#: Kernels given as rows: malformed ones, duplicate targets, a reducible chain.
+_RAW_ROWS = {
+    "row_sum_off": (["x", "y"], [[(0, 0.5), (1, 0.6)], [(0, 1.0)]]),
+    # the bad edge x -> y is the only way into y, so it must stay out of the graph
+    "zero_p": (["x", "y"], [[(0, 1.0), (1, 0.0)], [(0, 1.0)]]),
+    "negative_p": (["x", "y"], [[(0, 1.5), (1, -0.5)], [(0, 1.0)]]),
+    "nan_p": (["x", "y"], [[(0, 1.0), (1, math.nan)], [(0, 1.0)]]),
+    "p_above_1": (["x", "y"], [[(1, 1.5)], [(0, 1.0)]]),
+    "target_too_big": (["x", "y"], [[(0, 0.5), (2, 0.5)], [(0, 1.0)]]),
+    "target_negative": (["x", "y", "z"], [[(-1, 0.5), (1, 0.5)], [(2, 1.0)], [(0, 1.0)]]),
+    "empty_row": (["x", "y"], [[], [(0, 1.0)]]),
+    "duplicates": (["x", "y", "z"], [[(2, 0.1), (1, 0.2), (2, 0.3), (2, 0.4)],
+                                    [(0, 0.7), (0, 0.1), (0, 0.1), (0, 0.1)],
+                                    [(1, 1.0 / 3), (0, 1.0 / 3), (1, 1.0 / 3)]]),
+    "reducible": (["x", "y"], [[(0, 1.0)], [(1, 1.0)]]),
+    # scipy's strong components miscount or hang on duplicate graph entries
+    "duplicates300": _duplicate_kernel(300, 6, seed=5),
+}
+
+_BUILT = {
+    **{f"random{n}": (lambda n=n: random_kernel(n, np.random.default_rng(n)))
+       for n in (2, 3, 4, 5, 6, 7, 8, 16, 64, 200)},
+    "two_state": lambda: build_two_state(0.3),
+    "petal": lambda: build_petal_chain(*_petal_pair(), 0.4, max_petals=2),
+    "sparse3000": lambda: sparse_ring_kernel(3000, 5, seed=3000),
+}
+
+
+def _same_or_both_raise(new, old) -> None:
+    """Call both; equal results, or the same exception type from both."""
+    try:
+        want = old()
+    except Exception as exc:  # the old loop's failure is the expectation
+        with pytest.raises(type(exc)):
+            new()
+        return
+    got = new()
+    if isinstance(want, np.ndarray):
+        assert got.dtype == want.dtype
+        np.testing.assert_array_equal(got, want)
+    elif isinstance(want, KernelReport):
+        assert repr(got) == repr(want)  # repr: a NaN entry equals itself
+    else:
+        assert got == want
+
+
+def _assert_matches_row_loops(kernel, states, rows, tmp_path) -> None:
+    _same_or_both_raise(lambda: validate_kernel(kernel), lambda: reference_report(states, rows))
+    _same_or_both_raise(lambda: kernel.dense_matrix, lambda: reference_dense(states, rows))
+    for attr in ("indptr", "indices", "data"):
+        _same_or_both_raise(lambda: getattr(kernel.csr, attr),
+                            lambda: getattr(reference_csr(states, rows), attr))
+    path = tmp_path / "k.json"
+    _same_or_both_raise(lambda: save_kernel_json(kernel, path) or path.read_text(),
+                        lambda: reference_kernel_json(states, rows))
+
+
+@pytest.mark.parametrize("name", ["kernel3", "kernel4", *_BUILT, *_RAW_ROWS])
+def test_csr_storage_matches_row_loops(name, request, tmp_path):
+    if name in _RAW_ROWS:
+        states, rows = _RAW_ROWS[name]
+        kernel = TransitionKernel(states, rows)
+        assert repr(kernel.rows) == repr(tuple(tuple(row) for row in rows))
+    else:
+        kernel = request.getfixturevalue(name) if name.startswith("kernel") else _BUILT[name]()
+        states, rows = kernel.states, kernel.rows
+    assert repr([kernel.out_edges(i) for i in range(kernel.n_states)]) == \
+        repr([list(row) for row in kernel.rows])
+    _assert_matches_row_loops(kernel, states, rows, tmp_path)
+    if validate_kernel(kernel).ok:
+        back = TransitionKernel.from_json_dict(kernel.to_json_dict())
+        for attr in ("indptr", "indices", "data"):
+            got, want = getattr(back, attr), getattr(kernel, attr)
+            assert got.dtype == want.dtype and np.array_equal(got, want)
+
+
+def test_kernel_arrays_and_rows_are_read_only(kernel3):
+    with pytest.raises(AttributeError):
+        kernel3.rows = ()
+    for arr in (kernel3.indptr, kernel3.indices, kernel3.data):
+        with pytest.raises(ValueError):
+            arr[0] = 0
+    assert not np.shares_memory(kernel3.csr.data, kernel3.data)
+
+
+def test_json_parse_memory_bound():
+    """Peak traced memory of parsing, validating and storing a 20 000-state,
+    4-per-row kernel dict.  Parsing into (target, p) tuples, and validating
+    from edge lists, peaked at 11.9 MB; the arrays peak near 3.9 MB."""
+    n = 20_000
+    rng = np.random.default_rng(7)
+    names = [str(i) for i in range(n)]
+    targets = np.column_stack([(np.arange(n) + 1) % n, rng.integers(n, size=(n, 3))])
+    obj = {"states": names,
+           "rows": [[[names[t], p] for t, p in zip(row, (0.4, 0.3, 0.2, 0.1))]
+                    for row in targets.tolist()]}
+    tracemalloc.start()
+    try:
+        kernel = TransitionKernel.from_json_dict(obj)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert kernel.n_states == n
+    assert peak < 8e6, f"from_json_dict peaked at {peak / 1e6:.2f} MB"
 
 
 # ---------------------------------------------------------------------------

@@ -272,6 +272,57 @@ def test_invalid_input_exits_2(capsys, argv):
     assert err.startswith("error:")
 
 
+_MOMENT_2STATE = ("moment", "--builtin", "two-state:0.5", "--from", "1", "--to", "1",
+                  "--function", "power:1", "--horizon", "5")
+
+
+@pytest.mark.parametrize("argv, flag, value", [
+    (_MOMENT_2STATE, "--threshold-log", "-1e3"),
+    (_MOMENT_2STATE, "--threshold-log", "-1E+3"),
+    (("demo", "sharp"), "--threshold-log", "-1e3"),
+    (("demo", "sharp"), "--p", "-1e3"),
+    (("demo", "exponential"), "--delta", "-1e3"),
+    (("demo", "exponential"), "--p", "-.5e1"),
+])
+def test_signed_exponent_value_reads_as_a_number(capsys, argv, flag, value):
+    separate = run_cli(capsys, *argv, flag, value)
+    attached = run_cli(capsys, *argv, f"{flag}={value}")
+    assert separate == attached
+    assert "expected one argument" not in separate[2]
+
+
+def test_negative_exponent_threshold_diverges(capsys):
+    rc, out, _ = run_cli(capsys, *_MOMENT_2STATE, "--threshold-log", "-1e3")
+    assert rc == 0 and json.loads(out)["verdict"] == "diverged"
+
+
+@pytest.mark.parametrize("argv", [_MOMENT_2STATE, ("demo", "sharp")])
+def test_negative_infinite_threshold_exits_2(capsys, argv):
+    rc, out, err = run_cli(capsys, *argv, "--threshold-log", "-inf")
+    assert rc == 2 and out == ""
+    assert err.startswith("error: divergence threshold must be finite")
+
+
+@pytest.mark.parametrize("rows, prefix", [
+    (5, "error: bad chain rows:"),
+    ([5], "error: bad chain rows:"),
+    ([[["a", "x"]]], "error: bad chain rows:"),
+    ([[["a", None]]], "error: bad chain rows:"),
+    ([[["a"]]], "error: bad chain rows:"),
+    ([[["b", 1.0]]], "error: unknown target state 'b'"),
+    ([[]], "error: invalid chain: 1 row sum(s)"),
+    ([[["a", math.nan]]], "error: invalid chain: 1 probability(ies)"),
+    ([[["a", 1.0]], []], "error: rows and states disagree in length"),
+])
+def test_kernel_rows_error_messages(tmp_path, capsys, rows, prefix):
+    path = tmp_path / "k.json"
+    path.write_text(json.dumps({"states": ["a"], "rows": rows}))
+    rc, out, err = run_cli(capsys, "fpt", "--kernel", str(path),
+                           "--from", "a", "--to", "a", "--horizon", "5")
+    assert rc == 2 and out == ""
+    assert err.startswith(prefix) and err.count("\n") == 1
+
+
 def test_both_chain_flags_rejected(tmp_path, capsys):
     path = tmp_path / "k.json"
     save_kernel_json(build_two_state(0.5), path)

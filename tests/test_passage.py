@@ -27,6 +27,7 @@ from helpers import (absorbed_mass_iterative, brute_convolve_dicts,
                      enumerate_passage_pmf, pmf_dict_to_array,
                      reaches_oracle, reference_compound, reference_laws,
                      two_state_return_pmf_11)
+from helpers import sparse_ring_kernel as _sparse_kernel
 
 ORACLE_H = 8
 
@@ -124,19 +125,6 @@ _ENGINE_HORIZONS = (1, 63, 64, 65, 600, 1500)
 _EXACT_THROUGH = 600
 _COMPARABLE = np.where(np.arange(1, max(_ENGINE_HORIZONS) + 1) <= _EXACT_THROUGH,
                        _SMALLEST_NORMAL, 2.0 ** -1000)
-
-
-def _sparse_kernel(n: int, per_row: int, seed: int) -> TransitionKernel:
-    """Seeded chain with ``per_row`` distinct targets in every row, one of
-    them the next state on a ring."""
-    rng = np.random.default_rng(seed)
-    rows = []
-    for i in range(n):
-        targets = {(i + 1) % n}
-        while len(targets) < per_row:
-            targets.add(int(rng.integers(n)))
-        rows.append(list(zip(sorted(targets), rng.dirichlet(np.ones(per_row)).tolist())))
-    return TransitionKernel([str(i) for i in range(n)], rows)
 
 
 def _engine_cases():
