@@ -12,6 +12,10 @@ closed forms used all over the test suite:
   probability (1-p)/2).  A loop of length x returns to the hub after exactly
   x steps, so the return law of the hub is the p-weighted mixture of a point
   mass at 2 with U1 and U2.
+
+scipy is imported on first use, not with the module: ``csr`` loads
+``scipy.sparse``, and :func:`validate_kernel`, which every JSON kernel load
+runs, loads ``scipy.sparse.csgraph`` and with it ``scipy.linalg``.
 """
 
 from __future__ import annotations
@@ -23,13 +27,13 @@ from functools import cached_property
 from typing import TYPE_CHECKING, Union
 
 import numpy as np
-from scipy import sparse
-from scipy.sparse.csgraph import connected_components
 
 from .errors import ConvergenceFailure, InvalidInput
 from .logspace import logsumexp
 
 if TYPE_CHECKING:
+    from scipy import sparse
+
     from ._atomic import AtomicDist
 
 ROW_SUM_TOL = 1e-12
@@ -95,6 +99,8 @@ class TransitionKernel:
     @cached_property
     def csr(self) -> sparse.csr_matrix:
         """Through COO, as scipy checks targets, sorts rows and sums duplicates."""
+        from scipy import sparse
+
         row_of = np.repeat(np.arange(self.n_states), np.diff(self.indptr))
         return sparse.csr_matrix((self.data, (row_of, self.indices)), shape=(self.n_states,) * 2)
 
@@ -194,6 +200,9 @@ def validate_kernel(kernel: TransitionKernel) -> KernelReport:
     """Check row sums (within ROW_SUM_TOL of 1), probability ranges, target
     indices, and strong connectivity of the positive-probability graph.
     Out-of-range entries are left out of the other checks."""
+    from scipy import sparse
+    from scipy.sparse.csgraph import connected_components
+
     n, states, ptr, j, p = kernel.n_states, kernel.states, kernel.indptr, kernel.indices, kernel.data
     row_of = np.repeat(np.arange(n), np.diff(ptr))
     inside = (j >= 0) & (j < n)

@@ -8,8 +8,8 @@ Subcommands:
 * ``demo``      the counterexample demonstrations, as JSON (+ trace CSV).
 
 Exit codes: 0 on success, 2 on invalid input (bad flags, malformed files,
-bad parameters), 3 when a mathematical precondition fails or a demonstration
-does not reach its verdict.  Outputs are deterministic: sorted JSON keys,
+bad parameters, a size too large for memory), 3 when a mathematical
+precondition fails or a demonstration does not reach its verdict.  Outputs are deterministic: sorted JSON keys,
 fixed float formatting, and a fixed default seed (12345) for sampling.
 """
 
@@ -316,6 +316,9 @@ def main(argv=None) -> int:
         return args.func(args)
     except (InvalidInput, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except MemoryError as exc:  # numpy's message names the size it could not allocate
+        print(f"error: out of memory: {exc}", file=sys.stderr)
         return 2
     except (NoSuchPath, IncomparableLaws, PreconditionFailed, ConvergenceFailure) as exc:
         print(f"error: {exc}", file=sys.stderr)

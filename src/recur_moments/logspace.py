@@ -27,13 +27,14 @@ def log_add(a: float, b: float) -> float:
 
 
 def logsumexp(values) -> float:
-    """log of the sum of exponentials; an empty input sums to zero mass."""
+    """log of the sum of exponentials; an empty input sums to zero mass, and
+    an infinite term makes the sum infinite."""
     arr = np.asarray(values, dtype=float)
     if arr.size == 0:
         return LOG_ZERO
     m = float(np.max(arr))
-    if m == LOG_ZERO:
-        return LOG_ZERO
+    if math.isinf(m):
+        return m
     return m + math.log(float(np.sum(np.exp(arr - m))))
 
 

@@ -254,12 +254,13 @@ class MomentFunction:
         arr = np.asarray(ns)
         if arr.size and arr.min() < 1:
             raise InvalidInput("moment functions are defined for n >= 1")
-        if self.kind is FunctionKind.POWER:
-            return self.param * np.log(arr.astype(float))
-        if self.kind is FunctionKind.LOG_POWER:
-            return self.param * np.log(np.log(arr.astype(float) + 2.0))
-        if self.kind is FunctionKind.EXPONENTIAL:
-            return self.param * arr.astype(float)
+        with np.errstate(over="ignore"):  # a log f(n) past the float range is +inf
+            if self.kind is FunctionKind.POWER:
+                return self.param * np.log(arr.astype(float))
+            if self.kind is FunctionKind.LOG_POWER:
+                return self.param * np.log(np.log(arr.astype(float) + 2.0))
+            if self.kind is FunctionKind.EXPONENTIAL:
+                return self.param * arr.astype(float)
         return np.array([self._log_eval(int(n)) for n in arr.ravel()], dtype=float).reshape(arr.shape)
 
     def burst_g(self, n: int) -> int:
@@ -293,18 +294,19 @@ class MomentFunction:
             return math.e
         return None
 
-    def submult_certificate(self) -> float | None:
-        """A constant K with f(x+y) <= K f(x) f(y) for all x, y >= 1, when
-        one is known analytically; None otherwise.
+    def log_submult_certificate(self) -> float | None:
+        """log K for a constant K with f(x+y) <= K f(x) f(y) for all x, y >= 1,
+        when one is known analytically; None otherwise.  K itself can
+        overflow a float: 2^p does from p = 1024 on.
 
         For f = n^p: x+y <= 2 max(x,y) <= 2xy on integers >= 1, so K = 2^p.
         For f = log(n+2)^q: log(x+y+2) <= (1 + ln2/ln3) log(y+2) for x <= y,
         and log(x+2) >= ln 3, giving K = ((1 + ln2/ln3)/ln3)^q.
         """
         if self.kind is FunctionKind.POWER:
-            return 2.0 ** self.param
+            return self.param * _LN2
         if self.kind is FunctionKind.LOG_POWER:
-            return ((1.0 + _LN2 / _LN3) / _LN3) ** self.param
+            return self.param * math.log((1.0 + _LN2 / _LN3) / _LN3)
         return None
 
 
@@ -525,11 +527,15 @@ def classify(f: MomentFunction, profile_n: int = 10 ** 6) -> Classification:
     """
     if profile_n < 1:
         raise InvalidInput(f"profile_n must be >= 1, got {profile_n}")
-    cert = f.submult_certificate()
-    if cert is not None:
+    log_k = f.log_submult_certificate()
+    if log_k is not None:
+        try:
+            k_text = f"{math.exp(log_k):g}"
+        except OverflowError:
+            k_text = f"e^{log_k:.6g}"
         return Classification(
             VERDICT_SATISFIES,
-            f"analytic certificate: f(x+y) <= {cert:g} f(x) f(y) and log f(n)/n -> 0",
+            f"analytic certificate: f(x+y) <= {k_text} f(x) f(y) and log f(n)/n -> 0",
         )
 
     maxima: list[float] = []

@@ -28,6 +28,10 @@ and one triangular solve per block), adding only nonnegative terms.
 Tail *certificates* (N0, rho) assert the computed survival ratios satisfy
 P(T > n+1) <= rho P(T > n) for all computed n >= N0; downstream moment code
 refuses to extrapolate without one.
+
+scipy is imported on first use, not with the module: the first propagated
+law loads ``scipy.sparse`` (through the kernel's ``csr`` and the compiled
+matvec), and the first dense geometric compound loads ``scipy.linalg``.
 """
 
 from __future__ import annotations
@@ -40,8 +44,6 @@ from dataclasses import dataclass
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
-from scipy.linalg import solve_triangular, toeplitz
-from scipy.sparse._sparsetools import csc_matvec as _csc_matvec
 
 from ._atomic import _MASS_TOL, AtomicDist
 from .chain import TransitionKernel, StateRef
@@ -304,6 +306,7 @@ _RESCALE_BELOW = 2.0 ** -600
 _LN2 = math.log(2.0)
 _BLOCK_ROWS = 64
 _BLOCK_DOUBLES = 2 ** 16
+_csc_matvec = None  # scipy's compiled CSC matvec, bound by the first _propagate
 
 
 def _taboo_operator(kernel: TransitionKernel, absorb: int, kill: int | None,
@@ -370,6 +373,9 @@ def _propagate(kernel: TransitionKernel, start: int, horizon: int, *, absorb: in
     and alive after step t, both times 2^scale[t], and the final q, times
     2^scale[-1].
     """
+    global _csc_matvec
+    if _csc_matvec is None:
+        from scipy.sparse._sparsetools import csc_matvec as _csc_matvec
     indptr, indices, data, width = _taboo_operator(kernel, absorb, kill, flag)
     w = width + 1
     rows = max(1, min(_BLOCK_ROWS, _BLOCK_DOUBLES // w))
@@ -469,9 +475,11 @@ def hit_before_return_prob(kernel: TransitionKernel, source: StateRef,
 def _reaches(kernel: TransitionKernel, start: int, goal: int, avoid: int) -> bool:
     """Whether a path of one or more positive-probability steps leads from
     ``start`` into ``goal`` without entering ``avoid`` first."""
+    ptr, dest = kernel.indptr, kernel.indices
     seen, stack = set(), [start]
     while stack:
-        for nxt, _ in kernel.out_edges(stack.pop()):
+        k = stack.pop()
+        for nxt in dest[ptr[k]:ptr[k + 1]].tolist():
             if nxt == goal:
                 return True
             if nxt != avoid and nxt not in seen:
@@ -705,6 +713,8 @@ def _fit(arr: np.ndarray, h: int, fill: float) -> np.ndarray:
 
 def _compound_dense(u: PassageLaw, v: PassageLaw, pi: float, log_q: float,
                     h: int) -> PassageLaw:
+    from scipy.linalg import solve_triangular, toeplitz
+
     q = 1.0 - pi
     # beyond an operand's horizon its pmf is unknown: none of it is assigned
     # there, and its survival stays at its tail

@@ -8,6 +8,7 @@ import os
 import shutil
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -16,6 +17,7 @@ import pytest
 import recur_moments
 from recur_moments import (AtomicDist, PetalChain, build_two_state,
                            first_passage_law, law_from_csv, save_kernel_json)
+from recur_moments import cli
 from recur_moments.cli import main
 
 
@@ -117,6 +119,17 @@ def test_classify_burst_function(capsys):
     assert set(w) == {"x", "y", "log_defect"} and w["log_defect"] > 0
 
 
+@pytest.mark.parametrize("function, k_text", [("power:2000", "e^1386.29"),
+                                               ("logpow:5000", "e^1975.51")])
+def test_classify_huge_exponent_satisfies(capsys, function, k_text):
+    # the constant K overflowed a float: exit 1 with an OverflowError
+    rc, out, err = run_cli(capsys, "classify", "--function", function)
+    assert rc == 0 and err == ""
+    payload = json.loads(out)
+    assert payload["verdict"] == "SatisfiesC"
+    assert f"f(x+y) <= {k_text} f(x) f(y)" in payload["detail"]
+
+
 @pytest.mark.parametrize("function, profile_n", [("power:2", "-5"), ("exp:0.1", "0")])
 def test_classify_profile_n_below_1_exits_2(capsys, function, profile_n):
     rc, out, err = run_cli(capsys, "classify", "--function", function,
@@ -158,6 +171,18 @@ def test_moment_diverged_exits_zero(capsys):
     payload = json.loads(out)
     assert payload["verdict"] == "diverged"
     assert payload["log_tail_bound"] is None
+
+
+def test_moment_infinite_log_f_diverges(capsys):
+    # log f(n) = 1e308 n is +inf from n = 2 on; the partial sum is +inf,
+    # which logsumexp used to turn into NaN, reported as converged
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        rc, out, err = run_cli(capsys, "moment", "--builtin", "two-state:0.5",
+                               "--from", "0", "--to", "0", "--function", "exp:1e308")
+    assert rc == 0 and err == ""
+    assert '"log_partial_sum": Infinity' in out
+    assert json.loads(out)["verdict"] == "diverged"
 
 
 def test_moment_mc_deterministic(capsys):
@@ -301,6 +326,21 @@ def test_negative_infinite_threshold_exits_2(capsys, argv):
     rc, out, err = run_cli(capsys, *argv, "--threshold-log", "-inf")
     assert rc == 2 and out == ""
     assert err.startswith("error: divergence threshold must be finite")
+
+
+def test_out_of_memory_exits_2(capsys, monkeypatch):
+    # the real repro, fpt --horizon 100000000000, asks numpy for 745 GiB;
+    # raising here keeps the test from allocating anything
+    def too_big(*_):
+        raise MemoryError("Unable to allocate 745. GiB for an array with "
+                          "shape (100000000000,) and data type float64")
+
+    monkeypatch.setitem(cli._LAW_MODES, "passage", too_big)
+    rc, out, err = run_cli(capsys, "fpt", "--builtin", "two-state:0.5",
+                           "--from", "0", "--to", "1", "--horizon", "100000000000")
+    assert rc == 2 and out == ""
+    assert err == ("error: out of memory: Unable to allocate 745. GiB for an array "
+                   "with shape (100000000000,) and data type float64\n")
 
 
 @pytest.mark.parametrize("rows, prefix", [

@@ -1,0 +1,92 @@
+"""Which scipy subpackages each entry point loads, each probed in a fresh
+interpreter: this test process has scipy.sparse.csgraph loaded already
+(helpers imports it), so an in-process check would see nothing."""
+
+from __future__ import annotations
+
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import recur_moments
+
+_PROBE = """
+import json, sys
+print(json.dumps(sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))))
+"""
+
+
+def scipy_modules_after(code: str) -> set[str]:
+    """The scipy modules loaded once ``code`` has run in a fresh interpreter
+    that imports the package from the same tree as these tests."""
+    src = str(Path(recur_moments.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    proc = subprocess.run([sys.executable, "-c", code + _PROBE], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    return set(json.loads(proc.stdout.splitlines()[-1]))
+
+
+def loaded(mods: set[str], package: str) -> bool:
+    return any(m == package or m.startswith(package + ".") for m in mods)
+
+
+def test_package_and_cli_import_loads_no_scipy():
+    assert scipy_modules_after("import recur_moments, recur_moments.cli") == set()
+
+
+def test_classify_loads_no_scipy():
+    mods = scipy_modules_after(
+        "import contextlib, io\n"
+        "from recur_moments.cli import main\n"
+        "with contextlib.redirect_stdout(io.StringIO()) as out:\n"
+        "    assert main(['classify', '--function', 'burst:default']) == 0\n"
+        "assert 'ViolatesC_i' in out.getvalue()\n")
+    assert mods == set()
+
+
+def test_law_and_moment_load_only_scipy_sparse():
+    mods = scipy_modules_after(
+        "import numpy as np\n"
+        "from recur_moments import first_passage_law, f_moment, power_fn, random_kernel\n"
+        "law = first_passage_law(random_kernel(6, np.random.default_rng(0)), 0, 1, 300)\n"
+        "assert f_moment(law, power_fn(2)).verdict == 'converged'\n")
+    assert loaded(mods, "scipy.sparse")
+    assert not loaded(mods, "scipy.linalg")
+    assert not loaded(mods, "scipy.sparse.csgraph")
+    assert not loaded(mods, "scipy.sparse.linalg")
+
+
+def test_kernel_validation_loads_csgraph_on_first_use(tmp_path):
+    path = tmp_path / "reducible.json"
+    path.write_text('{"states": ["a", "b", "c"], '
+                    '"rows": [[["b", 1.0]], [["a", 1.0]], [["c", 1.0]]]}')
+    mods = scipy_modules_after(
+        "import sys\n"
+        "from recur_moments import InvalidInput, load_kernel_json\n"
+        "assert 'scipy.sparse.csgraph' not in sys.modules\n"
+        "try:\n"
+        f"    load_kernel_json({str(path)!r})\n"
+        "except InvalidInput as exc:\n"
+        "    assert 'not irreducible (2 strong components)' in str(exc), exc\n"
+        "else:\n"
+        "    raise AssertionError('a reducible chain was accepted')\n")
+    assert loaded(mods, "scipy.sparse.csgraph")
+
+
+def test_dense_compound_loads_scipy_linalg_on_first_use():
+    mods = scipy_modules_after(
+        "import math, sys\n"
+        "import numpy as np\n"
+        "from recur_moments import PassageLaw, geometric_compound\n"
+        "assert 'scipy.linalg' not in sys.modules\n"
+        "u = PassageLaw.dense([0.0, 1.0], 0.0)\n"
+        "v = PassageLaw.dense([1.0], 0.0)\n"
+        "c = geometric_compound(u, v, 0.5, horizon=400)\n"
+        "want = np.zeros(400)\n"
+        "want[0::2] = 0.5 ** np.arange(1, 201)\n"
+        "assert np.allclose(c.pmf_array(), want, rtol=1e-12, atol=0.0)\n")
+    assert loaded(mods, "scipy.linalg")
+    assert not loaded(mods, "scipy.sparse.csgraph")

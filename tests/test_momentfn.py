@@ -143,17 +143,18 @@ def test_growth_ratio_bound_none_for_custom():
 
 
 @pytest.mark.parametrize("f", [power_fn(2), power_fn(0.5), log_power_fn(1),
-                               log_power_fn(4)])
+                               log_power_fn(4), power_fn(2000), log_power_fn(5000)])
 def test_submult_certificate_brute(f):
-    log_k = math.log(f.submult_certificate())
+    # K = 2^2000 and 1.4845^5000 overflow a float; log K does not
+    log_k = f.log_submult_certificate()
     for x in range(1, 120):
         for y in range(x, 120):
             assert f.log_f(x + y) <= log_k + f.log_f(x) + f.log_f(y) + 1e-12
 
 
 def test_submult_certificate_none_for_others():
-    assert exp_fn(1).submult_certificate() is None
-    assert default_burst().submult_certificate() is None
+    assert exp_fn(1).log_submult_certificate() is None
+    assert default_burst().log_submult_certificate() is None
 
 
 # ---------------------------------------------------------------------------
@@ -217,6 +218,17 @@ def test_classify_power_satisfies():
 
 def test_classify_log_power_satisfies():
     assert classify(log_power_fn(1)).verdict == VERDICT_SATISFIES
+
+
+@pytest.mark.parametrize("f, k_text", [(power_fn(2), "4"), (power_fn(1000), "1.07151e+301"),
+                                       (power_fn(2000), "e^1386.29"),
+                                       (log_power_fn(5000), "e^1975.51")])
+def test_classify_prints_k_or_its_log(f, k_text):
+    # 2.0 ** 2000 and 1.4845 ** 5000 used to raise OverflowError
+    out = classify(f)
+    assert out.verdict == VERDICT_SATISFIES
+    assert out.detail == (f"analytic certificate: f(x+y) <= {k_text} f(x) f(y) "
+                          "and log f(n)/n -> 0")
 
 
 def test_classify_exponential_recovers_rate():
