@@ -33,7 +33,7 @@ import numpy as np
 from ._atomic import AtomicDist
 from .chain import build_two_state
 from .errors import InvalidInput, PreconditionFailed, WitnessSearchExhausted
-from .logspace import LOG_ZERO, logsumexp
+from .logspace import LOG_ZERO, exp_text, logsumexp
 from .momentfn import FunctionKind, MomentFunction, burst_fn, default_burst_schedule, exp_fn
 from .moments import SeriesVerdict, _check_threshold, f_moment, lower_bound_series
 from .passage import _opened, first_passage_law
@@ -348,5 +348,5 @@ def demo_exponential(delta: float = 0.5, p: float = 0.25, *,
         series=series,
         notes="return moment at the holding state is a two-term closed form; "
               "the series at the bouncing state is a certified lower bound "
-              f"with term ratio exp(delta)(1-p) = {math.exp(log_ratio):.6g}",
+              f"with term ratio exp(delta)(1-p) = {exp_text(log_ratio)}",
     )

@@ -58,3 +58,12 @@ def log_sub(a: float, b: float) -> float:
     if a == b:
         return LOG_ZERO
     return a + log1mexp(b - a)
+
+
+def exp_text(log_x: float) -> str:
+    """e^log_x printed with six significant digits, or as ``e^<log_x>``
+    once e^log_x is past the float range."""
+    try:
+        return f"{math.exp(log_x):.6g}"
+    except OverflowError:
+        return f"e^{log_x:.6g}"

@@ -29,6 +29,7 @@ from typing import Callable, Iterable, Sequence
 import numpy as np
 
 from .errors import InvalidInput
+from .logspace import exp_text
 
 _LN2 = math.log(2.0)
 _LN3 = math.log(3.0)
@@ -280,16 +281,20 @@ class MomentFunction:
 
         Powers and log-powers have non-increasing ratios so the value at
         ``start`` dominates; exponentials are constant; bursts climb at most
-        one unit of log per step.  Custom functions carry no bound.
+        one unit of log per step.  A bound past the float range is +inf.
+        Custom functions carry no bound.
         """
         if start < 1:
             raise InvalidInput("start must be >= 1")
-        if self.kind is FunctionKind.POWER:
-            return (1.0 + 1.0 / start) ** self.param
-        if self.kind is FunctionKind.LOG_POWER:
-            return (math.log(start + 3) / math.log(start + 2)) ** self.param
-        if self.kind is FunctionKind.EXPONENTIAL:
-            return math.exp(self.param)
+        try:
+            if self.kind is FunctionKind.POWER:
+                return (1.0 + 1.0 / start) ** self.param
+            if self.kind is FunctionKind.LOG_POWER:
+                return (math.log(start + 3) / math.log(start + 2)) ** self.param
+            if self.kind is FunctionKind.EXPONENTIAL:
+                return math.exp(self.param)
+        except OverflowError:
+            return math.inf
         if self.kind is FunctionKind.BURST:
             return math.e
         return None
@@ -529,13 +534,9 @@ def classify(f: MomentFunction, profile_n: int = 10 ** 6) -> Classification:
         raise InvalidInput(f"profile_n must be >= 1, got {profile_n}")
     log_k = f.log_submult_certificate()
     if log_k is not None:
-        try:
-            k_text = f"{math.exp(log_k):g}"
-        except OverflowError:
-            k_text = f"e^{log_k:.6g}"
         return Classification(
             VERDICT_SATISFIES,
-            f"analytic certificate: f(x+y) <= {k_text} f(x) f(y) and log f(n)/n -> 0",
+            f"analytic certificate: f(x+y) <= {exp_text(log_k)} f(x) f(y) and log f(n)/n -> 0",
         )
 
     maxima: list[float] = []

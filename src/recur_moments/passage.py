@@ -24,14 +24,16 @@ support point (truncation beyond the horizon, pruning below the underflow
 floor, operand tails) is moved into the tail bucket, never dropped.  Tails
 are combined in log space, so a law is never made complete by an underflow.
 The dense geometric compound is solved 128 rows at a time (one convolution
-and one triangular solve per block), adding only nonnegative terms.
+and one product with the inverse of the diagonal block per block), adding
+only nonnegative terms.
 Tail *certificates* (N0, rho) assert the computed survival ratios satisfy
 P(T > n+1) <= rho P(T > n) for all computed n >= N0; downstream moment code
 refuses to extrapolate without one.
 
 scipy is imported on first use, not with the module: the first propagated
 law loads ``scipy.sparse`` (through the kernel's ``csr`` and the compiled
-matvec), and the first dense geometric compound loads ``scipy.linalg``.
+matvec).  The calculus on laws (compound, convolution, mixture, domination)
+runs on numpy alone.
 """
 
 from __future__ import annotations
@@ -273,6 +275,9 @@ class PassageLaw:
 # first-passage propagation
 
 
+_CERT_CHUNK = 32  # windows in the first chunk of the stability scan
+
+
 def _derive_tail_cert(surv: np.ndarray, scale: np.ndarray, *, window: int = 20,
                       var_tol: float = 1e-6, slack: float = 1e-6) -> TailCert | None:
     """Detect a stabilized survival ratio and certify it, given
@@ -291,15 +296,18 @@ def _derive_tail_cert(surv: np.ndarray, scale: np.ndarray, *, window: int = 20,
         return None
     ratios = np.ldexp(surv[1:] / surv[:-1], scale[:-1] - scale[1:])
     windows = sliding_window_view(ratios, window)
-    spread = windows.max(axis=1) - windows.min(axis=1)
-    hits = np.nonzero(spread < var_tol)[0]
-    if hits.size == 0:
-        return None
-    w = int(hits[0])
-    rho = float(ratios[w:].max()) + slack
-    if not rho < 1.0:
-        return None
-    return TailCert(start=w + 1, rho=rho)
+    # only the first stable window counts: scan in chunks that double in
+    # size and stop at the first hit
+    w0, w1 = 0, _CERT_CHUNK
+    while w0 < len(windows):
+        chunk = windows[w0:w1]
+        hits = np.nonzero(chunk.max(axis=1) - chunk.min(axis=1) < var_tol)[0]
+        if hits.size:
+            w = w0 + int(hits[0])
+            rho = float(ratios[w:].max()) + slack
+            return TailCert(start=w + 1, rho=rho) if rho < 1.0 else None
+        w0, w1 = w1, 2 * w1
+    return None
 
 
 _RESCALE_BELOW = 2.0 ** -600
@@ -673,9 +681,12 @@ def geometric_compound(u: PassageLaw, v: PassageLaw, pi: float, *,
     pmf and the survival S_C(n) = pi S_V(n) + (1-pi) [S_U(n) + sum_{k<=n}
     u_k S_C(n-k)], a unit lower-triangular Toeplitz system with off-diagonal
     entries -(1-pi) u_k <= 0, by forward substitution: per ``_SOLVE_BLOCK``
-    rows, one valid-mode convolution over the earlier rows and one solve
-    with the diagonal block (the same for every block).  Every update adds
-    a nonnegative term, so nothing is subtracted; no (horizon+1)^2 matrix.
+    rows, one valid-mode convolution over the earlier rows and one product
+    with the inverse of the diagonal block (the same for every block).  That
+    inverse is lower-triangular Toeplitz with first column the renewal
+    sequence r of (1-pi) u, built by doubling with numpy alone.  Every
+    update adds a nonnegative term, so nothing is subtracted; no
+    (horizon+1)^2 matrix.
     The tail is never below P(M >= horizon) = (1-pi)^horizon.  Within the
     horizon the pmf is exact when U covers 1..horizon-1 and V covers
     1..horizon.  Sparse laws sum the series sum_m pi (1-pi)^m U^{*m} * V
@@ -711,10 +722,30 @@ def _fit(arr: np.ndarray, h: int, fill: float) -> np.ndarray:
     return out
 
 
+def _renewal(a: np.ndarray, n: int) -> np.ndarray:
+    """The renewal sequence r_0 = 1, r_t = sum_{k=1}^t a_k r_{t-k} for t < n,
+    given a_0 = 0 and a_1, ..., a_{n-1} >= 0 in ``a``.
+
+    R(z) = sum r_t z^t is 1/(1 - A(z)), built by doubling.  With R_m the
+    polynomial r_0 + ... + r_{m-1} z^{m-1}, (1 - A) R_m = 1 - E where E has
+    no coefficient below z^m, and its coefficients m..2m-1 are those of
+    A R_m.  So R = R_m / (1 - E) agrees with R_m (1 + E) through z^{2m-1}:
+    r[m:2m] = (R_m E)[m:2m].  Two convolutions per doubling, and every term
+    is a product of nonnegatives.
+    """
+    r = np.empty(n)
+    r[0] = 1.0
+    m = 1
+    while m < n:
+        k = min(2 * m, n)
+        e = np.convolve(a[:k], r[:m])[m:k]
+        r[m:k] = np.convolve(r[:m], e)[:k - m]
+        m = k
+    return r
+
+
 def _compound_dense(u: PassageLaw, v: PassageLaw, pi: float, log_q: float,
                     h: int) -> PassageLaw:
-    from scipy.linalg import solve_triangular, toeplitz
-
     q = 1.0 - pi
     # beyond an operand's horizon its pmf is unknown: none of it is assigned
     # there, and its survival stays at its tail
@@ -724,15 +755,18 @@ def _compound_dense(u: PassageLaw, v: PassageLaw, pi: float, log_q: float,
     x[0, 1] = 1.0
     x[1:, 1] = (pi * _fit(v.survival_array(), h, math.exp(v.log_tail))
                 + q * _fit(u.survival_array(), h, math.exp(u.log_tail)))
-    # solve_triangular reads only the strict lower triangle of the block
-    diag = toeplitz(np.concatenate(([1.0], -qu[:_SOLVE_BLOCK - 1])))
+    # the diagonal block is unit lower-triangular Toeplitz with first column
+    # (1, -q u_1, ...); its inverse is lower-triangular Toeplitz with first
+    # column the renewal sequence of q u, which has no negative entry
+    nb = min(_SOLVE_BLOCK, h + 1)
+    r = _renewal(np.concatenate(([0.0], qu[:nb - 1])), nb)
+    inv = sliding_window_view(np.concatenate((np.zeros(nb - 1), r)), nb)[:, ::-1].copy()
     for t0 in range(0, h + 1, _SOLVE_BLOCK):
         t1 = min(t0 + _SOLVE_BLOCK, h + 1)
         if t0:  # add what the rows before the block contribute
             x[t0:t1, 0] += np.convolve(qu[:t1 - 1], x[:t0, 0], "valid")
             x[t0:t1, 1] += np.convolve(qu[:t1 - 1], x[:t0, 1], "valid")
-        x[t0:t1] = solve_triangular(diag[:t1 - t0, :t1 - t0], x[t0:t1], lower=True,
-                                    unit_diagonal=True, check_finite=False)
+        x[t0:t1] = inv[:t1 - t0, :t1 - t0] @ x[t0:t1]
     log_tail = max(math.log(x[h, 1]) if x[h, 1] > 0.0 else LOG_ZERO, h * log_q)
     return PassageLaw._dense(x[:h, 0], log_tail)
 

@@ -209,6 +209,19 @@ def test_moment_converges_only_with_a_tail_certificate(capsys):
     assert json.loads(short)["verdict"] == "inconclusive"
 
 
+@pytest.mark.parametrize("function", ["power:100000", "exp:800"])
+def test_moment_overflowing_growth_ratio_is_inconclusive(capsys, function):
+    # gamma = (1 + 1/N)^p and e^delta overflow a float: exit 1 with an
+    # OverflowError.  An unbounded gamma bounds no tail
+    rc, out, err = run_cli(capsys, "moment", "--builtin", "two-state:0.5",
+                           "--from", "1", "--to", "1", "--function", function,
+                           "--horizon", "100", "--threshold-log", "1e7")
+    assert rc == 0 and err == ""
+    payload = json.loads(out)
+    assert payload["verdict"] == "inconclusive"
+    assert payload["log_tail_bound"] is None
+
+
 # ---------------------------------------------------------------------------
 # demo
 
@@ -242,6 +255,18 @@ def test_demo_trace_flag(tmp_path, capsys):
     assert rc == 0
     assert json.loads(out)["succeeded"] is True
     assert trace_file.read_text().startswith("k,log_term,log_partial")
+
+
+@pytest.mark.parametrize("delta, ratio_text", [("800", "e^799.712"),
+                                                ("1e308", "e^1e+308")])
+def test_demo_exponential_huge_delta(capsys, delta, ratio_text):
+    # the term ratio e^delta (1-p) overflowed a float in the detail text:
+    # exit 1 with an OverflowError
+    rc, out, err = run_cli(capsys, "demo", "exponential", "--delta", delta)
+    assert rc == 0 and err == ""
+    report = json.loads(out)
+    assert report["succeeded"] is True
+    assert report["notes"].endswith(f"exp(delta)(1-p) = {ratio_text}")
 
 
 def test_demo_unreached_verdict_exits_3(capsys):

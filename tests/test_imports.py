@@ -76,17 +76,41 @@ def test_kernel_validation_loads_csgraph_on_first_use(tmp_path):
     assert loaded(mods, "scipy.sparse.csgraph")
 
 
-def test_dense_compound_loads_scipy_linalg_on_first_use():
+def test_dense_compound_loads_no_scipy_linalg():
     mods = scipy_modules_after(
-        "import math, sys\n"
         "import numpy as np\n"
         "from recur_moments import PassageLaw, geometric_compound\n"
-        "assert 'scipy.linalg' not in sys.modules\n"
         "u = PassageLaw.dense([0.0, 1.0], 0.0)\n"
         "v = PassageLaw.dense([1.0], 0.0)\n"
         "c = geometric_compound(u, v, 0.5, horizon=400)\n"
         "want = np.zeros(400)\n"
         "want[0::2] = 0.5 ** np.arange(1, 201)\n"
         "assert np.allclose(c.pmf_array(), want, rtol=1e-12, atol=0.0)\n")
-    assert loaded(mods, "scipy.linalg")
+    assert not loaded(mods, "scipy.linalg")
+    assert not loaded(mods, "scipy.sparse.csgraph")
+
+
+def test_return_time_decomposition_loads_no_scipy_linalg():
+    # the chain of calls behind one decomposition benchmark item: the
+    # compound of the excursion laws is the direct law, the avoid/cross
+    # mixture is the return law, and the crossing law dominates
+    mods = scipy_modules_after(
+        "import numpy as np\n"
+        "import recur_moments as rm\n"
+        "k, i, j, h = rm.random_kernel(5, np.random.default_rng(0)), 0, 2, 600\n"
+        "pi = rm.hit_before_return_prob(k, i, j)\n"
+        "u = rm.conditioned_return_law(k, i, j, h)\n"
+        "v = rm.conditioned_hit_law(k, i, j, h)\n"
+        "cross = rm.crossing_return_law(k, i, j, h)\n"
+        "comp = rm.geometric_compound(u, v, pi, horizon=h)\n"
+        "direct = rm.first_passage_law(k, i, j, h)\n"
+        "assert np.abs(comp.pmf_array() - direct.pmf_array()).max() <= 1e-10\n"
+        "mix = rm.mixture([u, cross], [1.0 - pi, pi])\n"
+        "ret = rm.first_passage_law(k, i, i, h)\n"
+        "assert np.abs(mix.pmf_array() - ret.pmf_array()).max() <= 1e-10\n"
+        "back = rm.first_passage_law(k, j, i, h)\n"
+        "assert rm.stochastic_dominates(cross, v, tol=1e-10).dominates\n"
+        "assert rm.stochastic_dominates(cross, back, tol=1e-10).dominates\n")
+    assert loaded(mods, "scipy.sparse")
+    assert not loaded(mods, "scipy.linalg")
     assert not loaded(mods, "scipy.sparse.csgraph")

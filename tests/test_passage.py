@@ -26,7 +26,7 @@ from recur_moments.passage import _derive_tail_cert
 from helpers import (absorbed_mass_iterative, brute_convolve_dicts,
                      enumerate_passage_pmf, pmf_dict_to_array,
                      reaches_oracle, reference_compound, reference_laws,
-                     two_state_return_pmf_11)
+                     reference_tail_cert, two_state_return_pmf_11)
 from helpers import sparse_ring_kernel as _sparse_kernel
 
 ORACLE_H = 8
@@ -619,6 +619,34 @@ def test_compound_matches_renewal_reference(h):
             assert abs(got.log_tail - want_log_tail) <= 1e-12
 
 
+def test_renewal_matches_recursion_and_inverts_the_toeplitz_block():
+    # r_0 = 1, r_t = sum_{k<=t} a_k r_{t-k}, for a >= 0 with sum a < 1 (down
+    # to 1 - 1e-6), sparse or dense.  Both computations add nonnegative
+    # terms only, so they agree to a relative 1e-13 (about 450 eps, for sums
+    # of at most 300 terms); the lower-triangular Toeplitz matrices with
+    # first columns r and (1, -a_1, ...) multiply to the identity within
+    # 1e-13 |R| |T|, entry by entry, and exactly above the diagonal
+    rng = np.random.default_rng(12)
+    tiny = np.finfo(float).tiny
+    for n in range(1, 301):
+        a = rng.random(n) * (rng.random(n) < rng.random())
+        a[0] = 0.0
+        if a.sum() > 0.0:
+            a *= (1.0 - 10.0 ** -rng.uniform(0.0, 6.0)) / a.sum()
+        want = np.empty(n)
+        want[0] = 1.0
+        for t in range(1, n):
+            want[t] = a[t:0:-1] @ want[:t]
+        got = passage._renewal(a, n)
+        normal = want >= tiny
+        assert np.all(np.abs(got - want)[normal] <= 1e-13 * want[normal]), n
+        lag = np.subtract.outer(np.arange(n), np.arange(n))
+        inv = np.where(lag >= 0, got[lag.clip(0)], 0.0)
+        block = np.where(lag >= 0, np.concatenate(([1.0], -a[1:]))[lag.clip(0)], 0.0)
+        err = np.abs(inv @ block - np.eye(n))
+        assert np.all(err <= 1e-13 * (np.abs(inv) @ np.abs(block))), n
+
+
 def test_compound_builds_no_horizon_squared_temporary(kernel3):
     # a full (h+1)^2 Toeplitz matrix would take 128 MB at h = 4000
     h = 4000
@@ -757,6 +785,47 @@ def test_tail_cert_derived_for_geometric_chain():
     assert 0.7 < cert.rho < 0.7001
     surv = law.survival_array()
     assert np.all(surv[cert.start:] <= cert.rho * surv[cert.start - 1:-1] + 1e-15)
+
+
+def test_tail_cert_matches_full_scan():
+    # the scan stops at the first stable window; the certificate is the one
+    # a scan of every window gives, bit for bit.  Ring chains with two
+    # targets a row mix slowly, so their first stable window often lies
+    # past the first chunks; short horizons, late hits, no hit at all and
+    # rescaled survivals all occur below
+    seen = {"laws": 0, "rescaled": 0, "none": 0, "late": 0}
+    for n in range(2, 17):
+        for seed in range(3):
+            for kernel in (random_kernel(n, np.random.default_rng(seed)),
+                           _sparse_kernel(n, 2, seed)):
+                for i, j in ((0, 0), (0, n - 1), (n - 1, 0)):
+                    for h in (12, 21, 49, 600, 1100):
+                        _, surv, scale, _ = passage._propagate(kernel, i, h, absorb=j)
+                        got = _derive_tail_cert(surv, scale)
+                        assert got == reference_tail_cert(surv, scale), (n, seed, i, j, h)
+                        seen["laws"] += 1
+                        seen["rescaled"] += int(scale[-1] > 0)
+                        seen["none"] += got is None
+                        seen["late"] += got is not None and got.start > 2 * passage._CERT_CHUNK
+    assert seen["laws"] >= 1000
+    assert min(seen.values()) >= 40, seen
+
+
+@pytest.mark.parametrize("stable_from", [0, 1, 31, 32, 33, 95, 96, 97, 500, None])
+def test_tail_cert_first_stable_window_on_chunk_edges(stable_from):
+    # survival ratios that wobble by 1e-3 until ``stable_from`` and are
+    # constant after it (None: they never settle)
+    h = 700
+    ratios = np.full(h - 1, 0.9)
+    m = h - 1 if stable_from is None else stable_from
+    ratios[:m] += 1e-3 * (np.arange(m, 0, -1) % 2)  # ratios[m - 1] is off
+    surv = np.cumprod(np.concatenate(([0.5], ratios)))
+    scale = np.zeros(h, dtype=np.int64)
+    got = _derive_tail_cert(surv, scale)
+    assert got == reference_tail_cert(surv, scale)
+    assert (got is None) == (stable_from is None)
+    if got is not None:
+        assert got.start == stable_from + 1
 
 
 def test_tail_cert_exact_zero_tail():
