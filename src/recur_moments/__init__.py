@@ -22,14 +22,13 @@ from .momentfn import (MomentFunction, FunctionKind, BurstSchedule,
                        default_burst_schedule, burst_schedule_from_csv,
                        power_fn, log_power_fn, exp_fn, burst_fn, custom_fn,
                        parse_function_spec, SubmultReport, submult_scan,
-                       GrowthProfile, growth_profile, Classification,
-                       classify, VERDICT_SATISFIES,
+                       Classification, classify, VERDICT_SATISFIES,
                        VERDICT_VIOLATES_SUBMULT, VERDICT_VIOLATES_GROWTH,
                        VERDICT_INCONCLUSIVE)
 from .moments import (MomentEstimate, f_moment, SeriesVerdict,
                       lower_bound_series, MCMomentEstimate, mc_f_moment,
-                      compound_growth_curve, VERDICT_CONVERGED,
-                      VERDICT_DIVERGED, VERDICT_INCONCLUSIVE as MOMENT_INCONCLUSIVE)
+                      VERDICT_CONVERGED, VERDICT_DIVERGED,
+                      VERDICT_INCONCLUSIVE as MOMENT_INCONCLUSIVE)
 from .constructions import (Witness, witness_search, HeavyTailPair,
                             heavy_tail_pair, DemoReport, demo_sharp,
                             demo_exponential, write_series_trace)
@@ -52,14 +51,13 @@ __all__ = [
     "MomentFunction", "FunctionKind", "BurstSchedule",
     "default_burst_schedule", "burst_schedule_from_csv", "power_fn",
     "log_power_fn", "exp_fn", "burst_fn", "custom_fn", "parse_function_spec",
-    "SubmultReport", "submult_scan", "GrowthProfile", "growth_profile",
-    "Classification", "classify", "VERDICT_SATISFIES",
+    "SubmultReport", "submult_scan", "Classification", "classify",
+    "VERDICT_SATISFIES",
     "VERDICT_VIOLATES_SUBMULT", "VERDICT_VIOLATES_GROWTH",
     "VERDICT_INCONCLUSIVE",
     "MomentEstimate", "f_moment", "SeriesVerdict",
     "lower_bound_series", "MCMomentEstimate", "mc_f_moment",
-    "compound_growth_curve", "VERDICT_CONVERGED", "VERDICT_DIVERGED",
-    "MOMENT_INCONCLUSIVE",
+    "VERDICT_CONVERGED", "VERDICT_DIVERGED", "MOMENT_INCONCLUSIVE",
     "Witness", "witness_search", "HeavyTailPair", "heavy_tail_pair",
     "DemoReport", "demo_sharp", "demo_exponential", "write_series_trace",
     "__version__",

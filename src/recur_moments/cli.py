@@ -144,18 +144,13 @@ def _cmd_fpt(args) -> int:
 
 def _cmd_classify(args) -> int:
     f = parse_function_spec(args.function)
-    result = classify(f, args.profile_n)
+    result = classify(f)
     payload = {
         "function": f.name,
         "verdict": result.verdict,
         "detail": result.detail,
         "rate": result.rate,
         "witnesses": [{"x": x, "y": y, "log_defect": d} for x, y, d in result.witnesses],
-        "grid_maxima": list(result.grid_maxima),
-        "profile": None if result.profile is None else {
-            "checkpoints": list(result.profile.checkpoints),
-            "running_sup_tail": list(result.profile.running_sup_tail),
-        },
     }
     _emit(_json_text(payload), args, "classification.json")
     return 0
@@ -236,14 +231,13 @@ def build_parser() -> argparse.ArgumentParser:
 
     cls = sub.add_parser(
         "classify", help="classify a moment function's growth behavior",
-        description="Decide whether f is submultiplicative with subexponential "
-                    "growth (SatisfiesC), provably violates one of the two "
-                    "conditions (ViolatesC_i / ViolatesC_ii), or is Inconclusive "
-                    "under the search budget.")
+        description="Decide from f's family alone, never from sampled values, "
+                    "whether f is submultiplicative with subexponential growth "
+                    "(SatisfiesC) or provably violates one of the two conditions "
+                    "(ViolatesC_i / ViolatesC_ii).  Functions with no analytic "
+                    "certificate either way are Inconclusive.")
     cls.add_argument("--function", required=True, metavar="SPEC",
                      help="power:P | logpow:Q | exp:DELTA | burst:default | burst:file=PATH")
-    cls.add_argument("--profile-n", type=int, default=10 ** 6,
-                     help="growth-profile extent (default 1e6)")
     _add_output_args(cls)
     cls.set_defaults(func=_cmd_classify)
 

@@ -1,30 +1,31 @@
-"""Candidate moment functions and executable growth-condition checks.
+"""Candidate moment functions and their growth-condition verdicts.
 
 The functions handled here are non-decreasing, unbounded f: {1, 2, ...} ->
-(0, inf), evaluated exclusively through log f.  Two diagnostics matter for
-deciding whether every recurrent chain has finite E f(return time):
+(0, inf), evaluated exclusively through log f.  Every recurrent chain has
+finite E f(return time) when f meets condition C: some constant K makes
+f(x+y) <= K f(x) f(y) everywhere (C_i), and log f(n)/n tends to zero
+(C_ii).  Neither half follows from finitely many values of f, so
+:func:`classify` decides only from what a function's family knows
+analytically; :func:`submult_scan` reports the defect
+log f(x+y) - log f(x) - log f(y) on a grid as a diagnostic.
 
-* a submultiplicativity scan over integer grids: how large
-  log f(x+y) - log f(x) - log f(y) gets;
-* a growth profile: the decay of log f(n) / n.
-
-A function passes when some constant K makes f(x+y) <= K f(x) f(y) everywhere
-and log f(n)/n tends to zero.  Built-in families: powers n^p, powers of
-log(n+2), exponentials e^(d n), and "burst" functions exp(g) where g is flat
-except for slope-1 runs on scheduled windows.  Bursts are the interesting
-case: g(n)/n still vanishes, yet the flat/burst contrast makes the
-submultiplicativity defect grow without bound.
+Built-in families: powers n^p, powers of log(n+2), exponentials e^(d n),
+and "burst" functions exp(g) where g is flat except for slope-1 runs on
+scheduled windows.  Bursts are the interesting case: g(n)/n still vanishes,
+yet the flat/burst contrast makes the submultiplicativity defect grow
+without bound.
 """
 
 from __future__ import annotations
 
 import csv
+import functools
 import math
 import threading
 from bisect import bisect_left
 from dataclasses import dataclass
 from enum import Enum
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Iterable
 
 import numpy as np
 
@@ -98,46 +99,48 @@ class BurstSchedule:
             raise InvalidInput("burst lengths must be strictly increasing toward the end of the prefix")
 
 
+@functools.cache
 def default_burst_schedule() -> BurstSchedule:
-    """The reference schedule s_i = i^2 2^i, u_i = i 2^i.
+    """The reference schedule s_i = i^2 2^i, u_i = i 2^i, one shared object.
 
-    Verified at construction: the window constraints hold, every midpoint
-    (s_i + u_i)/2 is an integer sitting in a flat region, the defect margins
-    u_i - sum_{k<i} u_k grow strictly, and the profile peaks
-    (sum_{k<=i} u_k) / (s_i + u_i) decrease toward zero.
+    Verified on the first 20 bursts, once: the window constraints hold, every
+    midpoint (s_i + u_i)/2 is an integer sitting in a flat region, the defect
+    margins u_i - sum_{k<i} u_k equal 2^(i+1) - 2, and the peaks of g(n)/n
+    at the burst ends, (sum_{k<=i} u_k) / (s_i + u_i), decrease toward zero.
+    :func:`classify` recognises the schedule by identity.
     """
-    sched = BurstSchedule(lambda i: i * i * (1 << i), lambda i: i << i)
-    s = [i * i * (1 << i) for i in range(1, 21)]
-    u = [i << i for i in range(1, 21)]
-    cum = np.cumsum(u)
-    margins = [u[0]] + [u[i] - int(cum[i - 1]) for i in range(1, 20)]
-    peaks = [cum[i] / (s[i] + u[i]) for i in range(20)]
-    for i in range(20):
-        if (s[i] + u[i]) % 2:
-            raise AssertionError("midpoint not integral")
-        mid = (s[i] + u[i]) // 2
-        if i > 0 and not (s[i - 1] + u[i - 1] <= mid <= s[i]):
-            raise AssertionError("midpoint not in the flat region")
-    if not all(margins[i] < margins[i + 1] for i in range(19)):
-        raise AssertionError("margins must increase strictly")
-    if not all(peaks[i] > peaks[i + 1] for i in range(1, 19)):
-        raise AssertionError("profile peaks must decrease")
+    sched = BurstSchedule(lambda i: i * i << i, lambda i: i << i)
+    cum, end = 0, 0  # u_1 + ... + u_{i-1} and s_{i-1} + u_{i-1}
+    for i in range(1, 21):
+        s_i, u_i = i * i << i, i << i
+        mid, odd = divmod(s_i + u_i, 2)
+        if odd or not end <= mid <= s_i:
+            raise AssertionError(f"midpoint {i} is not an integer in a flat region")
+        if u_i - cum != (2 << i) - 2:
+            raise AssertionError(f"margin {i} is off its closed form 2^(i+1) - 2")
+        if i > 1 and (cum + u_i) * end >= cum * (s_i + u_i):
+            raise AssertionError(f"the peak of g(n)/n at burst end {i} does not decrease")
+        cum, end = cum + u_i, s_i + u_i
     return sched
 
 
 def burst_schedule_from_csv(path) -> BurstSchedule:
     """Load a finite schedule from CSV rows ``i,s_i,u_i`` (1-based, contiguous)."""
-    rows: list[tuple[int, int, int]] = []
     with open(path, newline="") as fh:
-        for raw in csv.reader(fh):
-            if not raw or not raw[0].strip():
+        try:
+            lines = list(csv.reader(fh))
+        except UnicodeDecodeError as exc:
+            raise InvalidInput(f"schedule file {str(path)!r} is not text: {exc}") from None
+    rows: list[tuple[int, int, int]] = []
+    for raw in lines:
+        if not raw or not raw[0].strip():
+            continue
+        try:
+            rows.append((int(raw[0]), int(raw[1]), int(raw[2])))
+        except (ValueError, IndexError):
+            if not rows:  # tolerate a header line
                 continue
-            try:
-                rows.append((int(raw[0]), int(raw[1]), int(raw[2])))
-            except (ValueError, IndexError):
-                if not rows:  # tolerate a header line
-                    continue
-                raise InvalidInput(f"bad schedule row: {raw!r}")
+            raise InvalidInput(f"bad schedule row: {raw!r}")
     rows.sort()
     if not rows:
         raise InvalidInput("schedule file contains no rows")
@@ -152,7 +155,7 @@ class _BurstTable:
     """Lazily grown (s_i, u_i) arrays with exact integer evaluation of g."""
 
     def __init__(self, schedule: BurstSchedule):
-        self._sched = schedule
+        self.schedule = schedule
         self._s: list[int] = []
         self._u: list[int] = []
         self._cum: list[int] = []  # cum[i] = u_1 + ... + u_{i+1}
@@ -160,10 +163,10 @@ class _BurstTable:
 
     def _append_next(self) -> bool:
         i = len(self._s) + 1
-        if self._sched.n_bursts is not None and i > self._sched.n_bursts:
+        if self.schedule.n_bursts is not None and i > self.schedule.n_bursts:
             return False
-        s_i = int(self._sched.start_of(i))
-        u_i = int(self._sched.length_of(i))
+        s_i = int(self.schedule.start_of(i))
+        u_i = int(self.schedule.length_of(i))
         if self._s:
             if s_i <= self._s[-1]:
                 raise InvalidInput("burst starts must be strictly increasing")
@@ -211,15 +214,12 @@ class _BurstTable:
         s_i, u_i = self.burst(i)
         return (s_i + u_i) // 2
 
-    def ends_upto(self, limit: int) -> list[int]:
-        """The burst ends s_i + u_i, in order, up to ``limit``."""
+    def midpoints_upto(self, limit: int) -> list[int]:
+        """The midpoints (s_i + u_i) // 2, in order, up to ``limit``."""
         out = []
         i = 1
-        while self.extend(i):
-            end = self._s[i - 1] + self._u[i - 1]
-            if end > limit:
-                break
-            out.append(end)
+        while self.extend(i) and self.midpoint(i) <= limit:
+            out.append(self.midpoint(i))
             i += 1
         return out
 
@@ -307,11 +307,19 @@ class MomentFunction:
         For f = n^p: x+y <= 2 max(x,y) <= 2xy on integers >= 1, so K = 2^p.
         For f = log(n+2)^q: log(x+y+2) <= (1 + ln2/ln3) log(y+2) for x <= y,
         and log(x+2) >= ln 3, giving K = ((1 + ln2/ln3)/ln3)^q.
+        For a finite burst schedule: 0 <= g <= sum u_i, so f <= e^(sum u_i)
+        while f(x) f(y) >= 1, giving K = e^(sum u_i).
         """
         if self.kind is FunctionKind.POWER:
             return self.param * _LN2
         if self.kind is FunctionKind.LOG_POWER:
             return self.param * math.log((1.0 + _LN2 / _LN3) / _LN3)
+        sched = self._table.schedule if self.kind is FunctionKind.BURST else None
+        if sched is not None and sched.n_bursts is not None:
+            try:
+                return float(sum(sched.length_of(i) for i in range(1, sched.n_bursts + 1)))
+            except OverflowError:  # K exists, but log K is past the float range
+                return None
         return None
 
 
@@ -417,11 +425,8 @@ def submult_scan(f: MomentFunction, xs: Iterable[int], ys: Iterable[int]) -> Sub
     if xs[0] < 1 or ys[0] < 1:
         raise InvalidInput("scan grids must contain integers >= 1")
     if f.kind is FunctionKind.BURST:
-        top = int(max(xs.max(), ys.max()))
-        # a midpoint (s_i + u_i) // 2 is at most top exactly when its burst
-        # end s_i + u_i is at most 2 top + 1
-        ends = f.burst_table.ends_upto(2 * top + 1)
-        mids = np.asarray([e // 2 for e in ends], dtype=np.int64)
+        mids = np.asarray(f.burst_table.midpoints_upto(int(max(xs.max(), ys.max()))),
+                          dtype=np.int64)
         if mids.size:
             xs = np.unique(np.concatenate([xs, mids]))
             ys = np.unique(np.concatenate([ys, mids]))
@@ -440,47 +445,6 @@ def submult_scan(f: MomentFunction, xs: Iterable[int], ys: Iterable[int]) -> Sub
 
 
 # ---------------------------------------------------------------------------
-# growth profile
-
-
-@dataclass(frozen=True)
-class GrowthProfile:
-    """Sampled values of log f(n)/n plus running suprema over tails.
-
-    ``running_sup_tail[c]`` is sup of log f(n)/n over sampled n >= the c-th
-    checkpoint; it is non-increasing in the checkpoint by construction.
-    """
-
-    ns: np.ndarray
-    values: np.ndarray
-    checkpoints: tuple[int, ...]
-    running_sup_tail: tuple[float, ...]
-
-
-def growth_profile(f: MomentFunction, n_max: int, checkpoints: Sequence[int]) -> GrowthProfile:
-    """Profile log f(n)/n on a grid of 256 log-spaced points up to ``n_max``.
-
-    The grid always contains the checkpoints, ``n_max`` itself, and for burst
-    functions every burst end (the structural peaks of the profile).
-    """
-    checkpoints = tuple(int(c) for c in checkpoints)
-    if not checkpoints:
-        raise InvalidInput("at least one checkpoint required")
-    if min(checkpoints) < 1:
-        raise InvalidInput("checkpoints must be >= 1")
-    if n_max < max(checkpoints):
-        raise InvalidInput("n_max must be at least the largest checkpoint")
-    grid = np.unique(np.round(np.geomspace(1.0, float(n_max), 256)).astype(np.int64))
-    extra = list(checkpoints)
-    if f.kind is FunctionKind.BURST:
-        extra.extend(f.burst_table.ends_upto(n_max))
-    grid = np.unique(np.concatenate([grid, np.asarray(extra + [n_max], dtype=np.int64)]))
-    values = f.log_f_array(grid) / grid
-    sup_tail = tuple(float(values[grid >= c].max()) for c in checkpoints)
-    return GrowthProfile(grid, values, checkpoints, sup_tail)
-
-
-# ---------------------------------------------------------------------------
 # classifier
 
 
@@ -489,6 +453,8 @@ VERDICT_VIOLATES_SUBMULT = "ViolatesC_i"
 VERDICT_VIOLATES_GROWTH = "ViolatesC_ii"
 VERDICT_INCONCLUSIVE = "Inconclusive"
 
+_WITNESS_EXTENT = 1 << 18  # largest midpoint reported as a witness
+
 
 @dataclass(frozen=True)
 class Classification:
@@ -496,79 +462,54 @@ class Classification:
     detail: str
     witnesses: tuple[tuple[int, int, float], ...] = ()
     rate: float | None = None
-    grid_maxima: tuple[float, ...] = ()
-    profile: GrowthProfile | None = None
 
 
-def _nested_grid(log2_max: int) -> np.ndarray:
-    """Quarter-power-of-two grid up to 2^log2_max; nested as log2_max grows."""
-    pts = [1, 2, 3, 4, 5, 6, 7, 8]
-    pts.extend(int(round(2.0 ** (j / 4.0))) for j in range(12, 4 * log2_max + 1))
-    return np.unique(np.asarray(pts, dtype=np.int64))
+def _midpoint_witnesses(table: _BurstTable) -> tuple[tuple[int, int, float], ...]:
+    """(m, m, log f(2m) - 2 log f(m)) at the burst midpoints m <= 2^18 with a
+    positive defect, largest first.  The defect is exact integer arithmetic;
+    it equals the margin u_i - sum_{k<i} u_k when m sits in a flat region."""
+    defects = [(m, table.g(2 * m) - 2 * table.g(m)) for m in table.midpoints_upto(_WITNESS_EXTENT)]
+    return tuple(sorted(((m, m, float(d)) for m, d in defects if d > 0),
+                        key=lambda w: (-w[2], w[0])))
 
 
-def _checkpoints(profile_n: int) -> tuple[int, ...]:
-    """The decades 1e4, 1e5, 1e6 once ``profile_n`` reaches 1e6; below that
-    profile_n / 100, profile_n / 10 and profile_n, since rate stabilization
-    needs three checkpoints."""
-    decades = tuple(c for c in (10 ** 4, 10 ** 5, 10 ** 6) if c <= profile_n)
-    if len(decades) == 3:
-        return decades
-    return tuple(sorted({max(1, profile_n // 100), max(1, profile_n // 10), profile_n}))
-
-
-def classify(f: MomentFunction, profile_n: int = 10 ** 6) -> Classification:
+def classify(f: MomentFunction) -> Classification:
     """Sort f into SatisfiesC / ViolatesC_i / ViolatesC_ii / Inconclusive.
 
-    SatisfiesC is only issued on the strength of an analytic certificate
-    (power and log-power families).  ViolatesC_i requires the grid maxima of
-    the submultiplicativity defect to increase strictly (by more than 1e-9)
-    5 times across the nested grids capped at 2^k, k = 2..18.  ViolatesC_ii
-    requires the tail suprema of log f(n)/n, on a profile extending to
-    ``profile_n``, to agree within 1e-9 above a floor of 1e-9 at the last
-    three checkpoints (see :func:`_checkpoints`).  The budget is fixed, so
-    no caller can ask for a verdict on less evidence.  Everything else is
-    Inconclusive; the scans are evidence, not proof, for custom functions.
+    Every verdict but Inconclusive rests on what f's family knows
+    analytically; f is never scanned.  SatisfiesC needs a constant from
+    :meth:`MomentFunction.log_submult_certificate` (powers, log-powers and
+    finite burst schedules).  Exponentials e^(d n) violate subexponential
+    growth with rate exactly d.  The default burst schedule violates
+    submultiplicativity: its midpoint margins are 2^(i+1) - 2, unbounded.
+    Any other burst schedule is Inconclusive with its midpoint defects
+    attached as evidence, and custom functions are Inconclusive.
     """
-    if profile_n < 1:
-        raise InvalidInput(f"profile_n must be >= 1, got {profile_n}")
     log_k = f.log_submult_certificate()
     if log_k is not None:
         return Classification(
             VERDICT_SATISFIES,
             f"analytic certificate: f(x+y) <= {exp_text(log_k)} f(x) f(y) and log f(n)/n -> 0",
         )
-
-    maxima: list[float] = []
-    increases = 0
-    for k in range(2, 19):
-        grid = _nested_grid(k)
-        report = submult_scan(f, grid, grid)
-        if maxima and report.log_grid_k > maxima[-1] + 1e-9:
-            increases += 1
-        maxima.append(report.log_grid_k)
-        if increases >= 5 and report.log_grid_k > 0:
-            return Classification(
-                VERDICT_VIOLATES_SUBMULT,
-                f"defect maxima increased {increases} times across nested grids, "
-                f"reaching log K = {report.log_grid_k:.6g}",
-                witnesses=report.violation_witnesses,
-                grid_maxima=tuple(maxima),
-            )
-
-    profile = growth_profile(f, profile_n, _checkpoints(profile_n))
-    tail = profile.running_sup_tail[-3:]
-    if len(tail) == 3 and max(tail) - min(tail) <= 1e-9 and min(tail) > 1e-9:
+    if f.kind is FunctionKind.EXPONENTIAL:
         return Classification(
             VERDICT_VIOLATES_GROWTH,
-            f"log f(n)/n stabilized at {tail[-1]:.12g} across the last 3 checkpoints",
-            rate=tail[-1],
-            grid_maxima=tuple(maxima),
-            profile=profile,
+            f"analytic certificate: log f(n)/n = {f.param:.12g} for every n",
+            rate=f.param,
         )
-    return Classification(
-        VERDICT_INCONCLUSIVE,
-        "no analytic certificate and no certified violation within budget",
-        grid_maxima=tuple(maxima),
-        profile=profile,
-    )
+    if f.kind is FunctionKind.BURST:
+        witnesses = _midpoint_witnesses(f.burst_table)
+        if f.burst_table.schedule is default_burst_schedule():
+            return Classification(
+                VERDICT_VIOLATES_SUBMULT,
+                "analytic certificate: log f(2m_i) - 2 log f(m_i) = 2^(i+1) - 2 "
+                "at the i-th midpoint m_i, unbounded in i",
+                witnesses=witnesses,
+            )
+        return Classification(
+            VERDICT_INCONCLUSIVE,
+            "no analytic certificate for this burst schedule: "
+            "the midpoint defects are evidence, not proof",
+            witnesses=witnesses,
+        )
+    return Classification(VERDICT_INCONCLUSIVE, "custom function: no analytic certificate")

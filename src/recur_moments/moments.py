@@ -29,13 +29,12 @@ import numpy as np
 from .errors import InvalidInput
 from .logspace import LOG_ZERO, log_add, log_sub, logsumexp
 from .momentfn import MomentFunction
-from .passage import PassageLaw, convolve
+from .passage import PassageLaw
 
 __all__ = [
     "MomentEstimate", "f_moment",
     "SeriesVerdict", "lower_bound_series",
     "MCMomentEstimate", "mc_f_moment",
-    "compound_growth_curve",
     "VERDICT_CONVERGED", "VERDICT_DIVERGED", "VERDICT_INCONCLUSIVE",
 ]
 
@@ -249,58 +248,3 @@ def mc_f_moment(sampler, f: MomentFunction, *, n_samples: int, cap: int,
         se_log = 0.0
     return MCMomentEstimate(n_samples=n_samples, n_censored=n_cens, cap=cap,
                             log_mean=log_mean, se_log=se_log)
-
-
-# ---------------------------------------------------------------------------
-# excursion-count diagnostic
-
-
-def _truncate_sparse(law: PassageLaw, horizon: int) -> PassageLaw:
-    atoms = law.atomic
-    keep = atoms.atoms <= horizon
-    if not keep.any():
-        raise InvalidInput("no atoms within the horizon")
-    moved = logsumexp(atoms.log_probs[~keep]) if (~keep).any() else LOG_ZERO
-    from ._atomic import AtomicDist
-    return PassageLaw.sparse(AtomicDist(atoms.atoms[keep], atoms.log_probs[keep],
-                                        log_add(atoms.log_tail, moved)))
-
-
-def compound_growth_curve(u: PassageLaw, v: PassageLaw, pi: float,
-                          f: MomentFunction, *, n_terms: int = 32,
-                          horizon: int | None = None) -> tuple[tuple[int, float, float], ...]:
-    """How each excursion count feeds E f(T) under the return decomposition.
-
-    Term m is log of pi (1-pi)^m E[f(U_1 + ... + U_m + V); sum <= horizon]:
-    the in-horizon part of the m-excursion contribution.  Returns tuples
-    (m, log_term, log_cumulative).  Diagnostic only: horizon truncation makes
-    every term a lower bound, and nothing here certifies convergence of the
-    full series.
-    """
-    if not 0.0 < pi <= 1.0:
-        raise InvalidInput(f"pi must be in (0, 1], got {pi}")
-    if n_terms < 1:
-        raise InvalidInput("n_terms must be >= 1")
-    if u.is_dense != v.is_dense:
-        raise InvalidInput("operands must share a representation")
-    if horizon is None:
-        if not u.is_dense:
-            raise InvalidInput("sparse growth curve needs an explicit horizon")
-        horizon = max(u.horizon, v.horizon)
-    log_pi = math.log(pi)
-    log_q = math.log1p(-pi) if pi < 1.0 else LOG_ZERO
-    c = v.to_dense(horizon) if v.is_dense else _truncate_sparse(v, horizon)
-    out: list[tuple[int, float, float]] = []
-    cum = LOG_ZERO
-    for m in range(n_terms):
-        log_ef = _log_partial_sum(c, f)
-        term = log_pi + m * log_q + log_ef
-        cum = log_add(cum, term)
-        out.append((m, term, cum))
-        if m + 1 == n_terms or pi == 1.0:
-            break
-        try:
-            c = convolve(c, u, horizon=horizon)
-        except InvalidInput:
-            break
-    return tuple(out)

@@ -355,8 +355,7 @@ def test_criterion_9_classifier_labels():
     a = classify(exp_fn(0.1))
     b = classify(exp_fn(0.1))
     deterministic = (a.verdict == b.verdict and a.rate == b.rate
-                     and a.witnesses == b.witnesses
-                     and a.grid_maxima == b.grid_maxima)
+                     and a.witnesses == b.witnesses)
     ok = all(verdicts) and worst_rate <= 1e-9 and deterministic
     _report(9, ok,
             f"classifier: powers satisfy the growth conditions, exponentials "

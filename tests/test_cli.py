@@ -105,8 +105,7 @@ def test_classify_power_function(capsys):
     payload = json.loads(out)
     assert payload["verdict"] == "SatisfiesC"
     assert payload["function"] == "power:2"
-    assert set(payload) == {"function", "verdict", "detail", "rate",
-                            "witnesses", "grid_maxima", "profile"}
+    assert set(payload) == {"function", "verdict", "detail", "rate", "witnesses"}
 
 
 def test_classify_burst_function(capsys):
@@ -130,21 +129,10 @@ def test_classify_huge_exponent_satisfies(capsys, function, k_text):
     assert f"f(x+y) <= {k_text} f(x) f(y)" in payload["detail"]
 
 
-@pytest.mark.parametrize("function, profile_n", [("power:2", "-5"), ("exp:0.1", "0")])
-def test_classify_profile_n_below_1_exits_2(capsys, function, profile_n):
-    rc, out, err = run_cli(capsys, "classify", "--function", function,
-                           "--profile-n", profile_n)
+def test_classify_has_no_profile_flag(capsys):
+    rc, out, err = run_cli(capsys, "classify", "--function", "exp:0.5", "--profile-n", "5")
     assert rc == 2 and out == ""
-    assert err.startswith("error:") and "profile_n" in err
-
-
-def test_classify_profile_n_override(capsys):
-    rc, out, _ = run_cli(capsys, "classify", "--function", "exp:0.5",
-                         "--profile-n", "1000")
-    assert rc == 0
-    payload = json.loads(out)
-    assert payload["verdict"] == "ViolatesC_ii"
-    assert payload["rate"] == pytest.approx(0.5, abs=1e-9)
+    assert "unrecognized arguments: --profile-n 5" in err
 
 
 # ---------------------------------------------------------------------------
@@ -436,6 +424,30 @@ def test_short_burst_schedule_row_exits_2(tmp_path, capsys):
     rc, out, err = run_cli(capsys, "classify", "--function", f"burst:file={path}")
     assert rc == 2 and out == ""
     assert err.startswith("error:")
+
+
+@pytest.mark.parametrize("command", [("classify",),
+                                     ("moment", "--builtin", "two-state:0.5",
+                                      "--from", "0", "--to", "0")])
+def test_non_utf8_burst_schedule_exits_2(tmp_path, capsys, command):
+    # a UnicodeDecodeError traceback and exit 1
+    path = tmp_path / "sched.csv"
+    path.write_bytes(b"\xff\xfe1,2,2\n")
+    rc, out, err = run_cli(capsys, *command, "--function", f"burst:file={path}")
+    assert rc == 2 and out == ""
+    assert err.startswith("error:") and str(path) in err
+
+
+def test_finite_burst_schedule_satisfies(tmp_path, capsys):
+    # past its last burst g stays flat, so f <= e^(sum u) = e^3586; the grid
+    # scans read the eight bursts as a growing defect and printed ViolatesC_i
+    path = tmp_path / "finite8.csv"
+    path.write_text("".join(f"{i},{i * i << i},{i << i}\n" for i in range(1, 9)))
+    rc, out, err = run_cli(capsys, "classify", "--function", f"burst:file={path}")
+    assert rc == 0 and err == ""
+    payload = json.loads(out)
+    assert payload["verdict"] == "SatisfiesC"
+    assert "f(x+y) <= e^3586 f(x) f(y)" in payload["detail"]
 
 
 def test_usage_error_returns_argparse_code(capsys):

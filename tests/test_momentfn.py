@@ -1,17 +1,20 @@
 from __future__ import annotations
 
 import math
+from itertools import accumulate
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from recur_moments import (BurstSchedule, FunctionKind, InvalidInput,
                            VERDICT_INCONCLUSIVE, VERDICT_SATISFIES,
                            VERDICT_VIOLATES_GROWTH, VERDICT_VIOLATES_SUBMULT,
                            burst_fn, burst_schedule_from_csv, classify,
                            custom_fn, default_burst_schedule, exp_fn,
-                           growth_profile, log_power_fn, parse_function_spec,
-                           power_fn, submult_scan)
+                           log_power_fn, parse_function_spec, power_fn,
+                           submult_scan)
 
 
 def default_burst():
@@ -158,7 +161,7 @@ def test_submult_certificate_none_for_others():
 
 
 # ---------------------------------------------------------------------------
-# scans, profiles
+# scans
 
 
 def test_submult_scan_finds_burst_defects():
@@ -179,31 +182,6 @@ def test_submult_scan_power_stays_below_cert():
     report = submult_scan(f, range(1, 100), range(1, 100))
     assert abs(report.log_grid_k - math.log(4.0)) <= 1e-12
     assert all(d <= math.log(4.0) + 1e-12 for _, _, d in report.violation_witnesses)
-
-
-def test_growth_profile_hits_burst_peaks():
-    f = default_burst()
-    prof = growth_profile(f, 10**5, (10**3, 10**4, 10**5))
-    # peak at burst end e_i = s_i + u_i with value ((i-1) 2^(i+1) + 2) / (i (i+1) 2^i)
-    table = f.burst_table
-    for i in (3, 5, 7):
-        end = table.burst(i)[0] + table.burst(i)[1]
-        if end > 10**5:
-            continue
-        idx = int(np.nonzero(prof.ns == end)[0][0])
-        expected = ((i - 1) * (1 << (i + 1)) + 2) / end
-        assert abs(prof.values[idx] - expected) <= 1e-12
-    assert len(prof.running_sup_tail) == 3
-    # running sup over tails is non-increasing
-    assert prof.running_sup_tail[0] >= prof.running_sup_tail[1] >= prof.running_sup_tail[2]
-
-
-def test_growth_profile_validates_inputs():
-    f = power_fn(1)
-    with pytest.raises(InvalidInput):
-        growth_profile(f, 100, ())
-    with pytest.raises(InvalidInput):
-        growth_profile(f, 100, (1000,))
 
 
 # ---------------------------------------------------------------------------
@@ -239,51 +217,91 @@ def test_classify_exponential_recovers_rate():
 
 
 def test_classify_burst_flags_submult():
-    out = classify(default_burst())
+    f = default_burst()
+    out = classify(f)
     assert out.verdict == VERDICT_VIOLATES_SUBMULT
-    assert out.witnesses
-    # evidence: grid maxima strictly increase across nested extensions
-    maxima = out.grid_maxima
-    increases = sum(1 for a, b in zip(maxima, maxima[1:]) if b > a + 1e-9)
-    assert increases >= 5
+    # the midpoints m_i <= 2^18 (i = 1..11), largest margin 2^(i+1) - 2 first,
+    # each the exact defect there
+    table = f.burst_table
+    assert out.witnesses == tuple((table.midpoint(i), table.midpoint(i), float((2 << i) - 2))
+                                  for i in range(11, 0, -1))
+    for x, _, defect in out.witnesses:
+        assert defect == f.log_f(2 * x) - 2.0 * f.log_f(x)
 
 
 def test_classify_slow_custom_inconclusive():
-    # e^sqrt(n): submultiplicative (so no C_i witnesses) but the growth
-    # profile has not stabilized near zero by n = 1e5
+    # e^sqrt(n) satisfies C, but a custom function carries no certificate
     f = custom_fn("expsqrt", lambda n: math.sqrt(n))
-    out = classify(f, profile_n=10**5)
+    out = classify(f)
     assert out.verdict == VERDICT_INCONCLUSIVE
 
 
-@pytest.mark.parametrize("profile_n, checkpoints", [
-    (50, (1, 5, 50)),
-    (1000, (10, 100, 1000)),
-    (10**5, (10**3, 10**4, 10**5)),
-    (10**6, (10**4, 10**5, 10**6)),
-])
-def test_classify_checkpoints_follow_profile_n(profile_n, checkpoints):
+def test_classify_custom_exponential_like():
+    # exactly linear log f violates C_ii, but only a registered kind can
+    # prove it: no finite set of values of f does
     f = custom_fn("hidden-exp", lambda n: 0.2 * n)
-    assert classify(f, profile_n=profile_n).profile.checkpoints == checkpoints
+    out = classify(f)
+    assert out.verdict == VERDICT_INCONCLUSIVE
+    assert out.rate is None and out.witnesses == ()
 
 
-@pytest.mark.parametrize("profile_n", [0, -5])
-def test_classify_rejects_profile_n_below_1_before_any_scan(profile_n):
+@st.composite
+def finite_burst_fns(draw):
+    """A burst function on 1-5 bursts with strictly increasing lengths."""
+    n = draw(st.integers(1, 5))
+    u = list(accumulate(draw(st.lists(st.integers(1, 8), min_size=n, max_size=n))))
+    gaps = draw(st.lists(st.integers(0, 10), min_size=n, max_size=n))
+    s = list(accumulate([draw(st.integers(1, 30))] + [ui + g for ui, g in zip(u, gaps)]))
+    return burst_fn(BurstSchedule(lambda i: s[i - 1], lambda i: u[i - 1], n_bursts=n))
+
+
+@settings(max_examples=40, deadline=None)
+@given(f=st.one_of(st.floats(0.05, 50.0).map(power_fn), st.floats(0.05, 50.0).map(log_power_fn),
+                   finite_burst_fns()))
+def test_certificate_bounds_scanned_defect(f):
+    # the scan grid covers every burst and, for bursts, every midpoint
+    out = classify(f)
+    log_k = f.log_submult_certificate()
+    assert out.verdict == VERDICT_SATISFIES and out.witnesses == ()
+    report = submult_scan(f, range(1, 150), range(1, 150))
+    assert report.log_grid_k <= log_k + 1e-12 * max(1.0, log_k)
+
+
+def test_classify_never_scans(monkeypatch):
+    import recur_moments.momentfn as momentfn
+    monkeypatch.setattr(momentfn, "submult_scan", None)
     calls = []
-    scanned = custom_fn("counted", lambda n: calls.append(n) or 0.1 * n)
-    for f in (power_fn(2), scanned):
-        with pytest.raises(InvalidInput, match="profile_n"):
-            classify(f, profile_n=profile_n)
+    fns = [power_fn(2), log_power_fn(1), exp_fn(0.1), default_burst(),
+           custom_fn("counted", lambda n: calls.append(n) or 0.1 * n),
+           burst_fn(BurstSchedule(lambda i: 4 ** i, lambda i: i + 1))]
+    verdicts = [classify(f).verdict for f in fns]
+    assert verdicts == [VERDICT_SATISFIES, VERDICT_SATISFIES, VERDICT_VIOLATES_GROWTH,
+                        VERDICT_VIOLATES_SUBMULT, VERDICT_INCONCLUSIVE, VERDICT_INCONCLUSIVE]
     assert calls == []
 
 
-def test_classify_custom_exponential_like():
-    # a custom function with exactly linear log f is detected by the profile
-    # route (checkpoint sups stabilize at the rate) without a registered kind
-    f = custom_fn("hidden-exp", lambda n: 0.2 * n)
+def test_classify_other_unbounded_burst_inconclusive_with_witnesses():
+    # the default schedule's formulas, but not the one cached, verified
+    # object that classify recognises by identity
+    assert default_burst_schedule() is default_burst_schedule()
+    f = burst_fn(BurstSchedule(lambda i: i * i << i, lambda i: i << i))
     out = classify(f)
-    assert out.verdict == VERDICT_VIOLATES_GROWTH
-    assert abs(out.rate - 0.2) <= 1e-9
+    assert out.verdict == VERDICT_INCONCLUSIVE
+    assert out.witnesses == classify(default_burst()).witnesses
+
+
+def test_classify_finite_burst_past_float_range_inconclusive():
+    # K = e^(10^400) exists but its log is no float: ViolatesC_ii with rate
+    # ~1 from a growth profile that never reached the end of the burst
+    f = burst_fn(BurstSchedule(lambda i: 2, lambda i: 10 ** 400, n_bursts=1))
+    assert classify(f).verdict == VERDICT_INCONCLUSIVE
+
+
+def test_classify_capped_custom_inconclusive():
+    # bounded, so it satisfies C; a growth profile to 1e6 stops before the
+    # cap and read it as ViolatesC_ii with rate 0.01
+    f = custom_fn("capped", lambda n: 0.01 * min(n, 2_000_000))
+    assert classify(f).verdict == VERDICT_INCONCLUSIVE
 
 
 def test_classify_near_exponential_stays_inconclusive():

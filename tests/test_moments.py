@@ -9,7 +9,7 @@ import pytest
 from recur_moments import (InvalidInput, PassageLaw,
                            TwoStateChain, VERDICT_CONVERGED, VERDICT_DIVERGED,
                            MOMENT_INCONCLUSIVE, build_two_state,
-                           compound_growth_curve, custom_fn, exp_fn, f_moment,
+                           custom_fn, exp_fn, f_moment,
                            first_passage_law, lower_bound_series, mc_f_moment,
                            passage_sampler, power_fn)
 
@@ -233,39 +233,3 @@ def test_mc_validates():
         mc_f_moment(sampler, power_fn(1), n_samples=10, cap=0, seed=0)
     with pytest.raises(InvalidInput, match="seed"):
         mc_f_moment(sampler, power_fn(1), n_samples=10, cap=10, seed=-1)
-
-
-# ---------------------------------------------------------------------------
-# excursion-count diagnostic
-
-
-def test_compound_growth_curve_point_masses():
-    u = PassageLaw.point(1).to_dense(40)
-    v = PassageLaw.point(1).to_dense(40)
-    curve = compound_growth_curve(u, v, 0.5, power_fn(1), n_terms=30, horizon=40)
-    # term m: log(0.5^(m+1) (m+1)); cumulative tends to log E(M+1) = log 2
-    for m, term, _ in curve[:10]:
-        assert abs(term - math.log(0.5 ** (m + 1) * (m + 1))) <= 1e-12
-    assert abs(math.exp(curve[-1][2]) - 2.0) <= 1e-6
-
-
-def test_compound_growth_curve_matches_compound_moment(kernel3):
-    from recur_moments import (conditioned_hit_law, conditioned_return_law,
-                               hit_before_return_prob)
-    h = 60
-    pi = hit_before_return_prob(kernel3, 0, 2)
-    u = conditioned_return_law(kernel3, 0, 2, h)
-    v = conditioned_hit_law(kernel3, 0, 2, h)
-    t = first_passage_law(kernel3, 0, 2, h)
-    curve = compound_growth_curve(u, v, pi, power_fn(1), n_terms=h, horizon=h)
-    partial = f_moment(t, power_fn(1)).log_partial_sum
-    # the curve accumulates the same in-horizon mass as the direct law
-    assert abs(curve[-1][2] - partial) <= 1e-6
-
-
-def test_compound_growth_curve_validates():
-    u = PassageLaw.point(1)
-    with pytest.raises(InvalidInput):
-        compound_growth_curve(u, u, 0.5, power_fn(1))  # sparse needs horizon
-    with pytest.raises(InvalidInput):
-        compound_growth_curve(u, u, 0.0, power_fn(1), horizon=10)
