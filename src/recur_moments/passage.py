@@ -5,17 +5,22 @@ i, counting from step 1; i = j gives the first return).  Representations:
 
 * dense: a linear pmf over n = 1..horizon with its log view, plus the tail
   mass P(T > horizon) kept in log space.  The pmf comes from propagating the
-  taboo vector q_n(k) = P(X_n = k, j not yet hit), one compiled sparse
-  product per step with a taboo operator built once per law from the
-  kernel's CSR arrays: P^T with the mass entering j routed to a sink slot,
-  whose column is empty, and the mass entering a killed state dropped.
-  Laws that track a visited-flag step the interleaved pairs (k, visited).
-  Steps run in blocks of up to 64 rows; the pmf is read from the sink
-  column and the survivals summed once per block.  The vector is rescaled
-  by exact powers of two before its mass can underflow (the rows of a block
-  past the rescale point are recomputed from the rescaled row), so a tail
-  is zero only when no mass is left.  Entries below ``PRUNE_FLOOR_LOG``,
-  which the linear pmf cannot hold, join the tail;
+  taboo vector q_n(k) = P(X_n = k, j not yet hit) with scipy's compiled
+  ``csc_matvec`` and a taboo operator built once per law from the kernel's
+  CSR arrays: P^T with the mass entering j routed to a sink slot, whose
+  column is empty, and the mass entering a killed state dropped.  Laws that
+  track a visited-flag step the interleaved pairs (k, visited).  Steps run
+  in blocks of up to 128 rows.  The first row of a block is one
+  single-step call; the others take a few calls with a block-lifted
+  operator that steps many rows of one flat buffer in place, each row
+  summed over the same products in the same order as a single step, so
+  every law is the one a call per step gives, bit for bit.  The pmf is read
+  from the sink column and the survivals summed once per block.  The
+  vector is rescaled by exact powers of two before its mass can underflow
+  (the rows of a block past the rescale point are recomputed from the
+  rescaled row), so a tail is zero only when no mass is left.  Entries
+  below ``PRUNE_FLOOR_LOG``, which the linear pmf cannot hold, join the
+  tail;
 * sparse: integer atoms with log-weights (:class:`AtomicDist`), for laws with
   few support points or astronomically small masses.
 
@@ -45,7 +50,7 @@ from contextlib import contextmanager
 from dataclasses import dataclass
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
+from numpy.lib.stride_tricks import as_strided, sliding_window_view
 
 from ._atomic import _MASS_TOL, AtomicDist
 from .chain import TransitionKernel, StateRef
@@ -294,12 +299,15 @@ def _derive_tail_cert(surv: np.ndarray, scale: np.ndarray, *, window: int = 20,
         return TailCert(start=int(zero[0]) + 1, rho=0.5)
     if surv.size < window + 1:
         return None
-    ratios = np.ldexp(surv[1:] / surv[:-1], scale[:-1] - scale[1:])
-    windows = sliding_window_view(ratios, window)
+    ratios = surv[1:] / surv[:-1]
+    if scale[-1]:  # scale never decreases, so otherwise every shift is 0
+        ratios = np.ldexp(ratios, scale[:-1] - scale[1:])
+    n = ratios.size - window + 1
+    windows = as_strided(ratios, (n, window), ratios.strides * 2, writeable=False)
     # only the first stable window counts: scan in chunks that double in
     # size and stop at the first hit
     w0, w1 = 0, _CERT_CHUNK
-    while w0 < len(windows):
+    while w0 < n:
         chunk = windows[w0:w1]
         hits = np.nonzero(chunk.max(axis=1) - chunk.min(axis=1) < var_tol)[0]
         if hits.size:
@@ -312,9 +320,9 @@ def _derive_tail_cert(surv: np.ndarray, scale: np.ndarray, *, window: int = 20,
 
 _RESCALE_BELOW = 2.0 ** -600
 _LN2 = math.log(2.0)
-_BLOCK_ROWS = 64
+_BLOCK_ROWS = 128
 _BLOCK_DOUBLES = 2 ** 16
-_csc_matvec = None  # scipy's compiled CSC matvec, bound by the first _propagate
+_csc_matvec = None  # scipy's compiled CSC matvec, bound and checked by the first _propagate
 
 
 def _taboo_operator(kernel: TransitionKernel, absorb: int, kill: int | None,
@@ -356,11 +364,64 @@ def _taboo_operator(kernel: TransitionKernel, absorb: int, kill: int | None,
     return np.append(ptr, ptr[-1]).astype(dest.dtype), dest, data, width
 
 
+def _lift(indptr: np.ndarray, indices: np.ndarray, data: np.ndarray, w: int, steps: int,
+          flag_slot: int | None) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """CSC arrays (indptr, indices, data) of ``steps`` steps of a w-slot
+    operator over one flat buffer of ``steps + 1`` rows of w: column t*w + c
+    holds the entries of column c, into row t + 1.
+
+    Given the buffer as both its input and its output, ``csc_matvec`` fills
+    rows 1..steps from row 0: it adds the columns in ascending order and
+    reads a column's input slot only when it reaches that column, after
+    every column of the rows before has been added in.  So each slot sums
+    the same products in the same order as a single-step call.  With
+    ``flag_slot`` = 2f, column (t, 2f) holds instead one entry 1.0 into
+    slot 2f + 1 of its own row: the crossing fix-up y[2f+1] += y[2f] of row
+    t, added before column 2f + 1 reads that slot.  The P-edges of slot 2f
+    are left out; they only ever carried 0.0.
+    """
+    ptr, dest, val = indptr[:-1], indices + w, data
+    if flag_slot is not None:
+        a, b = indptr[flag_slot], indptr[flag_slot + 1]
+        dest = np.concatenate((dest[:a], [flag_slot + 1], dest[b:]), dtype=dest.dtype)
+        val = np.concatenate((val[:a], [1.0], val[b:]))
+        ptr = ptr + np.where(np.arange(w) > flag_slot, 1 - (b - a), 0)
+    nnz, step = val.size, np.arange(steps, dtype=indices.dtype)[:, None]
+    lptr = np.empty(steps * w + 1, dtype=indices.dtype)
+    np.add(ptr, nnz * step, out=lptr[:-1].reshape(steps, w))
+    lptr[-1] = nnz * steps
+    lval = np.empty((steps, nnz))
+    lval[:] = val
+    return lptr, (dest + w * step).ravel(), lval.ravel()
+
+
+def _bind_matvec():
+    """scipy's compiled ``csc_matvec``, once it has stepped a 2-state
+    operator through three lifted steps in place exactly as three
+    single-step calls do.  A scipy whose ``csc_matvec`` copied its input
+    would make every lifted law silently wrong, so it raises RuntimeError."""
+    import scipy
+    from scipy.sparse._sparsetools import csc_matvec
+    ptr, ind = np.array([0, 2, 3], dtype=np.int32), np.array([0, 1, 0], dtype=np.int32)
+    val = np.array([0.25, 0.75, 1.0])
+    rows = np.zeros((4, 2))
+    rows[0, 0] = 1.0
+    for t in range(3):
+        csc_matvec(2, 2, ptr, ind, val, rows[t], rows[t + 1])
+    flat = np.zeros(8)
+    flat[0] = 1.0
+    csc_matvec(8, 6, *_lift(ptr, ind, val, 2, 3, None), flat, flat)
+    if not np.array_equal(flat, rows.ravel()):
+        raise RuntimeError(f"scipy {scipy.__version__}: csc_matvec does not add into its "
+                           "input in place, which lifted propagation needs")
+    return csc_matvec
+
+
 def _propagate(kernel: TransitionKernel, start: int, horizon: int, *, absorb: int,
                kill: int | None = None, flag: int | None = None) -> tuple[np.ndarray, ...]:
     """Step the taboo vector q_n(k) = P(X_n = k, not absorbed or killed) from
-    ``start``: one compiled ``csc_matvec`` a step over the operator of
-    :func:`_taboo_operator`, which gives ``q @ csr`` bit for bit.
+    ``start`` with the operator of :func:`_taboo_operator`, whose compiled
+    ``csc_matvec`` gives ``q @ csr`` bit for bit.
 
     Mass entering ``absorb`` is recorded from the sink slot; mass entering
     ``kill`` is gone.  With ``flag``, q holds the pairs (k, visited) and
@@ -369,26 +430,40 @@ def _propagate(kernel: TransitionKernel, start: int, horizon: int, *, absorb: in
 
     Steps fill the rows of a block buffer, at most ``_BLOCK_ROWS`` rows and
     ``_BLOCK_DOUBLES`` doubles; two buffers alternate, so the carried vector
-    is never copied.  After each block, the pmf is read from its sink column
-    and the survivals are its row sums.  Alive mass in (0, 2^-600) is
-    rescaled by an exact power of two before the next step, so q never
-    underflows: the rows after the first such step are dropped, and the
-    next block starts from that row, rescaled.  A block holds at least two
-    and at most four times as many steps as were kept since the last
-    rescale, so a rollback drops at most four steps for each step kept.
-    Once the alive mass is exactly zero every later step is zero, and
-    stepping stops.  Returns (pmf, surv, scale, q): the mass recorded in
-    and alive after step t, both times 2^scale[t], and the final q, times
-    2^scale[-1].
+    is never copied.  Row 0 of a block is one single-step call on the
+    carried vector.  The other rows come from a few calls on the block's own
+    flat buffer with the lifted operator of :func:`_lift`, each covering up
+    to ``lift`` steps, so that the lifted operator holds at most
+    ``_BLOCK_DOUBLES`` entries unless one step alone holds more; with one
+    row a block it is not built.  Every slot is summed over the same products
+    in the same order as with one call a step, so the laws are the same bit
+    for bit.  With ``flag``, the lifted operator moves slot (flag, 0) of
+    every row but the last into (flag, 1); the last row is fixed up here,
+    and then column (flag, 0) of the block is zeroed.
+
+    After each block, the pmf is read from its sink column and the
+    survivals are its row sums.  Alive mass in (0, 2^-600) is rescaled by an
+    exact power of two before the next step, so q never underflows: the
+    rows after the first such step are dropped, and the next block starts
+    from that row, rescaled.  A block holds at least two and at most four
+    times as many steps as were kept since the last rescale, so a rollback
+    drops at most four steps for each step kept.  Once the alive mass is
+    exactly zero every later step is zero, and stepping stops.  Returns
+    (pmf, surv, scale, q): the mass recorded in and alive after step t, both
+    times 2^scale[t], and the final q, times 2^scale[-1].
     """
     global _csc_matvec
     if _csc_matvec is None:
-        from scipy.sparse._sparsetools import csc_matvec as _csc_matvec
+        _csc_matvec = _bind_matvec()
     indptr, indices, data, width = _taboo_operator(kernel, absorb, kill, flag)
     w = width + 1
     rows = max(1, min(_BLOCK_ROWS, _BLOCK_DOUBLES // w))
+    lift = max(1, min(rows - 1, _BLOCK_DOUBLES // max(1, data.size)))
+    fslot = None if flag is None else 2 * flag
+    if rows > 1:
+        lptr, lind, ldat = _lift(indptr, indices, data, w, lift, fslot)
     bufs = (np.empty((rows, w)), np.empty((rows, w)))
-    views = tuple(list(b) for b in bufs)
+    flats = tuple(b.reshape(-1) for b in bufs)
     x = np.zeros(w)
     x[start if flag is None else 2 * start] = 1.0
     pmf, surv = np.zeros(horizon), np.zeros(horizon)
@@ -397,15 +472,16 @@ def _propagate(kernel: TransitionKernel, start: int, horizon: int, *, absorb: in
     t = since = k = 0
     while t < horizon:
         m = min(horizon - t, rows, max(2, 4 * since))
-        buf, block = bufs[k], views[k][:m]
+        buf, flat = bufs[k], flats[k]
         k ^= 1
         buf[:m] = 0.0
-        for y in block:
-            matvec(w, w, indptr, indices, data, x, y)
-            if flag is not None:
-                y[2 * flag + 1] += y[2 * flag]
-                y[2 * flag] = 0.0
-            x = y
+        matvec(w, w, indptr, indices, data, x, flat)
+        for r0 in range(0, (m - 1) * w, lift * w):
+            y = flat[r0:min(r0 + (lift + 1) * w, m * w)]
+            matvec(y.size, y.size - w, lptr, lind, ldat, y, y)
+        if flag is not None:
+            buf[m - 1, fslot + 1] += buf[m - 1, fslot]
+            buf[:m, fslot] = 0.0
         s = np.add.reduce(buf[:m, :width], axis=1)
         low = np.nonzero(s < _RESCALE_BELOW)[0]
         kept = int(low[0]) + 1 if low.size else m
@@ -413,10 +489,10 @@ def _propagate(kernel: TransitionKernel, start: int, horizon: int, *, absorb: in
         surv[t:t + kept] = s[:kept]
         t += kept
         since += kept
+        x = buf[kept - 1]
         if low.size and t < horizon:
             if s[kept - 1] == 0.0:
                 break
-            x = block[kept - 1]
             e = -math.frexp(s[kept - 1])[1]
             np.ldexp(x, e, out=x)
             scale[t:] += e
@@ -435,7 +511,7 @@ def first_passage_law(kernel: TransitionKernel, source: StateRef, target: StateR
     """Exact law of the first hit of ``target`` from ``source`` up to
     ``horizon`` (source = target gives the first return).
 
-    One compiled sparse product per step with the taboo operator: mass
+    The taboo vector is stepped with the compiled taboo operator: mass
     flowing into the target at step n is recorded as P(T = n) and removed
     (see :func:`_propagate`).  The taboo vector is rescaled by
     exact powers of two once its mass falls below 2^-600, so the log tail is

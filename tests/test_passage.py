@@ -185,22 +185,107 @@ def test_propagation_never_builds_a_transpose(kernel3, monkeypatch):
 
 def test_propagation_stops_at_an_exactly_zero_vector(monkeypatch):
     # the walk from 0 has returned surely after step 2; stepping on to
-    # h = 6000 used to take 33 ms
-    calls = []
+    # h = 6000 used to take 33 ms.  A call over n_col columns takes
+    # n_col // w steps, w = 3 slots (two states and the sink)
+    steps = []
 
     def counting(*args):
-        calls.append(1)
+        steps.append(args[1] // 3)
         return kernel_call(*args)
 
     # passage binds its name on the first law, so it may still be unbound
     from scipy.sparse._sparsetools import csc_matvec as kernel_call
     monkeypatch.setattr(passage, "_csc_matvec", counting)
     law = first_passage_law(build_two_state(0.5), 0, 0, 6000)
-    assert len(calls) == 2
+    assert sum(steps) == 2
     expected = np.zeros(6000)
     expected[:2] = 0.5
     assert np.array_equal(law.pmf_array(), expected)
     assert law.log_tail == -math.inf and law.is_complete
+
+
+def _single_steps(op, w, x, steps, fslot):
+    """Rows of ``steps`` single-step calls from x; with ``fslot`` = 2f, each
+    row then moves slot 2f into 2f + 1."""
+    from scipy.sparse._sparsetools import csc_matvec
+    out = np.zeros((steps, w))
+    for t in range(steps):
+        csc_matvec(w, w, *op, x, out[t])
+        if fslot is not None:
+            out[t, fslot + 1] += out[t, fslot]
+            out[t, fslot] = 0.0
+        x = out[t]
+    return out
+
+
+def _lifted_operators():
+    # seeded dense and ring chains (every dense state has a self-loop, ring
+    # states mostly do not) and one chain whose flagged state has one
+    for name, kernel in (
+            ("dense8", random_kernel(8, np.random.default_rng(8))),
+            ("dense64", random_kernel(64, np.random.default_rng(64))),
+            ("ring40", _sparse_kernel(40, 3, 40)),
+            ("selfloop", TransitionKernel(list("abc"), [[(1, 1.0)], [(1, 0.5), (2, 0.5)],
+                                                        [(0, 0.7), (2, 0.3)]]))):
+        yield pytest.param(name, kernel, id=name)
+
+
+@pytest.mark.parametrize("name,kernel", _lifted_operators())
+def test_lifted_chunk_equals_single_steps(name, kernel):
+    # a block of m = c + 1 rows, one single-step call and one lifted call
+    # over a chunk of c steps, gives the rows that m single-step calls give,
+    # bit for bit, in all three modes and for every m up to lift + 1.  As in
+    # _propagate, row 0 is a raw single step from a carried vector, and in
+    # flag mode the last row is fixed up by hand and column 2f zeroed
+    from scipy.sparse._sparsetools import csc_matvec
+    n = kernel.n_states
+    rng = np.random.default_rng(n)
+    modes = [(0, {}), (n - 1, {"kill": 1}), (1, {"flag": 0}), (0, {"flag": n - 1})]
+    if name == "selfloop":
+        modes.append((2, {"flag": 1}))  # state b steps to itself
+    for absorb, mode in modes:
+        op = passage._taboo_operator(kernel, absorb, mode.get("kill"), mode.get("flag"))
+        w = op[3] + 1
+        fslot = None if "flag" not in mode else 2 * mode["flag"]
+        rows = max(1, min(passage._BLOCK_ROWS, passage._BLOCK_DOUBLES // w))
+        lift = max(1, min(rows - 1, passage._BLOCK_DOUBLES // op[2].size))
+        if name == "dense64":
+            assert lift < rows - 1
+        lifted = passage._lift(*op[:3], w, lift, fslot)
+        x = rng.random(w)
+        if fslot is not None:
+            x[fslot] = 0.0
+        for c in range(lift + 1):
+            expected = _single_steps(op[:3], w, x, c + 1, fslot)
+            flat = np.zeros((c + 1) * w)
+            csc_matvec(w, w, *op[:3], x, flat)
+            if c:
+                csc_matvec(flat.size, c * w, *lifted, flat, flat)
+            got = flat.reshape(c + 1, w)
+            if fslot is not None:
+                got[c, fslot + 1] += got[c, fslot]
+                got[:, fslot] = 0.0
+            assert np.array_equal(got, expected), (name, absorb, mode, c)
+
+
+def test_propagation_refuses_a_matvec_that_copies_its_input(monkeypatch):
+    # lifted steps read the rows that the same call has just written; a
+    # csc_matvec that copied X first would make every law silently wrong
+    import scipy
+    import scipy.sparse._sparsetools as tools
+
+    real = tools.csc_matvec
+
+    def copying(n_row, n_col, ptr, ind, val, x, y):
+        real(n_row, n_col, ptr, ind, val, x.copy(), y)
+
+    monkeypatch.setattr(tools, "csc_matvec", copying)
+    monkeypatch.setattr(passage, "_csc_matvec", None)
+    with pytest.raises(RuntimeError, match=f"scipy {scipy.__version__}"):
+        first_passage_law(build_two_state(0.5), 0, 1, 10)
+    monkeypatch.setattr(tools, "csc_matvec", real)
+    assert first_passage_law(build_two_state(0.5), 0, 1, 10).horizon == 10
+    assert passage._csc_matvec is real
 
 
 @settings(max_examples=40, deadline=None)
