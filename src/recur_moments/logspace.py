@@ -32,10 +32,10 @@ def logsumexp(values) -> float:
     arr = np.asarray(values, dtype=float)
     if arr.size == 0:
         return LOG_ZERO
-    m = float(np.max(arr))
+    m = float(arr.max())
     if math.isinf(m):
         return m
-    return m + math.log(float(np.sum(np.exp(arr - m))))
+    return m + math.log(float(np.exp(arr - m).sum()))
 
 
 def log1mexp(x: float) -> float:

@@ -87,11 +87,14 @@ class MomentEstimate:
 
 def _log_partial_sum(law: PassageLaw, f: MomentFunction) -> float:
     if law.is_dense:
-        mask = law.log_pmf > LOG_ZERO
+        log_pmf = law.log_pmf
+        mask = log_pmf > LOG_ZERO
+        if mask.all():
+            return logsumexp(f.log_f_array(np.arange(1, log_pmf.size + 1)) + log_pmf)
         if not mask.any():
             return LOG_ZERO
         ns = np.nonzero(mask)[0] + 1
-        return logsumexp(f.log_f_array(ns) + law.log_pmf[mask])
+        return logsumexp(f.log_f_array(ns) + log_pmf[mask])
     atoms = law.atomic
     return logsumexp(f.log_f_array(atoms.atoms) + atoms.log_probs)
 

@@ -19,8 +19,8 @@ i, counting from step 1; i = j gives the first return).  Representations:
   vector is rescaled by exact powers of two before its mass can underflow
   (the rows of a block past the rescale point are recomputed from the
   rescaled row), so a tail is zero only when no mass is left.  Entries
-  below ``PRUNE_FLOOR_LOG``, which the linear pmf cannot hold, join the
-  tail;
+  that unscale below the smallest subnormal, which the linear pmf cannot
+  hold, join the tail, their logs read from the rescaled values;
 * sparse: integer atoms with log-weights (:class:`AtomicDist`), for laws with
   few support points or astronomically small masses.
 
@@ -50,7 +50,7 @@ from contextlib import contextmanager
 from dataclasses import dataclass
 
 import numpy as np
-from numpy.lib.stride_tricks import as_strided, sliding_window_view
+from numpy.lib.stride_tricks import sliding_window_view
 
 from ._atomic import _MASS_TOL, AtomicDist
 from .chain import TransitionKernel, StateRef
@@ -110,7 +110,7 @@ class PassageLaw:
         pmf = np.asarray(pmf, dtype=float)
         if pmf.ndim != 1 or pmf.size == 0:
             raise InvalidInput("dense pmf must be a nonempty 1-d array")
-        if np.any(pmf < 0):
+        if (pmf < 0).any():
             raise InvalidInput("probabilities must be nonnegative")
         with np.errstate(divide="ignore"):
             log_pmf = np.log(pmf)
@@ -156,10 +156,8 @@ class PassageLaw:
             surv = self.survival_array()
             n0, rho = self._tail_cert.start, self._tail_cert.rho
             if n0 <= surv.size - 1:
-                lhs = surv[n0:]
                 rhs = rho * surv[n0 - 1:-1]
-                resolved = rhs >= _SMALLEST_NORMAL
-                if np.any(lhs[resolved] > rhs[resolved] * (1.0 + 1e-12)):
+                if ((surv[n0:] > rhs * (1.0 + 1e-12)) & (rhs >= _SMALLEST_NORMAL)).any():
                     raise InvalidInput("tail certificate violated on computed points")
 
     # -- accessors ---------------------------------------------------------
@@ -239,11 +237,11 @@ class PassageLaw:
     def survival_array(self) -> np.ndarray:
         """S_n = P(T > n) for n = 1..horizon (linear space), summed from the
         tail upwards as tail + sum_{k>n} p_k, with no subtraction."""
-        pmf = self.pmf_array()
+        pmf = self._lin_pmf if self.is_dense else self.pmf_array()
         terms = np.empty(pmf.size)
         terms[0] = math.exp(self._log_tail)
         terms[1:] = pmf[:0:-1]
-        return np.cumsum(terms)[::-1]
+        return terms.cumsum()[::-1]
 
     def to_dense(self, horizon: int) -> "PassageLaw":
         """Re-represent on 1..horizon; mass beyond moves into the tail.
@@ -294,7 +292,7 @@ def _derive_tail_cert(surv: np.ndarray, scale: np.ndarray, *, window: int = 20,
     certificate holds on every computed point by construction.  Only an
     exactly zero taboo vector (never an underflow) certifies trivially.
     """
-    zero = np.nonzero(surv == 0.0)[0]
+    zero = (surv == 0.0).nonzero()[0]
     if zero.size:
         return TailCert(start=int(zero[0]) + 1, rho=0.5)
     if surv.size < window + 1:
@@ -303,13 +301,13 @@ def _derive_tail_cert(surv: np.ndarray, scale: np.ndarray, *, window: int = 20,
     if scale[-1]:  # scale never decreases, so otherwise every shift is 0
         ratios = np.ldexp(ratios, scale[:-1] - scale[1:])
     n = ratios.size - window + 1
-    windows = as_strided(ratios, (n, window), ratios.strides * 2, writeable=False)
+    windows = np.ndarray((n, window), float, ratios, 0, ratios.strides * 2)
     # only the first stable window counts: scan in chunks that double in
     # size and stop at the first hit
     w0, w1 = 0, _CERT_CHUNK
     while w0 < n:
         chunk = windows[w0:w1]
-        hits = np.nonzero(chunk.max(axis=1) - chunk.min(axis=1) < var_tol)[0]
+        hits = (chunk.max(axis=1) - chunk.min(axis=1) < var_tol).nonzero()[0]
         if hits.size:
             w = w0 + int(hits[0])
             rho = float(ratios[w:].max()) + slack
@@ -322,6 +320,7 @@ _RESCALE_BELOW = 2.0 ** -600
 _LN2 = math.log(2.0)
 _BLOCK_ROWS = 128
 _BLOCK_DOUBLES = 2 ** 16
+_FLAG_BITS = np.array([0, 1], dtype=np.int32)
 _csc_matvec = None  # scipy's compiled CSC matvec, bound and checked by the first _propagate
 
 
@@ -338,30 +337,39 @@ def _taboo_operator(kernel: TransitionKernel, absorb: int, kill: int | None,
     """
     csr = kernel.csr
     ptr, dest, data = csr.indptr, csr.indices, csr.data
-    sink, drop = absorb, [] if kill is None else [kill]
-    if flag is not None:
+    n = ptr.size - 1
+    if flag is None:
+        width = n
+        keep = None if kill is None else dest != kill
+        dest = np.where(dest == absorb, width, dest)
+    else:
         # column 2k+v holds the out-edges of k, to slots 2d+v: the entries of
-        # CSR row k twice, first for v = 0, then for v = 1
-        lens = np.diff(ptr)
-        first = np.arange(dest.size) + np.repeat(ptr[:-1], lens)
-        at = np.concatenate((first, first + np.repeat(lens, lens)))
-        ptr2 = np.empty(2 * ptr.size - 1, dtype=dest.dtype)
-        ptr2[0::2], ptr2[1::2] = 2 * ptr, ptr[:-1] + ptr[1:]
-        dest2, data2 = np.empty(2 * dest.size, dtype=dest.dtype), np.empty(2 * data.size)
-        dest2[at] = np.concatenate((2 * dest, 2 * dest + 1))
-        data2[at] = np.concatenate((data, data))
-        ptr, dest, data = ptr2, dest2, data2
-        sink = 2 * absorb + 1
-        drop = [2 * absorb] + [2 * k + v for k in drop for v in (0, 1)]
-    width = ptr.size - 1
-    dest = np.where(dest == sink, width, dest)
-    if drop:
-        keep = dest != drop[0]
-        for slot in drop[1:]:
-            keep &= dest != slot
-        kept = np.concatenate(([0], np.cumsum(keep)))
+        # CSR row k twice, first for v = 0, then for v = 1, so entry e of row
+        # k goes to place e + ptr[k+v], and column 2k+v starts at ptr[k] +
+        # ptr[k+v]
+        nnz, width = dest.size, 2 * n
+        bounds = np.ndarray((n, 2), ptr.dtype, ptr, 0, ptr.strides * 2)  # (ptr[k], ptr[k+1])
+        at = np.repeat(bounds, ptr[1:] - ptr[:-1], axis=0)
+        at += np.arange(nnz, dtype=at.dtype)[:, None]
+        cols = np.empty(width + 1, dtype=dest.dtype)
+        np.add(ptr[:-1, None], bounds, out=cols[:-1].reshape(n, 2))
+        cols[-1] = 2 * nnz
+        dest2, data2 = np.empty(2 * nnz, dtype=dest.dtype), np.empty(2 * nnz)
+        dest2[at] = dest[:, None] * 2 + _FLAG_BITS
+        data2[at] = data[:, None]
+        keep = dest2 != 2 * absorb
+        if kill is not None:
+            keep &= dest2 >> 1 != kill
+        dest2[dest2 == 2 * absorb + 1] = width
+        ptr, dest, data = cols, dest2, data2
+    if keep is not None:
+        kept = np.zeros(dest.size + 1, dtype=dest.dtype)
+        np.add.accumulate(keep, dtype=kept.dtype, out=kept[1:])
         ptr, dest, data = kept[ptr], dest[keep], data[keep]
-    return np.append(ptr, ptr[-1]).astype(dest.dtype), dest, data, width
+    indptr = np.empty(width + 2, dtype=dest.dtype)
+    indptr[:-1] = ptr
+    indptr[-1] = ptr[-1]
+    return indptr, dest, data, width
 
 
 def _lift(indptr: np.ndarray, indices: np.ndarray, data: np.ndarray, w: int, steps: int,
@@ -445,10 +453,14 @@ def _propagate(kernel: TransitionKernel, start: int, horizon: int, *, absorb: in
     survivals are its row sums.  Alive mass in (0, 2^-600) is rescaled by an
     exact power of two before the next step, so q never underflows: the
     rows after the first such step are dropped, and the next block starts
-    from that row, rescaled.  A block holds at least two and at most four
-    times as many steps as were kept since the last rescale, so a rollback
-    drops at most four steps for each step kept.  Once the alive mass is
-    exactly zero every later step is zero, and stepping stops.  Returns
+    from that row, rescaled.  The first block, and the first after each
+    rescale, holds 2 rows; a later one holds max(lift + 1, 4 * since) rows,
+    since being the steps kept since the last rescale, so it makes at least
+    one full lifted call unless the horizon cuts it.  A rollback thus drops
+    at most one lifted call's worth of steps (``_BLOCK_DOUBLES``
+    multiply-adds) or four steps for each step kept, whichever is more.
+    Once the alive mass is exactly zero every later step is zero, and
+    stepping stops.  Returns
     (pmf, surv, scale, q): the mass recorded in and alive after step t, both
     times 2^scale[t], and the final q, times 2^scale[-1].
     """
@@ -471,7 +483,7 @@ def _propagate(kernel: TransitionKernel, start: int, horizon: int, *, absorb: in
     matvec = _csc_matvec
     t = since = k = 0
     while t < horizon:
-        m = min(horizon - t, rows, max(2, 4 * since))
+        m = min(horizon - t, rows, max(lift + 1, 4 * since) if since else 2)
         buf, flat = bufs[k], flats[k]
         k ^= 1
         buf[:m] = 0.0
@@ -483,7 +495,7 @@ def _propagate(kernel: TransitionKernel, start: int, horizon: int, *, absorb: in
             buf[m - 1, fslot + 1] += buf[m - 1, fslot]
             buf[:m, fslot] = 0.0
         s = np.add.reduce(buf[:m, :width], axis=1)
-        low = np.nonzero(s < _RESCALE_BELOW)[0]
+        low = (s < _RESCALE_BELOW).nonzero()[0]
         kept = int(low[0]) + 1 if low.size else m
         pmf[t:t + kept] = buf[:kept, width]
         surv[t:t + kept] = s[:kept]
@@ -506,6 +518,21 @@ def _log_scaled(x: float, scale: int) -> float:
     return math.log(x) - scale * _LN2 if x > 0.0 else LOG_ZERO
 
 
+def _unscaled_law(pmf: np.ndarray, scale: np.ndarray, log_tail: float,
+                  tail_cert: TailCert | None = None) -> PassageLaw:
+    """Dense law with pmf[t] 2^-scale[t] at step t + 1.  An entry that
+    unscales below the smallest subnormal becomes 0; its mass, whose log is
+    read from the scaled value, joins the tail."""
+    if not scale[-1]:  # scale never decreases, so nothing was rescaled
+        return PassageLaw._dense(pmf, log_tail, tail_cert)
+    lin = np.ldexp(pmf, -scale)
+    lost = (lin == 0.0) & (pmf > 0.0)
+    if lost.any():
+        log_lost = np.log(pmf[lost]) - scale[lost] * _LN2
+        log_tail = log_add(log_tail, logsumexp(log_lost))
+    return PassageLaw._dense(lin, log_tail, tail_cert)
+
+
 def first_passage_law(kernel: TransitionKernel, source: StateRef, target: StateRef,
                       horizon: int) -> PassageLaw:
     """Exact law of the first hit of ``target`` from ``source`` up to
@@ -522,8 +549,7 @@ def first_passage_law(kernel: TransitionKernel, source: StateRef, target: StateR
     i, j = kernel.index_of(source), kernel.index_of(target)
     pmf, surv, scale, _ = _propagate(kernel, i, horizon, absorb=j)
     cert = _derive_tail_cert(surv, scale)
-    return PassageLaw._dense(np.ldexp(pmf, -scale), _log_scaled(surv[-1], scale[-1]),
-                             tail_cert=cert)
+    return _unscaled_law(pmf, scale, _log_scaled(surv[-1], scale[-1]), cert)
 
 
 def _hit_split(kernel: TransitionKernel, i: int, j: int) -> tuple[float, np.ndarray]:
@@ -587,8 +613,7 @@ def _conditioned(pmf: np.ndarray, alive: float, scale: np.ndarray, p: float) -> 
     output: the event's pmf within the horizon, and as tail the probability
     ``alive`` that the mass still alive there ends in the event, both
     divided by p.  The tail is computed directly, never as a difference."""
-    return PassageLaw._dense(np.ldexp(pmf / p, -scale),
-                             _log_scaled(alive, scale[-1]) - math.log(p))
+    return _unscaled_law(pmf / p, scale, _log_scaled(alive, scale[-1]) - math.log(p))
 
 
 def conditioned_return_law(kernel: TransitionKernel, source: StateRef, target: StateRef,

@@ -19,7 +19,7 @@ from recur_moments import (VERDICT_CONVERGED, AtomicDist, IncomparableLaws,
                            first_passage_law, geometric_compound,
                            hit_before_return_prob, law_from_csv, law_to_csv,
                            mixture, random_kernel, stochastic_dominates)
-from recur_moments.logspace import log_add
+from recur_moments.logspace import log_add, logsumexp
 from recur_moments import passage
 from recur_moments.passage import _derive_tail_cert
 
@@ -82,12 +82,47 @@ def test_survival_is_subtraction_free():
 
 
 def test_first_passage_tail_survives_underflow():
-    # P(T > 400) = 0.1^400 is below the smallest double, yet not zero
+    # P(T > 400) = 0.1^400 is below the smallest double, yet not zero.  The
+    # entries P(T = n) = 0.9 0.1^(n-1) below 2^-1074 round to 0 in the pmf,
+    # and their mass joins the tail
     law = first_passage_law(build_two_state(0.9), 0, 1, 400)
-    assert abs(law.log_tail - 400 * math.log(0.1)) <= 1e-9
+    log_pmf = math.log(0.9) + np.arange(400) * math.log(0.1)
+    lost = law.log_pmf == -math.inf
+    assert lost.any() and np.all(log_pmf[lost] < -1074 * math.log(2.0))
+    assert abs(law.log_tail - log_add(400 * math.log(0.1), logsumexp(log_pmf[lost]))) <= 1e-9
     assert not law.is_complete
     # the survival ratio is 0.1 on every step, across the rescales too
     assert law.tail_cert.start == 1 and 0.1 < law.tail_cert.rho < 0.1 + 2e-6
+
+
+_TWO_STATE_HORIZONS = [1100, 1500, 3000]
+
+
+@pytest.mark.parametrize("h", _TWO_STATE_HORIZONS)
+@pytest.mark.parametrize("law_fn,i,j", [(first_passage_law, 1, 1), (crossing_return_law, 1, 0)],
+                         ids=["return", "crossing"])
+def test_entries_below_the_subnormal_range_join_the_tail(law_fn, i, j, h):
+    # The return to the bouncing state of two-state 0.5 (every return visits
+    # state 0) has P(T = k) = 2^-(k-1) for k >= 2.  Past k ~ 1075 these
+    # entries unscale below 2^-1074 and round to 0; their mass must join the
+    # tail, with P(T > h) = 2^-(h-1)
+    law = law_fn(build_two_state(0.5), i, j, h)
+    k = np.arange(2, h + 1)
+    lost = law.log_pmf[1:] == -math.inf
+    assert lost.any()
+    log_lost = float(np.logaddexp.reduce(-(k[lost] - 1.0) * math.log(2.0)))
+    assert abs(law.log_tail - log_add(log_lost, -(h - 1) * math.log(2.0))) <= 1e-9
+
+
+@pytest.mark.parametrize("h", _TWO_STATE_HORIZONS)
+def test_converged_bracket_holds_past_the_subnormal_range(h):
+    # E e^{0.69 T} = 2 r^2 / (1 - r), r = e^0.69 / 2, for the return above;
+    # without the entries lost to underflow in the tail, the converged
+    # bracket at h = 1500 ended at e^6.4333 < 632.5
+    est = f_moment(first_passage_law(build_two_state(0.5), 1, 1, h), exp_fn(0.69))
+    r = math.exp(0.69) / 2.0
+    assert est.verdict == VERDICT_CONVERGED
+    assert est.log_partial_sum <= math.log(2.0 * r * r / (1.0 - r)) <= est.log_upper_bound
 
 
 _RANDOM3 = random_kernel(3, np.random.default_rng(3))
@@ -115,9 +150,14 @@ def test_rescale_schedule(kernel, absorb, h, mode):
 _LAWS = {"passage": first_passage_law, "return_avoiding": conditioned_return_law,
          "hit_first": conditioned_hit_law, "crossing": crossing_return_law}
 _SMALLEST_NORMAL = 2.2250738585072014e-308
-# block edges (blocks hold up to 64 steps) and, on the small chains, many
-# rescales past 2^-600 with their rolled-back rows
-_ENGINE_HORIZONS = (1, 63, 64, 65, 600, 1500)
+# Horizons on and next to block edges.  Chains of up to 16 states run a
+# first block of 2 rows, then blocks of lift + 1 = 128 rows, so their edges
+# are steps 2, 130, 258, ...; 63-65 end inside a lifted call.  Past 600
+# the small chains are rescaled many times, with rolled-back rows.
+# sparse3000 keeps the shorter list: each of its conditioned laws takes ~2 s
+# at any horizon.
+_ENGINE_HORIZONS = (1, 2, 3, 63, 64, 65, 129, 130, 131, 600, 1500)
+_SPARSE_HORIZONS = (1, 63, 64, 65, 600, 1500)
 # The old loop rounded a raw mass below the smallest normal.  Past step 600,
 # where the chains that decay fast reach the subnormal range, it also summed
 # masses just above it from subnormal products, so there only masses from
@@ -147,7 +187,7 @@ def test_engine_bit_identical_to_reference_loop(which, pairs, request):
         kernel = random_kernel(which, np.random.default_rng(which))
     for i, j in pairs:
         full = reference_laws(kernel, i, j, max(_ENGINE_HORIZONS))
-        for h in _ENGINE_HORIZONS:
+        for h in _SPARSE_HORIZONS if which == "sparse3000" else _ENGINE_HORIZONS:
             ref = {name: (raw[:h], divisor) for name, (raw, divisor) in full.items()}
             for name, law_fn in _LAWS.items():
                 if name not in ref:
@@ -202,6 +242,49 @@ def test_propagation_stops_at_an_exactly_zero_vector(monkeypatch):
     expected[:2] = 0.5
     assert np.array_equal(law.pmf_array(), expected)
     assert law.log_tail == -math.inf and law.is_complete
+
+
+@pytest.mark.parametrize("kernel,absorb,h", [
+    (build_two_state(0.9), 1, 1500), (random_kernel(8, np.random.default_rng(8)), 1, 600)],
+    ids=["two-state-rescaled", "random8-never-rescaled"])
+def test_block_schedule_bounds_rolled_back_steps(monkeypatch, kernel, absorb, h):
+    # A call over n_col columns executes n_col // w steps.  Blocks hold 2
+    # rows after the start and after each rescale, else max(lift + 1,
+    # 4 * since) rows, at most ``rows``; a rescale drops only the rows of its
+    # block past the row that fell below 2^-600, so here (rows = lift + 1)
+    # at most lift rows each.  A law that is never rescaled executes each
+    # step once.
+    op = passage._taboo_operator(kernel, absorb, None, None)
+    w = op[3] + 1
+    rows = max(1, min(passage._BLOCK_ROWS, passage._BLOCK_DOUBLES // w))
+    lift = max(1, min(rows - 1, passage._BLOCK_DOUBLES // op[2].size))
+    assert rows == lift + 1
+    steps = []
+
+    def counting(*args):
+        steps.append(args[1] // w)
+        return kernel_call(*args)
+
+    from scipy.sparse._sparsetools import csc_matvec as kernel_call
+    monkeypatch.setattr(passage, "_csc_matvec", counting)
+    _, surv, scale, _ = passage._propagate(kernel, 0, h, absorb=absorb)
+    assert surv[-1] > 0.0  # no early stop: every step up to h is kept
+    rescales = np.count_nonzero(np.diff(scale, prepend=0))
+    assert sum(steps) <= h + (rescales + 1) * (lift + 1)
+    low = surv < 2.0 ** -600
+    t = since = executed = 0
+    while t < h:
+        m = min(h - t, rows, max(lift + 1, 4 * since) if since else 2)
+        first_low = np.flatnonzero(low[t:t + m])
+        kept = int(first_low[0]) + 1 if first_low.size else m
+        executed, t, since = executed + m, t + kept, since + kept
+        if first_low.size and t < h:
+            since = 0
+    assert sum(steps) == executed
+    if rescales:
+        assert rescales >= 5 and h < executed <= h + rescales * lift
+    else:
+        assert executed == h
 
 
 def _single_steps(op, w, x, steps, fslot):
@@ -299,13 +382,18 @@ def test_long_horizons_match_two_state_closed_forms(p, h):
     n = np.arange(1, h + 1)
     hit, ret = first_passage_law(k, 0, 1, h), first_passage_law(k, 1, 1, h)
     assert ret.prob(1) == 0.0
-    for law, expected, log_tail in (
-            (hit, p * stay ** (n - 1.0), h * math.log(stay)),
-            (ret, np.where(n > 1, p * stay ** (n - 2.0), 0.0), (h - 1) * math.log(stay))):
+    log_hit = math.log(p) + (n - 1.0) * math.log(stay)
+    for law, expected, log_tail, log_expected in (
+            (hit, p * stay ** (n - 1.0), h * math.log(stay), log_hit),
+            (ret, np.where(n > 1, p * stay ** (n - 2.0), 0.0), (h - 1) * math.log(stay),
+             np.concatenate(([-math.inf], log_hit[:-1])))):
         got = law.pmf_array()
         normal = expected >= _SMALLEST_NORMAL
         assert np.all(np.abs(got[normal] / expected[normal] - 1.0) <= 1e-12)
-        assert abs(law.log_tail - log_tail) <= 1e-9
+        # entries that round to 0 in the pmf move their mass to the tail
+        lost = (law.log_pmf == -math.inf) & (log_expected > -math.inf)
+        assert np.all(log_expected[lost] < -1074 * math.log(2.0))
+        assert abs(law.log_tail - log_add(log_tail, logsumexp(log_expected[lost]))) <= 1e-9
 
 
 def test_accepts_state_names(kernel3):
