@@ -2,7 +2,9 @@
 
 The moment of a law computed to horizon N splits into a partial sum over the
 computed support and a tail contribution.  The partial sum is always exact
-(log-space).  The tail is bounded only when two certificates line up:
+(log-space); it includes the tail mass that a law keeps at known steps
+n <= N (``PassageLaw.tail_atoms``), so only the mass beyond N, P(T > N),
+is left.  The tail is bounded only when two certificates line up:
 
 * the law carries a tail certificate (N0, rho): P(T > n+1) <= rho P(T > n)
   on every computed n >= N0, and
@@ -117,10 +119,15 @@ def f_moment(law: PassageLaw, f: MomentFunction, *,
     """
     _check_threshold(log_threshold)
     n_cutoff = law.horizon
-    log_partial = _log_partial_sum(law, f)
+    log_partial, log_tail = _log_partial_sum(law, f), law.log_tail
+    if law.tail_atoms is not None:
+        # tail mass at known steps n <= N is summed exactly; only the rest,
+        # beyond N, is bounded
+        steps, log_probs, log_tail = law.tail_atoms
+        log_partial = log_add(log_partial, logsumexp(f.log_f_array(steps) + log_probs))
     if log_partial > log_threshold + f.log_f(1):
         return MomentEstimate(log_partial, None, VERDICT_DIVERGED, n_cutoff)
-    if law.log_tail == LOG_ZERO:
+    if log_tail == LOG_ZERO:
         return MomentEstimate(log_partial, LOG_ZERO, VERDICT_CONVERGED, n_cutoff)
     cert = law.tail_cert
     if cert is None or cert.start > n_cutoff:
@@ -132,7 +139,7 @@ def f_moment(law: PassageLaw, f: MomentFunction, *,
     if not gamma * rho < 1.0:
         return MomentEstimate(log_partial, None, VERDICT_INCONCLUSIVE, n_cutoff,
                               gamma=gamma, rho=rho)
-    bound = f.log_f(n_cutoff) + law.log_tail + math.log(gamma) - math.log1p(-gamma * rho)
+    bound = f.log_f(n_cutoff) + log_tail + math.log(gamma) - math.log1p(-gamma * rho)
     return MomentEstimate(log_partial, bound, VERDICT_CONVERGED, n_cutoff,
                           gamma=gamma, rho=rho)
 

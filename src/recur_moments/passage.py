@@ -20,7 +20,8 @@ i, counting from step 1; i = j gives the first return).  Representations:
   (the rows of a block past the rescale point are recomputed from the
   rescaled row), so a tail is zero only when no mass is left.  Entries
   that unscale below the smallest subnormal, which the linear pmf cannot
-  hold, join the tail, their logs read from the rescaled values;
+  hold, join the tail, their logs read from the rescaled values; the law
+  keeps their steps (``tail_atoms``), so a moment sums them exactly;
 * sparse: integer atoms with log-weights (:class:`AtomicDist`), for laws with
   few support points or astronomically small masses.
 
@@ -87,12 +88,13 @@ class PassageLaw:
     """Distribution of a positive-integer passage time (dense or sparse)."""
 
     def __init__(self, *, log_pmf=None, lin_pmf=None, atomic=None,
-                 log_tail=LOG_ZERO, tail_cert=None):
+                 log_tail=LOG_ZERO, tail_cert=None, tail_atoms=None):
         self._log_pmf = log_pmf
         self._lin_pmf = lin_pmf
         self._atomic = atomic
         self._log_tail = float(atomic.log_tail) if atomic is not None else float(log_tail)
         self._tail_cert = tail_cert
+        self._tail_atoms = tail_atoms
         self._check()
 
     # -- constructors ------------------------------------------------------
@@ -105,8 +107,10 @@ class PassageLaw:
         return cls._dense(pmf, math.log(tail) if tail > 0 else LOG_ZERO, tail_cert)
 
     @classmethod
-    def _dense(cls, pmf, log_tail: float, tail_cert: TailCert | None = None) -> "PassageLaw":
-        """Dense law from a linear-space pmf and a log-space tail."""
+    def _dense(cls, pmf, log_tail: float, tail_cert: TailCert | None = None,
+               tail_atoms=None) -> "PassageLaw":
+        """Dense law from a linear-space pmf and a log-space tail, part of
+        which may sit at known steps (see :attr:`tail_atoms`)."""
         pmf = np.asarray(pmf, dtype=float)
         if pmf.ndim != 1 or pmf.size == 0:
             raise InvalidInput("dense pmf must be a nonempty 1-d array")
@@ -114,7 +118,8 @@ class PassageLaw:
             raise InvalidInput("probabilities must be nonnegative")
         with np.errstate(divide="ignore"):
             log_pmf = np.log(pmf)
-        return cls(log_pmf=log_pmf, lin_pmf=pmf, log_tail=log_tail, tail_cert=tail_cert)
+        return cls(log_pmf=log_pmf, lin_pmf=pmf, log_tail=log_tail, tail_cert=tail_cert,
+                   tail_atoms=tail_atoms)
 
     @classmethod
     def dense_log(cls, log_pmf, log_tail: float, tail_cert: TailCert | None = None) -> "PassageLaw":
@@ -192,6 +197,17 @@ class PassageLaw:
     @property
     def tail_cert(self) -> TailCert | None:
         return self._tail_cert
+
+    @property
+    def tail_atoms(self) -> tuple[np.ndarray, np.ndarray, float] | None:
+        """The part of the tail that sits at known steps, or None.
+
+        A propagated law whose entries unscale below the smallest subnormal
+        counts their mass in its tail, since the linear pmf cannot hold it,
+        and keeps them here as (steps, log-probabilities, log of the rest of
+        the tail), the rest being the mass beyond the horizon.  Other laws
+        carry None."""
+        return self._tail_atoms
 
     @property
     def is_complete(self) -> bool:
@@ -520,17 +536,19 @@ def _log_scaled(x: float, scale: int) -> float:
 
 def _unscaled_law(pmf: np.ndarray, scale: np.ndarray, log_tail: float,
                   tail_cert: TailCert | None = None) -> PassageLaw:
-    """Dense law with pmf[t] 2^-scale[t] at step t + 1.  An entry that
-    unscales below the smallest subnormal becomes 0; its mass, whose log is
-    read from the scaled value, joins the tail."""
+    """Dense law with pmf[t] 2^-scale[t] at step t + 1 and tail e^log_tail
+    beyond the horizon.  An entry that unscales below the smallest subnormal
+    becomes 0; its mass, whose log is read from the scaled value, joins the
+    tail, and the law keeps its step in ``tail_atoms``."""
     if not scale[-1]:  # scale never decreases, so nothing was rescaled
         return PassageLaw._dense(pmf, log_tail, tail_cert)
     lin = np.ldexp(pmf, -scale)
-    lost = (lin == 0.0) & (pmf > 0.0)
-    if lost.any():
-        log_lost = np.log(pmf[lost]) - scale[lost] * _LN2
-        log_tail = log_add(log_tail, logsumexp(log_lost))
-    return PassageLaw._dense(lin, log_tail, tail_cert)
+    lost = ((lin == 0.0) & (pmf > 0.0)).nonzero()[0]
+    if not lost.size:
+        return PassageLaw._dense(lin, log_tail, tail_cert)
+    log_lost = np.log(pmf[lost]) - scale[lost] * _LN2
+    return PassageLaw._dense(lin, log_add(log_tail, logsumexp(log_lost)), tail_cert,
+                             (lost + 1, log_lost, log_tail))
 
 
 def first_passage_law(kernel: TransitionKernel, source: StateRef, target: StateRef,

@@ -83,13 +83,17 @@ def test_survival_is_subtraction_free():
 
 def test_first_passage_tail_survives_underflow():
     # P(T > 400) = 0.1^400 is below the smallest double, yet not zero.  The
-    # entries P(T = n) = 0.9 0.1^(n-1) below 2^-1074 round to 0 in the pmf,
-    # and their mass joins the tail
+    # entries P(T = n) = 0.9 0.1^(n-1) below 2^-1074 round to 0 in the pmf;
+    # their mass joins the tail, and the law keeps their steps
     law = first_passage_law(build_two_state(0.9), 0, 1, 400)
     log_pmf = math.log(0.9) + np.arange(400) * math.log(0.1)
     lost = law.log_pmf == -math.inf
     assert lost.any() and np.all(log_pmf[lost] < -1074 * math.log(2.0))
     assert abs(law.log_tail - log_add(400 * math.log(0.1), logsumexp(log_pmf[lost]))) <= 1e-9
+    steps, log_probs, log_rest = law.tail_atoms
+    assert abs(log_rest - 400 * math.log(0.1)) <= 1e-9
+    assert np.array_equal(steps, np.flatnonzero(lost) + 1)
+    assert np.all(np.abs(log_probs - log_pmf[lost]) <= 1e-9)
     assert not law.is_complete
     # the survival ratio is 0.1 on every step, across the rescales too
     assert law.tail_cert.start == 1 and 0.1 < law.tail_cert.rho < 0.1 + 2e-6
@@ -105,24 +109,30 @@ def test_entries_below_the_subnormal_range_join_the_tail(law_fn, i, j, h):
     # The return to the bouncing state of two-state 0.5 (every return visits
     # state 0) has P(T = k) = 2^-(k-1) for k >= 2.  Past k ~ 1075 these
     # entries unscale below 2^-1074 and round to 0; their mass must join the
-    # tail, with P(T > h) = 2^-(h-1)
+    # tail, with P(T > h) = 2^-(h-1), at their own steps
     law = law_fn(build_two_state(0.5), i, j, h)
     k = np.arange(2, h + 1)
     lost = law.log_pmf[1:] == -math.inf
     assert lost.any()
     log_lost = float(np.logaddexp.reduce(-(k[lost] - 1.0) * math.log(2.0)))
     assert abs(law.log_tail - log_add(log_lost, -(h - 1) * math.log(2.0))) <= 1e-9
+    steps, log_probs, log_rest = law.tail_atoms
+    assert abs(log_rest + (h - 1) * math.log(2.0)) <= 1e-9
+    assert np.array_equal(steps, k[lost])
+    assert np.all(np.abs(log_probs + (steps - 1.0) * math.log(2.0)) <= 1e-9)
 
 
 @pytest.mark.parametrize("h", _TWO_STATE_HORIZONS)
 def test_converged_bracket_holds_past_the_subnormal_range(h):
-    # E e^{0.69 T} = 2 r^2 / (1 - r), r = e^0.69 / 2, for the return above;
-    # without the entries lost to underflow in the tail, the converged
-    # bracket at h = 1500 ended at e^6.4333 < 632.5
+    # E e^{0.69 T} = 2 r^2 / (1 - r), r = e^0.69 / 2, for the return above.
+    # The bracket must count the entries lost to underflow, and at their own
+    # steps: charged as if they sat at h, their mass would lift the upper
+    # end by hundreds of nats
     est = f_moment(first_passage_law(build_two_state(0.5), 1, 1, h), exp_fn(0.69))
     r = math.exp(0.69) / 2.0
+    log_moment = math.log(2.0 * r * r / (1.0 - r))
     assert est.verdict == VERDICT_CONVERGED
-    assert est.log_partial_sum <= math.log(2.0 * r * r / (1.0 - r)) <= est.log_upper_bound
+    assert est.log_partial_sum <= log_moment <= est.log_upper_bound <= log_moment + 0.1
 
 
 _RANDOM3 = random_kernel(3, np.random.default_rng(3))
@@ -223,19 +233,25 @@ def test_propagation_never_builds_a_transpose(kernel3, monkeypatch):
         law_fn(kernel3, 0, 1, 50)
 
 
-def test_propagation_stops_at_an_exactly_zero_vector(monkeypatch):
-    # the walk from 0 has returned surely after step 2; stepping on to
-    # h = 6000 used to take 33 ms.  A call over n_col columns takes
-    # n_col // w steps, w = 3 slots (two states and the sink)
+def _count_steps(monkeypatch, w):
+    """Steps taken by passage's compiled matvec from now on, one entry a
+    call: a call over n_col columns takes n_col // w steps, w slots a row."""
     steps = []
 
     def counting(*args):
-        steps.append(args[1] // 3)
+        steps.append(args[1] // w)
         return kernel_call(*args)
 
     # passage binds its name on the first law, so it may still be unbound
     from scipy.sparse._sparsetools import csc_matvec as kernel_call
     monkeypatch.setattr(passage, "_csc_matvec", counting)
+    return steps
+
+
+def test_propagation_stops_at_an_exactly_zero_vector(monkeypatch):
+    # the walk from 0 has returned surely after step 2; stepping on to
+    # h = 6000 used to take 33 ms.  w = 3 slots: two states and the sink
+    steps = _count_steps(monkeypatch, 3)
     law = first_passage_law(build_two_state(0.5), 0, 0, 6000)
     assert sum(steps) == 2
     expected = np.zeros(6000)
@@ -248,43 +264,23 @@ def test_propagation_stops_at_an_exactly_zero_vector(monkeypatch):
     (build_two_state(0.9), 1, 1500), (random_kernel(8, np.random.default_rng(8)), 1, 600)],
     ids=["two-state-rescaled", "random8-never-rescaled"])
 def test_block_schedule_bounds_rolled_back_steps(monkeypatch, kernel, absorb, h):
-    # A call over n_col columns executes n_col // w steps.  Blocks hold 2
-    # rows after the start and after each rescale, else max(lift + 1,
-    # 4 * since) rows, at most ``rows``; a rescale drops only the rows of its
-    # block past the row that fell below 2^-600, so here (rows = lift + 1)
-    # at most lift rows each.  A law that is never rescaled executes each
-    # step once.
+    # Here a block holds at most rows = lift + 1 rows, and a rescale drops
+    # only the rows of its block past the row that fell below 2^-600: at
+    # most lift steps each.  A law that is never rescaled takes each step
+    # once.
     op = passage._taboo_operator(kernel, absorb, None, None)
     w = op[3] + 1
     rows = max(1, min(passage._BLOCK_ROWS, passage._BLOCK_DOUBLES // w))
     lift = max(1, min(rows - 1, passage._BLOCK_DOUBLES // op[2].size))
     assert rows == lift + 1
-    steps = []
-
-    def counting(*args):
-        steps.append(args[1] // w)
-        return kernel_call(*args)
-
-    from scipy.sparse._sparsetools import csc_matvec as kernel_call
-    monkeypatch.setattr(passage, "_csc_matvec", counting)
+    steps = _count_steps(monkeypatch, w)
     _, surv, scale, _ = passage._propagate(kernel, 0, h, absorb=absorb)
     assert surv[-1] > 0.0  # no early stop: every step up to h is kept
     rescales = np.count_nonzero(np.diff(scale, prepend=0))
-    assert sum(steps) <= h + (rescales + 1) * (lift + 1)
-    low = surv < 2.0 ** -600
-    t = since = executed = 0
-    while t < h:
-        m = min(h - t, rows, max(lift + 1, 4 * since) if since else 2)
-        first_low = np.flatnonzero(low[t:t + m])
-        kept = int(first_low[0]) + 1 if first_low.size else m
-        executed, t, since = executed + m, t + kept, since + kept
-        if first_low.size and t < h:
-            since = 0
-    assert sum(steps) == executed
     if rescales:
-        assert rescales >= 5 and h < executed <= h + rescales * lift
+        assert rescales >= 5 and h < sum(steps) <= h + rescales * lift
     else:
-        assert executed == h
+        assert sum(steps) == h
 
 
 def _single_steps(op, w, x, steps, fslot):
@@ -390,10 +386,18 @@ def test_long_horizons_match_two_state_closed_forms(p, h):
         got = law.pmf_array()
         normal = expected >= _SMALLEST_NORMAL
         assert np.all(np.abs(got[normal] / expected[normal] - 1.0) <= 1e-12)
-        # entries that round to 0 in the pmf move their mass to the tail
+        # entries that round to 0 in the pmf move their mass to the tail,
+        # which keeps their steps
         lost = (law.log_pmf == -math.inf) & (log_expected > -math.inf)
         assert np.all(log_expected[lost] < -1074 * math.log(2.0))
         assert abs(law.log_tail - log_add(log_tail, logsumexp(log_expected[lost]))) <= 1e-9
+        if law.tail_atoms is None:
+            assert not lost.any()
+            continue
+        steps, log_probs, log_rest = law.tail_atoms
+        assert abs(log_rest - log_tail) <= 1e-9
+        assert np.array_equal(steps, n[lost])
+        assert np.all(np.abs(log_probs - log_expected[lost]) <= 1e-9)
 
 
 def test_accepts_state_names(kernel3):
