@@ -22,6 +22,8 @@ from __future__ import annotations
 
 import json
 import operator
+import threading
+from collections import OrderedDict, defaultdict
 from dataclasses import dataclass
 from functools import cached_property
 from typing import TYPE_CHECKING, Union
@@ -40,6 +42,14 @@ ROW_SUM_TOL = 1e-12
 
 StateRef = Union[int, str]
 
+#: Values of each kind that a kernel's :class:`_DerivedCache` keeps.
+_CACHE_SIZE = 32
+
+
+def _read_only(*arrays) -> None:
+    for arr in arrays:
+        arr.flags.writeable = False
+
 
 def _csr_arrays(rows, target_index) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """(indptr, indices, data) of ``rows``, lists of (target, probability)
@@ -49,19 +59,53 @@ def _csr_arrays(rows, target_index) -> tuple[np.ndarray, np.ndarray, np.ndarray]
     indices = np.fromiter((target_index(t) for row in rows for t, _ in row), np.int64, sum(lens))
     data = np.fromiter((float(p) for row in rows for _, p in row), np.float64, indices.size)
     indptr = np.cumsum([0] + lens)
-    indptr.flags.writeable = indices.flags.writeable = data.flags.writeable = False
+    _read_only(indptr, indices, data)
     return indptr, indices, data
+
+
+class _DerivedCache:
+    """Values that passage laws derive from one kernel, kept for the next
+    law: for each kind, the ``_CACHE_SIZE`` most recently used, each a tuple
+    whose arrays are made read-only.  Threads may share it: a value is built
+    outside the lock, and when two threads build the same key, both return
+    the one stored first."""
+
+    def __init__(self) -> None:
+        self._lock = threading.Lock()
+        self._kinds: defaultdict[str, OrderedDict] = defaultdict(OrderedDict)
+
+    def get(self, kind: str, key, build) -> tuple:
+        """The value of ``key`` among ``kind``, from ``build()`` if absent."""
+        with self._lock:
+            entries = self._kinds[kind]
+            if key in entries:
+                entries.move_to_end(key)
+                return entries[key]
+        value = build()
+        _read_only(*(part for part in value if isinstance(part, np.ndarray)))
+        with self._lock:
+            value = entries.setdefault(key, value)
+            entries.move_to_end(key)
+            if len(entries) > _CACHE_SIZE:
+                entries.popitem(last=False)
+        return value
 
 
 class TransitionKernel:
     """Row-stochastic kernel over named states, stored as read-only CSR
     arrays: row i pairs ``indices[indptr[i]:indptr[i+1]]`` with ``data`` on
     the same range, as given (strictly positive probabilities; absent
-    targets have probability zero).  ``rows`` is a derived view of them."""
+    targets have probability zero).  ``rows`` is a derived view of them.
+
+    A kernel does not change once built.  The arrays derived from it,
+    ``dense_matrix`` and those of ``csr``, are read-only too, and so are the
+    taboo operators and hitting probabilities that passage laws keep in its
+    private cache: none of them can go stale."""
 
     def __init__(self, states: list[str], rows) -> None:
         self.states = states
         self.indptr, self.indices, self.data = _csr_arrays(rows, operator.index)
+        self._derived = _DerivedCache()
 
     @property
     def n_states(self) -> int:
@@ -94,6 +138,7 @@ class TransitionKernel:
         mat = np.zeros((self.n_states, self.n_states))
         row_of = np.repeat(np.arange(self.n_states), np.diff(self.indptr))
         np.add.at(mat, (row_of, self.indices), self.data)
+        _read_only(mat)
         return mat
 
     @cached_property
@@ -102,7 +147,9 @@ class TransitionKernel:
         from scipy import sparse
 
         row_of = np.repeat(np.arange(self.n_states), np.diff(self.indptr))
-        return sparse.csr_matrix((self.data, (row_of, self.indices)), shape=(self.n_states,) * 2)
+        csr = sparse.csr_matrix((self.data, (row_of, self.indices)), shape=(self.n_states,) * 2)
+        _read_only(csr.indptr, csr.indices, csr.data)
+        return csr
 
     def out_edges(self, i: int) -> list[tuple[int, float]]:
         a, b = self.indptr[i], self.indptr[i + 1]
@@ -128,6 +175,7 @@ class TransitionKernel:
             raise InvalidInput("duplicate state names")
         kernel = cls.__new__(cls)
         kernel.states = states
+        kernel._derived = _DerivedCache()
         try:
             kernel.indptr, kernel.indices, kernel.data = _csr_arrays(raw_rows, index.__getitem__)
         except KeyError as exc:

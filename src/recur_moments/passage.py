@@ -6,22 +6,22 @@ i, counting from step 1; i = j gives the first return).  Representations:
 * dense: a linear pmf over n = 1..horizon with its log view, plus the tail
   mass P(T > horizon) kept in log space.  The pmf comes from propagating the
   taboo vector q_n(k) = P(X_n = k, j not yet hit) with scipy's compiled
-  ``csc_matvec`` and a taboo operator built once per law from the kernel's
-  CSR arrays: P^T with the mass entering j routed to a sink slot, whose
-  column is empty, and the mass entering a killed state dropped.  Laws that
-  track a visited-flag step the interleaved pairs (k, visited).  Steps run
-  in blocks of up to 128 rows.  The first row of a block is one
-  single-step call; the others take a few calls with a block-lifted
-  operator that steps many rows of one flat buffer in place, each row
-  summed over the same products in the same order as a single step, so
-  every law is the one a call per step gives, bit for bit.  The pmf is read
-  from the sink column and the survivals summed once per block.  The
-  vector is rescaled by exact powers of two before its mass can underflow
-  (the rows of a block past the rescale point are recomputed from the
-  rescaled row), so a tail is zero only when no mass is left.  Entries
-  that unscale below the smallest subnormal, which the linear pmf cannot
-  hold, join the tail, their logs read from the rescaled values; the law
-  keeps their steps (``tail_atoms``), so a moment sums them exactly;
+  ``csc_matvec`` and a taboo operator built from the kernel's CSR arrays
+  once per kernel (see below): P^T with the mass entering j routed to a sink
+  slot, whose column is empty, and the mass entering a killed state dropped.
+  Laws that track a visited-flag step the interleaved pairs (k, visited).
+  Steps run in blocks of up to 128 rows.  The first row of a block is one
+  single-step call; the others take a few calls with a block-lifted operator
+  that steps many rows of one flat buffer in place, each row summed over the
+  same products in the same order as a single step, so every law is the one
+  a call per step gives, bit for bit.  The pmf is read from the sink column
+  and the survivals summed once per block.  The vector is rescaled by exact
+  powers of two before its mass can underflow (the rows of a block past the
+  rescale point are recomputed from the rescaled row), so a tail is zero
+  only when no mass is left.  Entries that unscale below the smallest
+  subnormal, which the linear pmf cannot hold, join the tail, their logs
+  read from the rescaled values; the law keeps their steps (``tail_atoms``),
+  so a moment sums them exactly;
 * sparse: integer atoms with log-weights (:class:`AtomicDist`), for laws with
   few support points or astronomically small masses.
 
@@ -35,6 +35,21 @@ only nonnegative terms.
 Tail *certificates* (N0, rho) assert the computed survival ratios satisfy
 P(T > n+1) <= rho P(T > n) for all computed n >= N0; downstream moment code
 refuses to extrapolate without one.
+
+What the laws of one kernel share is built once per kernel and kept in its
+private cache (``TransitionKernel._derived``): the taboo operators, keyed
+by (absorb, kill, flag), and the hitting splits (pi, h) of
+:func:`_hit_split`, keyed by the pair (i, j), the dense solve that every
+conditioned law and ``hit_before_return_prob`` needs.  Each kind keeps its
+32 most recently used values (``chain._CACHE_SIZE``), so that a sweep over
+all pairs of a chain of up to 6 states solves each pair once; unbounded, an
+all-pairs sweep would keep n operators of a large chain, or n^2 split
+vectors (64 MB at n = 200).  A kernel, its derived arrays and every cached
+array are read-only, so no cached value can go stale.  The lifted
+operators of :func:`_lift` are not cached: they are ``lift`` times the size
+of the operator, and in a prototype that kept them, the decomposition
+benchmark's peak RSS rose from 54.7 to 71.1 MB (+30 %), ~16 MB of it held
+in 426 lifted operators, for little gain.
 
 scipy is imported on first use, not with the module: the first propagated
 law loads ``scipy.sparse`` (through the kernel's ``csr`` and the compiled
@@ -483,7 +498,8 @@ def _propagate(kernel: TransitionKernel, start: int, horizon: int, *, absorb: in
     global _csc_matvec
     if _csc_matvec is None:
         _csc_matvec = _bind_matvec()
-    indptr, indices, data, width = _taboo_operator(kernel, absorb, kill, flag)
+    indptr, indices, data, width = kernel._derived.get(
+        "taboo", (absorb, kill, flag), lambda: _taboo_operator(kernel, absorb, kill, flag))
     w = width + 1
     rows = max(1, min(_BLOCK_ROWS, _BLOCK_DOUBLES // w))
     lift = max(1, min(rows - 1, _BLOCK_DOUBLES // max(1, data.size)))
@@ -572,11 +588,16 @@ def first_passage_law(kernel: TransitionKernel, source: StateRef, target: StateR
 
 def _hit_split(kernel: TransitionKernel, i: int, j: int) -> tuple[float, np.ndarray]:
     """(pi, h): pi = P_i(visit j before returning to i); h[k] = P_k(hit j
-    before i) off {i, j}, zero on them.  One column a call: a two-column
-    solve rounds pi differently, so P_k(hit i before j) is the h of the call
-    with i and j swapped, the same single-column solve.  Raises
-    :class:`InvalidInput` when the solve finds the system singular, as it is
-    when a closed class of the chain avoids both i and j."""
+    before i) off {i, j}, zero on them, h read-only.  Solved once per pair
+    and kept in the kernel's cache.  One column a solve: a two-column solve
+    rounds pi differently, so P_k(hit i before j) is the h of the pair
+    (j, i), the same single-column solve.  Raises :class:`InvalidInput`
+    when the solve finds the system singular, as it is when a closed class
+    of the chain avoids both i and j."""
+    return kernel._derived.get("split", (i, j), lambda: _solve_split(kernel, i, j))
+
+
+def _solve_split(kernel: TransitionKernel, i: int, j: int) -> tuple[float, np.ndarray]:
     mat = kernel.dense_matrix
     others = [k for k in range(kernel.n_states) if k not in (i, j)]
     h = np.zeros(kernel.n_states)

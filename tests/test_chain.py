@@ -11,10 +11,10 @@ from hypothesis import strategies as st
 
 from recur_moments import (AtomicDist, InvalidInput, KernelReport, PetalChain,
                            TransitionKernel, TwoStateChain, build_petal_chain,
-                           build_two_state, load_kernel_json, random_kernel,
-                           sample_passage, sample_passage_times,
-                           save_kernel_json, stationary_distribution,
-                           validate_kernel)
+                           build_two_state, hit_before_return_prob,
+                           load_kernel_json, random_kernel, sample_passage,
+                           sample_passage_times, save_kernel_json,
+                           stationary_distribution, validate_kernel)
 
 from helpers import (hitting_time_means, reference_csr, reference_dense,
                      reference_kernel_json, reference_report, sparse_ring_kernel)
@@ -173,6 +173,20 @@ def test_kernel_arrays_and_rows_are_read_only(kernel3):
         with pytest.raises(ValueError):
             arr[0] = 0
     assert not np.shares_memory(kernel3.csr.data, kernel3.data)
+
+
+def test_derived_arrays_are_read_only():
+    # a write through dense_matrix or the csr arrays reached every later
+    # law of the kernel: P(visit 1 before returning to 0) moved from 0.5796
+    # to 0.9444, and the taboo operators step with csr.data itself
+    k = random_kernel(4, np.random.default_rng(0))
+    pi = hit_before_return_prob(k, 0, 1)
+    with pytest.raises(ValueError):
+        k.dense_matrix[0, 1] = 0.9
+    for arr in (k.csr.indptr, k.csr.indices, k.csr.data):
+        with pytest.raises(ValueError):
+            arr[1] = 0
+    assert hit_before_return_prob(k, 0, 1) == pi
 
 
 def test_json_parse_memory_bound():

@@ -3,6 +3,8 @@ from __future__ import annotations
 import io
 import itertools
 import math
+import sys
+import threading
 import tracemalloc
 
 import numpy as np
@@ -21,6 +23,7 @@ from recur_moments import (VERDICT_CONVERGED, AtomicDist, IncomparableLaws,
                            mixture, random_kernel, stochastic_dominates)
 from recur_moments.logspace import log_add, logsumexp
 from recur_moments import passage
+from recur_moments.chain import _CACHE_SIZE
 from recur_moments.passage import _derive_tail_cert
 
 from helpers import (absorbed_mass_iterative, brute_convolve_dicts,
@@ -164,10 +167,7 @@ _SMALLEST_NORMAL = 2.2250738585072014e-308
 # first block of 2 rows, then blocks of lift + 1 = 128 rows, so their edges
 # are steps 2, 130, 258, ...; 63-65 end inside a lifted call.  Past 600
 # the small chains are rescaled many times, with rolled-back rows.
-# sparse3000 keeps the shorter list: each of its conditioned laws takes ~2 s
-# at any horizon.
 _ENGINE_HORIZONS = (1, 2, 3, 63, 64, 65, 129, 130, 131, 600, 1500)
-_SPARSE_HORIZONS = (1, 63, 64, 65, 600, 1500)
 # The old loop rounded a raw mass below the smallest normal.  Past step 600,
 # where the chains that decay fast reach the subnormal range, it also summed
 # masses just above it from subnormal products, so there only masses from
@@ -197,7 +197,7 @@ def test_engine_bit_identical_to_reference_loop(which, pairs, request):
         kernel = random_kernel(which, np.random.default_rng(which))
     for i, j in pairs:
         full = reference_laws(kernel, i, j, max(_ENGINE_HORIZONS))
-        for h in _SPARSE_HORIZONS if which == "sparse3000" else _ENGINE_HORIZONS:
+        for h in _ENGINE_HORIZONS:
             ref = {name: (raw[:h], divisor) for name, (raw, divisor) in full.items()}
             for name, law_fn in _LAWS.items():
                 if name not in ref:
@@ -231,6 +231,80 @@ def test_propagation_never_builds_a_transpose(kernel3, monkeypatch):
         kernel3.csr.T @ np.zeros(3)
     for law_fn in _LAWS.values():
         law_fn(kernel3, 0, 1, 50)
+
+
+def _same_law(a, b) -> bool:
+    atoms_a, atoms_b = a.tail_atoms or (), b.tail_atoms or ()
+    return (np.array_equal(a.log_pmf, b.log_pmf) and a.log_tail == b.log_tail
+            and a.tail_cert == b.tail_cert and len(atoms_a) == len(atoms_b)
+            and all(np.array_equal(x, y) for x, y in zip(atoms_a, atoms_b)))
+
+
+def _decomposition_laws(kernel, i, j, h):
+    """The laws and pi of criterion 1 for the pair (i, j), in its order."""
+    return (hit_before_return_prob(kernel, i, j), conditioned_return_law(kernel, i, j, h),
+            conditioned_hit_law(kernel, i, j, h), first_passage_law(kernel, i, j, h))
+
+
+def test_decomposition_sweep_solves_each_pair_once(monkeypatch):
+    # A pair's laws share two hitting splits and their taboo operators with
+    # the other pairs of the kernel.  A sweep over all ordered pairs in the
+    # order of criterion 1 solves each pair once (four solves a pair without
+    # the kernel's cache) and builds each operator once
+    solve, build = np.linalg.solve, passage._taboo_operator
+    solves, builds = [], []
+    monkeypatch.setattr(np.linalg, "solve", lambda a, b: solves.append(1) or solve(a, b))
+    monkeypatch.setattr(passage, "_taboo_operator",
+                        lambda kernel, *key: builds.append(key) or build(kernel, *key))
+    kernel = random_kernel(5, np.random.default_rng(5))
+    pairs = list(itertools.permutations(range(5), 2))
+    for i, j in pairs:
+        _decomposition_laws(kernel, i, j, 50)
+    assert len(solves) == len(pairs)
+    assert len(builds) == len(set(builds)) == 25  # (i, j, -), (j, -, -) for every i, j
+
+
+def test_cache_evicts_past_its_bound_and_keeps_laws_bit_for_bit():
+    # 42 pairs of a 7-state kernel hold more splits and operators than the
+    # cache keeps; the evicted ones are rebuilt the same, bit for bit
+    kernel = random_kernel(7, np.random.default_rng(7))
+    pairs = list(itertools.permutations(range(7), 2))
+    first = [_decomposition_laws(kernel, i, j, 40) for i, j in pairs]
+    kinds = kernel._derived._kinds
+    assert len(kinds["split"]) == len(kinds["taboo"]) == _CACHE_SIZE
+    assert (0, 1) not in kinds["split"] and (0, 1, None) not in kinds["taboo"]
+    again = [_decomposition_laws(kernel, i, j, 40) for i, j in pairs]
+    fresh = [_decomposition_laws(random_kernel(7, np.random.default_rng(7)), i, j, 40)
+             for i, j in pairs]
+    for a, b, c in zip(first, again, fresh):
+        assert a[0] == b[0] == c[0]
+        assert all(_same_law(x, y) and _same_law(x, z) for x, y, z in zip(a[1:], b[1:], c[1:]))
+
+
+def test_cache_hammered_by_threads_stays_consistent():
+    # with no lock, a key found present is evicted by another thread before
+    # it is read, and the reading thread dies on a KeyError
+    cache = random_kernel(2, np.random.default_rng(2))._derived
+    wrong, done = [], []
+
+    def hammer(seed):
+        for key in np.random.default_rng(seed).integers(0, 2 * _CACHE_SIZE, 10_000).tolist():
+            if cache.get("key", key, lambda: (key,)) != (key,):
+                wrong.append(key)
+        done.append(seed)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=hammer, args=(seed,)) for seed in range(4)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads) and sorted(done) == [0, 1, 2, 3]
+    assert not wrong and len(cache._kinds["key"]) == _CACHE_SIZE
 
 
 def _count_steps(monkeypatch, w):
