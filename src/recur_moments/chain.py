@@ -24,6 +24,7 @@ import json
 import operator
 import threading
 from collections import OrderedDict, defaultdict
+from collections.abc import Sequence
 from dataclasses import dataclass
 from functools import cached_property
 from typing import TYPE_CHECKING, Union
@@ -100,10 +101,11 @@ class TransitionKernel:
     A kernel does not change once built.  The arrays derived from it,
     ``dense_matrix`` and those of ``csr``, are read-only too, and so are the
     taboo operators and hitting probabilities that passage laws keep in its
-    private cache: none of them can go stale."""
+    private cache: none of them can go stale.  ``states`` is a tuple copied
+    from the names given, so that no caller can rename a state."""
 
-    def __init__(self, states: list[str], rows) -> None:
-        self.states = states
+    def __init__(self, states: Sequence[str], rows) -> None:
+        self.states = tuple(states)
         self.indptr, self.indices, self.data = _csr_arrays(rows, operator.index)
         self._derived = _DerivedCache()
 
@@ -121,7 +123,7 @@ class TransitionKernel:
                 return self._state_index[state]
             except KeyError:
                 raise InvalidInput(f"unknown state {state!r}") from None
-        idx = int(state)
+        idx = _state_number(state)
         if not 0 <= idx < self.n_states:
             raise InvalidInput(f"state index {idx} out of range")
         return idx
@@ -165,8 +167,15 @@ class TransitionKernel:
 
     @classmethod
     def from_json_dict(cls, obj: dict) -> "TransitionKernel":
+        """The kernel of a JSON object, validated; :class:`InvalidInput` if it
+        is malformed or invalid."""
+        return _validated(cls._from_json_dict(obj))
+
+    @classmethod
+    def _from_json_dict(cls, obj: dict) -> "TransitionKernel":
+        """The kernel of a JSON object, not yet validated."""
         try:
-            states = [str(s) for s in obj["states"]]
+            states = tuple(str(s) for s in obj["states"])
             raw_rows = obj["rows"]
         except (KeyError, TypeError):
             raise InvalidInput("chain JSON needs 'states' and 'rows'") from None
@@ -182,13 +191,26 @@ class TransitionKernel:
             raise InvalidInput(f"unknown target state {exc.args[0]!r}") from None
         except (TypeError, ValueError) as exc:
             raise InvalidInput(f"bad chain rows: {exc}") from None
-        del index  # validation runs while obj is alive: free what it does not need
         if kernel.indptr.size - 1 != len(states):
             raise InvalidInput("rows and states disagree in length")
-        report = validate_kernel(kernel)
-        if not report.ok:
-            raise InvalidInput(f"invalid chain: {report.summary()}")
         return kernel
+
+
+def _state_number(state) -> int:
+    """A state index as an int; a ref that is not integral, such as 1.7 or
+    2.0, is an :class:`InvalidInput`, never rounded to a state."""
+    try:
+        return operator.index(state)
+    except TypeError:
+        raise InvalidInput(f"state ref {state!r} is neither a name nor an integer") from None
+
+
+def _validated(kernel: TransitionKernel) -> TransitionKernel:
+    """``kernel``, once :func:`validate_kernel` finds it valid."""
+    report = validate_kernel(kernel)
+    if not report.ok:
+        raise InvalidInput(f"invalid chain: {report.summary()}")
+    return kernel
 
 
 def save_kernel_json(kernel: TransitionKernel, path) -> None:
@@ -208,7 +230,9 @@ def _read_json(path, what: str):
 
 
 def load_kernel_json(path) -> TransitionKernel:
-    return TransitionKernel.from_json_dict(_read_json(path, "chain file"))
+    """The validated kernel of a JSON chain file.  The JSON tree is freed
+    before validation starts, so the two never hold memory at once."""
+    return _validated(TransitionKernel._from_json_dict(_read_json(path, "chain file")))
 
 
 # ---------------------------------------------------------------------------
@@ -534,7 +558,7 @@ def _resolve_binary_state(state: StateRef) -> int:
         if state in ("0", "1"):
             return int(state)
         raise InvalidInput(f"parametric chains expose states '0' and '1', got {state!r}")
-    idx = int(state)
+    idx = _state_number(state)
     if idx not in (0, 1):
         raise InvalidInput(f"parametric chains expose states 0 and 1, got {idx}")
     return idx

@@ -30,7 +30,7 @@ import numpy as np
 
 from .errors import InvalidInput
 from .logspace import LOG_ZERO, log_add, log_sub, logsumexp
-from .momentfn import MomentFunction
+from .momentfn import FunctionKind, MomentFunction
 from .passage import PassageLaw
 
 __all__ = [
@@ -87,12 +87,31 @@ class MomentEstimate:
         return json.dumps(self.to_json_dict(), sort_keys=True)
 
 
+_log_n = np.zeros(0)  # log 1, ..., log N for the largest N asked for so far, read-only
+
+
+def _log_f_range(f: MomentFunction, n: int) -> np.ndarray:
+    """log f(1), ..., log f(n), bit for bit ``f.log_f_array(np.arange(1, n +
+    1))``; a power function's is p times a log table kept for the next
+    call, which grows to the largest n asked for."""
+    if f.kind is not FunctionKind.POWER:
+        return f.log_f_array(np.arange(1, n + 1))
+    global _log_n
+    table = _log_n
+    if table.size < n:
+        table = np.log(np.arange(1, n + 1, dtype=float))
+        table.flags.writeable = False
+        _log_n = table
+    with np.errstate(over="ignore"):  # a log f(n) past the float range is +inf
+        return f.param * table[:n]
+
+
 def _log_partial_sum(law: PassageLaw, f: MomentFunction) -> float:
     if law.is_dense:
         log_pmf = law.log_pmf
         mask = log_pmf > LOG_ZERO
         if mask.all():
-            return logsumexp(f.log_f_array(np.arange(1, log_pmf.size + 1)) + log_pmf)
+            return logsumexp(_log_f_range(f, log_pmf.size) + log_pmf)
         if not mask.any():
             return LOG_ZERO
         ns = np.nonzero(mask)[0] + 1

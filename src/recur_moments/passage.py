@@ -10,18 +10,20 @@ i, counting from step 1; i = j gives the first return).  Representations:
   once per kernel (see below): P^T with the mass entering j routed to a sink
   slot, whose column is empty, and the mass entering a killed state dropped.
   Laws that track a visited-flag step the interleaved pairs (k, visited).
-  Steps run in blocks of up to 128 rows.  The first row of a block is one
-  single-step call; the others take a few calls with a block-lifted operator
-  that steps many rows of one flat buffer in place, each row summed over the
-  same products in the same order as a single step, so every law is the one
-  a call per step gives, bit for bit.  The pmf is read from the sink column
-  and the survivals summed once per block.  The vector is rescaled by exact
-  powers of two before its mass can underflow (the rows of a block past the
+  Steps run in blocks.  The first row of a block is one single-step call;
+  the others take a few calls with a block-lifted operator that steps many
+  rows of one flat buffer in place, each row summed over the same products
+  in the same order as a single step, so every law is the one a call per
+  step gives, bit for bit.  The pmf is read from the sink column and the
+  survivals summed once per block.  The vector is rescaled by exact powers
+  of two before its mass can underflow (the rows of a block past the
   rescale point are recomputed from the rescaled row), so a tail is zero
-  only when no mass is left.  Entries that unscale below the smallest
-  subnormal, which the linear pmf cannot hold, join the tail, their logs
-  read from the rescaled values; the law keeps their steps (``tail_atoms``),
-  so a moment sums them exactly;
+  only when no mass is left.  Blocks hold up to 128 rows, except that one
+  takes the rest of the horizon when a bound on how fast the operator can
+  lose mass proves that no rescale falls before the horizon.  Entries that
+  unscale below the smallest subnormal, which the linear pmf cannot hold,
+  join the tail, their logs read from the rescaled values; the law keeps
+  their steps (``tail_atoms``), so a moment sums them exactly;
 * sparse: integer atoms with log-weights (:class:`AtomicDist`), for laws with
   few support points or astronomically small masses.
 
@@ -38,7 +40,8 @@ refuses to extrapolate without one.
 
 What the laws of one kernel share is built once per kernel and kept in its
 private cache (``TransitionKernel._derived``): the taboo operators, keyed
-by (absorb, kill, flag), and the hitting splits (pi, h) of
+by (absorb, kill, flag), with the bound of :func:`_log_hold` on how fast
+each loses mass, and the hitting splits (pi, h) of
 :func:`_hit_split`, keyed by the pair (i, j), the dense solve that every
 conditioned law and ``hit_before_return_prob`` needs.  Each kind keeps its
 32 most recently used values (``chain._CACHE_SIZE``), so that a sweep over
@@ -46,10 +49,17 @@ all pairs of a chain of up to 6 states solves each pair once; unbounded, an
 all-pairs sweep would keep n operators of a large chain, or n^2 split
 vectors (64 MB at n = 200).  A kernel, its derived arrays and every cached
 array are read-only, so no cached value can go stale.  The lifted
-operators of :func:`_lift` are not cached: they are ``lift`` times the size
-of the operator, and in a prototype that kept them, the decomposition
-benchmark's peak RSS rose from 54.7 to 71.1 MB (+30 %), ~16 MB of it held
-in 426 lifted operators, for little gain.
+operators of :func:`_lift` are ``lift`` times the size of the operator they
+lift, so they are kept apart, in one process-wide cache bounded by bytes
+(``_LIFT_CACHE_BYTES``, 192 KiB) rather than by count.  A lift holds at
+most an eighth of that (``_LIFT_BYTES``), so that the eight targets of an
+all-pairs sweep of an 8-state chain share it, 30 steps deep.  The content
+of the cache adds about twice its size to a process's peak memory: a
+prototype that kept lifts by count raised the decomposition benchmark's
+peak RSS from 54.7 to 71.1 MB, and bounds of 256 and 192 KiB cost 0.6
+and 0.4 MB there.  A lift is keyed by the cached operator it lifts, and
+holds that operator, so the key of a freed kernel's operator can never
+match a new one.
 
 scipy is imported on first use, not with the module: the first propagated
 law loads ``scipy.sparse`` (through the kernel's ``csr`` and the compiled
@@ -62,6 +72,8 @@ from __future__ import annotations
 import csv
 import io
 import math
+import threading
+from collections import OrderedDict
 from contextlib import contextmanager
 from dataclasses import dataclass
 
@@ -69,7 +81,7 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from ._atomic import _MASS_TOL, AtomicDist
-from .chain import TransitionKernel, StateRef
+from .chain import StateRef, TransitionKernel, _read_only
 from .errors import IncomparableLaws, InvalidInput, NoSuchPath
 from .logspace import LOG_ZERO, PRUNE_FLOOR_LOG, log_add, log_sub, logsumexp
 
@@ -349,10 +361,75 @@ def _derive_tail_cert(surv: np.ndarray, scale: np.ndarray, *, window: int = 20,
 
 _RESCALE_BELOW = 2.0 ** -600
 _LN2 = math.log(2.0)
+_LOG_RESCALE_BELOW = -600 * _LN2
 _BLOCK_ROWS = 128
 _BLOCK_DOUBLES = 2 ** 16
+_LIFT_CACHE_BYTES = 3 * 2 ** 16
+_LIFT_BYTES = _LIFT_CACHE_BYTES // 8
+_HOLD_STEPS = 16  # steps over which _log_hold bounds the loss of alive mass
 _FLAG_BITS = np.array([0, 1], dtype=np.int32)
 _csc_matvec = None  # scipy's compiled CSC matvec, bound and checked by the first _propagate
+
+
+def _block_sizes(w: int, nnz: int) -> tuple[int, int, int, int]:
+    """(span, rows, reach, lift) of :func:`_propagate` for a w-slot operator
+    with nnz entries: the most rows of any block, which fill at most
+    ``_BLOCK_DOUBLES`` doubles; the most rows of a block that may be rolled
+    back, at most ``_BLOCK_ROWS``; the fewest rows of such a block after the
+    first, as many as ``_BLOCK_DOUBLES`` entries of lifted operator step;
+    and the steps of one lifted call, at most reach - 1.  A lift takes as
+    many steps as fit in ``_LIFT_BYTES`` (8-byte values and 4-byte indices
+    for each entry, a 4-byte pointer for each slot), so that the eight
+    targets of an all-pairs sweep of an 8-state chain share the cache.  An
+    operator too large for 16 such steps lifts reach - 1 steps instead: its
+    lift is seldom kept and mostly built for each law, and fewer steps a
+    call would cost more calls than the build."""
+    span = max(1, _BLOCK_DOUBLES // w)
+    rows = min(_BLOCK_ROWS, span)
+    reach = max(2, min(rows, _BLOCK_DOUBLES // max(1, nnz) + 1))
+    fit = _LIFT_BYTES // (12 * nnz + 4 * w)
+    return span, rows, reach, max(1, reach - 1 if fit < 16 else min(reach - 1, fit))
+
+
+class _LiftCache:
+    """Lifted operators of :func:`_lift`, the most recently used ones up to
+    ``max_bytes`` of arrays in all, each keyed by the ``id`` of the cached
+    taboo-operator tuple it lifts.  An entry holds that tuple, so no other
+    object can take its ``id`` while the entry lives.  Threads may share it:
+    a lift is built outside the lock, and when two threads build the same
+    key, both return the one stored first."""
+
+    def __init__(self, max_bytes: int) -> None:
+        self.max_bytes = max_bytes
+        self.nbytes = 0
+        self._lock = threading.Lock()
+        self._entries: OrderedDict[int, tuple] = OrderedDict()  # id -> (op, lift, bytes)
+
+    def get(self, op: tuple, build) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The lift of ``op``, from ``build()`` if absent.  A lift larger
+        than the whole cache is returned without being kept."""
+        key = id(op)
+        with self._lock:
+            entry = self._entries.get(key)
+            if entry is not None:
+                self._entries.move_to_end(key)
+                return entry[1]
+        lifted = build()
+        size = sum(part.nbytes for part in lifted)
+        if size > self.max_bytes:
+            return lifted
+        _read_only(*lifted)
+        with self._lock:
+            entry = self._entries.setdefault(key, (op, lifted, size))
+            self._entries.move_to_end(key)
+            if entry[1] is lifted:
+                self.nbytes += size
+                while self.nbytes > self.max_bytes:
+                    self.nbytes -= self._entries.popitem(last=False)[1][2]
+        return entry[1]
+
+
+_LIFTS = _LiftCache(_LIFT_CACHE_BYTES)
 
 
 def _taboo_operator(kernel: TransitionKernel, absorb: int, kill: int | None,
@@ -401,6 +478,33 @@ def _taboo_operator(kernel: TransitionKernel, absorb: int, kill: int | None,
     indptr[:-1] = ptr
     indptr[-1] = ptr[-1]
     return indptr, dest, data, width
+
+
+def _log_hold(indptr: np.ndarray, indices: np.ndarray, data: np.ndarray, width: int,
+              flag: int | None) -> float:
+    """log of the least probability, over the alive slots of a taboo
+    operator, that mass in a slot is still alive ``_HOLD_STEPS`` steps later;
+    -inf when that is 0.  Whatever the taboo vector, its alive mass then
+    falls by at most this factor over any ``_HOLD_STEPS`` steps.
+
+    The probabilities v(c) come from ``_HOLD_STEPS`` products of the
+    operator's columns with v, the sink's v being 0.  With ``flag``, mass
+    entering (flag, 0) moves on to (flag, 1), so that slot takes the v of
+    (flag, 1) before each product and is left out of the least."""
+    from scipy.sparse._sparsetools import csr_matvec
+
+    w = width + 1
+    v, out = np.ones(w), np.empty(w)
+    v[width] = 0.0
+    for _ in range(_HOLD_STEPS):
+        if flag is not None:
+            v[2 * flag] = v[2 * flag + 1]
+        out.fill(0.0)
+        csr_matvec(w, w, indptr, indices, data, v, out)  # column c of the CSC arrays as row c
+        v, out = out, v
+    alive = v[:width] if flag is None else np.delete(v[:width], 2 * flag)
+    least = float(alive.min())
+    return math.log(least) if least > 0.0 else -math.inf
 
 
 def _lift(indptr: np.ndarray, indices: np.ndarray, data: np.ndarray, w: int, steps: int,
@@ -467,46 +571,57 @@ def _propagate(kernel: TransitionKernel, start: int, horizon: int, *, absorb: in
     only mass that has visited ``flag`` is recorded; each step moves the
     mass entering (flag, 0) to (flag, 1).
 
-    Steps fill the rows of a block buffer, at most ``_BLOCK_ROWS`` rows and
-    ``_BLOCK_DOUBLES`` doubles; two buffers alternate, so the carried vector
-    is never copied.  Row 0 of a block is one single-step call on the
-    carried vector.  The other rows come from a few calls on the block's own
-    flat buffer with the lifted operator of :func:`_lift`, each covering up
-    to ``lift`` steps, so that the lifted operator holds at most
-    ``_BLOCK_DOUBLES`` entries unless one step alone holds more; with one
-    row a block it is not built.  Every slot is summed over the same products
-    in the same order as with one call a step, so the laws are the same bit
-    for bit.  With ``flag``, the lifted operator moves slot (flag, 0) of
-    every row but the last into (flag, 1); the last row is fixed up here,
-    and then column (flag, 0) of the block is zeroed.
+    Steps fill the rows of a block buffer, at most ``_BLOCK_DOUBLES``
+    doubles; two buffers alternate, so the carried vector is never copied.
+    Row 0 of a block is one single-step call on the carried vector.  The
+    other rows come from a few calls on the block's own flat buffer with the
+    lifted operator of :func:`_lift`, each covering up to ``lift`` steps
+    (:func:`_block_sizes`); with one row a block it is not built.  Every slot
+    is summed over the same products in the same order as with one call a
+    step, so the laws are the same bit for bit, whatever the blocks.  With
+    ``flag``, the lifted operator moves slot (flag, 0) of every row but the
+    last into (flag, 1); the last row is fixed up here, and then column
+    (flag, 0) of the block is zeroed.
 
     After each block, the pmf is read from its sink column and the
     survivals are its row sums.  Alive mass in (0, 2^-600) is rescaled by an
     exact power of two before the next step, so q never underflows: the
     rows after the first such step are dropped, and the next block starts
-    from that row, rescaled.  The first block, and the first after each
-    rescale, holds 2 rows; a later one holds max(lift + 1, 4 * since) rows,
-    since being the steps kept since the last rescale, so it makes at least
-    one full lifted call unless the horizon cuts it.  A rollback thus drops
-    at most one lifted call's worth of steps (``_BLOCK_DOUBLES``
-    multiply-adds) or four steps for each step kept, whichever is more.
-    Once the alive mass is exactly zero every later step is zero, and
-    stepping stops.  Returns
-    (pmf, surv, scale, q): the mass recorded in and alive after step t, both
-    times 2^scale[t], and the final q, times 2^scale[-1].
+    from that row, rescaled.  A rescale point thus depends on the row sums
+    alone, whatever the blocks.  A block takes the rest of the horizon, up
+    to ``span`` rows, when the alive mass is sure to stay above 2^-600
+    through the horizon: it falls by at most e^log_hold over any
+    ``_HOLD_STEPS`` steps (:func:`_log_hold`).  The bound costs more than a
+    block, so it is computed, once per operator, only for a horizon past 2
+    + ``rows``.  Such a block is never rolled back, unless the rounding of
+    the row sums puts one below 2^-600 where the bound is within rounding
+    of it.  Any other block holds 2 rows if it is the first, or the first
+    after a rescale, and otherwise max(reach, 4 * since) rows, at most
+    ``rows``, since being the steps kept since the last rescale
+    (:func:`_block_sizes`).  Its rollback drops at
+    most reach - 1 steps (``_BLOCK_DOUBLES`` multiply-adds) or four steps
+    for each step kept, whichever is more.  Once the alive mass is exactly
+    zero every later step is zero, and stepping stops.  Returns (pmf, surv,
+    scale, q): the mass recorded in and alive after step t, both times
+    2^scale[t], and the final q, times 2^scale[-1].
     """
     global _csc_matvec
     if _csc_matvec is None:
         _csc_matvec = _bind_matvec()
-    indptr, indices, data, width = kernel._derived.get(
-        "taboo", (absorb, kill, flag), lambda: _taboo_operator(kernel, absorb, kill, flag))
+    key = (absorb, kill, flag)
+    op = kernel._derived.get("taboo", key, lambda: _taboo_operator(kernel, absorb, kill, flag))
+    indptr, indices, data, width = op
     w = width + 1
-    rows = max(1, min(_BLOCK_ROWS, _BLOCK_DOUBLES // w))
-    lift = max(1, min(rows - 1, _BLOCK_DOUBLES // max(1, data.size)))
+    span, rows, reach, lift = _block_sizes(w, data.size)
+    log_hold = -math.inf  # with no bound, no block is sized from it
+    if span > rows and horizon > 2 + rows:
+        log_hold = kernel._derived.get(
+            "hold", key, lambda: (_log_hold(indptr, indices, data, width, flag),))[0]
     fslot = None if flag is None else 2 * flag
     if rows > 1:
-        lptr, lind, ldat = _lift(indptr, indices, data, w, lift, fslot)
-    bufs = (np.empty((rows, w)), np.empty((rows, w)))
+        lptr, lind, ldat = _LIFTS.get(op, lambda: _lift(indptr, indices, data, w, lift, fslot))
+    size = min(horizon, span)
+    bufs = (np.empty((size, w)), np.empty((size, w)))
     flats = tuple(b.reshape(-1) for b in bufs)
     x = np.zeros(w)
     x[start if flag is None else 2 * start] = 1.0
@@ -514,8 +629,16 @@ def _propagate(kernel: TransitionKernel, start: int, horizon: int, *, absorb: in
     scale = np.zeros(horizon, dtype=np.int64)
     matvec = _csc_matvec
     t = since = k = 0
+    alive = 1.0  # the alive mass of x, as scaled
     while t < horizon:
-        m = min(horizon - t, rows, max(lift + 1, 4 * since) if since else 2)
+        # alive mass falls by at most e^log_hold over any _HOLD_STEPS steps:
+        # when that keeps it above 2^-600 through the horizon, no rescale
+        # can cut a block, and one block takes the rest
+        if math.log(alive) - (t - horizon) // _HOLD_STEPS * log_hold > _LOG_RESCALE_BELOW:
+            m = span
+        else:
+            m = min(rows, max(reach, 4 * since) if since else 2)
+        m = min(m, horizon - t)
         buf, flat = bufs[k], flats[k]
         k ^= 1
         buf[:m] = 0.0
@@ -533,12 +656,13 @@ def _propagate(kernel: TransitionKernel, start: int, horizon: int, *, absorb: in
         surv[t:t + kept] = s[:kept]
         t += kept
         since += kept
-        x = buf[kept - 1]
+        x, alive = buf[kept - 1], s[kept - 1]
         if low.size and t < horizon:
             if s[kept - 1] == 0.0:
                 break
             e = -math.frexp(s[kept - 1])[1]
             np.ldexp(x, e, out=x)
+            alive = math.ldexp(alive, e)
             scale[t:] += e
             since = 0
     q = x[:width]

@@ -11,7 +11,8 @@ from hypothesis import strategies as st
 
 from recur_moments import (AtomicDist, InvalidInput, KernelReport, PetalChain,
                            TransitionKernel, TwoStateChain, build_petal_chain,
-                           build_two_state, hit_before_return_prob,
+                           build_two_state, first_passage_law,
+                           hit_before_return_prob,
                            load_kernel_json, random_kernel, sample_passage,
                            sample_passage_times, save_kernel_json,
                            stationary_distribution, validate_kernel)
@@ -22,7 +23,7 @@ from helpers import (hitting_time_means, reference_csr, reference_dense,
 
 def test_two_state_structure():
     k = build_two_state(0.3)
-    assert k.states == ["0", "1"]
+    assert k.states == ("0", "1")
     mat = k.dense_matrix
     assert mat[0, 0] == 0.7 and mat[0, 1] == 0.3
     assert mat[1, 0] == 1.0 and mat[1, 1] == 0.0
@@ -73,6 +74,37 @@ def test_index_of_accepts_names_and_indices(kernel3):
         kernel3.index_of("missing")
     with pytest.raises(InvalidInput):
         kernel3.index_of(7)
+
+
+def test_state_names_cannot_change_after_construction():
+    # the names were the caller's own list: renaming a state in it, or in
+    # the kernel's, desynced the cached name map from the names written out
+    kernel = build_two_state(0.5)
+    assert kernel.index_of("1") == 1
+    with pytest.raises(TypeError):
+        kernel.states[1] = "b"
+    assert kernel.index_of("1") == 1 and kernel.to_json_dict()["states"] == ["0", "1"]
+    names = ["a", "b"]
+    kernel = TransitionKernel(names, [[(1, 1.0)], [(0, 1.0)]])
+    names[0] = "z"
+    assert kernel.states == ("a", "b") and kernel.index_of("a") == 0
+    with pytest.raises(InvalidInput):
+        kernel.index_of("z")
+    loaded = TransitionKernel.from_json_dict(kernel.to_json_dict())
+    assert loaded.states == ("a", "b")
+
+
+def test_non_integer_state_refs_are_rejected(kernel3):
+    # int() rounded 1.7 down to state 1, so a law silently took another pair
+    for ref in (1.7, 2.0, np.float64(1.0)):
+        with pytest.raises(InvalidInput):
+            kernel3.index_of(ref)
+        with pytest.raises(InvalidInput):
+            first_passage_law(kernel3, ref, 0, 10)
+        with pytest.raises(InvalidInput):
+            sample_passage_times(TwoStateChain(0.5), ref, 0, 10, 5, seed=1)
+    assert kernel3.index_of(np.int64(1)) == 1
+    assert kernel3.index_of(np.int32(2)) == 2
 
 
 # ---------------------------------------------------------------------------
@@ -210,6 +242,40 @@ def test_json_parse_memory_bound():
     assert peak < 8e6, f"from_json_dict peaked at {peak / 1e6:.2f} MB"
 
 
+def test_load_validates_after_the_json_tree_is_freed(tmp_path, monkeypatch):
+    """``load_kernel_json`` validated a 20 000-state file while its JSON tree
+    (~15 MB traced) was alive; it now validates after the parse has
+    returned, through the module's ``validate_kernel``, so that a wrapper of
+    that name still sees the call."""
+    from recur_moments import chain
+
+    n = 20_000
+    rng = np.random.default_rng(7)
+    names = [str(i) for i in range(n)]
+    targets = np.column_stack([(np.arange(n) + 1) % n, rng.integers(n, size=(n, 3))])
+    path = tmp_path / "big.json"
+    path.write_text(json.dumps({"states": names, "rows": [
+        [[names[t], p] for t, p in zip(row, (0.4, 0.3, 0.2, 0.1))] for row in targets.tolist()]}))
+    del names, targets
+    held = []
+
+    def recording(kernel):
+        held.append(tracemalloc.get_traced_memory()[0])
+        return validate_kernel(kernel)
+
+    monkeypatch.setattr(chain, "validate_kernel", recording)
+    tracemalloc.start()
+    try:
+        kernel = load_kernel_json(path)
+        tree = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert kernel.n_states == n and len(held) == 1
+    # the kernel's names and arrays take 2.7 MB; with the tree, 18 MB were
+    # held at validation, and the load peaks near 19.5 MB
+    assert tree > 12e6 and held[0] < 4e6, f"{held[0] / 1e6:.2f} MB held at validation"
+
+
 # ---------------------------------------------------------------------------
 # petal chains
 
@@ -227,7 +293,7 @@ def test_petal_chain_rows_stochastic():
     sums = np.asarray(kernel.dense_matrix.sum(axis=1)).ravel()
     assert np.abs(sums - 1.0).max() <= 1e-12
     # the exit state feeds the hub deterministically; the hub exits with p
-    assert kernel.states[:2] == ["0", "1"]
+    assert kernel.states[:2] == ("0", "1")
     assert abs(kernel.dense_matrix[0, 1] - 1.0) <= 1e-15
     assert abs(kernel.dense_matrix[1, 0] - 0.4) <= 1e-15
 

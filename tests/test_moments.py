@@ -34,6 +34,24 @@ def test_complete_law_moment_is_exact():
     assert est.log_upper_bound == est.log_partial_sum
 
 
+@pytest.mark.parametrize("p", [0.5, 1.0, 2.0, 3.7, 1e308])
+def test_power_log_table_equals_log_f_array(p, monkeypatch):
+    # a power's log f(1..N) is p times a cached log n table, which grows to
+    # the largest N asked for; each read is the old array bit for bit,
+    # +inf where p log n passes the float range
+    from recur_moments import moments
+
+    monkeypatch.setattr(moments, "_log_n", np.zeros(0))
+    f = power_fn(p)
+    for n in (600, 1, 1500, 600):
+        got = moments._log_f_range(f, n)
+        want = f.log_f_array(np.arange(1, n + 1))
+        assert got.tobytes() == want.tobytes()
+    assert moments._log_n.size == 1500 and not moments._log_n.flags.writeable
+    if p == 1e308:
+        assert np.isinf(got[1:]).any()
+
+
 def test_bracket_contains_true_mean():
     # E T_11 = 3 at p = 1/2
     est = f_moment(_t11(), power_fn(1))

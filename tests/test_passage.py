@@ -163,11 +163,15 @@ def test_rescale_schedule(kernel, absorb, h, mode):
 _LAWS = {"passage": first_passage_law, "return_avoiding": conditioned_return_law,
          "hit_first": conditioned_hit_law, "crossing": crossing_return_law}
 _SMALLEST_NORMAL = 2.2250738585072014e-308
-# Horizons on and next to block edges.  Chains of up to 16 states run a
-# first block of 2 rows, then blocks of lift + 1 = 128 rows, so their edges
-# are steps 2, 130, 258, ...; 63-65 end inside a lifted call.  Past 600
-# the small chains are rescaled many times, with rolled-back rows.
-_ENGINE_HORIZONS = (1, 2, 3, 63, 64, 65, 129, 130, 131, 600, 1500)
+# Horizons on and next to block edges and lifted-call edges.  Up to h = 130
+# a chain of up to 16 states runs a first block of 2 rows, then one of up
+# to 128 rows: a single step at step 3, then lifted calls, which end at
+# step 130 on chains of 2-4 states, which lift 127 steps, and at steps 33,
+# 63, ... on the 8-state chains, which lift 30.  From h = 131 on, a law
+# sure to stay above 2^-600 is one block, and any other runs blocks of 128
+# rows, whose edges are steps 2, 130, 258, ...  Past 600 the small chains
+# are rescaled many times, with rolled-back rows.
+_ENGINE_HORIZONS = (1, 2, 3, 4, 33, 34, 129, 130, 131, 600, 1500)
 # The old loop rounded a raw mass below the smallest normal.  Past step 600,
 # where the chains that decay fast reach the subnormal range, it also summed
 # masses just above it from subnormal products, so there only masses from
@@ -307,13 +311,15 @@ def test_cache_hammered_by_threads_stays_consistent():
     assert not wrong and len(cache._kinds["key"]) == _CACHE_SIZE
 
 
-def _count_steps(monkeypatch, w):
+def _count_steps(monkeypatch):
     """Steps taken by passage's compiled matvec from now on, one entry a
-    call: a call over n_col columns takes n_col // w steps, w slots a row."""
+    call.  A single-step call has n_row = n_col = w, the slots of a row; a
+    lifted call has n_row = n_col + w.  A call takes n_col // w steps."""
     steps = []
 
     def counting(*args):
-        steps.append(args[1] // w)
+        n_row, n_col = args[:2]
+        steps.append(n_col // (n_row - n_col or n_row))
         return kernel_call(*args)
 
     # passage binds its name on the first law, so it may still be unbound
@@ -324,8 +330,8 @@ def _count_steps(monkeypatch, w):
 
 def test_propagation_stops_at_an_exactly_zero_vector(monkeypatch):
     # the walk from 0 has returned surely after step 2; stepping on to
-    # h = 6000 used to take 33 ms.  w = 3 slots: two states and the sink
-    steps = _count_steps(monkeypatch, 3)
+    # h = 6000 used to take 33 ms
+    steps = _count_steps(monkeypatch)
     law = first_passage_law(build_two_state(0.5), 0, 0, 6000)
     assert sum(steps) == 2
     expected = np.zeros(6000)
@@ -338,23 +344,179 @@ def test_propagation_stops_at_an_exactly_zero_vector(monkeypatch):
     (build_two_state(0.9), 1, 1500), (random_kernel(8, np.random.default_rng(8)), 1, 600)],
     ids=["two-state-rescaled", "random8-never-rescaled"])
 def test_block_schedule_bounds_rolled_back_steps(monkeypatch, kernel, absorb, h):
-    # Here a block holds at most rows = lift + 1 rows, and a rescale drops
-    # only the rows of its block past the row that fell below 2^-600: at
-    # most lift steps each.  A law that is never rescaled takes each step
+    # Here a block holds at most rows = reach rows, and a rescale drops only
+    # the rows of its block past the row that fell below 2^-600: at most
+    # reach - 1 steps each.  A law that is never rescaled takes each step
     # once.
     op = passage._taboo_operator(kernel, absorb, None, None)
-    w = op[3] + 1
-    rows = max(1, min(passage._BLOCK_ROWS, passage._BLOCK_DOUBLES // w))
-    lift = max(1, min(rows - 1, passage._BLOCK_DOUBLES // op[2].size))
-    assert rows == lift + 1
-    steps = _count_steps(monkeypatch, w)
+    span, rows, reach, lift = passage._block_sizes(op[3] + 1, op[2].size)
+    assert rows == reach
+    steps = _count_steps(monkeypatch)
     _, surv, scale, _ = passage._propagate(kernel, 0, h, absorb=absorb)
     assert surv[-1] > 0.0  # no early stop: every step up to h is kept
     rescales = np.count_nonzero(np.diff(scale, prepend=0))
     if rescales:
-        assert rescales >= 5 and h < sum(steps) <= h + rescales * lift
+        assert rescales >= 5 and h < sum(steps) <= h + rescales * (reach - 1)
     else:
         assert sum(steps) == h
+
+
+def test_law_sure_to_stay_above_the_rescale_point_steps_in_one_block(monkeypatch):
+    # the taboo operator bounds how fast the survival can fall; when that
+    # keeps it above 2^-600 through the horizon, the law is one block: a
+    # single step, then lifted calls of 30 steps, as many as fit in
+    # _LIFT_BYTES at 64 entries and 9 slots.  Blocks of 128 rows made 6
+    # blocks and 12 calls here
+    kernel = random_kernel(8, np.random.default_rng(8))
+    op = passage._taboo_operator(kernel, 1, None, None)
+    assert passage._block_sizes(op[3] + 1, op[2].size)[3] == 30
+    assert passage._log_hold(*op, None) * -(-600 // passage._HOLD_STEPS) > -600 * math.log(2.0)
+    steps = _count_steps(monkeypatch)
+    _, surv, scale, _ = passage._propagate(kernel, 0, 600, absorb=1)
+    assert not scale.any() and surv[-1] >= 2.0 ** -600
+    assert steps == [1] + [30] * 19 + [29]
+
+
+def _hold_bound_holds(kernel, absorb, kill, flag, h):
+    """Whether every computed survival ratio over _HOLD_STEPS steps is at
+    least e^log_hold, from every start."""
+    op = passage._taboo_operator(kernel, absorb, kill, flag)
+    log_hold = passage._log_hold(*op, flag)
+    for start in range(kernel.n_states):
+        if start == kill:
+            continue
+        _, surv, scale, _ = passage._propagate(kernel, start, h, absorb=absorb, kill=kill,
+                                               flag=flag)
+        alive = np.concatenate(([1.0], surv))
+        if not alive.all():  # stepping stopped at an exactly zero vector
+            alive = alive[:alive.argmin()]
+            scale = scale[:alive.size - 1]
+        log_alive = np.log(alive) - np.concatenate(([0], scale)) * math.log(2.0)
+        drop = log_alive[passage._HOLD_STEPS:] - log_alive[:-passage._HOLD_STEPS]
+        if (drop < log_hold - 1e-9).any():
+            return False
+    return True
+
+
+@pytest.mark.parametrize("name,kernel", [
+    ("random5", random_kernel(5, np.random.default_rng(5))),
+    ("two-state", build_two_state(0.3)),
+    ("ring12", TransitionKernel([str(k) for k in range(12)],
+                                [[((k + 1) % 12, 0.9), (k, 0.1)] for k in range(12)]))])
+def test_hold_bound_never_exceeds_the_fall_of_the_survival(name, kernel):
+    # the bound decides block sizes alone, but a bound that did not hold
+    # would cost rolled-back rows on every law it misjudged
+    n = kernel.n_states
+    for absorb, kill, flag in ((0, None, None), (n - 1, 0, None), (0, None, n - 1), (1, None, 0)):
+        assert _hold_bound_holds(kernel, absorb, kill, flag, 200), (absorb, kill, flag)
+
+
+def _decomposition_round():
+    """The laws of one round of perfbench's decomposition workload at seed
+    1: 48 seeded chains of 3-6 states, two pairs each, h = 600."""
+    sizes = (3, 4, 5, 6) * 12
+    children = np.random.SeedSequence(1).spawn(len(sizes))
+    pick = np.random.default_rng(np.random.SeedSequence(1, spawn_key=(1,)))
+    for n, child in zip(sizes, children):
+        kernel = random_kernel(n, np.random.default_rng(child))
+        ordered = [(i, j) for i in range(n) for j in range(n) if i != j]
+        for idx in sorted(pick.choice(len(ordered), size=2, replace=False)):
+            i, j = ordered[idx]
+            for law_fn in (conditioned_return_law, conditioned_hit_law, crossing_return_law):
+                law_fn(kernel, i, j, 600)
+            for a, b in ((i, j), (i, i), (j, i)):
+                first_passage_law(kernel, a, b, 600)
+
+
+@pytest.mark.parametrize("case,rows_before", [
+    ("two-state-0.9", 2091), ("ring60", 4228), ("decomposition", 352_125)])
+def test_block_schedule_steps_no_more_rows_than_blocks_of_128(monkeypatch, case, rows_before):
+    # rows_before: the steps taken when every block after the first held up
+    # to 128 rows.  A law whose survival stays ~1 for 58 steps (the ring
+    # from 1 to 0) must not take the rest of its horizon in one block and
+    # roll back most of it
+    steps = _count_steps(monkeypatch)
+    if case == "two-state-0.9":
+        first_passage_law(build_two_state(0.9), 0, 1, 1500)
+    elif case == "ring60":
+        ring = TransitionKernel([str(k) for k in range(60)],
+                                [[((k + 1) % 60, 0.99), (k, 0.01)] for k in range(60)])
+        first_passage_law(ring, 1, 0, 3000)
+    else:
+        _decomposition_round()
+    assert sum(steps) <= rows_before
+
+
+def test_lift_cache_keeps_a_sweep_within_its_byte_bound(monkeypatch):
+    # an all-pairs sweep of an 8-state chain lifts each of its 8 targets
+    # once, and three sweeps never hold more than the cache's bound
+    first_passage_law(build_two_state(0.5), 0, 1, 2)  # binds the matvec, which lifts once
+    monkeypatch.setattr(passage, "_LIFTS", passage._LiftCache(passage._LIFT_CACHE_BYTES))
+    lift, built = passage._lift, []
+    monkeypatch.setattr(passage, "_lift", lambda *args: built.append(1) or lift(*args))
+    kernels = [random_kernel(8, np.random.default_rng(seed)) for seed in range(3)]
+    first = {}
+    for c, kernel in enumerate(kernels):
+        for i, j in itertools.product(range(8), repeat=2):
+            first[c, i, j] = first_passage_law(kernel, i, j, 600)
+        assert len(built) == 8 * (c + 1)
+        cache = passage._LIFTS
+        assert cache.nbytes == sum(e[2] for e in cache._entries.values()) <= cache.max_bytes
+    def held(kernel):
+        return [id(op) in passage._LIFTS._entries
+                for op in kernel._derived._kinds["taboo"].values()]
+
+    assert held(kernels[2]) == [True] * 8 and held(kernels[0]) == [False] * 8
+    # the first kernel's lifts are gone: its laws, rebuilt, are the same
+    for (c, i, j), law in first.items():
+        if c == 0:
+            assert _same_law(first_passage_law(kernels[0], i, j, 600), law)
+    assert len(built) == 8 * 4
+
+
+def test_lift_cache_hammered_by_threads_stays_consistent():
+    # four threads get lifts of 64 operators through a cache that holds
+    # about 10 of them; each must get the lift of its own operator
+    ops = [(np.full(k + 1, k),) for k in range(64)]
+    cache = passage._LiftCache(10 * 800)
+    wrong, done = [], []
+
+    def hammer(seed):
+        for k in np.random.default_rng(seed).integers(0, 64, 5_000).tolist():
+            lifted = cache.get(ops[k], lambda: (np.full(100, float(k)),))
+            if lifted[0][0] != k:
+                wrong.append(k)
+        done.append(seed)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=hammer, args=(seed,)) for seed in range(4)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads) and sorted(done) == [0, 1, 2, 3]
+    assert not wrong and len(cache._entries) == 10
+    assert cache.nbytes == sum(e[2] for e in cache._entries.values()) == 8000
+    assert all(cache._entries[id(e[0])] is e for e in cache._entries.values())
+
+
+def test_lift_cache_entry_pins_its_operator():
+    # an entry holds the operator it is keyed by, so no new operator can
+    # take that id and find a stale lift
+    cache = passage._LiftCache(1 << 20)
+    op = (np.zeros(3),)
+    lifted = cache.get(op, lambda: (np.ones(4),))
+    key = id(op)
+    del op
+    assert id(cache._entries[key][0]) == key and cache._entries[key][1] is lifted
+    fresh = [(np.zeros(3),) for _ in range(100)]
+    assert all(id(f) != key for f in fresh)
+    too_big = cache.get(fresh[0], lambda: (np.ones(1 << 18),))
+    assert too_big[0].size == 1 << 18 and id(fresh[0]) not in cache._entries
 
 
 def _single_steps(op, w, x, steps, fslot):
@@ -400,10 +562,9 @@ def test_lifted_chunk_equals_single_steps(name, kernel):
         op = passage._taboo_operator(kernel, absorb, mode.get("kill"), mode.get("flag"))
         w = op[3] + 1
         fslot = None if "flag" not in mode else 2 * mode["flag"]
-        rows = max(1, min(passage._BLOCK_ROWS, passage._BLOCK_DOUBLES // w))
-        lift = max(1, min(rows - 1, passage._BLOCK_DOUBLES // op[2].size))
-        if name == "dense64":
-            assert lift < rows - 1
+        span, rows, reach, lift = passage._block_sizes(w, op[2].size)
+        if name == "dense64":  # a lift bounded by _BLOCK_DOUBLES entries
+            assert lift == reach - 1 < rows - 1
         lifted = passage._lift(*op[:3], w, lift, fslot)
         x = rng.random(w)
         if fslot is not None:
