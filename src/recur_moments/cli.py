@@ -16,6 +16,7 @@ fixed float formatting, and a fixed default seed (12345) for sampling.
 from __future__ import annotations
 
 import argparse
+import io
 import json
 import math
 import os
@@ -31,7 +32,7 @@ from .momentfn import classify, parse_function_spec
 from .moments import f_moment, mc_f_moment
 from .constructions import demo_exponential, demo_sharp, write_series_trace
 from .passage import (conditioned_hit_law, conditioned_return_law,
-                      crossing_return_law, first_passage_law, law_to_csv_text)
+                      crossing_return_law, first_passage_law, law_to_csv)
 
 DEFAULT_SEED = 12345
 _SIGNED_FLOAT = re.compile(r"-(inf(inity)?|nan|(\d+\.?\d*|\.\d+)(e[-+]?\d+)?)", re.IGNORECASE)
@@ -138,7 +139,9 @@ def _cmd_fpt(args) -> int:
     src = _resolve_state(kernel, args.source)
     tgt = _resolve_state(kernel, args.target)
     law = _LAW_MODES[args.mode](kernel, src, tgt, args.horizon)
-    _emit(law_to_csv_text(law), args, "law.csv")
+    buf = io.StringIO()
+    law_to_csv(law, buf)
+    _emit(buf.getvalue(), args, "law.csv")
     return 0
 
 

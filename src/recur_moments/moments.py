@@ -2,9 +2,9 @@
 
 The moment of a law computed to horizon N splits into a partial sum over the
 computed support and a tail contribution.  The partial sum is always exact
-(log-space); it includes the tail mass that a law keeps at known steps
-n <= N (``PassageLaw.tail_atoms``), so only the mass beyond N, P(T > N),
-is left.  The tail is bounded only when two certificates line up:
+(log-space); it reads the true log of every step n <= N, those below the
+float range included, so only the mass beyond N, P(T > N), is left.  The
+tail is bounded only when two certificates line up:
 
 * the law carries a tail certificate (N0, rho): P(T > n+1) <= rho P(T > n)
   on every computed n >= N0, and
@@ -139,11 +139,6 @@ def f_moment(law: PassageLaw, f: MomentFunction, *,
     _check_threshold(log_threshold)
     n_cutoff = law.horizon
     log_partial, log_tail = _log_partial_sum(law, f), law.log_tail
-    if law.tail_atoms is not None:
-        # tail mass at known steps n <= N is summed exactly; only the rest,
-        # beyond N, is bounded
-        steps, log_probs, log_tail = law.tail_atoms
-        log_partial = log_add(log_partial, logsumexp(f.log_f_array(steps) + log_probs))
     if log_partial > log_threshold + f.log_f(1):
         return MomentEstimate(log_partial, None, VERDICT_DIVERGED, n_cutoff)
     if log_tail == LOG_ZERO:

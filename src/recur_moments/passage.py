@@ -3,8 +3,11 @@
 A law is the distribution of a first-passage time T_ij (first hit of j from
 i, counting from step 1; i = j gives the first return).  Representations:
 
-* dense: a linear pmf over n = 1..horizon with its log view, plus the tail
-  mass P(T > horizon) kept in log space.  The pmf comes from propagating the
+* dense: the log pmf over n = 1..horizon, every entry its true log, with
+  its linear view, plus the tail mass P(T > horizon) kept in log space.  An
+  entry below the smallest subnormal reads 0 in the linear view; the log of
+  the mass those entries hold is kept beside it, and the calculus on linear
+  pmfs counts it in its output tail.  The pmf comes from propagating the
   taboo vector q_n(k) = P(X_n = k, j not yet hit) with scipy's compiled
   ``csc_matvec`` and a taboo operator built from the kernel's CSR arrays
   once per kernel (see below): P^T with the mass entering j routed to a sink
@@ -20,16 +23,16 @@ i, counting from step 1; i = j gives the first return).  Representations:
   rescale point are recomputed from the rescaled row), so a tail is zero
   only when no mass is left.  Blocks hold up to 128 rows, except that one
   takes the rest of the horizon when a bound on how fast the operator can
-  lose mass proves that no rescale falls before the horizon.  Entries that
-  unscale below the smallest subnormal, which the linear pmf cannot hold,
-  join the tail, their logs read from the rescaled values; the law keeps
-  their steps (``tail_atoms``), so a moment sums them exactly;
+  lose mass proves that no rescale falls before the horizon.  The log of an
+  entry that unscales below the smallest subnormal is read from its
+  rescaled value, so a moment sums it at its own step;
 * sparse: integer atoms with log-weights (:class:`AtomicDist`), for laws with
   few support points or astronomically small masses.
 
 Every operation conserves mass explicitly: whatever cannot be assigned to a
 support point (truncation beyond the horizon, pruning below the underflow
-floor, operand tails) is moved into the tail bucket, never dropped.  Tails
+floor, operand tails, and the entries a linear pmf cannot hold) is moved
+into the tail bucket, never dropped.  Tails
 are combined in log space, so a law is never made complete by an underflow.
 The dense geometric compound is solved 128 rows at a time (one convolution
 and one product with the inverse of the diagonal block per block), adding
@@ -70,7 +73,6 @@ runs on numpy alone.
 from __future__ import annotations
 
 import csv
-import io
 import math
 import threading
 from collections import OrderedDict
@@ -115,13 +117,14 @@ class PassageLaw:
     """Distribution of a positive-integer passage time (dense or sparse)."""
 
     def __init__(self, *, log_pmf=None, lin_pmf=None, atomic=None,
-                 log_tail=LOG_ZERO, tail_cert=None, tail_atoms=None):
+                 log_tail=LOG_ZERO, tail_cert=None, _log_unseen=LOG_ZERO):
         self._log_pmf = log_pmf
         self._lin_pmf = lin_pmf
         self._atomic = atomic
         self._log_tail = float(atomic.log_tail) if atomic is not None else float(log_tail)
         self._tail_cert = tail_cert
-        self._tail_atoms = tail_atoms
+        # log of the mass of the entries that read 0 in the linear pmf
+        self._log_unseen = _log_unseen
         self._check()
 
     # -- constructors ------------------------------------------------------
@@ -134,10 +137,8 @@ class PassageLaw:
         return cls._dense(pmf, math.log(tail) if tail > 0 else LOG_ZERO, tail_cert)
 
     @classmethod
-    def _dense(cls, pmf, log_tail: float, tail_cert: TailCert | None = None,
-               tail_atoms=None) -> "PassageLaw":
-        """Dense law from a linear-space pmf and a log-space tail, part of
-        which may sit at known steps (see :attr:`tail_atoms`)."""
+    def _dense(cls, pmf, log_tail: float, tail_cert: TailCert | None = None) -> "PassageLaw":
+        """Dense law from a linear-space pmf and a log-space tail."""
         pmf = np.asarray(pmf, dtype=float)
         if pmf.ndim != 1 or pmf.size == 0:
             raise InvalidInput("dense pmf must be a nonempty 1-d array")
@@ -145,25 +146,22 @@ class PassageLaw:
             raise InvalidInput("probabilities must be nonnegative")
         with np.errstate(divide="ignore"):
             log_pmf = np.log(pmf)
-        return cls(log_pmf=log_pmf, lin_pmf=pmf, log_tail=log_tail, tail_cert=tail_cert,
-                   tail_atoms=tail_atoms)
+        return cls(log_pmf=log_pmf, lin_pmf=pmf, log_tail=log_tail, tail_cert=tail_cert)
 
     @classmethod
     def dense_log(cls, log_pmf, log_tail: float, tail_cert: TailCert | None = None) -> "PassageLaw":
         """Dense law from a log-pmf over n = 1..len(log_pmf).
 
-        The logs are kept as given.  Entries below ``PRUNE_FLOOR_LOG`` would
-        underflow in the linear pmf, so their mass moves into the tail.
+        The logs are kept as given; an entry whose exp is 0 reads 0 in the
+        linear pmf.
         """
         log_pmf = np.asarray(log_pmf, dtype=float)
         if log_pmf.ndim != 1 or log_pmf.size == 0:
             raise InvalidInput("dense log-pmf must be a nonempty 1-d array")
-        low = (log_pmf > LOG_ZERO) & (log_pmf < PRUNE_FLOOR_LOG)
-        if low.any():
-            log_tail = log_add(log_tail, logsumexp(log_pmf[low]))
-            log_pmf = np.where(low, LOG_ZERO, log_pmf)
-        return cls(log_pmf=log_pmf, lin_pmf=np.exp(log_pmf), log_tail=log_tail,
-                   tail_cert=tail_cert)
+        lin = np.exp(log_pmf)
+        log_unseen = logsumexp(log_pmf[(lin == 0.0) & (log_pmf > LOG_ZERO)])
+        return cls(log_pmf=log_pmf, lin_pmf=lin, log_tail=log_tail, tail_cert=tail_cert,
+                   _log_unseen=log_unseen)
 
     @classmethod
     def sparse(cls, atomic: AtomicDist, tail_cert: TailCert | None = None) -> "PassageLaw":
@@ -219,6 +217,10 @@ class PassageLaw:
 
     @property
     def log_tail(self) -> float:
+        """log P(T > horizon), the mass beyond the horizon.  A law from the
+        calculus on linear pmfs (:func:`convolve`, :func:`geometric_compound`)
+        counts here too the mass its operands held at entries below the
+        float range, since it cannot place that mass at a step."""
         return self._log_tail
 
     @property
@@ -226,18 +228,9 @@ class PassageLaw:
         return self._tail_cert
 
     @property
-    def tail_atoms(self) -> tuple[np.ndarray, np.ndarray, float] | None:
-        """The part of the tail that sits at known steps, or None.
-
-        A propagated law whose entries unscale below the smallest subnormal
-        counts their mass in its tail, since the linear pmf cannot hold it,
-        and keeps them here as (steps, log-probabilities, log of the rest of
-        the tail), the rest being the mass beyond the horizon.  Other laws
-        carry None."""
-        return self._tail_atoms
-
-    @property
     def is_complete(self) -> bool:
+        """Whether no mass lies beyond the horizon: the tail is proven zero,
+        never made zero by an underflow."""
         return self._log_tail == LOG_ZERO
 
     def log_total_mass(self) -> float:
@@ -246,9 +239,19 @@ class PassageLaw:
         return self._atomic.log_mass()
 
     def linear_pmf(self) -> np.ndarray | None:
-        """Linear-space pmf over 1..horizon; every dense law carries one.
-        None for sparse laws."""
+        """Linear-space pmf over 1..horizon; every dense law carries one, in
+        which an entry below the float range reads 0.  None for sparse
+        laws."""
         return self._lin_pmf
+
+    def _linear_view(self) -> tuple[np.ndarray, np.ndarray, float]:
+        """(pmf, log pmf, log tail) of a dense law as a linear pmf sees it:
+        an entry that reads 0 there has log -inf, and its mass counts in the
+        tail, which is then log_tail and ``_log_unseen`` added in log space."""
+        if self._log_unseen == LOG_ZERO:
+            return self._lin_pmf, self._log_pmf, self._log_tail
+        return (self._lin_pmf, np.where(self._lin_pmf > 0.0, self._log_pmf, LOG_ZERO),
+                log_add(self._log_tail, self._log_unseen))
 
     def log_prob(self, n: int) -> float:
         if n < 1:
@@ -279,10 +282,15 @@ class PassageLaw:
 
     def survival_array(self) -> np.ndarray:
         """S_n = P(T > n) for n = 1..horizon (linear space), summed from the
-        tail upwards as tail + sum_{k>n} p_k, with no subtraction."""
-        pmf = self._lin_pmf if self.is_dense else self.pmf_array()
+        tail upwards as tail + sum_{k>n} p_k, with no subtraction.  Of a
+        dense law, the linear view (the mass of entries below the float
+        range counts in the tail)."""
+        if self.is_dense:
+            pmf, _, log_tail = self._linear_view()
+        else:
+            pmf, log_tail = self.pmf_array(), self._log_tail
         terms = np.empty(pmf.size)
-        terms[0] = math.exp(self._log_tail)
+        terms[0] = math.exp(log_tail)
         terms[1:] = pmf[:0:-1]
         return terms.cumsum()[::-1]
 
@@ -294,23 +302,15 @@ class PassageLaw:
         if self.is_dense:
             if horizon == self.horizon:
                 return self
-            if horizon < self.horizon:
-                log_head = self._log_pmf[:horizon]
-                log_moved = logsumexp(self._log_pmf[horizon:])
-                return PassageLaw.dense_log(log_head, log_add(self._log_tail, log_moved))
-            if not self.is_complete:
+            if horizon > self.horizon and not self.is_complete:
                 raise InvalidInput("cannot extend an incomplete dense law")
-            log_pad = np.full(horizon, LOG_ZERO)
-            log_pad[:self.horizon] = self._log_pmf
-            return PassageLaw.dense_log(log_pad, LOG_ZERO)
+            steps, logs = np.arange(1, self.horizon + 1), self._log_pmf
+        else:
+            steps, logs = self._atomic.atoms, self._atomic.log_probs
+        inside = steps <= horizon
         out = np.full(horizon, LOG_ZERO)
-        moved = [self._log_tail]
-        for v, lp in zip(self._atomic.atoms, self._atomic.log_probs):
-            if v <= horizon:
-                out[v - 1] = lp
-            else:
-                moved.append(float(lp))
-        return PassageLaw.dense_log(out, logsumexp(moved))
+        out[steps[inside] - 1] = logs[inside]
+        return PassageLaw.dense_log(out, log_add(self._log_tail, logsumexp(logs[~inside])))
 
     def __repr__(self):
         kind = f"dense[1..{self.horizon}]" if self.is_dense else f"sparse[{self._atomic.atoms.size} atoms]"
@@ -678,17 +678,18 @@ def _unscaled_law(pmf: np.ndarray, scale: np.ndarray, log_tail: float,
                   tail_cert: TailCert | None = None) -> PassageLaw:
     """Dense law with pmf[t] 2^-scale[t] at step t + 1 and tail e^log_tail
     beyond the horizon.  An entry that unscales below the smallest subnormal
-    becomes 0; its mass, whose log is read from the scaled value, joins the
-    tail, and the law keeps its step in ``tail_atoms``."""
+    reads 0 in the linear pmf; its log is read from the scaled value."""
     if not scale[-1]:  # scale never decreases, so nothing was rescaled
         return PassageLaw._dense(pmf, log_tail, tail_cert)
     lin = np.ldexp(pmf, -scale)
     lost = ((lin == 0.0) & (pmf > 0.0)).nonzero()[0]
     if not lost.size:
         return PassageLaw._dense(lin, log_tail, tail_cert)
-    log_lost = np.log(pmf[lost]) - scale[lost] * _LN2
-    return PassageLaw._dense(lin, log_add(log_tail, logsumexp(log_lost)), tail_cert,
-                             (lost + 1, log_lost, log_tail))
+    with np.errstate(divide="ignore"):
+        log_pmf = np.log(lin)
+    log_pmf[lost] = np.log(pmf[lost]) - scale[lost] * _LN2
+    return PassageLaw(log_pmf=log_pmf, lin_pmf=lin, log_tail=log_tail, tail_cert=tail_cert,
+                      _log_unseen=logsumexp(log_pmf[lost]))
 
 
 def first_passage_law(kernel: TransitionKernel, source: StateRef, target: StateRef,
@@ -899,12 +900,13 @@ def _log_mass_beyond(la: np.ndarray, lb: np.ndarray, h: int) -> float:
 
 def _conv_dense(a: PassageLaw, b: PassageLaw, horizon: int | None) -> PassageLaw:
     h = horizon if horizon is not None else a.horizon + b.horizon
-    full = np.convolve(a.linear_pmf(), b.linear_pmf())  # support 2..ha+hb
+    (pa, la, ta), (pb, lb, tb) = a._linear_view(), b._linear_view()
+    full = np.convolve(pa, pb)  # support 2..ha+hb
     out = np.zeros(h)
     upper = min(h, full.size + 1)
     out[1:upper] = full[:upper - 1]
-    moved = _log_mass_beyond(a.log_pmf, b.log_pmf, h)
-    return PassageLaw._dense(out, log_add(_combined_tail(a.log_tail, b.log_tail), moved))
+    moved = _log_mass_beyond(la, lb, h)
+    return PassageLaw._dense(out, log_add(_combined_tail(ta, tb), moved))
 
 
 def convolve(a, b, *, horizon: int | None = None):
@@ -1011,14 +1013,15 @@ def _renewal(a: np.ndarray, n: int) -> np.ndarray:
 def _compound_dense(u: PassageLaw, v: PassageLaw, pi: float, log_q: float,
                     h: int) -> PassageLaw:
     q = 1.0 - pi
+    (pu, _, tu), (pv, _, tv) = u._linear_view(), v._linear_view()
     # beyond an operand's horizon its pmf is unknown: none of it is assigned
     # there, and its survival stays at its tail
-    qu = q * _fit(u.linear_pmf(), h, 0.0)  # q u_1, ..., q u_h
+    qu = q * _fit(pu, h, 0.0)  # q u_1, ..., q u_h
     x = np.zeros((h + 1, 2), order="F")  # row t: P(C = t+1), P(C > t)
-    x[:h, 0] = pi * _fit(v.linear_pmf(), h, 0.0)
+    x[:h, 0] = pi * _fit(pv, h, 0.0)
     x[0, 1] = 1.0
-    x[1:, 1] = (pi * _fit(v.survival_array(), h, math.exp(v.log_tail))
-                + q * _fit(u.survival_array(), h, math.exp(u.log_tail)))
+    x[1:, 1] = (pi * _fit(v.survival_array(), h, math.exp(tv))
+                + q * _fit(u.survival_array(), h, math.exp(tu)))
     # the diagonal block is unit lower-triangular Toeplitz with first column
     # (1, -q u_1, ...); its inverse is lower-triangular Toeplitz with first
     # column the renewal sequence of q u, which has no negative entry
@@ -1215,9 +1218,3 @@ def law_from_csv(path_or_file) -> PassageLaw:
         return PassageLaw.dense_log(lp_arr, log_tail, tail_cert=cert)
     keep = lp_arr > LOG_ZERO
     return PassageLaw.sparse(AtomicDist(ns_arr[keep], lp_arr[keep], log_tail), tail_cert=cert)
-
-
-def law_to_csv_text(law: PassageLaw) -> str:
-    buf = io.StringIO()
-    law_to_csv(law, buf)
-    return buf.getvalue()

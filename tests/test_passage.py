@@ -86,17 +86,14 @@ def test_survival_is_subtraction_free():
 
 def test_first_passage_tail_survives_underflow():
     # P(T > 400) = 0.1^400 is below the smallest double, yet not zero.  The
-    # entries P(T = n) = 0.9 0.1^(n-1) below 2^-1074 round to 0 in the pmf;
-    # their mass joins the tail, and the law keeps their steps
+    # entries P(T = n) = 0.9 0.1^(n-1) below 2^-1074 read 0 in the linear
+    # pmf; the log pmf keeps their true logs at their own steps
     law = first_passage_law(build_two_state(0.9), 0, 1, 400)
     log_pmf = math.log(0.9) + np.arange(400) * math.log(0.1)
-    lost = law.log_pmf == -math.inf
+    lost = law.linear_pmf() == 0.0
     assert lost.any() and np.all(log_pmf[lost] < -1074 * math.log(2.0))
-    assert abs(law.log_tail - log_add(400 * math.log(0.1), logsumexp(log_pmf[lost]))) <= 1e-9
-    steps, log_probs, log_rest = law.tail_atoms
-    assert abs(log_rest - 400 * math.log(0.1)) <= 1e-9
-    assert np.array_equal(steps, np.flatnonzero(lost) + 1)
-    assert np.all(np.abs(log_probs - log_pmf[lost]) <= 1e-9)
+    assert np.all(np.abs(law.log_pmf[lost] - log_pmf[lost]) <= 1e-9)
+    assert abs(law.log_tail - 400 * math.log(0.1)) <= 1e-9
     assert not law.is_complete
     # the survival ratio is 0.1 on every step, across the rescales too
     assert law.tail_cert.start == 1 and 0.1 < law.tail_cert.rho < 0.1 + 2e-6
@@ -111,18 +108,16 @@ _TWO_STATE_HORIZONS = [1100, 1500, 3000]
 def test_entries_below_the_subnormal_range_join_the_tail(law_fn, i, j, h):
     # The return to the bouncing state of two-state 0.5 (every return visits
     # state 0) has P(T = k) = 2^-(k-1) for k >= 2.  Past k ~ 1075 these
-    # entries unscale below 2^-1074 and round to 0; their mass must join the
-    # tail, with P(T > h) = 2^-(h-1), at their own steps
+    # entries unscale below 2^-1074 and read 0 in the linear pmf; the log
+    # pmf keeps their true logs at their own steps, and the tail is
+    # P(T > h) = 2^-(h-1)
     law = law_fn(build_two_state(0.5), i, j, h)
     k = np.arange(2, h + 1)
-    lost = law.log_pmf[1:] == -math.inf
-    assert lost.any()
-    log_lost = float(np.logaddexp.reduce(-(k[lost] - 1.0) * math.log(2.0)))
-    assert abs(law.log_tail - log_add(log_lost, -(h - 1) * math.log(2.0))) <= 1e-9
-    steps, log_probs, log_rest = law.tail_atoms
-    assert abs(log_rest + (h - 1) * math.log(2.0)) <= 1e-9
-    assert np.array_equal(steps, k[lost])
-    assert np.all(np.abs(log_probs + (steps - 1.0) * math.log(2.0)) <= 1e-9)
+    lost = law.linear_pmf()[1:] == 0.0
+    assert lost.any() and law.log_pmf[0] == -math.inf
+    assert np.all(np.abs(law.log_pmf[1:][lost] + (k[lost] - 1.0) * math.log(2.0)) <= 1e-9)
+    assert abs(law.log_tail + (h - 1) * math.log(2.0)) <= 1e-9
+    assert not law.is_complete
 
 
 @pytest.mark.parametrize("h", _TWO_STATE_HORIZONS)
@@ -238,10 +233,9 @@ def test_propagation_never_builds_a_transpose(kernel3, monkeypatch):
 
 
 def _same_law(a, b) -> bool:
-    atoms_a, atoms_b = a.tail_atoms or (), b.tail_atoms or ()
-    return (np.array_equal(a.log_pmf, b.log_pmf) and a.log_tail == b.log_tail
-            and a.tail_cert == b.tail_cert and len(atoms_a) == len(atoms_b)
-            and all(np.array_equal(x, y) for x, y in zip(atoms_a, atoms_b)))
+    return (np.array_equal(a.log_pmf, b.log_pmf)
+            and np.array_equal(a.linear_pmf(), b.linear_pmf())
+            and a.log_tail == b.log_tail and a.tail_cert == b.tail_cert)
 
 
 def _decomposition_laws(kernel, i, j, h):
@@ -621,18 +615,13 @@ def test_long_horizons_match_two_state_closed_forms(p, h):
         got = law.pmf_array()
         normal = expected >= _SMALLEST_NORMAL
         assert np.all(np.abs(got[normal] / expected[normal] - 1.0) <= 1e-12)
-        # entries that round to 0 in the pmf move their mass to the tail,
-        # which keeps their steps
-        lost = (law.log_pmf == -math.inf) & (log_expected > -math.inf)
+        # entries that read 0 in the pmf keep their true logs at their own
+        # steps; the tail is the mass beyond the horizon
+        lost = (got == 0.0) & (log_expected > -math.inf)
         assert np.all(log_expected[lost] < -1074 * math.log(2.0))
-        assert abs(law.log_tail - log_add(log_tail, logsumexp(log_expected[lost]))) <= 1e-9
-        if law.tail_atoms is None:
-            assert not lost.any()
-            continue
-        steps, log_probs, log_rest = law.tail_atoms
-        assert abs(log_rest - log_tail) <= 1e-9
-        assert np.array_equal(steps, n[lost])
-        assert np.all(np.abs(log_probs - log_expected[lost]) <= 1e-9)
+        assert np.all(np.abs(law.log_pmf[lost] - log_expected[lost]) <= 1e-9)
+        assert abs(law.log_tail - log_tail) <= 1e-9
+        assert not law.is_complete
 
 
 def test_accepts_state_names(kernel3):
@@ -1134,13 +1123,16 @@ def test_conditioning_on_crossing_dominates_plain_return(kernel3):
 
 
 def test_dense_log_folds_sub_floor_entries_into_tail():
-    # e^-2000 flushes to zero in linear space, so its mass joins the tail
+    # e^-2000 flushes to zero in linear space; the log pmf keeps it at its
+    # step, and the tail is the mass beyond the horizon
     law = PassageLaw.dense_log(np.array([math.log(0.5), -2000.0]), math.log(0.5))
     assert law.linear_pmf().tolist() == [0.5, 0.0]
-    assert law.log_pmf[0] == math.log(0.5) and law.log_pmf[1] == -math.inf
-    assert law.log_tail == log_add(math.log(0.5), -2000.0)
+    assert law.log_pmf[0] == math.log(0.5) and law.log_pmf[1] == -2000.0
+    assert law.log_tail == math.log(0.5) and not law.is_complete
+    # all of its mass sits at known steps
     whole = PassageLaw.dense_log(np.array([0.0, -2000.0]), -math.inf)
-    assert whole.log_tail == -2000.0 and not whole.is_complete
+    assert whole.log_pmf[1] == -2000.0
+    assert whole.log_tail == -math.inf and whole.is_complete
 
 
 def test_reloaded_law_keeps_dense_calculus():
@@ -1154,6 +1146,51 @@ def test_reloaded_law_keeps_dense_calculus():
         want, got = op(law), op(back)
         assert np.abs(got.pmf_array() - want.pmf_array()).max() <= 1e-15
         assert abs(math.exp(got.log_tail) - math.exp(want.log_tail)) <= 1e-15
+
+
+def test_to_dense_and_mixture_keep_the_mass_of_their_own_steps():
+    # P(T = k) = 2^-(k-1), k >= 2, for the return to 1 of two-state 0.5.  A
+    # law cut at 1200 and a mixture at 1500 must count every step they hold
+    # in the partial sum, including the steps below the float range
+    law = first_passage_law(build_two_state(0.5), 1, 1, 1500)
+    f = exp_fn(0.69)
+    for sub in (law.to_dense(1200), mixture([law, law], [0.5, 0.5])):
+        k = np.arange(2, sub.horizon + 1)
+        want = logsumexp(0.69 * k - (k - 1.0) * math.log(2.0))
+        assert abs(f_moment(sub, f).log_partial_sum - want) <= 1e-12 * abs(want), sub.horizon
+
+
+def _sub_float_law(which: str) -> PassageLaw:
+    if which == "two-state":
+        return first_passage_law(build_two_state(0.5), 1, 1, 1500)
+    # a U law of the decomposition whose entries fall below 2^-1074 from step 279 on
+    return conditioned_return_law(random_kernel(3, np.random.default_rng(1)), 0, 1, 600)
+
+
+@pytest.mark.parametrize("which", ["two-state", "avoiding"])
+def test_calculus_on_unseen_entries_keeps_the_mass(which):
+    # the linear pmf reads 0 at entries below the float range; the calculus
+    # on linear pmfs counts their mass in its output tail, so each result
+    # keeps the whole mass, and reads the law as that linear view
+    law = _sub_float_law(which)
+    lin, h = law.pmf_array(), law.horizon
+    unseen = (lin == 0.0) & (law.log_pmf > -math.inf)
+    log_off = log_add(law.log_tail, logsumexp(law.log_pmf[unseen]))
+    point = PassageLaw.dense([1.0], 0.0)
+    shifted = convolve(law, point)
+    assert np.array_equal(shifted.pmf_array(), np.concatenate(([0.0], lin)))
+    assert shifted.log_tail == log_off
+    cut = convolve(law, point, horizon=h)
+    comp = geometric_compound(law, law, 0.3, horizon=h)
+    want, want_log_tail = reference_compound(law, law, 0.3, h)
+    normal = want >= np.finfo(float).tiny
+    assert np.all(np.abs(comp.pmf_array() - want)[normal] <= 1e-13 * want[normal])
+    assert abs(comp.log_tail - want_log_tail) <= 1e-12
+    for out in (shifted, cut, comp):
+        assert abs(out.log_total_mass()) <= 1e-10
+    report = stochastic_dominates(cut, law)
+    assert report.dominates and report.max_cdf_violation <= 1e-15
+    assert not stochastic_dominates(law, cut).dominates
 
 
 def test_point_and_to_dense_roundtrip():
@@ -1284,6 +1321,14 @@ def test_csv_serialization_is_stable(kernel3):
     law_to_csv(law, buf1)
     law_to_csv(law_from_csv(io.StringIO(buf1.getvalue())), buf2)
     assert buf1.getvalue() == buf2.getvalue()
+
+
+def test_csv_round_trip_keeps_the_moment_of_a_sub_float_law():
+    # the return to 1 of two-state 0.5 at h = 1500 has entries below 2^-1074
+    # from step ~1076 on; read back, its bracket must be the same, bit for bit
+    law = first_passage_law(build_two_state(0.5), 1, 1, 1500)
+    f = exp_fn(0.69)
+    assert f_moment(_reloaded(law), f) == f_moment(law, f)
 
 
 def test_csv_rejects_empty(tmp_path):
