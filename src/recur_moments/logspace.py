@@ -29,13 +29,13 @@ def log_add(a: float, b: float) -> float:
 def logsumexp(values) -> float:
     """log of the sum of exponentials; an empty input sums to zero mass, and
     an infinite term makes the sum infinite."""
-    arr = np.asarray(values, dtype=float)
+    arr = np.asarray(values, dtype=float).ravel()
     if arr.size == 0:
         return LOG_ZERO
-    m = float(arr.max())
+    m = float(arr[arr.argmax()])  # the max; argmax skips a reduction's set-up cost
     if math.isinf(m):
         return m
-    return m + math.log(float(np.exp(arr - m).sum()))
+    return m + math.log(float(np.add.reduce(np.exp(arr - m))))
 
 
 def log1mexp(x: float) -> float:

@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import json
 import math
+from contextlib import nullcontext
 from dataclasses import dataclass
 
 import numpy as np
@@ -102,18 +103,17 @@ def _log_f_range(f: MomentFunction, n: int) -> np.ndarray:
         table = np.log(np.arange(1, n + 1, dtype=float))
         table.flags.writeable = False
         _log_n = table
-    with np.errstate(over="ignore"):  # a log f(n) past the float range is +inf
+    # a log f(n) past the float range is +inf, which needs |p| >= 1e300 (log n < 44)
+    with np.errstate(over="ignore") if not abs(f.param) < 1e300 else nullcontext():
         return f.param * table[:n]
 
 
 def _log_partial_sum(law: PassageLaw, f: MomentFunction) -> float:
     if law.is_dense:
         log_pmf = law.log_pmf
-        mask = log_pmf > LOG_ZERO
-        if mask.all():
+        if log_pmf[log_pmf.argmin()] > LOG_ZERO:
             return logsumexp(_log_f_range(f, log_pmf.size) + log_pmf)
-        if not mask.any():
-            return LOG_ZERO
+        mask = log_pmf > LOG_ZERO
         ns = np.nonzero(mask)[0] + 1
         return logsumexp(f.log_f_array(ns) + log_pmf[mask])
     atoms = law.atomic

@@ -54,15 +54,15 @@ vectors (64 MB at n = 200).  A kernel, its derived arrays and every cached
 array are read-only, so no cached value can go stale.  The lifted
 operators of :func:`_lift` are ``lift`` times the size of the operator they
 lift, so they are kept apart, in one process-wide cache bounded by bytes
-(``_LIFT_CACHE_BYTES``, 192 KiB) rather than by count.  A lift holds at
-most an eighth of that (``_LIFT_BYTES``), so that the eight targets of an
-all-pairs sweep of an 8-state chain share it, 30 steps deep.  The content
-of the cache adds about twice its size to a process's peak memory: a
-prototype that kept lifts by count raised the decomposition benchmark's
-peak RSS from 54.7 to 71.1 MB, and bounds of 256 and 192 KiB cost 0.6
-and 0.4 MB there.  A lift is keyed by the cached operator it lifts, and
-holds that operator, so the key of a freed kernel's operator can never
-match a new one.
+(``_LIFT_CACHE_BYTES``, 1 MiB) rather than by count.  A lift spans every
+row of a block after its first, up to 127 steps, so a 600-step law of a
+small chain takes six compiled calls, and the eight lifts of an all-pairs
+sweep of an 8-state chain (0.82 MB) share the cache.  Its content adds to
+peak memory: lifts kept by count raised the decomposition benchmark's peak
+RSS from 54.7 to 71.1 MB; against 192 KiB with 24 KiB lifts, the 1 MiB
+bound costs it 1.2 MB, and moments_allpairs 1.0 MB.  A lift is keyed by
+the cached operator it lifts, and holds that operator, so the key of a
+freed kernel's operator can never match a new one.
 
 scipy is imported on first use, not with the module: the first propagated
 law loads ``scipy.sparse`` (through the kernel's ``csr`` and the compiled
@@ -76,7 +76,7 @@ import csv
 import math
 import threading
 from collections import OrderedDict
-from contextlib import contextmanager
+from contextlib import contextmanager, nullcontext
 from dataclasses import dataclass
 
 import numpy as np
@@ -142,9 +142,10 @@ class PassageLaw:
         pmf = np.asarray(pmf, dtype=float)
         if pmf.ndim != 1 or pmf.size == 0:
             raise InvalidInput("dense pmf must be a nonempty 1-d array")
-        if (pmf < 0).any():
+        low = pmf[pmf.argmin()]  # the least entry, without a reduction's set-up cost
+        if low < 0:
             raise InvalidInput("probabilities must be nonnegative")
-        with np.errstate(divide="ignore"):
+        with np.errstate(divide="ignore") if not low > 0.0 else nullcontext():
             log_pmf = np.log(pmf)
         return cls(log_pmf=log_pmf, lin_pmf=pmf, log_tail=log_tail, tail_cert=tail_cert)
 
@@ -182,13 +183,23 @@ class PassageLaw:
         total = self.log_total_mass()
         if not abs(total) <= _MASS_TOL:
             raise InvalidInput(f"law mass off by more than 1e-10: log total = {total}")
-        if self._tail_cert is not None and self.is_dense:
-            surv = self.survival_array()
-            n0, rho = self._tail_cert.start, self._tail_cert.rho
-            if n0 <= surv.size - 1:
-                rhs = rho * surv[n0 - 1:-1]
-                if ((surv[n0:] > rhs * (1.0 + 1e-12)) & (rhs >= _SMALLEST_NORMAL)).any():
-                    raise InvalidInput("tail certificate violated on computed points")
+        if self._tail_cert is not None and not self._bears(self._tail_cert):
+            raise InvalidInput("tail certificate violated on computed points")
+
+    def _bears(self, cert: TailCert) -> bool:
+        """Whether a dense law's computed survival bears ``cert`` out (:meth:`_check`)."""
+        if not self.is_dense or cert.start >= self.horizon:
+            return True
+        surv = self.survival_array()
+        rhs = cert.rho * surv[cert.start - 1:-1]
+        return not np.count_nonzero((surv[cert.start:] > rhs * (1.0 + 1e-12))
+                                    & (rhs >= _SMALLEST_NORMAL))
+
+    def _with_cert(self, cert: TailCert | None) -> "PassageLaw":
+        """This new law, certified by ``cert`` if its survival bears it out."""
+        if cert is not None and self._bears(cert):
+            self._tail_cert = cert
+        return self
 
     # -- accessors ---------------------------------------------------------
 
@@ -292,7 +303,7 @@ class PassageLaw:
         terms = np.empty(pmf.size)
         terms[0] = math.exp(log_tail)
         terms[1:] = pmf[:0:-1]
-        return terms.cumsum()[::-1]
+        return np.add.accumulate(terms)[::-1]
 
     def to_dense(self, horizon: int) -> "PassageLaw":
         """Re-represent on 1..horizon; mass beyond moves into the tail.
@@ -310,7 +321,8 @@ class PassageLaw:
         inside = steps <= horizon
         out = np.full(horizon, LOG_ZERO)
         out[steps[inside] - 1] = logs[inside]
-        return PassageLaw.dense_log(out, log_add(self._log_tail, logsumexp(logs[~inside])))
+        law = PassageLaw.dense_log(out, log_add(self._log_tail, logsumexp(logs[~inside])))
+        return law._with_cert(self._tail_cert)
 
     def __repr__(self):
         kind = f"dense[1..{self.horizon}]" if self.is_dense else f"sparse[{self._atomic.atoms.size} atoms]"
@@ -335,25 +347,27 @@ def _derive_tail_cert(surv: np.ndarray, scale: np.ndarray, *, window: int = 20,
     certificate holds on every computed point by construction.  Only an
     exactly zero taboo vector (never an underflow) certifies trivially.
     """
-    zero = (surv == 0.0).nonzero()[0]
-    if zero.size:
-        return TailCert(start=int(zero[0]) + 1, rho=0.5)
+    first_min = int(surv.argmin())
+    if surv[first_min] == 0.0:
+        return TailCert(start=first_min + 1, rho=0.5)
     if surv.size < window + 1:
         return None
     ratios = surv[1:] / surv[:-1]
     if scale[-1]:  # scale never decreases, so otherwise every shift is 0
         ratios = np.ldexp(ratios, scale[:-1] - scale[1:])
     n = ratios.size - window + 1
-    windows = np.ndarray((n, window), float, ratios, 0, ratios.strides * 2)
+    # column w is the window ratios[w:w + window], cheaper to reduce than a row
+    windows = np.ndarray((window, n), float, ratios, 0, ratios.strides * 2)
     # only the first stable window counts: scan in chunks that double in
     # size and stop at the first hit
     w0, w1 = 0, _CERT_CHUNK
     while w0 < n:
-        chunk = windows[w0:w1]
-        hits = (chunk.max(axis=1) - chunk.min(axis=1) < var_tol).nonzero()[0]
+        chunk = windows[:, w0:w1]
+        spread = np.maximum.reduce(chunk, axis=0) - np.minimum.reduce(chunk, axis=0)
+        hits = (spread < var_tol).nonzero()[0]
         if hits.size:
             w = w0 + int(hits[0])
-            rho = float(ratios[w:].max()) + slack
+            rho = float(ratios[w + ratios[w:].argmax()]) + slack
             return TailCert(start=w + 1, rho=rho) if rho < 1.0 else None
         w0, w1 = w1, 2 * w1
     return None
@@ -364,8 +378,7 @@ _LN2 = math.log(2.0)
 _LOG_RESCALE_BELOW = -600 * _LN2
 _BLOCK_ROWS = 128
 _BLOCK_DOUBLES = 2 ** 16
-_LIFT_CACHE_BYTES = 3 * 2 ** 16
-_LIFT_BYTES = _LIFT_CACHE_BYTES // 8
+_LIFT_CACHE_BYTES = 2 ** 20
 _HOLD_STEPS = 16  # steps over which _log_hold bounds the loss of alive mass
 _FLAG_BITS = np.array([0, 1], dtype=np.int32)
 _csc_matvec = None  # scipy's compiled CSC matvec, bound and checked by the first _propagate
@@ -377,18 +390,12 @@ def _block_sizes(w: int, nnz: int) -> tuple[int, int, int, int]:
     ``_BLOCK_DOUBLES`` doubles; the most rows of a block that may be rolled
     back, at most ``_BLOCK_ROWS``; the fewest rows of such a block after the
     first, as many as ``_BLOCK_DOUBLES`` entries of lifted operator step;
-    and the steps of one lifted call, at most reach - 1.  A lift takes as
-    many steps as fit in ``_LIFT_BYTES`` (8-byte values and 4-byte indices
-    for each entry, a 4-byte pointer for each slot), so that the eight
-    targets of an all-pairs sweep of an 8-state chain share the cache.  An
-    operator too large for 16 such steps lifts reach - 1 steps instead: its
-    lift is seldom kept and mostly built for each law, and fewer steps a
-    call would cost more calls than the build."""
+    and the steps of one lifted call, reach - 1, so that one call steps
+    every row of such a block after its first."""
     span = max(1, _BLOCK_DOUBLES // w)
     rows = min(_BLOCK_ROWS, span)
     reach = max(2, min(rows, _BLOCK_DOUBLES // max(1, nnz) + 1))
-    fit = _LIFT_BYTES // (12 * nnz + 4 * w)
-    return span, rows, reach, max(1, reach - 1 if fit < 16 else min(reach - 1, fit))
+    return span, rows, reach, reach - 1
 
 
 class _LiftCache:
@@ -560,6 +567,24 @@ def _bind_matvec():
     return csc_matvec
 
 
+def _row_sums(rows: np.ndarray) -> np.ndarray:
+    """``np.add.reduce(rows, axis=1)`` bit for bit for nonnegative entries,
+    in a few whole-column adds instead of a reduction call per row: numpy
+    adds fewer than 8 entries left to right, and 8 to 15 as ((e0 + e1) +
+    (e2 + e3)) + ((e4 + e5) + (e6 + e7)), then the rest left to right."""
+    n = rows.shape[1]
+    if n >= 16:
+        return np.add.reduce(rows, axis=1)
+    if n < 8:
+        s = rows[:, 0].copy()
+    else:
+        s = (rows[:, 0] + rows[:, 1]) + (rows[:, 2] + rows[:, 3])
+        s += (rows[:, 4] + rows[:, 5]) + (rows[:, 6] + rows[:, 7])
+    for c in range(1 if n < 8 else 8, n):
+        s += rows[:, c]
+    return s
+
+
 def _propagate(kernel: TransitionKernel, start: int, horizon: int, *, absorb: int,
                kill: int | None = None, flag: int | None = None) -> tuple[np.ndarray, ...]:
     """Step the taboo vector q_n(k) = P(X_n = k, not absorbed or killed) from
@@ -649,7 +674,7 @@ def _propagate(kernel: TransitionKernel, start: int, horizon: int, *, absorb: in
         if flag is not None:
             buf[m - 1, fslot + 1] += buf[m - 1, fslot]
             buf[:m, fslot] = 0.0
-        s = np.add.reduce(buf[:m, :width], axis=1)
+        s = _row_sums(buf[:m, :width])
         low = (s < _RESCALE_BELOW).nonzero()[0]
         kept = int(low[0]) + 1 if low.size else m
         pmf[t:t + kept] = buf[:kept, width]
@@ -1098,7 +1123,11 @@ def mixture(laws, weights) -> PassageLaw:
         with np.errstate(invalid="ignore"):
             log_pmf = np.logaddexp.reduce(stack, axis=0)
         tails = [w + c.log_tail for w, c in zip(log_w, comp)]
-        return PassageLaw.dense_log(log_pmf, logsumexp(tails))
+        certs = [c.tail_cert for c in comp]
+        # S(n+1) = sum_k w_k S_k(n+1) <= max rho_k S(n) once n >= every start
+        cert = None if None in certs else TailCert(max(c.start for c in certs),
+                                                   max(c.rho for c in certs))
+        return PassageLaw.dense_log(log_pmf, logsumexp(tails))._with_cert(cert)
     if all(not law.is_dense for _, law in pairs):
         all_vals, all_lws, tails = [], [], []
         for w, law in pairs:

@@ -160,12 +160,11 @@ _LAWS = {"passage": first_passage_law, "return_avoiding": conditioned_return_law
 _SMALLEST_NORMAL = 2.2250738585072014e-308
 # Horizons on and next to block edges and lifted-call edges.  Up to h = 130
 # a chain of up to 16 states runs a first block of 2 rows, then one of up
-# to 128 rows: a single step at step 3, then lifted calls, which end at
-# step 130 on chains of 2-4 states, which lift 127 steps, and at steps 33,
-# 63, ... on the 8-state chains, which lift 30.  From h = 131 on, a law
-# sure to stay above 2^-600 is one block, and any other runs blocks of 128
-# rows, whose edges are steps 2, 130, 258, ...  Past 600 the small chains
-# are rescaled many times, with rolled-back rows.
+# to 128 rows: a single step at step 3, then one lifted call of up to 127
+# steps, which ends at step 130 (at 33 and 34 the horizon ends it).  From
+# h = 131 on, a law sure to stay above 2^-600 is one block, and any other
+# runs blocks of 128 rows, whose edges are steps 2, 130, 258, ...  Past 600
+# the small chains are rescaled many times, with rolled-back rows.
 _ENGINE_HORIZONS = (1, 2, 3, 4, 33, 34, 129, 130, 131, 600, 1500)
 # The old loop rounded a raw mass below the smallest normal.  Past step 600,
 # where the chains that decay fast reach the subnormal range, it also summed
@@ -358,17 +357,16 @@ def test_block_schedule_bounds_rolled_back_steps(monkeypatch, kernel, absorb, h)
 def test_law_sure_to_stay_above_the_rescale_point_steps_in_one_block(monkeypatch):
     # the taboo operator bounds how fast the survival can fall; when that
     # keeps it above 2^-600 through the horizon, the law is one block: a
-    # single step, then lifted calls of 30 steps, as many as fit in
-    # _LIFT_BYTES at 64 entries and 9 slots.  Blocks of 128 rows made 6
-    # blocks and 12 calls here
+    # single step, then lifted calls of reach - 1 = 127 steps.  Blocks of
+    # 128 rows made 6 blocks and 12 calls here
     kernel = random_kernel(8, np.random.default_rng(8))
     op = passage._taboo_operator(kernel, 1, None, None)
-    assert passage._block_sizes(op[3] + 1, op[2].size)[3] == 30
+    assert passage._block_sizes(op[3] + 1, op[2].size)[3] == 127
     assert passage._log_hold(*op, None) * -(-600 // passage._HOLD_STEPS) > -600 * math.log(2.0)
     steps = _count_steps(monkeypatch)
     _, surv, scale, _ = passage._propagate(kernel, 0, 600, absorb=1)
     assert not scale.any() and surv[-1] >= 2.0 ** -600
-    assert steps == [1] + [30] * 19 + [29]
+    assert steps == [1] + [127] * 4 + [91]
 
 
 def _hold_bound_holds(kernel, absorb, kill, flag, h):
@@ -466,6 +464,36 @@ def test_lift_cache_keeps_a_sweep_within_its_byte_bound(monkeypatch):
         if c == 0:
             assert _same_law(first_passage_law(kernels[0], i, j, 600), law)
     assert len(built) == 8 * 4
+
+
+def test_all_pairs_sweep_builds_a_lift_per_target_and_steps_each_law_in_six_calls(
+        monkeypatch):
+    # the 8 lifts of an 8-state chain fit the cache together, and each of
+    # its laws at h = 600 is one block: a single step and 5 lifted calls
+    first_passage_law(build_two_state(0.5), 0, 1, 2)  # binds the matvec, which lifts once
+    monkeypatch.setattr(passage, "_LIFTS", passage._LiftCache(passage._LIFT_CACHE_BYTES))
+    lift, built = passage._lift, []
+    monkeypatch.setattr(passage, "_lift", lambda *args: built.append(1) or lift(*args))
+    steps = _count_steps(monkeypatch)
+    kernel = random_kernel(8, np.random.default_rng(8))
+    calls = []
+    for i, j in itertools.product(range(8), repeat=2):
+        first_passage_law(kernel, i, j, 600)
+        calls.append(len(steps))
+        steps.clear()
+    assert len(built) == 8 and calls == [6] * 64
+
+
+@pytest.mark.parametrize("cols", range(1, 18))
+def test_row_sums_equal_the_reduction_bit_for_bit(cols):
+    # rows of normals, subnormals and zeros, read as _propagate reads them:
+    # the first columns of a wider buffer
+    rng = np.random.default_rng(cols)
+    for m in (1, 2, 3, 7, 8, 9, 127, 128, 599, 600):
+        buf = rng.random((m, cols + 1)) * np.ldexp(1.0, rng.integers(-1080, 4, (m, cols + 1)))
+        buf[rng.random((m, cols + 1)) < 0.2] = 0.0
+        rows = buf[:, :cols]
+        assert np.array_equal(passage._row_sums(rows), np.add.reduce(rows, axis=1)), (cols, m)
 
 
 def test_lift_cache_hammered_by_threads_stays_consistent():
@@ -1158,6 +1186,32 @@ def test_to_dense_and_mixture_keep_the_mass_of_their_own_steps():
         k = np.arange(2, sub.horizon + 1)
         want = logsumexp(0.69 * k - (k - 1.0) * math.log(2.0))
         assert abs(f_moment(sub, f).log_partial_sum - want) <= 1e-12 * abs(want), sub.horizon
+
+
+def test_mixtures_and_cuts_keep_the_tail_certificate():
+    # a mixture of laws certified at (N0_k, rho_k) has S(n+1) <= max rho_k
+    # S(n) for n >= max N0_k, and a cut keeps the points its certificate
+    # was checked on; both used to drop it, and the moment of the mixture
+    # read inconclusive
+    law = first_passage_law(build_two_state(0.5), 1, 1, 1500)
+    f = exp_fn(0.69)
+    want = f_moment(law, f)
+    assert want.verdict == VERDICT_CONVERGED
+    mixed = mixture([law, law], [0.5, 0.5])
+    assert mixed.tail_cert == law.tail_cert
+    got = f_moment(mixed, f)
+    assert got.verdict == VERDICT_CONVERGED
+    assert got.log_partial_sum == pytest.approx(want.log_partial_sum, rel=1e-14)
+    assert got.log_upper_bound == pytest.approx(want.log_upper_bound, rel=1e-14)
+    assert law.to_dense(1200).tail_cert == law.tail_cert
+    other = first_passage_law(build_two_state(0.9), 1, 1, 1500)
+    both = mixture([law, other], [0.25, 0.75])
+    assert both.tail_cert == TailCert(max(law.tail_cert.start, other.tail_cert.start),
+                                      max(law.tail_cert.rho, other.tail_cert.rho))
+    assert mixture([law, conditioned_return_law(random_kernel(3, np.random.default_rng(1)),
+                                                0, 1, 600)], [0.5, 0.5]).tail_cert is None
+    # a certificate the survival does not bear out is dropped, not raised
+    assert PassageLaw.dense([0.5, 0.25], 0.25)._with_cert(TailCert(1, 0.1)).tail_cert is None
 
 
 def _sub_float_law(which: str) -> PassageLaw:
