@@ -6,14 +6,15 @@ computed support and a tail contribution.  The partial sum is always exact
 float range included, so only the mass beyond N, P(T > N), is left.  The
 tail is bounded only when two certificates line up:
 
-* the law carries a tail certificate (N0, rho): P(T > n+1) <= rho P(T > n)
-  on every computed n >= N0, and
+* the law carries a tail certificate (N, rho, B): P(T > N+k) <= rho^k B for
+  every k >= 0, proven for the taboo operator the law was stepped with, not
+  read off the computed points (``passage._tail_vector``), and
 * the moment function carries a growth ratio bound gamma >= sup_{n >= N}
   f(n+1)/f(n).
 
-Then sum_{k>=1} f(N+k) P(T = N+k) <= f(N) P(T > N) gamma / (1 - gamma rho)
+Then sum_{k>=1} f(N+k) P(T = N+k) <= f(N) B gamma / (1 - gamma rho)
 whenever gamma rho < 1, since f(N+k) <= f(N) gamma^k and P(T = N+k) <=
-P(T > N+k-1) <= rho^(k-1) P(T > N).  Growth ratio bounds are registered for
+P(T > N+k-1) <= rho^(k-1) B.  Growth ratio bounds are registered for
 the power, log-power, exponential and burst families only; without a tail
 certificate and such a bound the verdict is ``inconclusive``, never a guess.
 ``diverged`` means the partial sum alone crossed the divergence threshold: a
@@ -144,7 +145,7 @@ def f_moment(law: PassageLaw, f: MomentFunction, *,
     if log_tail == LOG_ZERO:
         return MomentEstimate(log_partial, LOG_ZERO, VERDICT_CONVERGED, n_cutoff)
     cert = law.tail_cert
-    if cert is None or cert.start > n_cutoff:
+    if cert is None:
         return MomentEstimate(log_partial, None, VERDICT_INCONCLUSIVE, n_cutoff)
     gamma = f.growth_ratio_bound(n_cutoff)
     if gamma is None:
@@ -153,7 +154,7 @@ def f_moment(law: PassageLaw, f: MomentFunction, *,
     if not gamma * rho < 1.0:
         return MomentEstimate(log_partial, None, VERDICT_INCONCLUSIVE, n_cutoff,
                               gamma=gamma, rho=rho)
-    bound = f.log_f(n_cutoff) + log_tail + math.log(gamma) - math.log1p(-gamma * rho)
+    bound = f.log_f(n_cutoff) + cert.log_bound + math.log(gamma) - math.log1p(-gamma * rho)
     return MomentEstimate(log_partial, bound, VERDICT_CONVERGED, n_cutoff,
                           gamma=gamma, rho=rho)
 

@@ -37,14 +37,19 @@ are combined in log space, so a law is never made complete by an underflow.
 The dense geometric compound is solved 128 rows at a time (one convolution
 and one product with the inverse of the diagonal block per block), adding
 only nonnegative terms.
-Tail *certificates* (N0, rho) assert the computed survival ratios satisfy
-P(T > n+1) <= rho P(T > n) for all computed n >= N0; downstream moment code
-refuses to extrapolate without one.
+A tail *certificate* (N, rho, B) of a law computed to horizon N asserts
+P(T > N+k) <= rho^k B for every k >= 0, not only on computed points; moment
+code refuses to extrapolate without one.  A propagated law's comes from its
+taboo operator Q (:func:`_tail_vector`): a vector v >= 1 with Qv <= rho v,
+checked with one product of the operator's own arrays, so that B = q_N . v;
+a conditioned law divides that by the probability of its event.  A law
+builds it on first use (:attr:`PassageLaw.tail_cert`).
 
 What the laws of one kernel share is built once per kernel and kept in its
 private cache (``TransitionKernel._derived``): the taboo operators, keyed
 by (absorb, kill, flag), with the bound of :func:`_log_hold` on how fast
-each loses mass, and the hitting splits (pi, h) of
+each loses mass and the (rho, v) of its tail certificates, and the hitting
+splits (pi, h) of
 :func:`_hit_split`, keyed by the pair (i, j), the dense solve that every
 conditioned law and ``hit_before_return_prob`` needs.  Each kind keeps its
 32 most recently used values (``chain._CACHE_SIZE``), so that a sweep over
@@ -95,22 +100,25 @@ __all__ = [
     "law_to_csv", "law_from_csv",
 ]
 
-_SMALLEST_NORMAL = np.finfo(float).tiny
+_SMALLEST_NORMAL = float(np.finfo(float).tiny)
 
 
 @dataclass(frozen=True)
 class TailCert:
-    """Certified geometric tail: P(T > n+1) <= rho P(T > n) for every
-    computed n >= start."""
+    """Certified geometric tail: P(T > start + k) <= rho^k e^log_bound for
+    every k >= 0, where start is the horizon of the law that carries it."""
 
     start: int
     rho: float
+    log_bound: float
 
     def __post_init__(self):
         if self.start < 1:
             raise InvalidInput("certificate start must be >= 1")
         if not 0.0 < self.rho < 1.0:
             raise InvalidInput(f"certificate ratio must be in (0, 1), got {self.rho}")
+        if not self.log_bound < math.inf:
+            raise InvalidInput(f"certificate log bound must be below +inf, got {self.log_bound}")
 
 
 class PassageLaw:
@@ -122,7 +130,9 @@ class PassageLaw:
         self._lin_pmf = lin_pmf
         self._atomic = atomic
         self._log_tail = float(atomic.log_tail) if atomic is not None else float(log_tail)
-        self._tail_cert = tail_cert
+        # a function in place of a certificate builds it on first use (tail_cert)
+        due = callable(tail_cert)
+        self._tail_cert, self._cert_due = (None, tail_cert) if due else (tail_cert, None)
         # log of the mass of the entries that read 0 in the linear pmf
         self._log_unseen = _log_unseen
         self._check()
@@ -175,31 +185,22 @@ class PassageLaw:
     # -- validation --------------------------------------------------------
 
     def _check(self) -> None:
-        """Mass sums to one within 1e-10, and a dense law's certificate holds
-        on its computed survival, S(n+1) <= rho S(n) (1 + 1e-12), wherever
-        rho S(n) is a normal double.  Below that the linear survival has
-        lost its relative precision and cannot resolve a ratio, so those
-        points are not checked."""
+        """Mass sums to one within 1e-10, and a certificate given starts at
+        the horizon and bounds the tail there (:meth:`_bears`)."""
         total = self.log_total_mass()
         if not abs(total) <= _MASS_TOL:
             raise InvalidInput(f"law mass off by more than 1e-10: log total = {total}")
         if self._tail_cert is not None and not self._bears(self._tail_cert):
-            raise InvalidInput("tail certificate violated on computed points")
+            raise InvalidInput("tail certificate does not start at the horizon or "
+                               "does not bound the tail there")
 
     def _bears(self, cert: TailCert) -> bool:
-        """Whether a dense law's computed survival bears ``cert`` out (:meth:`_check`)."""
-        if not self.is_dense or cert.start >= self.horizon:
-            return True
-        surv = self.survival_array()
-        rhs = cert.rho * surv[cert.start - 1:-1]
-        return not np.count_nonzero((surv[cert.start:] > rhs * (1.0 + 1e-12))
-                                    & (rhs >= _SMALLEST_NORMAL))
-
-    def _with_cert(self, cert: TailCert | None) -> "PassageLaw":
-        """This new law, certified by ``cert`` if its survival bears it out."""
-        if cert is not None and self._bears(cert):
-            self._tail_cert = cert
-        return self
+        """Whether ``cert`` starts at the horizon N and its bound holds
+        there, P(T > N) <= e^log_bound, up to the rounding of the two logs
+        (1e-12 of the larger)."""
+        tail, bound = self._log_tail, cert.log_bound
+        return cert.start == self.horizon and (
+            tail <= bound or tail - bound <= 1e-12 * (1.0 + abs(bound)))
 
     # -- accessors ---------------------------------------------------------
 
@@ -236,6 +237,15 @@ class PassageLaw:
 
     @property
     def tail_cert(self) -> TailCert | None:
+        """The tail certificate, or None.  The laws of this module build it
+        on first use, when it is kept if it bounds the tail (:meth:`_bears`)
+        and dropped otherwise: most laws are never asked for one, and the
+        operator bound behind it costs more than a short law."""
+        due = self._cert_due
+        if due is not None:
+            cert = due()
+            self._tail_cert = cert if cert is not None and self._bears(cert) else None
+            self._cert_due = None
         return self._tail_cert
 
     @property
@@ -321,8 +331,33 @@ class PassageLaw:
         inside = steps <= horizon
         out = np.full(horizon, LOG_ZERO)
         out[steps[inside] - 1] = logs[inside]
-        law = PassageLaw.dense_log(out, log_add(self._log_tail, logsumexp(logs[~inside])))
-        return law._with_cert(self._tail_cert)
+        past, log_past = steps[~inside], logs[~inside]
+        log_tail = log_add(self._log_tail, logsumexp(log_past))
+        cert = None if self._tail_cert is None and self._cert_due is None else (
+            lambda: self._moved_cert(horizon, past, log_past, log_tail))
+        return PassageLaw.dense_log(out, log_tail, tail_cert=cert)
+
+    def _moved_cert(self, n: int, steps: np.ndarray, logs: np.ndarray,
+                    log_tail: float) -> TailCert | None:
+        """This law's certificate moved from its horizon N to horizon n,
+        given the steps past n, their log pmf and log P(T > n).
+
+        Forward, P(T > n + k) <= rho^(n - N + k) B.  Back, it takes as
+        bound the largest of P(T > n), B rho^-(N - n), and for each step s
+        past n, P(T > s - 1) rho^-(s - 1 - n): between steps the survival
+        is flat, so those are the points where P(T > n + k) <= rho^k B'
+        binds."""
+        cert = self.tail_cert
+        if cert is None:
+            return None
+        log_rho = math.log(cert.rho)
+        if n >= cert.start:
+            return TailCert(n, cert.rho, cert.log_bound + (n - cert.start) * log_rho)
+        # log P(T > s - 1) for the steps s past n, ascending
+        log_surv = np.logaddexp.accumulate(np.concatenate(([self._log_tail], logs[::-1])))[:0:-1]
+        found = log_surv - (steps - 1 - n) * log_rho
+        return TailCert(n, cert.rho, max(log_tail, cert.log_bound - (cert.start - n) * log_rho,
+                                         float(found.max(initial=LOG_ZERO))))
 
     def __repr__(self):
         kind = f"dense[1..{self.horizon}]" if self.is_dense else f"sparse[{self._atomic.atoms.size} atoms]"
@@ -333,46 +368,6 @@ class PassageLaw:
 # first-passage propagation
 
 
-_CERT_CHUNK = 32  # windows in the first chunk of the stability scan
-
-
-def _derive_tail_cert(surv: np.ndarray, scale: np.ndarray, *, window: int = 20,
-                      var_tol: float = 1e-6, slack: float = 1e-6) -> TailCert | None:
-    """Detect a stabilized survival ratio and certify it, given
-    P(T > t+1) = surv[t] 2^-scale[t] as :func:`_propagate` returns it.
-
-    Once the ratio P(T > n+1)/P(T > n) varies by less than ``var_tol`` over
-    ``window`` consecutive steps, the certified rho is the maximum observed
-    ratio from the window start through the horizon, plus ``slack`` — so the
-    certificate holds on every computed point by construction.  Only an
-    exactly zero taboo vector (never an underflow) certifies trivially.
-    """
-    first_min = int(surv.argmin())
-    if surv[first_min] == 0.0:
-        return TailCert(start=first_min + 1, rho=0.5)
-    if surv.size < window + 1:
-        return None
-    ratios = surv[1:] / surv[:-1]
-    if scale[-1]:  # scale never decreases, so otherwise every shift is 0
-        ratios = np.ldexp(ratios, scale[:-1] - scale[1:])
-    n = ratios.size - window + 1
-    # column w is the window ratios[w:w + window], cheaper to reduce than a row
-    windows = np.ndarray((window, n), float, ratios, 0, ratios.strides * 2)
-    # only the first stable window counts: scan in chunks that double in
-    # size and stop at the first hit
-    w0, w1 = 0, _CERT_CHUNK
-    while w0 < n:
-        chunk = windows[:, w0:w1]
-        spread = np.maximum.reduce(chunk, axis=0) - np.minimum.reduce(chunk, axis=0)
-        hits = (spread < var_tol).nonzero()[0]
-        if hits.size:
-            w = w0 + int(hits[0])
-            rho = float(ratios[w + ratios[w:].argmax()]) + slack
-            return TailCert(start=w + 1, rho=rho) if rho < 1.0 else None
-        w0, w1 = w1, 2 * w1
-    return None
-
-
 _RESCALE_BELOW = 2.0 ** -600
 _LN2 = math.log(2.0)
 _LOG_RESCALE_BELOW = -600 * _LN2
@@ -380,6 +375,7 @@ _BLOCK_ROWS = 128
 _BLOCK_DOUBLES = 2 ** 16
 _LIFT_CACHE_BYTES = 2 ** 20
 _HOLD_STEPS = 16  # steps over which _log_hold bounds the loss of alive mass
+_CERT_WIDTH = 256  # widest taboo operator whose tail certificate comes from a dense solve
 _FLAG_BITS = np.array([0, 1], dtype=np.int32)
 _csc_matvec = None  # scipy's compiled CSC matvec, bound and checked by the first _propagate
 
@@ -487,17 +483,24 @@ def _taboo_operator(kernel: TransitionKernel, absorb: int, kill: int | None,
     return indptr, dest, data, width
 
 
+def _operator(kernel: TransitionKernel, key: tuple) -> tuple:
+    """The taboo operator of ``key`` = (absorb, kill, flag), from the
+    kernel's cache."""
+    return kernel._derived.get("taboo", key, lambda: _taboo_operator(kernel, *key))
+
+
 def _log_hold(indptr: np.ndarray, indices: np.ndarray, data: np.ndarray, width: int,
-              flag: int | None) -> float:
-    """log of the least probability, over the alive slots of a taboo
-    operator, that mass in a slot is still alive ``_HOLD_STEPS`` steps later;
-    -inf when that is 0.  Whatever the taboo vector, its alive mass then
-    falls by at most this factor over any ``_HOLD_STEPS`` steps.
+              flag: int | None) -> tuple[float, float]:
+    """The log of the least (-inf for 0) and the greatest probability, over
+    the alive slots of a taboo operator, that mass in a slot is still alive
+    ``_HOLD_STEPS`` steps later.  Whatever the taboo vector, its alive mass
+    then falls by at most the first factor, and keeps at most the second
+    (before rounding), over any ``_HOLD_STEPS`` steps.
 
     The probabilities v(c) come from ``_HOLD_STEPS`` products of the
     operator's columns with v, the sink's v being 0.  With ``flag``, mass
     entering (flag, 0) moves on to (flag, 1), so that slot takes the v of
-    (flag, 1) before each product and is left out of the least."""
+    (flag, 1) before each product and is left out."""
     from scipy.sparse._sparsetools import csr_matvec
 
     w = width + 1
@@ -511,7 +514,105 @@ def _log_hold(indptr: np.ndarray, indices: np.ndarray, data: np.ndarray, width: 
         v, out = out, v
     alive = v[:width] if flag is None else np.delete(v[:width], 2 * flag)
     least = float(alive.min())
-    return math.log(least) if least > 0.0 else -math.inf
+    return math.log(least) if least > 0.0 else -math.inf, float(alive.max())
+
+
+def _gamma(k: int) -> float:
+    """Higham's gamma_k = k u / (1 - k u), u = 2^-53 (*Accuracy and Stability
+    of Numerical Algorithms*, section 3.1): a sum of k nonnegative products
+    rounds to within a factor 1 +- gamma_k of its exact value."""
+    return k * 2.0 ** -53 / (1.0 - k * 2.0 ** -53)
+
+
+def _dense_taboo(indptr: np.ndarray, indices: np.ndarray, data: np.ndarray, width: int,
+                 flag: int | None) -> np.ndarray:
+    """The alive part of a taboo operator as a dense matrix Q, row c the
+    slots that mass in slot c moves to in one step; with ``flag``, the move
+    (flag, 0) -> (flag, 1) folded in."""
+    q = np.zeros((width, width))
+    src = np.repeat(np.arange(width), np.diff(indptr[:width + 1]))
+    alive = indices[:src.size] < width
+    np.add.at(q, (src[alive], indices[:src.size][alive]), data[:src.size][alive])
+    if flag is not None:
+        q[:, 2 * flag + 1] += q[:, 2 * flag]
+        q[:, 2 * flag] = 0.0
+    return q
+
+
+def _tail_vector(kernel: TransitionKernel, key: tuple) -> tuple:
+    """(rho, v, log_lead, log_step) for the tail certificates of the laws
+    stepped with the taboo operator of ``key``, (None, None, 0, 0) when
+    there is none.  For a law stepped to horizon N, with final taboo
+    vector q_N, P(T > N + k) <= rho^k B for every k >= 0, where B = (q_N .
+    v) e^(log_lead + N log_step) (Collatz-Wielandt; Seneta, *Non-negative
+    Matrices and Markov Chains*, ch. 1).
+
+    v >= 1 on every alive slot, so the alive mass q . 1 is at most q . v;
+    and Qv <= rho v on every slot that can hold mass, so q_(N+k) . v <=
+    rho^k q_N . v.  That is checked with one product of the operator's own
+    arrays read as rows, rho rounded up by gamma of the longest row, and
+    there is no certificate unless rho < 1.  The operator of up to
+    ``_CERT_WIDTH`` alive slots gives v = (rI - Q)^-1 1 for r just above
+    the spectral radius of Q, from a dense solve: then Qv = rv - 1 <= rv
+    and v >= 1/r on every slot, however reducible Q is.  r starts 1e-10
+    above the radius that ``eigvals`` gives and moves up by 1000 times
+    until the check passes.  A wider operator, or one that fails, takes v
+    = 1 and the greatest alive mass M left after ``_HOLD_STEPS`` steps
+    from :func:`_log_hold`: the alive mass then falls by M every
+    ``_HOLD_STEPS`` steps and never grows, so rho = M^(1/16) holds with
+    B times rho^-15.  log_step bounds the rounding of one propagated step,
+    gamma of the most sums into one slot, and log_lead that of q . v."""
+    indptr, indices, data, width = op = _operator(kernel, key)
+    flag = key[2]
+    fslot = None if flag is None else 2 * flag
+    k = int(np.diff(indptr).max(initial=0))
+    most_into = int(np.bincount(indices, minlength=width + 1)[:width].max(initial=0))
+    log_step, log_lead = -math.log1p(-_gamma(most_into + 1)), -math.log1p(-_gamma(2 * width + 2))
+    if width <= _CERT_WIDTH:
+        q = _dense_taboo(*op, flag)
+        try:
+            radius = float(np.abs(np.linalg.eigvals(q)).max(initial=0.0))
+        except np.linalg.LinAlgError:  # the eigenvalues did not converge
+            radius = math.inf
+        for shift in (1e-10, 1e-7, 1e-4):
+            r = radius + shift
+            if not r < 1.0:
+                break
+            try:
+                v = np.linalg.solve(r * np.eye(width) - q, np.ones(width))
+            except np.linalg.LinAlgError:  # r is an eigenvalue of Q, to working precision
+                continue
+            if fslot is not None:
+                v[fslot] = v[fslot + 1]
+            low = v.min()
+            if not (low > 0.0 and np.isfinite(v).all()):
+                continue
+            v /= low
+            rho = _checked_ratio(op, v, fslot, k)
+            if rho < 1.0:
+                return rho, v, log_lead, log_step
+    most = kernel._derived.get("hold", key, lambda: _log_hold(*op, flag))[1]
+    most = most / (1.0 - _gamma(k + 1)) ** _HOLD_STEPS + _SMALLEST_NORMAL
+    rho = most ** (1.0 / _HOLD_STEPS) * (1.0 + _gamma(2))
+    if not rho < 1.0:
+        return None, None, 0.0, 0.0
+    return rho, np.ones(width), log_lead - (_HOLD_STEPS - 1) * math.log(rho), log_step
+
+
+def _checked_ratio(op: tuple, v: np.ndarray, fslot: int | None, k: int) -> float:
+    """The least rho with Qv <= rho v on every alive slot but (flag, 0), as
+    the operator's arrays read as rows give Qv, rounded up for rounding and
+    underflow; v >= 1 on the alive slots."""
+    from scipy.sparse._sparsetools import csr_matvec
+
+    indptr, indices, data, width = op
+    x, out = np.zeros(width + 1), np.zeros(width + 1)
+    x[:width] = v
+    csr_matvec(width + 1, width + 1, indptr, indices, data, x, out)
+    ratio = out[:width] / v
+    if fslot is not None:
+        ratio[fslot] = 0.0
+    return float(ratio.max()) * (1.0 + 2.0 * _gamma(k + 2)) + _SMALLEST_NORMAL
 
 
 def _lift(indptr: np.ndarray, indices: np.ndarray, data: np.ndarray, w: int, steps: int,
@@ -634,14 +735,12 @@ def _propagate(kernel: TransitionKernel, start: int, horizon: int, *, absorb: in
     if _csc_matvec is None:
         _csc_matvec = _bind_matvec()
     key = (absorb, kill, flag)
-    op = kernel._derived.get("taboo", key, lambda: _taboo_operator(kernel, absorb, kill, flag))
-    indptr, indices, data, width = op
+    indptr, indices, data, width = op = _operator(kernel, key)
     w = width + 1
     span, rows, reach, lift = _block_sizes(w, data.size)
     log_hold = -math.inf  # with no bound, no block is sized from it
     if span > rows and horizon > 2 + rows:
-        log_hold = kernel._derived.get(
-            "hold", key, lambda: (_log_hold(indptr, indices, data, width, flag),))[0]
+        log_hold = kernel._derived.get("hold", key, lambda: _log_hold(*op, flag))[0]
     fslot = None if flag is None else 2 * flag
     if rows > 1:
         lptr, lind, ldat = _LIFTS.get(op, lambda: _lift(indptr, indices, data, w, lift, fslot))
@@ -731,9 +830,33 @@ def first_passage_law(kernel: TransitionKernel, source: StateRef, target: StateR
     if horizon < 1:
         raise InvalidInput("horizon must be >= 1")
     i, j = kernel.index_of(source), kernel.index_of(target)
-    pmf, surv, scale, _ = _propagate(kernel, i, horizon, absorb=j)
-    cert = _derive_tail_cert(surv, scale)
-    return _unscaled_law(pmf, scale, _log_scaled(surv[-1], scale[-1]), cert)
+    pmf, surv, scale, q = _propagate(kernel, i, horizon, absorb=j)
+    return _unscaled_law(pmf, scale, _log_scaled(surv[-1], scale[-1]),
+                         _tail_cert(kernel, (j, None, None), horizon, q, scale[-1]))
+
+
+def _tail_cert(kernel: TransitionKernel, key: tuple, horizon: int, q: np.ndarray,
+               scale: int, log_p: float = 0.0):
+    """A function that gives the tail certificate of a law stepped to
+    ``horizon`` N with the taboo operator of ``key``, whose final taboo
+    vector is q times 2^scale and whose tail is divided by e^log_p: from
+    the operator's cached (rho, v) (:func:`_tail_vector`), P(T > N + k) <=
+    rho^k B for every k >= 0, with B = (q . v) 2^-scale / e^log_p times the
+    rounding factors."""
+    q = q.ravel().copy()  # not a view that keeps the propagation's block buffer
+
+    def build() -> TailCert | None:
+        rho, v, log_lead, log_step = kernel._derived.get("cert", key,
+                                                         lambda: _tail_vector(kernel, key))
+        if rho is None:
+            return None
+        b = float(q @ v)
+        if not b < math.inf:  # a vector too steep for the float range
+            return None
+        return TailCert(horizon, rho,
+                        _log_scaled(b, int(scale)) + log_lead + horizon * log_step - log_p)
+
+    return build
 
 
 def _hit_split(kernel: TransitionKernel, i: int, j: int) -> tuple[float, np.ndarray]:
@@ -797,12 +920,19 @@ def _distinct(kernel: TransitionKernel, source: StateRef, target: StateRef,
     return i, j
 
 
-def _conditioned(pmf: np.ndarray, alive: float, scale: np.ndarray, p: float) -> PassageLaw:
+def _conditioned(kernel: TransitionKernel, key: tuple, pmf: np.ndarray, alive: float,
+                 scale: np.ndarray, q: np.ndarray, p: float) -> PassageLaw:
     """Law conditioned on an event of probability p, from :func:`_propagate`
-    output: the event's pmf within the horizon, and as tail the probability
-    ``alive`` that the mass still alive there ends in the event, both
-    divided by p.  The tail is computed directly, never as a difference."""
-    return _unscaled_law(pmf / p, scale, _log_scaled(alive, scale[-1]) - math.log(p))
+    output with the operator of ``key``: the event's pmf within the
+    horizon, and as tail the probability ``alive`` that the mass still
+    alive there ends in the event, both divided by p.  The tail is computed
+    directly, never as a difference.  That probability is q . h for some h
+    <= 1, so the law's survival is at most the taboo vector's alive mass
+    over p, and the operator's certificate (:func:`_tail_cert`) holds for
+    it divided by p."""
+    log_p = math.log(p)
+    return _unscaled_law(pmf / p, scale, _log_scaled(alive, scale[-1]) - log_p,
+                         _tail_cert(kernel, key, pmf.size, q, scale[-1], log_p))
 
 
 def conditioned_return_law(kernel: TransitionKernel, source: StateRef, target: StateRef,
@@ -812,9 +942,9 @@ def conditioned_return_law(kernel: TransitionKernel, source: StateRef, target: S
 
     Raises :class:`NoSuchPath` when every return from i passes through j.
     The tail is q_N . h_i / (1 - pi), with q_N the taboo vector at the
-    horizon and h_i(k) = P_k(hit i before j).  No tail certificate is
-    attached: that needs a bound holding past the horizon, which survival
-    ratio stabilization does not give.
+    horizon and h_i(k) = P_k(hit i before j).  Its tail certificate is
+    that of the taboo operator that kills j, with B = q_N . v / (1 - pi)
+    (:func:`_conditioned`).
     """
     i, j = _distinct(kernel, source, target, horizon)
     if not _reaches(kernel, i, i, j):
@@ -822,7 +952,7 @@ def conditioned_return_law(kernel: TransitionKernel, source: StateRef, target: S
     pi = _hit_split(kernel, i, j)[0]
     h_i = _hit_split(kernel, j, i)[1]
     pmf, _, scale, q = _propagate(kernel, i, horizon, absorb=i, kill=j)
-    return _conditioned(pmf, q @ h_i, scale, 1.0 - pi)
+    return _conditioned(kernel, (i, j, None), pmf, q @ h_i, scale, q, 1.0 - pi)
 
 
 def conditioned_hit_law(kernel: TransitionKernel, source: StateRef, target: StateRef,
@@ -838,7 +968,7 @@ def conditioned_hit_law(kernel: TransitionKernel, source: StateRef, target: Stat
                          "before returning")
     pi, h_j = _hit_split(kernel, i, j)
     pmf, _, scale, q = _propagate(kernel, i, horizon, absorb=j, kill=i)
-    return _conditioned(pmf, q @ h_j, scale, pi)
+    return _conditioned(kernel, (j, i, None), pmf, q @ h_j, scale, q, pi)
 
 
 def crossing_return_law(kernel: TransitionKernel, source: StateRef, target: StateRef,
@@ -859,7 +989,7 @@ def crossing_return_law(kernel: TransitionKernel, source: StateRef, target: Stat
         raise NoSuchPath(f"no return from {kernel.states[i]!r} visits {kernel.states[j]!r}")
     pi, h_j = _hit_split(kernel, i, j)
     pmf, _, scale, q = _propagate(kernel, i, horizon, absorb=i, flag=j)
-    return _conditioned(pmf, q[:, 1].sum() + q[:, 0] @ h_j, scale, pi)
+    return _conditioned(kernel, (i, None, j), pmf, q[:, 1].sum() + q[:, 0] @ h_j, scale, q, pi)
 
 
 # ---------------------------------------------------------------------------
@@ -1123,11 +1253,8 @@ def mixture(laws, weights) -> PassageLaw:
         with np.errstate(invalid="ignore"):
             log_pmf = np.logaddexp.reduce(stack, axis=0)
         tails = [w + c.log_tail for w, c in zip(log_w, comp)]
-        certs = [c.tail_cert for c in comp]
-        # S(n+1) = sum_k w_k S_k(n+1) <= max rho_k S(n) once n >= every start
-        cert = None if None in certs else TailCert(max(c.start for c in certs),
-                                                   max(c.rho for c in certs))
-        return PassageLaw.dense_log(log_pmf, logsumexp(tails))._with_cert(cert)
+        return PassageLaw.dense_log(log_pmf, logsumexp(tails),
+                                    tail_cert=lambda: _mixed_cert(comp, log_w))
     if all(not law.is_dense for _, law in pairs):
         all_vals, all_lws, tails = [], [], []
         for w, law in pairs:
@@ -1138,6 +1265,17 @@ def mixture(laws, weights) -> PassageLaw:
         vals, lws = _merge_sorted(np.concatenate(all_vals), np.concatenate(all_lws))
         return PassageLaw.sparse(AtomicDist(vals, lws, logsumexp(tails)))
     raise InvalidInput("cannot mix dense and sparse laws; convert first")
+
+
+def _mixed_cert(laws: list[PassageLaw], log_w: np.ndarray) -> TailCert | None:
+    """The certificate of a mixture of dense laws of one horizon N with log
+    weights ``log_w``, when every law has one: sum_k w_k P(T_k > N + j) <=
+    (max rho_k)^j sum_k w_k B_k."""
+    certs = [law.tail_cert for law in laws]
+    if None in certs:
+        return None
+    return TailCert(laws[0].horizon, max(c.rho for c in certs),
+                    logsumexp([w + c.log_bound for w, c in zip(log_w, certs)]))
 
 
 @dataclass(frozen=True)
@@ -1197,7 +1335,8 @@ def _opened(path_or_file, mode: str = "r"):
 
 def law_to_csv(law: PassageLaw, path_or_file) -> None:
     """Write ``n,prob,log_prob`` rows (all of 1..horizon for dense laws,
-    atoms for sparse) plus tail/certificate footer rows."""
+    atoms for sparse) plus tail/certificate footer rows: ``tail_mass``, then
+    the certificate's start, rho and log bound, blank without one."""
     with _opened(path_or_file, "w") as fh:
         # fixed terminator: byte-identical output on every platform
         writer = csv.writer(fh, lineterminator="\n")
@@ -1214,16 +1353,20 @@ def law_to_csv(law: PassageLaw, path_or_file) -> None:
         cert = law.tail_cert
         writer.writerow(["tail_cert_N0", cert.start if cert else "", ""])
         writer.writerow(["tail_cert_rho", f"{cert.rho:.17g}" if cert else "", ""])
+        writer.writerow(["tail_cert_log_bound", f"{cert.log_bound:.17g}" if cert else "", ""])
 
 
 def law_from_csv(path_or_file) -> PassageLaw:
     """Inverse of :func:`law_to_csv`.  Contiguous support starting at 1 is
-    reconstructed as dense, anything else as sparse."""
+    reconstructed as dense, anything else as sparse.  A file without all
+    three certificate rows filled in loads with no certificate; one with
+    them is checked like any law's (:meth:`PassageLaw._bears`)."""
     ns: list[int] = []
     lps: list[float] = []
     log_tail = LOG_ZERO
     cert_n0: int | None = None
     cert_rho: float | None = None
+    cert_log_bound: float | None = None
     with _opened(path_or_file) as fh:
         for row in csv.reader(fh):
             if not row or row[0] == "n":
@@ -1235,12 +1378,15 @@ def law_from_csv(path_or_file) -> PassageLaw:
                 cert_n0 = int(row[1]) if row[1] else None
             elif key == "tail_cert_rho":
                 cert_rho = float(row[1]) if row[1] else None
+            elif key == "tail_cert_log_bound":
+                cert_log_bound = float(row[1]) if row[1] else None
             else:
                 ns.append(int(key))
                 lps.append(float(row[2]))
     if not ns:
         raise InvalidInput("law CSV contains no support rows")
-    cert = TailCert(cert_n0, cert_rho) if cert_n0 is not None and cert_rho is not None else None
+    cert = (None if None in (cert_n0, cert_rho, cert_log_bound)
+            else TailCert(cert_n0, cert_rho, cert_log_bound))
     ns_arr = np.asarray(ns, dtype=np.int64)
     lp_arr = np.asarray(lps, dtype=float)
     if ns_arr[0] == 1 and np.all(np.diff(ns_arr) == 1):

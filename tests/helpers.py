@@ -11,11 +11,10 @@ import json
 import math
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 from scipy import sparse
 from scipy.sparse.csgraph import connected_components
 
-from recur_moments import KernelReport, TailCert, TransitionKernel
+from recur_moments import KernelReport, TransitionKernel
 from recur_moments.chain import ROW_SUM_TOL
 
 
@@ -213,30 +212,6 @@ def reference_compound(u, v, pi: float, horizon: int) -> tuple[np.ndarray, float
         s[t + 1] = s_free[t] + qu_rev[h - t - 1:] @ s[:t + 1]
     log_tail = max(math.log(s[h]) if s[h] > 0.0 else -math.inf, h * math.log1p(-pi))
     return c, log_tail
-
-
-def reference_tail_cert(surv: np.ndarray, scale: np.ndarray, *, window: int = 20,
-                        var_tol: float = 1e-6, slack: float = 1e-6) -> TailCert | None:
-    """The tail certificate by a scan of every window at once, as the
-    library derived it before it stopped at the first stable window: the
-    survival ratio's spread over each ``window`` consecutive steps, the
-    first window under ``var_tol``, and the largest ratio from there on
-    plus ``slack``."""
-    zero = np.nonzero(surv == 0.0)[0]
-    if zero.size:
-        return TailCert(start=int(zero[0]) + 1, rho=0.5)
-    if surv.size < window + 1:
-        return None
-    ratios = np.ldexp(surv[1:] / surv[:-1], scale[:-1] - scale[1:])
-    windows = sliding_window_view(ratios, window)
-    hits = np.nonzero(windows.max(axis=1) - windows.min(axis=1) < var_tol)[0]
-    if hits.size == 0:
-        return None
-    w = int(hits[0])
-    rho = float(ratios[w:].max()) + slack
-    if not rho < 1.0:
-        return None
-    return TailCert(start=w + 1, rho=rho)
 
 
 def sparse_ring_kernel(n: int, per_row: int, seed: int) -> TransitionKernel:

@@ -192,9 +192,13 @@ def test_moment_converges_only_with_a_tail_certificate(capsys):
             "--function", "power:1", "--horizon", "100")
     _, strict, _ = run_cli(capsys, *base)
     assert json.loads(strict)["verdict"] == "converged"  # registered bound
-    # a horizon too short for a certificate window stays inconclusive
+    # the certificate bounds every step past the horizon, however short
     _, short, _ = run_cli(capsys, *base[:-1], "12")
-    assert json.loads(short)["verdict"] == "inconclusive"
+    assert json.loads(short)["verdict"] == "converged"
+    # e^0.7 times the certified rate 0.5 is past 1: the tail bound does not close
+    _, fast, _ = run_cli(capsys, *base[:8], "exp:0.7", *base[9:])
+    assert json.loads(fast)["verdict"] == "inconclusive"
+    assert json.loads(fast)["log_tail_bound"] is None
 
 
 @pytest.mark.parametrize("function", ["power:100000", "exp:800"])

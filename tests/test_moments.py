@@ -10,7 +10,8 @@ from recur_moments import (InvalidInput, PassageLaw,
                            TwoStateChain, VERDICT_CONVERGED, VERDICT_DIVERGED,
                            MOMENT_INCONCLUSIVE, build_two_state,
                            custom_fn, exp_fn, f_moment,
-                           first_passage_law, lower_bound_series, mc_f_moment,
+                           first_passage_law, load_kernel_json,
+                           lower_bound_series, mc_f_moment,
                            passage_sampler, power_fn)
 
 from helpers import hitting_time_means
@@ -100,10 +101,10 @@ def test_inconclusive_without_cert():
     est = f_moment(law, power_fn(1))
     assert est.verdict == MOMENT_INCONCLUSIVE
     assert est.log_tail_bound is None
-    # conditioned laws never carry a certificate either
+    # a conditioned law carries the certificate of its taboo operator
     from recur_moments import conditioned_return_law
     u = conditioned_return_law(build_two_state(0.5), 0, 1, 40)
-    assert u.tail_cert is None
+    assert u.tail_cert is not None
 
 
 def test_inconclusive_when_gamma_rho_too_big():
@@ -115,6 +116,39 @@ def test_inconclusive_when_gamma_rho_too_big():
     assert est.verdict == MOMENT_INCONCLUSIVE
     assert est.gamma is not None and est.rho is not None
     assert est.gamma * est.rho >= 1.0
+
+
+# Two repros whose tails decay through a slow trap entered with a tiny
+# probability: the survival ratio looks settled long before the trap's rate
+# takes over.  k3: the trap c keeps itself with 0.99, so E e^(0.6 T) is
+# infinite (e^0.6 * 0.99 > 1).  k4: the trap keeps itself with 0.999999, and
+# E T^2 = 13.000001 for the return time of a.
+_K3 = ('{"states":["a","b","c"],"rows":[[["b",1.0],["c",1e-30]],'
+       '[["a",0.5],["b",0.5]],[["a",0.01],["c",0.99]]]}')
+_K4 = ('{"states":["a","b","c"],"rows":[[["b",0.999999999999],["c",1e-12]],'
+       '[["a",0.5],["b",0.5]],[["a",0.000001],["c",0.999999]]]}')
+_K4_LOG_SECOND_MOMENT = math.log(13.000001)
+
+
+def _json_kernel(tmp_path, text):
+    path = tmp_path / "k.json"
+    path.write_text(text)
+    return load_kernel_json(path)
+
+
+@pytest.mark.parametrize("h", [20, 40, 80, 120, 400])
+def test_infinite_exponential_moment_behind_a_slow_trap_is_never_converged(tmp_path, h):
+    law = first_passage_law(_json_kernel(tmp_path, _K3), "a", "a", h)
+    assert f_moment(law, exp_fn(0.6)).verdict != VERDICT_CONVERGED
+
+
+@pytest.mark.parametrize("h", [20, 40, 80, 120])
+def test_power_bracket_behind_a_slow_trap_holds_the_true_moment(tmp_path, h):
+    law = first_passage_law(_json_kernel(tmp_path, _K4), "a", "a", h)
+    est = f_moment(law, power_fn(2))
+    assert est.log_partial_sum <= _K4_LOG_SECOND_MOMENT
+    if est.verdict == VERDICT_CONVERGED:
+        assert est.log_upper_bound >= _K4_LOG_SECOND_MOMENT
 
 
 def test_custom_function_without_growth_bound_is_inconclusive():

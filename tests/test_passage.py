@@ -24,12 +24,11 @@ from recur_moments import (VERDICT_CONVERGED, AtomicDist, IncomparableLaws,
 from recur_moments.logspace import log_add, logsumexp
 from recur_moments import passage
 from recur_moments.chain import _CACHE_SIZE
-from recur_moments.passage import _derive_tail_cert
 
 from helpers import (absorbed_mass_iterative, brute_convolve_dicts,
                      enumerate_passage_pmf, pmf_dict_to_array,
                      reaches_oracle, reference_compound, reference_laws,
-                     reference_tail_cert, two_state_return_pmf_11)
+                     two_state_return_pmf_11)
 from helpers import sparse_ring_kernel as _sparse_kernel
 
 ORACLE_H = 8
@@ -95,8 +94,10 @@ def test_first_passage_tail_survives_underflow():
     assert np.all(np.abs(law.log_pmf[lost] - log_pmf[lost]) <= 1e-9)
     assert abs(law.log_tail - 400 * math.log(0.1)) <= 1e-9
     assert not law.is_complete
-    # the survival ratio is 0.1 on every step, across the rescales too
-    assert law.tail_cert.start == 1 and 0.1 < law.tail_cert.rho < 0.1 + 2e-6
+    # the taboo operator decays at 0.1, across the rescales too, and its
+    # vector is 1 on the one slot that holds mass, so the bound is the tail
+    assert law.tail_cert.start == 400 and 0.1 <= law.tail_cert.rho < 0.1 + 1e-9
+    assert 0.0 <= law.tail_cert.log_bound - law.log_tail <= 1e-12
 
 
 _TWO_STATE_HORIZONS = [1100, 1500, 3000]
@@ -206,8 +207,6 @@ def test_engine_bit_identical_to_reference_loop(which, pairs, request):
                 assert np.array_equal(got[normal], raw[normal] / divisor), (which, i, j, h, name)
             surv = ref["passage_surv"][0]
             law = first_passage_law(kernel, i, j, h)
-            if h <= _EXACT_THROUGH or surv[-1] >= _COMPARABLE[h - 1]:
-                assert law.tail_cert == _derive_tail_cert(surv, np.zeros(h, dtype=np.int64))
             if surv[-1] >= 2.0 ** -600:  # never rescaled
                 assert law.log_tail == math.log(surv[-1])
             else:
@@ -362,7 +361,7 @@ def test_law_sure_to_stay_above_the_rescale_point_steps_in_one_block(monkeypatch
     kernel = random_kernel(8, np.random.default_rng(8))
     op = passage._taboo_operator(kernel, 1, None, None)
     assert passage._block_sizes(op[3] + 1, op[2].size)[3] == 127
-    assert passage._log_hold(*op, None) * -(-600 // passage._HOLD_STEPS) > -600 * math.log(2.0)
+    assert passage._log_hold(*op, None)[0] * -(-600 // passage._HOLD_STEPS) > -600 * math.log(2.0)
     steps = _count_steps(monkeypatch)
     _, surv, scale, _ = passage._propagate(kernel, 0, 600, absorb=1)
     assert not scale.any() and surv[-1] >= 2.0 ** -600
@@ -373,7 +372,7 @@ def _hold_bound_holds(kernel, absorb, kill, flag, h):
     """Whether every computed survival ratio over _HOLD_STEPS steps is at
     least e^log_hold, from every start."""
     op = passage._taboo_operator(kernel, absorb, kill, flag)
-    log_hold = passage._log_hold(*op, flag)
+    log_hold = passage._log_hold(*op, flag)[0]
     for start in range(kernel.n_states):
         if start == kill:
             continue
@@ -714,8 +713,8 @@ def test_conditioned_mass_accounting(kernel3):
     u = conditioned_return_law(kernel3, 0, 2, 400)
     assert math.exp(u.log_tail) <= 1e-14
     assert abs(u.pmf_array().sum() - 1.0) <= 1e-12
-    # conditioned laws never carry extrapolation certificates
-    assert u.tail_cert is None
+    # conditioned laws carry their taboo operator's certificate, over 1 - pi
+    assert u.tail_cert is not None and u.tail_cert.log_bound >= u.log_tail
 
 
 def test_conditioned_tails_are_never_clipped_to_zero():
@@ -1189,29 +1188,41 @@ def test_to_dense_and_mixture_keep_the_mass_of_their_own_steps():
 
 
 def test_mixtures_and_cuts_keep_the_tail_certificate():
-    # a mixture of laws certified at (N0_k, rho_k) has S(n+1) <= max rho_k
-    # S(n) for n >= max N0_k, and a cut keeps the points its certificate
-    # was checked on; both used to drop it, and the moment of the mixture
-    # read inconclusive
+    # a mixture bounds its tail by the weighted sum of its operands' bounds
+    # at the largest rho; a cut carries the bound back over the survival it
+    # drops.  Both used to drop the certificate, and the moment of the
+    # mixture read inconclusive
     law = first_passage_law(build_two_state(0.5), 1, 1, 1500)
     f = exp_fn(0.69)
     want = f_moment(law, f)
     assert want.verdict == VERDICT_CONVERGED
     mixed = mixture([law, law], [0.5, 0.5])
-    assert mixed.tail_cert == law.tail_cert
+    assert mixed.tail_cert.start == 1500 and mixed.tail_cert.rho == law.tail_cert.rho
+    assert mixed.tail_cert.log_bound == pytest.approx(law.tail_cert.log_bound, rel=1e-14)
     got = f_moment(mixed, f)
     assert got.verdict == VERDICT_CONVERGED
     assert got.log_partial_sum == pytest.approx(want.log_partial_sum, rel=1e-14)
     assert got.log_upper_bound == pytest.approx(want.log_upper_bound, rel=1e-14)
-    assert law.to_dense(1200).tail_cert == law.tail_cert
+    # cut to 1200 steps: S(1200 + k) <= rho^k B' on every computed k and past them
+    cut, cert = law.to_dense(1200), law.tail_cert
+    log_rho = math.log(cert.rho)
+    assert cut.tail_cert.start == 1200 and cut.tail_cert.rho == cert.rho
+    assert cut.tail_cert.log_bound >= cert.log_bound - 300 * log_rho
+    log_surv = np.logaddexp.accumulate(np.concatenate(([law.log_tail],
+                                                       law.log_pmf[:1199:-1])))[::-1]
+    assert np.all(log_surv <= cut.tail_cert.log_bound + np.arange(301) * log_rho + 1e-12)
     other = first_passage_law(build_two_state(0.9), 1, 1, 1500)
     both = mixture([law, other], [0.25, 0.75])
-    assert both.tail_cert == TailCert(max(law.tail_cert.start, other.tail_cert.start),
-                                      max(law.tail_cert.rho, other.tail_cert.rho))
-    assert mixture([law, conditioned_return_law(random_kernel(3, np.random.default_rng(1)),
-                                                0, 1, 600)], [0.5, 0.5]).tail_cert is None
-    # a certificate the survival does not bear out is dropped, not raised
-    assert PassageLaw.dense([0.5, 0.25], 0.25)._with_cert(TailCert(1, 0.1)).tail_cert is None
+    assert both.tail_cert.rho == max(cert.rho, other.tail_cert.rho)
+    assert both.tail_cert.log_bound == pytest.approx(
+        log_add(math.log(0.25) + cert.log_bound, math.log(0.75) + other.tail_cert.log_bound),
+        rel=1e-14)
+    # an operand without a certificate leaves the mixture without one
+    bare = PassageLaw.dense_log(law.log_pmf, law.log_tail)
+    assert mixture([law, bare], [0.5, 0.5]).tail_cert is None
+    # a certificate the tail does not bear out is dropped, not raised
+    assert PassageLaw.dense([0.5, 0.25], 0.25,
+                            tail_cert=lambda: TailCert(2, 0.1, math.log(0.2))).tail_cert is None
 
 
 def _sub_float_law(which: str) -> PassageLaw:
@@ -1264,77 +1275,94 @@ def test_mass_conservation_enforced():
 
 def test_tail_cert_validation():
     with pytest.raises(InvalidInput):
-        TailCert(start=0, rho=0.5)
+        TailCert(start=0, rho=0.5, log_bound=0.0)
     with pytest.raises(InvalidInput):
-        TailCert(start=3, rho=1.0)
-    # a certificate contradicted by the computed survival is rejected
-    pmf = np.array([0.1, 0.1, 0.1, 0.7])
+        TailCert(start=3, rho=1.0, log_bound=0.0)
     with pytest.raises(InvalidInput):
-        PassageLaw.dense(pmf, 0.0, tail_cert=TailCert(start=1, rho=0.2))
-    # so is one whose survival is tiny: 1e-16 at the horizon, decaying at
-    # 0.999 against a claimed 0.01 (an absolute slack of 1e-15 let it pass)
-    surv = 1e-16 * 0.999 ** np.arange(-49.0, 1.0)
-    pmf = np.concatenate(([1.0 - surv[0]], surv[:-1] - surv[1:]))
-    PassageLaw.dense(pmf, surv[-1])
+        TailCert(start=3, rho=0.5, log_bound=math.inf)
     with pytest.raises(InvalidInput):
-        PassageLaw.dense(pmf, surv[-1], tail_cert=TailCert(start=5, rho=0.01))
+        TailCert(start=3, rho=0.5, log_bound=math.nan)
+    pmf = np.array([0.1, 0.1, 0.1, 0.5])
+    PassageLaw.dense(pmf, 0.2, tail_cert=TailCert(start=4, rho=0.2, log_bound=math.log(0.2)))
+    # a bound below the tail is rejected, and so is one that starts anywhere
+    # but at the horizon
+    with pytest.raises(InvalidInput):
+        PassageLaw.dense(pmf, 0.2, tail_cert=TailCert(start=4, rho=0.2, log_bound=math.log(0.19)))
+    with pytest.raises(InvalidInput):
+        PassageLaw.dense(pmf, 0.2, tail_cert=TailCert(start=1, rho=0.2, log_bound=0.0))
+    # the bound is checked on a sparse law too
+    dist = AtomicDist(np.array([2, 7], dtype=np.int64), np.array([math.log(0.5), math.log(0.3)]),
+                      math.log(0.2))
+    PassageLaw.sparse(dist, TailCert(7, 0.5, math.log(0.2)))
+    with pytest.raises(InvalidInput):
+        PassageLaw.sparse(dist, TailCert(7, 0.5, math.log(0.1)))
 
 
 def test_tail_cert_derived_for_geometric_chain():
     law = first_passage_law(build_two_state(0.3), 1, 1, 120)
     cert = law.tail_cert
-    assert cert is not None
-    # survival ratio is exactly 0.7 from n = 2 on; certified rho adds slack
-    assert 0.7 < cert.rho < 0.7001
-    surv = law.survival_array()
-    assert np.all(surv[cert.start:] <= cert.rho * surv[cert.start - 1:-1] + 1e-15)
-
-
-def test_tail_cert_matches_full_scan():
-    # the scan stops at the first stable window; the certificate is the one
-    # a scan of every window gives, bit for bit.  Ring chains with two
-    # targets a row mix slowly, so their first stable window often lies
-    # past the first chunks; short horizons, late hits, no hit at all and
-    # rescaled survivals all occur below
-    seen = {"laws": 0, "rescaled": 0, "none": 0, "late": 0}
-    for n in range(2, 17):
-        for seed in range(3):
-            for kernel in (random_kernel(n, np.random.default_rng(seed)),
-                           _sparse_kernel(n, 2, seed)):
-                for i, j in ((0, 0), (0, n - 1), (n - 1, 0)):
-                    for h in (12, 21, 49, 600, 1100):
-                        _, surv, scale, _ = passage._propagate(kernel, i, h, absorb=j)
-                        got = _derive_tail_cert(surv, scale)
-                        assert got == reference_tail_cert(surv, scale), (n, seed, i, j, h)
-                        seen["laws"] += 1
-                        seen["rescaled"] += int(scale[-1] > 0)
-                        seen["none"] += got is None
-                        seen["late"] += got is not None and got.start > 2 * passage._CERT_CHUNK
-    assert seen["laws"] >= 1000
-    assert min(seen.values()) >= 40, seen
-
-
-@pytest.mark.parametrize("stable_from", [0, 1, 31, 32, 33, 95, 96, 97, 500, None])
-def test_tail_cert_first_stable_window_on_chunk_edges(stable_from):
-    # survival ratios that wobble by 1e-3 until ``stable_from`` and are
-    # constant after it (None: they never settle)
-    h = 700
-    ratios = np.full(h - 1, 0.9)
-    m = h - 1 if stable_from is None else stable_from
-    ratios[:m] += 1e-3 * (np.arange(m, 0, -1) % 2)  # ratios[m - 1] is off
-    surv = np.cumprod(np.concatenate(([0.5], ratios)))
-    scale = np.zeros(h, dtype=np.int64)
-    got = _derive_tail_cert(surv, scale)
-    assert got == reference_tail_cert(surv, scale)
-    assert (got is None) == (stable_from is None)
-    if got is not None:
-        assert got.start == stable_from + 1
+    assert cert is not None and cert.start == 120
+    # the taboo operator keeps 0.7 of the mass a step; the certified rho is
+    # that within the shift of its solve
+    assert 0.7 <= cert.rho < 0.7 + 1e-9
+    longer = first_passage_law(build_two_state(0.3), 1, 1, 600)
+    log_surv = np.logaddexp.accumulate(np.concatenate(([longer.log_tail],
+                                                       longer.log_pmf[:119:-1])))[::-1]
+    assert np.all(log_surv <= cert.log_bound + np.arange(481) * math.log(cert.rho) + 1e-12)
 
 
 def test_tail_cert_exact_zero_tail():
     law = first_passage_law(build_two_state(0.5), 0, 0, 10)
     assert law.is_complete
     assert law.tail_cert is not None
+
+
+_CERT_LAWS = {"passage": (first_passage_law, lambda i, j: (j, None, None)),
+              "return-avoiding": (conditioned_return_law, lambda i, j: (i, j, None)),
+              "hit-first": (conditioned_hit_law, lambda i, j: (j, i, None)),
+              "return-crossing": (crossing_return_law, lambda i, j: (i, None, j))}
+
+
+def _certifies_its_operator(kernel, key) -> bool:
+    """Whether the cached (rho, v) of ``key`` has v >= 1 and Qv <= rho v on
+    every alive slot but (flag, 0), in exact arithmetic on the operator's
+    own entries."""
+    from fractions import Fraction
+
+    rho, v = kernel._derived.get("cert", key, lambda: passage._tail_vector(kernel, key))[:2]
+    indptr, indices, data, width = passage._operator(kernel, key)
+    fslot = None if key[2] is None else 2 * key[2]
+    x = [Fraction(float(e)) for e in v] + [Fraction(0)]
+    if fslot is not None:
+        x[fslot] = x[fslot + 1]
+    for c in range(width):
+        qv = sum(Fraction(float(data[e])) * x[indices[e]] for e in range(indptr[c], indptr[c + 1]))
+        if c != fslot and qv > Fraction(rho) * x[c]:
+            return False
+    return min(v) >= 1.0
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(n=st.integers(2, 8), seed=st.integers(0, 2 ** 16), h1=st.integers(1, 1000),
+       extra=st.integers(1, 500), which=st.sampled_from(sorted(_CERT_LAWS)), data=st.data())
+def test_tail_certificate_bounds_the_survival_past_its_horizon(n, seed, h1, extra, which, data):
+    # the certificate built at h1 bounds S(h1 + k) <= rho^k B on every step
+    # the law computed to h2 holds; before, a ratio read off the computed
+    # points was applied past them
+    kernel = random_kernel(n, np.random.default_rng(seed))
+    i = data.draw(st.integers(0, n - 1))
+    j = data.draw(st.integers(0, n - 1)) if which == "passage" else (i + 1) % n
+    law_fn, key = _CERT_LAWS[which]
+    h2 = h1 + extra
+    short, long = law_fn(kernel, i, j, h1), law_fn(kernel, i, j, h2)
+    cert = short.tail_cert
+    assert cert is not None and cert.start == h1
+    log_surv = np.logaddexp.accumulate(np.concatenate(([long.log_tail],
+                                                       long.log_pmf[:h1 - 1:-1])))[::-1]
+    bound = cert.log_bound + np.arange(extra + 1) * math.log(cert.rho)
+    with np.errstate(invalid="ignore"):  # -inf - -inf, where the law is complete
+        assert np.all((log_surv <= bound) | (log_surv - bound <= 1e-9 * (1.0 + np.abs(bound))))
+    assert _certifies_its_operator(kernel, key(i, j))
 
 
 # ---------------------------------------------------------------------------
@@ -1349,10 +1377,7 @@ def test_csv_roundtrip_dense(kernel3, tmp_path):
     assert back.is_dense and back.horizon == law.horizon
     assert np.abs(back.log_pmf - law.log_pmf).max() == 0.0
     assert back.log_tail == law.log_tail
-    assert (back.tail_cert is None) == (law.tail_cert is None)
-    if law.tail_cert:
-        assert back.tail_cert.start == law.tail_cert.start
-        assert back.tail_cert.rho == law.tail_cert.rho
+    assert law.tail_cert is not None and back.tail_cert == law.tail_cert
 
 
 def test_csv_roundtrip_sparse(tmp_path):
@@ -1367,6 +1392,52 @@ def test_csv_roundtrip_sparse(tmp_path):
     assert back.atomic.atoms.tolist() == [2, 7, 9]
     assert np.abs(back.atomic.log_probs - dist.log_probs).max() == 0.0
     assert back.log_tail == dist.log_tail
+
+
+def test_csv_certificate_rows_round_trip():
+    # law -> file -> law keeps the certificate, file -> law -> file keeps the
+    # bytes; a file without the log bound row (as written before the row
+    # existed) loads with no certificate
+    law = first_passage_law(build_two_state(0.3), 1, 1, 40)
+    buf = io.StringIO()
+    law_to_csv(law, buf)
+    text = buf.getvalue()
+    footer = text.splitlines()[-4:]
+    assert footer[0].startswith("tail_mass,")
+    assert footer[1:] == [f"tail_cert_N0,40,", f"tail_cert_rho,{law.tail_cert.rho:.17g},",
+                          f"tail_cert_log_bound,{law.tail_cert.log_bound:.17g},"]
+    back = law_from_csv(io.StringIO(text))
+    assert back.tail_cert == law.tail_cert
+    again = io.StringIO()
+    law_to_csv(back, again)
+    assert again.getvalue() == text
+    old = "".join(line + "\n" for line in text.splitlines()[:-1])
+    assert law_from_csv(io.StringIO(old)).tail_cert is None
+    # a sparse law's certificate is written, read back and checked too
+    dist = AtomicDist(np.array([2, 7], dtype=np.int64), np.array([math.log(0.5), math.log(0.3)]),
+                      math.log(0.2))
+    sparse = PassageLaw.sparse(dist, TailCert(7, 0.5, math.log(0.25)))
+    buf = io.StringIO()
+    law_to_csv(sparse, buf)
+    assert law_from_csv(io.StringIO(buf.getvalue())).tail_cert == sparse.tail_cert
+    below = buf.getvalue().replace(f"{math.log(0.25):.17g}", f"{math.log(0.1):.17g}")
+    with pytest.raises(InvalidInput):
+        law_from_csv(io.StringIO(below))
+
+
+def test_wide_operator_is_certified_by_sixteen_steps_of_its_alive_mass():
+    # past _CERT_WIDTH alive slots there is no dense solve: v = 1, and rho
+    # is the sixteenth root of the most mass any slot keeps over 16 steps
+    kernel = random_kernel(passage._CERT_WIDTH + 4, np.random.default_rng(3))
+    law, longer = (first_passage_law(kernel, 0, 1, h) for h in (40, 120))
+    cert = law.tail_cert
+    rho, v = kernel._derived.get("cert", (1, None, None), lambda: None)[:2]
+    assert np.all(v == 1.0) and cert.rho == rho
+    op = passage._operator(kernel, (1, None, None))
+    assert rho ** 16 >= passage._log_hold(*op, None)[1]
+    log_surv = np.logaddexp.accumulate(np.concatenate(([longer.log_tail],
+                                                       longer.log_pmf[:39:-1])))[::-1]
+    assert np.all(log_surv <= cert.log_bound + np.arange(81) * math.log(rho))
 
 
 def test_csv_serialization_is_stable(kernel3):
