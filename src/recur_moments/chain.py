@@ -23,7 +23,7 @@ from __future__ import annotations
 import json
 import operator
 import threading
-from collections import OrderedDict, defaultdict
+from collections import OrderedDict
 from collections.abc import Sequence
 from dataclasses import dataclass
 from functools import cached_property
@@ -43,8 +43,12 @@ ROW_SUM_TOL = 1e-12
 
 StateRef = Union[int, str]
 
-#: Values of each kind that a kernel's :class:`_DerivedCache` keeps.
-_CACHE_SIZE = 32
+#: What a :class:`_ByteCache` entry costs beside the bytes of its arrays.
+_ENTRY_BYTES = 256
+#: A kernel's cache holds this many times the bytes of its CSR arrays, and
+#: at least ``_CACHE_FLOOR_BYTES``.
+_CACHE_PER_CSR_BYTE = 16
+_CACHE_FLOOR_BYTES = 2 ** 20
 
 
 def _read_only(*arrays) -> None:
@@ -64,32 +68,47 @@ def _csr_arrays(rows, target_index) -> tuple[np.ndarray, np.ndarray, np.ndarray]
     return indptr, indices, data
 
 
-class _DerivedCache:
-    """Values that passage laws derive from one kernel, kept for the next
-    law: for each kind, the ``_CACHE_SIZE`` most recently used, each a tuple
-    whose arrays are made read-only.  Threads may share it: a value is built
-    outside the lock, and when two threads build the same key, both return
-    the one stored first."""
+class _ByteCache:
+    """The most recently used values up to ``max_bytes`` in all, each a tuple
+    whose arrays are made read-only.  An entry costs the bytes of the arrays
+    among its parts plus ``_ENTRY_BYTES``, so the number of entries is
+    bounded too; a value that costs more than the whole budget is returned
+    and not kept.  Threads may share it: a value is built outside the lock,
+    and when two threads build the same key, both return the one stored
+    first."""
 
-    def __init__(self) -> None:
+    def __init__(self, max_bytes: int) -> None:
+        self.max_bytes = max_bytes
+        self.nbytes = 0
         self._lock = threading.Lock()
-        self._kinds: defaultdict[str, OrderedDict] = defaultdict(OrderedDict)
+        self._entries: OrderedDict = OrderedDict()  # key -> (value, cost)
 
-    def get(self, kind: str, key, build) -> tuple:
-        """The value of ``key`` among ``kind``, from ``build()`` if absent."""
+    def get(self, key, build) -> tuple:
+        """The value of ``key``, from ``build()`` if absent."""
         with self._lock:
-            entries = self._kinds[kind]
-            if key in entries:
-                entries.move_to_end(key)
-                return entries[key]
+            entry = self._entries.get(key)
+            if entry is not None:
+                self._entries.move_to_end(key)
+                return entry[0]
         value = build()
-        _read_only(*(part for part in value if isinstance(part, np.ndarray)))
+        arrays = [part for part in value if isinstance(part, np.ndarray)]
+        _read_only(*arrays)
+        cost = _ENTRY_BYTES + sum(arr.nbytes for arr in arrays)
+        if cost > self.max_bytes:
+            return value
         with self._lock:
-            value = entries.setdefault(key, value)
-            entries.move_to_end(key)
-            if len(entries) > _CACHE_SIZE:
-                entries.popitem(last=False)
-        return value
+            entry = self._entries.setdefault(key, (value, cost))
+            self._entries.move_to_end(key)
+            if entry[0] is value:
+                self.nbytes += cost
+                while self.nbytes > self.max_bytes:
+                    self.nbytes -= self._entries.popitem(last=False)[1][1]
+        return entry[0]
+
+
+def _kernel_cache(*csr: np.ndarray) -> _ByteCache:
+    """The cache of a kernel with these CSR arrays."""
+    return _ByteCache(max(_CACHE_FLOOR_BYTES, _CACHE_PER_CSR_BYTE * sum(a.nbytes for a in csr)))
 
 
 class TransitionKernel:
@@ -101,13 +120,16 @@ class TransitionKernel:
     A kernel does not change once built.  The arrays derived from it,
     ``dense_matrix`` and those of ``csr``, are read-only too, and so are the
     taboo operators and hitting probabilities that passage laws keep in its
-    private cache: none of them can go stale.  ``states`` is a tuple copied
-    from the names given, so that no caller can rename a state."""
+    private cache: none of them can go stale.  That cache keeps the most
+    recently used of them up to a budget in bytes, 16 times the bytes of the
+    CSR arrays and at least 1 MiB, fixed when the kernel is built.
+    ``states`` is a tuple copied from the names given, so that no caller can
+    rename a state."""
 
     def __init__(self, states: Sequence[str], rows) -> None:
         self.states = tuple(states)
         self.indptr, self.indices, self.data = _csr_arrays(rows, operator.index)
-        self._derived = _DerivedCache()
+        self._derived = _kernel_cache(self.indptr, self.indices, self.data)
 
     @property
     def n_states(self) -> int:
@@ -153,10 +175,6 @@ class TransitionKernel:
         _read_only(csr.indptr, csr.indices, csr.data)
         return csr
 
-    def out_edges(self, i: int) -> list[tuple[int, float]]:
-        a, b = self.indptr[i], self.indptr[i + 1]
-        return list(zip(self.indices[a:b].tolist(), self.data[a:b].tolist()))
-
     # -- JSON round trip ---------------------------------------------------
 
     def to_json_dict(self) -> dict:
@@ -184,7 +202,6 @@ class TransitionKernel:
             raise InvalidInput("duplicate state names")
         kernel = cls.__new__(cls)
         kernel.states = states
-        kernel._derived = _DerivedCache()
         try:
             kernel.indptr, kernel.indices, kernel.data = _csr_arrays(raw_rows, index.__getitem__)
         except KeyError as exc:
@@ -193,6 +210,7 @@ class TransitionKernel:
             raise InvalidInput(f"bad chain rows: {exc}") from None
         if kernel.indptr.size - 1 != len(states):
             raise InvalidInput("rows and states disagree in length")
+        kernel._derived = _kernel_cache(kernel.indptr, kernel.indices, kernel.data)
         return kernel
 
 
@@ -469,17 +487,6 @@ ChainLike = Union[TransitionKernel, TwoStateChain, PetalChain]
 # sampling
 
 
-@dataclass(frozen=True)
-class TrajectorySample:
-    """One simulated passage.  ``passage_time`` is None when the walk was
-    censored at the cap; ``steps_used`` is the passage time, or the cap when
-    censored."""
-
-    passage_time: int | None
-    censored: bool
-    steps_used: int
-
-
 def _segment_sums(draws: np.ndarray, counts: np.ndarray) -> np.ndarray:
     """Sum consecutive segments of ``draws`` with lengths ``counts``
     (zero-length segments allowed)."""
@@ -590,15 +597,6 @@ def sample_passage_times(chain: ChainLike, source: StateRef, target: StateRef,
     censored = times > cap
     times = np.where(censored, cap, times).astype(np.int64)
     return times, censored
-
-
-def sample_passage(chain: ChainLike, source: StateRef, target: StateRef,
-                   cap: int, *, seed: int | None = None,
-                   rng: np.random.Generator | None = None) -> TrajectorySample:
-    """Single-trajectory convenience wrapper around the vectorized sampler."""
-    times, censored = sample_passage_times(chain, source, target, 1, cap, seed=seed, rng=rng)
-    t, c = int(times[0]), bool(censored[0])
-    return TrajectorySample(None if c else t, c, cap if c else t)
 
 
 def passage_sampler(chain: ChainLike, source: StateRef, target: StateRef):

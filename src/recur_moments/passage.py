@@ -46,28 +46,33 @@ a conditioned law divides that by the probability of its event.  A law
 builds it on first use (:attr:`PassageLaw.tail_cert`).
 
 What the laws of one kernel share is built once per kernel and kept in its
-private cache (``TransitionKernel._derived``): the taboo operators, keyed
-by (absorb, kill, flag), with the bound of :func:`_log_hold` on how fast
-each loses mass and the (rho, v) of its tail certificates, and the hitting
-splits (pi, h) of
+private cache (``TransitionKernel._derived``, a ``chain._ByteCache``),
+keyed by kind and key: the taboo operators, keyed by (absorb, kill, flag),
+with the bound of :func:`_log_hold` on how fast each loses mass and the
+(rho, v) of its tail certificates, and the hitting splits (pi, h) of
 :func:`_hit_split`, keyed by the pair (i, j), the dense solve that every
-conditioned law and ``hit_before_return_prob`` needs.  Each kind keeps its
-32 most recently used values (``chain._CACHE_SIZE``), so that a sweep over
-all pairs of a chain of up to 6 states solves each pair once; unbounded, an
-all-pairs sweep would keep n operators of a large chain, or n^2 split
-vectors (64 MB at n = 200).  A kernel, its derived arrays and every cached
-array are read-only, so no cached value can go stale.  The lifted
-operators of :func:`_lift` are ``lift`` times the size of the operator they
-lift, so they are kept apart, in one process-wide cache bounded by bytes
-(``_LIFT_CACHE_BYTES``, 1 MiB) rather than by count.  A lift spans every
-row of a block after its first, up to 127 steps, so a 600-step law of a
-small chain takes six compiled calls, and the eight lifts of an all-pairs
-sweep of an 8-state chain (0.82 MB) share the cache.  Its content adds to
-peak memory: lifts kept by count raised the decomposition benchmark's peak
-RSS from 54.7 to 71.1 MB; against 192 KiB with 24 KiB lifts, the 1 MiB
-bound costs it 1.2 MB, and moments_allpairs 1.0 MB.  A lift is keyed by
-the cached operator it lifts, and holds that operator, so the key of a
-freed kernel's operator can never match a new one.
+conditioned law and ``hit_before_return_prob`` needs.  The cache keeps the
+most recently used values up to a budget in bytes, 16 times the bytes of
+the kernel's CSR arrays and at least 1 MiB; an entry costs the bytes of its
+arrays plus 256.  So a sweep over all pairs of a small chain solves each
+pair once (the operators, bounds and certificates of an 8-state sweep cost
+13 KB), while a large chain keeps a few operators, not one per target (an
+operator of a 50 000-state chain with 4 nonzeros a row takes 2.6 MB, of a
+57.6 MB budget), nor n^2 split vectors (64 MB at n = 200, of a 10 MB
+budget).  A kernel, its derived arrays and every cached array are
+read-only, so no cached value can go stale.  The lifted operators of
+:func:`_lift` are ``lift`` times the size of the operator they lift, and
+are kept apart, in one process-wide cache of the same class (``_LIFTS``,
+``_LIFT_CACHE_BYTES`` = 1 MiB): lifts kept by each kernel raised the
+decomposition benchmark's peak RSS from 54.7 to 71.1 MB.
+A lift spans every row of a block after its first, up to 127 steps, so a
+600-step law of a small chain takes six compiled calls, and the eight
+lifts of an all-pairs sweep of an 8-state chain (0.82 MB) share the cache.
+Against 192 KiB with 24 KiB lifts, the 1 MiB bound costs the decomposition
+benchmark 1.2 MB of peak RSS, and moments_allpairs 1.0 MB.  A lift is
+keyed by the ``id`` of the cached operator it lifts, and holds that
+operator, so the key of a freed kernel's operator can never match a new
+one.
 
 scipy is imported on first use, not with the module: the first propagated
 law loads ``scipy.sparse`` (through the kernel's ``csr`` and the compiled
@@ -79,8 +84,6 @@ from __future__ import annotations
 
 import csv
 import math
-import threading
-from collections import OrderedDict
 from contextlib import contextmanager, nullcontext
 from dataclasses import dataclass
 
@@ -88,7 +91,7 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from ._atomic import _MASS_TOL, AtomicDist
-from .chain import StateRef, TransitionKernel, _read_only
+from .chain import StateRef, TransitionKernel, _ByteCache
 from .errors import IncomparableLaws, InvalidInput, NoSuchPath
 from .logspace import LOG_ZERO, PRUNE_FLOOR_LOG, log_add, log_sub, logsumexp
 
@@ -394,45 +397,7 @@ def _block_sizes(w: int, nnz: int) -> tuple[int, int, int, int]:
     return span, rows, reach, reach - 1
 
 
-class _LiftCache:
-    """Lifted operators of :func:`_lift`, the most recently used ones up to
-    ``max_bytes`` of arrays in all, each keyed by the ``id`` of the cached
-    taboo-operator tuple it lifts.  An entry holds that tuple, so no other
-    object can take its ``id`` while the entry lives.  Threads may share it:
-    a lift is built outside the lock, and when two threads build the same
-    key, both return the one stored first."""
-
-    def __init__(self, max_bytes: int) -> None:
-        self.max_bytes = max_bytes
-        self.nbytes = 0
-        self._lock = threading.Lock()
-        self._entries: OrderedDict[int, tuple] = OrderedDict()  # id -> (op, lift, bytes)
-
-    def get(self, op: tuple, build) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """The lift of ``op``, from ``build()`` if absent.  A lift larger
-        than the whole cache is returned without being kept."""
-        key = id(op)
-        with self._lock:
-            entry = self._entries.get(key)
-            if entry is not None:
-                self._entries.move_to_end(key)
-                return entry[1]
-        lifted = build()
-        size = sum(part.nbytes for part in lifted)
-        if size > self.max_bytes:
-            return lifted
-        _read_only(*lifted)
-        with self._lock:
-            entry = self._entries.setdefault(key, (op, lifted, size))
-            self._entries.move_to_end(key)
-            if entry[1] is lifted:
-                self.nbytes += size
-                while self.nbytes > self.max_bytes:
-                    self.nbytes -= self._entries.popitem(last=False)[1][2]
-        return entry[1]
-
-
-_LIFTS = _LiftCache(_LIFT_CACHE_BYTES)
+_LIFTS = _ByteCache(_LIFT_CACHE_BYTES)
 
 
 def _taboo_operator(kernel: TransitionKernel, absorb: int, kill: int | None,
@@ -486,7 +451,7 @@ def _taboo_operator(kernel: TransitionKernel, absorb: int, kill: int | None,
 def _operator(kernel: TransitionKernel, key: tuple) -> tuple:
     """The taboo operator of ``key`` = (absorb, kill, flag), from the
     kernel's cache."""
-    return kernel._derived.get("taboo", key, lambda: _taboo_operator(kernel, *key))
+    return kernel._derived.get(("taboo", key), lambda: _taboo_operator(kernel, *key))
 
 
 def _log_hold(indptr: np.ndarray, indices: np.ndarray, data: np.ndarray, width: int,
@@ -591,7 +556,7 @@ def _tail_vector(kernel: TransitionKernel, key: tuple) -> tuple:
             rho = _checked_ratio(op, v, fslot, k)
             if rho < 1.0:
                 return rho, v, log_lead, log_step
-    most = kernel._derived.get("hold", key, lambda: _log_hold(*op, flag))[1]
+    most = kernel._derived.get(("hold", key), lambda: _log_hold(*op, flag))[1]
     most = most / (1.0 - _gamma(k + 1)) ** _HOLD_STEPS + _SMALLEST_NORMAL
     rho = most ** (1.0 / _HOLD_STEPS) * (1.0 + _gamma(2))
     if not rho < 1.0:
@@ -740,10 +705,12 @@ def _propagate(kernel: TransitionKernel, start: int, horizon: int, *, absorb: in
     span, rows, reach, lift = _block_sizes(w, data.size)
     log_hold = -math.inf  # with no bound, no block is sized from it
     if span > rows and horizon > 2 + rows:
-        log_hold = kernel._derived.get("hold", key, lambda: _log_hold(*op, flag))[0]
+        log_hold = kernel._derived.get(("hold", key), lambda: _log_hold(*op, flag))[0]
     fslot = None if flag is None else 2 * flag
     if rows > 1:
-        lptr, lind, ldat = _LIFTS.get(op, lambda: _lift(indptr, indices, data, w, lift, fslot))
+        # the lift holds op, so that no other operator can take its id
+        lptr, lind, ldat, _ = _LIFTS.get(
+            id(op), lambda: (*_lift(indptr, indices, data, w, lift, fslot), op))
     size = min(horizon, span)
     bufs = (np.empty((size, w)), np.empty((size, w)))
     flats = tuple(b.reshape(-1) for b in bufs)
@@ -846,7 +813,7 @@ def _tail_cert(kernel: TransitionKernel, key: tuple, horizon: int, q: np.ndarray
     q = q.ravel().copy()  # not a view that keeps the propagation's block buffer
 
     def build() -> TailCert | None:
-        rho, v, log_lead, log_step = kernel._derived.get("cert", key,
+        rho, v, log_lead, log_step = kernel._derived.get(("cert", key),
                                                          lambda: _tail_vector(kernel, key))
         if rho is None:
             return None
@@ -867,7 +834,7 @@ def _hit_split(kernel: TransitionKernel, i: int, j: int) -> tuple[float, np.ndar
     (j, i), the same single-column solve.  Raises :class:`InvalidInput`
     when the solve finds the system singular, as it is when a closed class
     of the chain avoids both i and j."""
-    return kernel._derived.get("split", (i, j), lambda: _solve_split(kernel, i, j))
+    return kernel._derived.get(("split", i, j), lambda: _solve_split(kernel, i, j))
 
 
 def _solve_split(kernel: TransitionKernel, i: int, j: int) -> tuple[float, np.ndarray]:

@@ -116,7 +116,7 @@ def hitting_time_means(kernel: TransitionKernel, target: int) -> np.ndarray:
     for pos, s in enumerate(others):
         means[s] = m_others[pos]
     # return-time of the target itself: 1 + sum_k P(target, k) m_k
-    means[target] = 1.0 + sum(p * means[k] for k, p in kernel.out_edges(target) if k != target)
+    means[target] = 1.0 + sum(p * means[k] for k, p in kernel.rows[target] if k != target)
     return means
 
 

@@ -22,8 +22,7 @@ from recur_moments import (VERDICT_CONVERGED, AtomicDist, IncomparableLaws,
                            hit_before_return_prob, law_from_csv, law_to_csv,
                            mixture, random_kernel, stochastic_dominates)
 from recur_moments.logspace import log_add, logsumexp
-from recur_moments import passage
-from recur_moments.chain import _CACHE_SIZE
+from recur_moments import chain, passage
 
 from helpers import (absorbed_mass_iterative, brute_convolve_dicts,
                      enumerate_passage_pmf, pmf_dict_to_array,
@@ -176,6 +175,9 @@ _COMPARABLE = np.where(np.arange(1, max(_ENGINE_HORIZONS) + 1) <= _EXACT_THROUGH
                        _SMALLEST_NORMAL, 2.0 ** -1000)
 
 
+_SPARSE3000_PAIRS = [(0, 0), (7, 1500)]
+
+
 def _engine_cases():
     yield pytest.param("kernel3", [(i, j) for i in range(3) for j in range(3)], id="kernel3")
     yield pytest.param("kernel4", [(0, 3), (3, 0), (2, 2), (1, 2)], id="kernel4")
@@ -183,7 +185,7 @@ def _engine_cases():
         yield pytest.param(n, [(0, 0), (0, 1), (n - 1, 0)], id=f"random{n}")
     for n in (16, 64, 200):
         yield pytest.param(n, [(0, 0), (n - 1, 0)], id=f"random{n}")
-    yield pytest.param("sparse3000", [(0, 0), (7, 1500)], id="sparse3000")
+    yield pytest.param("sparse3000", _SPARSE3000_PAIRS, id="sparse3000")
 
 
 @pytest.mark.parametrize("which,pairs", _engine_cases())
@@ -260,33 +262,53 @@ def test_decomposition_sweep_solves_each_pair_once(monkeypatch):
     assert len(builds) == len(set(builds)) == 25  # (i, j, -), (j, -, -) for every i, j
 
 
-def test_cache_evicts_past_its_bound_and_keeps_laws_bit_for_bit():
-    # 42 pairs of a 7-state kernel hold more splits and operators than the
-    # cache keeps; the evicted ones are rebuilt the same, bit for bit
+def test_cache_evicts_past_its_bound_and_keeps_laws_bit_for_bit(monkeypatch):
+    # 42 pairs of a 7-state kernel hold more splits and operators than a
+    # 16 KiB cache keeps; the evicted ones are rebuilt the same, bit for
+    # bit, as those of a kernel built with the 1 MiB floor, which keeps all
+    full = random_kernel(7, np.random.default_rng(7))
+    monkeypatch.setattr(chain, "_CACHE_FLOOR_BYTES", 1 << 14)
     kernel = random_kernel(7, np.random.default_rng(7))
+    cache = kernel._derived
+    assert cache.max_bytes == 1 << 14 and full._derived.max_bytes == 1 << 20
     pairs = list(itertools.permutations(range(7), 2))
     first = [_decomposition_laws(kernel, i, j, 40) for i, j in pairs]
-    kinds = kernel._derived._kinds
-    assert len(kinds["split"]) == len(kinds["taboo"]) == _CACHE_SIZE
-    assert (0, 1) not in kinds["split"] and (0, 1, None) not in kinds["taboo"]
+    assert cache.nbytes == sum(e[1] for e in cache._entries.values()) <= cache.max_bytes
+    assert ("split", 0, 1) not in cache._entries
+    assert ("taboo", (0, 1, None)) not in cache._entries
     again = [_decomposition_laws(kernel, i, j, 40) for i, j in pairs]
-    fresh = [_decomposition_laws(random_kernel(7, np.random.default_rng(7)), i, j, 40)
-             for i, j in pairs]
+    fresh = [_decomposition_laws(full, i, j, 40) for i, j in pairs]
+    assert ("split", 0, 1) in full._derived._entries
+    assert len(full._derived._entries) > len(cache._entries)
     for a, b, c in zip(first, again, fresh):
         assert a[0] == b[0] == c[0]
         assert all(_same_law(x, y) and _same_law(x, z) for x, y, z in zip(a[1:], b[1:], c[1:]))
 
 
-def test_cache_hammered_by_threads_stays_consistent():
-    # with no lock, a key found present is evicted by another thread before
-    # it is read, and the reading thread dies on a KeyError
-    cache = random_kernel(2, np.random.default_rng(2))._derived
+@pytest.mark.parametrize("which", ["kernel", "lift"])
+def test_cache_hammered_by_threads_stays_consistent(which):
+    # four threads get the values of 64 keys through a cache that holds 10
+    # of them: a kernel's, keyed by (kind, key), or one of the lift cache's
+    # size, keyed by the id of an operator its value holds.  With no lock,
+    # a key found present is evicted by another thread before it is read,
+    # and the reading thread dies on a KeyError; each thread must get the
+    # value of its own key
+    ops = [(np.full(k + 1, k),) for k in range(64)]
+    if which == "kernel":
+        cache = random_kernel(2, np.random.default_rng(2))._derived
+        keys = [("key", k) for k in range(64)]
+    else:
+        cache = chain._ByteCache(passage._LIFT_CACHE_BYTES)
+        keys = [id(op) for op in ops]
+    cost = cache.max_bytes // 10
+    size = (cost - chain._ENTRY_BYTES) // 8
     wrong, done = [], []
 
     def hammer(seed):
-        for key in np.random.default_rng(seed).integers(0, 2 * _CACHE_SIZE, 10_000).tolist():
-            if cache.get("key", key, lambda: (key,)) != (key,):
-                wrong.append(key)
+        for k in np.random.default_rng(seed).integers(0, 64, 5_000).tolist():
+            value = cache.get(keys[k], lambda: (np.full(size, float(k)), ops[k]))
+            if value[0][0] != k or value[1] is not ops[k]:
+                wrong.append(k)
         done.append(seed)
 
     interval = sys.getswitchinterval()
@@ -300,7 +322,44 @@ def test_cache_hammered_by_threads_stays_consistent():
     finally:
         sys.setswitchinterval(interval)
     assert not any(t.is_alive() for t in threads) and sorted(done) == [0, 1, 2, 3]
-    assert not wrong and len(cache._kinds["key"]) == _CACHE_SIZE
+    assert not wrong and len(cache._entries) == 10
+    entry_cost = 8 * size + chain._ENTRY_BYTES
+    assert cache.nbytes == sum(e[1] for e in cache._entries.values()) == 10 * entry_cost
+    assert all(keys[int(value[0][0])] == key for key, (value, _) in cache._entries.items())
+
+
+def test_kernel_cache_keeps_a_sparse_target_sweep_within_its_budget():
+    # 64 taboo operators of a 3000-state chain with 5 nonzeros a row take
+    # 17 MB; the kernel's cache, 16 times its 0.26 MB of CSR arrays, keeps
+    # the most recent of them within that budget
+    kernel = _sparse_kernel(3000, 5, seed=3000)
+    cache = kernel._derived
+    csr_bytes = kernel.indptr.nbytes + kernel.indices.nbytes + kernel.data.nbytes
+    assert cache.max_bytes == 16 * csr_bytes > chain._CACHE_FLOOR_BYTES
+    for j in range(64):
+        first_passage_law(kernel, 0, j, 5)
+        assert cache.nbytes == sum(e[1] for e in cache._entries.values()) <= cache.max_bytes
+    held = [j for j in range(64) if ("taboo", (j, None, None)) in cache._entries]
+    assert 0 < len(held) < 64 and held == list(range(64 - len(held), 64))
+
+
+def test_sparse3000_bit_identity_laws_solve_each_split_once(monkeypatch):
+    # the laws of the sparse3000 engine case and their tail certificates,
+    # at every horizon, cycle through 5 operators, their bounds and
+    # certificates and 2 splits, 1.3 MB in all: an LRU smaller than that
+    # would evict each before its next use and rerun a 2998 x 2998 solve
+    # per law.  Within the kernel's budget, each split is solved once
+    solve, solved = passage._solve_split, []
+    monkeypatch.setattr(passage, "_solve_split",
+                        lambda kernel, i, j: solved.append((i, j)) or solve(kernel, i, j))
+    kernel = _sparse_kernel(3000, 5, seed=3000)
+    for i, j in _SPARSE3000_PAIRS:
+        for h in _ENGINE_HORIZONS:
+            for name, law_fn in _LAWS.items():
+                if i != j or name == "passage":
+                    law_fn(kernel, i, j, h).tail_cert
+            first_passage_law(kernel, i, j, h)
+    assert len(solved) == len(set(solved)) == 2
 
 
 def _count_steps(monkeypatch):
@@ -442,7 +501,7 @@ def test_lift_cache_keeps_a_sweep_within_its_byte_bound(monkeypatch):
     # an all-pairs sweep of an 8-state chain lifts each of its 8 targets
     # once, and three sweeps never hold more than the cache's bound
     first_passage_law(build_two_state(0.5), 0, 1, 2)  # binds the matvec, which lifts once
-    monkeypatch.setattr(passage, "_LIFTS", passage._LiftCache(passage._LIFT_CACHE_BYTES))
+    monkeypatch.setattr(passage, "_LIFTS", chain._ByteCache(passage._LIFT_CACHE_BYTES))
     lift, built = passage._lift, []
     monkeypatch.setattr(passage, "_lift", lambda *args: built.append(1) or lift(*args))
     kernels = [random_kernel(8, np.random.default_rng(seed)) for seed in range(3)]
@@ -452,10 +511,10 @@ def test_lift_cache_keeps_a_sweep_within_its_byte_bound(monkeypatch):
             first[c, i, j] = first_passage_law(kernel, i, j, 600)
         assert len(built) == 8 * (c + 1)
         cache = passage._LIFTS
-        assert cache.nbytes == sum(e[2] for e in cache._entries.values()) <= cache.max_bytes
+        assert cache.nbytes == sum(e[1] for e in cache._entries.values()) <= cache.max_bytes
     def held(kernel):
-        return [id(op) in passage._LIFTS._entries
-                for op in kernel._derived._kinds["taboo"].values()]
+        return [id(value) in passage._LIFTS._entries
+                for key, (value, _) in kernel._derived._entries.items() if key[0] == "taboo"]
 
     assert held(kernels[2]) == [True] * 8 and held(kernels[0]) == [False] * 8
     # the first kernel's lifts are gone: its laws, rebuilt, are the same
@@ -470,7 +529,7 @@ def test_all_pairs_sweep_builds_a_lift_per_target_and_steps_each_law_in_six_call
     # the 8 lifts of an 8-state chain fit the cache together, and each of
     # its laws at h = 600 is one block: a single step and 5 lifted calls
     first_passage_law(build_two_state(0.5), 0, 1, 2)  # binds the matvec, which lifts once
-    monkeypatch.setattr(passage, "_LIFTS", passage._LiftCache(passage._LIFT_CACHE_BYTES))
+    monkeypatch.setattr(passage, "_LIFTS", chain._ByteCache(passage._LIFT_CACHE_BYTES))
     lift, built = passage._lift, []
     monkeypatch.setattr(passage, "_lift", lambda *args: built.append(1) or lift(*args))
     steps = _count_steps(monkeypatch)
@@ -495,49 +554,21 @@ def test_row_sums_equal_the_reduction_bit_for_bit(cols):
         assert np.array_equal(passage._row_sums(rows), np.add.reduce(rows, axis=1)), (cols, m)
 
 
-def test_lift_cache_hammered_by_threads_stays_consistent():
-    # four threads get lifts of 64 operators through a cache that holds
-    # about 10 of them; each must get the lift of its own operator
-    ops = [(np.full(k + 1, k),) for k in range(64)]
-    cache = passage._LiftCache(10 * 800)
-    wrong, done = [], []
-
-    def hammer(seed):
-        for k in np.random.default_rng(seed).integers(0, 64, 5_000).tolist():
-            lifted = cache.get(ops[k], lambda: (np.full(100, float(k)),))
-            if lifted[0][0] != k:
-                wrong.append(k)
-        done.append(seed)
-
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)
-    try:
-        threads = [threading.Thread(target=hammer, args=(seed,)) for seed in range(4)]
-        for t in threads:
-            t.start()
-        for t in threads:
-            t.join(timeout=60)
-    finally:
-        sys.setswitchinterval(interval)
-    assert not any(t.is_alive() for t in threads) and sorted(done) == [0, 1, 2, 3]
-    assert not wrong and len(cache._entries) == 10
-    assert cache.nbytes == sum(e[2] for e in cache._entries.values()) == 8000
-    assert all(cache._entries[id(e[0])] is e for e in cache._entries.values())
-
-
-def test_lift_cache_entry_pins_its_operator():
-    # an entry holds the operator it is keyed by, so no new operator can
-    # take that id and find a stale lift
-    cache = passage._LiftCache(1 << 20)
-    op = (np.zeros(3),)
-    lifted = cache.get(op, lambda: (np.ones(4),))
-    key = id(op)
-    del op
-    assert id(cache._entries[key][0]) == key and cache._entries[key][1] is lifted
+def test_lift_cache_entry_pins_its_operator(monkeypatch):
+    # a lift is keyed by the id of the cached operator it lifts and holds
+    # it, so that no new operator can take that id and find a stale lift
+    monkeypatch.setattr(passage, "_LIFTS", chain._ByteCache(passage._LIFT_CACHE_BYTES))
+    kernel = random_kernel(8, np.random.default_rng(8))
+    first_passage_law(kernel, 0, 1, 600)
+    key = id(passage._operator(kernel, (1, None, None)))
+    assert passage._LIFTS._entries[key][0][3] is passage._operator(kernel, (1, None, None))
+    del kernel
+    assert id(passage._LIFTS._entries[key][0][3]) == key
     fresh = [(np.zeros(3),) for _ in range(100)]
     assert all(id(f) != key for f in fresh)
-    too_big = cache.get(fresh[0], lambda: (np.ones(1 << 18),))
-    assert too_big[0].size == 1 << 18 and id(fresh[0]) not in cache._entries
+    # a value that costs more than the whole cache is returned, not kept
+    too_big = passage._LIFTS.get(id(fresh[0]), lambda: (np.ones(1 << 17), fresh[0]))
+    assert too_big[0].size == 1 << 17 and id(fresh[0]) not in passage._LIFTS._entries
 
 
 def _single_steps(op, w, x, steps, fslot):
@@ -681,7 +712,7 @@ def test_hit_before_return_matches_absorbing_iteration(kernel3, kernel4):
 def _pi_oracle(kernel, i, j) -> float:
     # first step by hand, then absorb at {i, j}
     total = 0.0
-    for k, p in kernel.out_edges(i):
+    for k, p in kernel.rows[i]:
         if k == j:
             total += p
         elif k != i:
@@ -1329,7 +1360,7 @@ def _certifies_its_operator(kernel, key) -> bool:
     own entries."""
     from fractions import Fraction
 
-    rho, v = kernel._derived.get("cert", key, lambda: passage._tail_vector(kernel, key))[:2]
+    rho, v = kernel._derived.get(("cert", key), lambda: passage._tail_vector(kernel, key))[:2]
     indptr, indices, data, width = passage._operator(kernel, key)
     fslot = None if key[2] is None else 2 * key[2]
     x = [Fraction(float(e)) for e in v] + [Fraction(0)]
@@ -1431,7 +1462,7 @@ def test_wide_operator_is_certified_by_sixteen_steps_of_its_alive_mass():
     kernel = random_kernel(passage._CERT_WIDTH + 4, np.random.default_rng(3))
     law, longer = (first_passage_law(kernel, 0, 1, h) for h in (40, 120))
     cert = law.tail_cert
-    rho, v = kernel._derived.get("cert", (1, None, None), lambda: None)[:2]
+    rho, v = kernel._derived.get(("cert", (1, None, None)), lambda: None)[:2]
     assert np.all(v == 1.0) and cert.rho == rho
     op = passage._operator(kernel, (1, None, None))
     assert rho ** 16 >= passage._log_hold(*op, None)[1]
