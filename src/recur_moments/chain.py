@@ -23,6 +23,7 @@ from __future__ import annotations
 import json
 import operator
 import threading
+from array import array
 from collections import OrderedDict
 from collections.abc import Sequence
 from dataclasses import dataclass
@@ -56,26 +57,51 @@ def _read_only(*arrays) -> None:
         arr.flags.writeable = False
 
 
-def _csr_arrays(rows, target_index) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(indptr, indices, data) of ``rows``, lists of (target, probability)
-    pairs in the given order; ``target_index`` maps a target to its index.
-    Each array is filled by one streaming pass, with no list of pairs."""
-    lens = [len(row) for row in rows]
-    indices = np.fromiter((target_index(t) for row in rows for t, _ in row), np.int64, sum(lens))
-    data = np.fromiter((float(p) for row in rows for _, p in row), np.float64, indices.size)
-    indptr = np.cumsum([0] + lens)
-    _read_only(indptr, indices, data)
-    return indptr, indices, data
+def _csr_arrays(rows) -> tuple[array, array, array, dict, Exception | None]:
+    """(indptr, slots, data, targets, error) of ``rows``, any iterable of
+    rows of (target, probability) pairs, read in one pass that holds one row
+    at a time.  Row i's entries are ``indptr[i]:indptr[i+1]`` of ``slots``
+    and ``data``; ``targets`` numbers each distinct target in the order first
+    seen, and an entry's slot is the number of its target, so the targets
+    can be resolved once, after the rows (:func:`_indices`).  ``error`` is
+    the first TypeError or ValueError a row raised, or None: the rows after
+    it are still read, so that a reader feeding them reads its whole file."""
+    targets: dict = {}
+    indptr, slots, data = array("q", [0]), array("q"), array("d")
+    slot, add_slot, add_p, end_row = targets.setdefault, slots.append, data.append, indptr.append
+    error = None
+    try:
+        rows = iter(rows)
+    except TypeError as exc:
+        return indptr, slots, data, targets, exc
+    for row in rows:
+        try:
+            for t, p in row:
+                add_slot(slot(t, len(targets)))
+                add_p(float(p))
+        except (TypeError, ValueError) as exc:
+            error = error or exc
+        end_row(len(slots))
+    return indptr, slots, data, targets, error
+
+
+def _indices(slots: array, targets: dict, target_index) -> np.ndarray:
+    """The state index of each entry of ``slots``: ``target_index`` maps
+    each of ``targets``, in slot order, to its index."""
+    index = np.fromiter(map(target_index, targets), np.int64, len(targets))
+    return index.take(np.frombuffer(slots, np.int64))
 
 
 class _ByteCache:
     """The most recently used values up to ``max_bytes`` in all, each a tuple
-    whose arrays are made read-only.  An entry costs the bytes of the arrays
-    among its parts plus ``_ENTRY_BYTES``, so the number of entries is
-    bounded too; a value that costs more than the whole budget is returned
-    and not kept.  Threads may share it: a value is built outside the lock,
-    and when two threads build the same key, both return the one stored
-    first."""
+    whose arrays are made read-only.  An entry costs ``_ENTRY_BYTES``, so
+    the number of entries is bounded too, plus the bytes of the arrays its
+    build made: those among its parts that are still writeable when the
+    build returns.  An array that is already read-only, such as a kernel's
+    own or one another entry holds, is held and charged elsewhere.  A value
+    that costs more than the whole budget is returned and not kept.  Threads
+    may share it: a value is built outside the lock, and when two threads
+    build the same key, both return the one stored first."""
 
     def __init__(self, max_bytes: int) -> None:
         self.max_bytes = max_bytes
@@ -91,9 +117,9 @@ class _ByteCache:
                 self._entries.move_to_end(key)
                 return entry[0]
         value = build()
-        arrays = [part for part in value if isinstance(part, np.ndarray)]
-        _read_only(*arrays)
-        cost = _ENTRY_BYTES + sum(arr.nbytes for arr in arrays)
+        made = [part for part in value if isinstance(part, np.ndarray) and part.flags.writeable]
+        _read_only(*made)
+        cost = _ENTRY_BYTES + sum(arr.nbytes for arr in made)
         if cost > self.max_bytes:
             return value
         with self._lock:
@@ -104,11 +130,6 @@ class _ByteCache:
                 while self.nbytes > self.max_bytes:
                     self.nbytes -= self._entries.popitem(last=False)[1][1]
         return entry[0]
-
-
-def _kernel_cache(*csr: np.ndarray) -> _ByteCache:
-    """The cache of a kernel with these CSR arrays."""
-    return _ByteCache(max(_CACHE_FLOOR_BYTES, _CACHE_PER_CSR_BYTE * sum(a.nbytes for a in csr)))
 
 
 class TransitionKernel:
@@ -127,9 +148,19 @@ class TransitionKernel:
     rename a state."""
 
     def __init__(self, states: Sequence[str], rows) -> None:
+        indptr, slots, data, targets, error = _csr_arrays(rows)
+        if error is not None:
+            raise error
+        self._store(states, indptr, _indices(slots, targets, operator.index), data)
+
+    def _store(self, states, indptr: array, indices: np.ndarray, data: array) -> None:
         self.states = tuple(states)
-        self.indptr, self.indices, self.data = _csr_arrays(rows, operator.index)
-        self._derived = _kernel_cache(self.indptr, self.indices, self.data)
+        self.indptr, self.indices = np.frombuffer(indptr, np.int64), indices
+        self.data = np.frombuffer(data, np.float64)
+        csr = (self.indptr, self.indices, self.data)
+        _read_only(*csr)
+        self._derived = _ByteCache(max(_CACHE_FLOOR_BYTES,
+                                       _CACHE_PER_CSR_BYTE * sum(a.nbytes for a in csr)))
 
     @property
     def n_states(self) -> int:
@@ -178,39 +209,44 @@ class TransitionKernel:
     # -- JSON round trip ---------------------------------------------------
 
     def to_json_dict(self) -> dict:
-        return {
-            "states": list(self.states),
-            "rows": [[[self.states[j], p] for j, p in row] for row in self.rows],
-        }
+        names, ptr = np.array(self.states, dtype=object), self.indptr.tolist()
+        pairs = list(map(list, zip(names[self.indices].tolist(), self.data.tolist())))
+        return {"states": list(self.states), "rows": [pairs[a:b] for a, b in zip(ptr, ptr[1:])]}
 
     @classmethod
     def from_json_dict(cls, obj: dict) -> "TransitionKernel":
         """The kernel of a JSON object, validated; :class:`InvalidInput` if it
         is malformed or invalid."""
-        return _validated(cls._from_json_dict(obj))
+        try:
+            states, rows = obj["states"], obj["rows"]
+        except (KeyError, TypeError):
+            states = built = None
+        else:
+            built = _csr_arrays(rows)
+        return _validated(cls._from_json_parts(states, built))
 
     @classmethod
-    def _from_json_dict(cls, obj: dict) -> "TransitionKernel":
-        """The kernel of a JSON object, not yet validated."""
+    def _from_json_parts(cls, states, built) -> "TransitionKernel":
+        """The kernel, not yet validated, of a chain object's "states" value
+        and :func:`_csr_arrays` of its "rows" value, each None if absent."""
         try:
-            states = tuple(str(s) for s in obj["states"])
-            raw_rows = obj["rows"]
-        except (KeyError, TypeError):
+            states = tuple(str(s) for s in states)
+            indptr, slots, data, targets, error = built
+        except TypeError:
             raise InvalidInput("chain JSON needs 'states' and 'rows'") from None
         index = {name: i for i, name in enumerate(states)}
         if len(index) != len(states):
             raise InvalidInput("duplicate state names")
-        kernel = cls.__new__(cls)
-        kernel.states = states
+        if error is not None:
+            raise InvalidInput(f"bad chain rows: {error}")
         try:
-            kernel.indptr, kernel.indices, kernel.data = _csr_arrays(raw_rows, index.__getitem__)
+            indices = _indices(slots, targets, index.__getitem__)
         except KeyError as exc:
             raise InvalidInput(f"unknown target state {exc.args[0]!r}") from None
-        except (TypeError, ValueError) as exc:
-            raise InvalidInput(f"bad chain rows: {exc}") from None
-        if kernel.indptr.size - 1 != len(states):
+        if len(indptr) - 1 != len(states):
             raise InvalidInput("rows and states disagree in length")
-        kernel._derived = _kernel_cache(kernel.indptr, kernel.indices, kernel.data)
+        kernel = cls.__new__(cls)
+        kernel._store(states, indptr, indices, data)
         return kernel
 
 
@@ -237,20 +273,97 @@ def save_kernel_json(kernel: TransitionKernel, path) -> None:
         fh.write("\n")
 
 
-def _read_json(path, what: str):
-    """The JSON value in the file at ``path``; a file that is not JSON is an
-    :class:`InvalidInput` naming it as ``what``."""
+def _read_json(path, what: str, parse=json.loads):
+    """``parse`` of the text of the file at ``path``, by default its JSON
+    value; a file that is not JSON is an :class:`InvalidInput` naming it as
+    ``what``."""
     with open(path) as fh:
         try:
-            return json.load(fh)
+            return parse(fh.read())
         except ValueError as exc:
             raise InvalidInput(f"{what} {str(path)!r} is not valid JSON: {exc}") from None
 
 
+_decoder = json.JSONDecoder()
+_space = json.decoder.WHITESPACE.match
+
+
+def _scan_rows(text: str, at: list):
+    """The values of the JSON array whose "[" is at ``at[0]`` in ``text``,
+    decoded one at a time; once the last is taken, ``at[0]`` is the end of
+    the array."""
+    scan, space = _decoder.scan_once, _space
+    end = space(text, at[0] + 1).end()
+    if text[end:end + 1] != "]":
+        while True:
+            try:
+                row, end = scan(text, end)
+            except StopIteration as err:
+                raise json.JSONDecodeError("Expecting value", text, err.value) from None
+            yield row
+            end = space(text, end).end()
+            char = text[end:end + 1]
+            if char == "]":
+                break
+            if char != ",":
+                raise json.JSONDecodeError("Expecting ',' delimiter", text, end)
+            end = space(text, end + 1).end()
+    at[0] = end + 1
+
+
+def _scan_chain(text: str) -> tuple:
+    """(states, built) of a chain file's text: the value of its "states"
+    key and :func:`_csr_arrays` of its "rows", each None if absent.  The
+    top-level object is walked here and its rows are handed over one at a
+    time, so that no JSON tree of them exists.  The text must be one JSON
+    value, and the errors are those of ``json.loads``, though another
+    fault may be named first; a repeated key keeps its last value."""
+    end = _space(text).end()
+    if text[end:end + 1] != "{":
+        json.loads(text)  # the stdlib's error, or a value that is no chain
+        return None, None
+    states = built = None
+    end = _space(text, end + 1).end()
+    if text[end:end + 1] != "}":
+        while True:
+            if text[end:end + 1] != '"':
+                raise json.JSONDecodeError("Expecting property name enclosed in double quotes",
+                                           text, end)
+            key, end = json.decoder.scanstring(text, end + 1)
+            end = _space(text, end).end()
+            if text[end:end + 1] != ":":
+                raise json.JSONDecodeError("Expecting ':' delimiter", text, end)
+            end = _space(text, end + 1).end()
+            if key == "rows" and text[end:end + 1] == "[":
+                at = [end]
+                built = _csr_arrays(_scan_rows(text, at))
+                end = at[0]
+            else:
+                value, end = _decoder.raw_decode(text, end)
+                if key == "rows":
+                    built = _csr_arrays(value)
+                elif key == "states":
+                    states = value
+            end = _space(text, end).end()
+            char = text[end:end + 1]
+            if char == "}":
+                break
+            if char != ",":
+                raise json.JSONDecodeError("Expecting ',' delimiter", text, end)
+            end = _space(text, end + 1).end()
+    end = _space(text, end + 1).end()
+    if end != len(text):
+        raise json.JSONDecodeError("Extra data", text, end)
+    return states, built
+
+
 def load_kernel_json(path) -> TransitionKernel:
-    """The validated kernel of a JSON chain file.  The JSON tree is freed
-    before validation starts, so the two never hold memory at once."""
-    return _validated(TransitionKernel._from_json_dict(_read_json(path, "chain file")))
+    """The validated kernel of a JSON chain file.  The keys of its object may
+    come in any order.  Its rows are read one at a time, with only one row's
+    Python objects alive at once, and the file's text is freed before
+    validation starts."""
+    return _validated(TransitionKernel._from_json_parts(*_read_json(path, "chain file",
+                                                                     _scan_chain)))
 
 
 # ---------------------------------------------------------------------------

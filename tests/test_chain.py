@@ -17,6 +17,8 @@ from recur_moments import (AtomicDist, InvalidInput, KernelReport, PetalChain,
                            sample_passage_times, save_kernel_json,
                            stationary_distribution, validate_kernel)
 
+from recur_moments import chain
+
 from helpers import (hitting_time_means, reference_csr, reference_dense,
                      reference_kernel_json, reference_report, sparse_ring_kernel)
 
@@ -242,18 +244,20 @@ def test_json_parse_memory_bound():
 
 def test_load_validates_after_the_json_tree_is_freed(tmp_path, monkeypatch):
     """``load_kernel_json`` validated a 20 000-state file while its JSON tree
-    (~15 MB traced) was alive; it now validates after the parse has
-    returned, through the module's ``validate_kernel``, so that a wrapper of
-    that name still sees the call."""
-    from recur_moments import chain
-
+    (~15 MB traced) was alive; it now validates after the file is read,
+    through the module's ``validate_kernel``, so that a wrapper of that name
+    still sees the call.  It reads the rows one at a time, so no tree of
+    them exists: the whole load peaked at 19.5 MB on the compact file and
+    20.5 MB on the ``save_kernel_json`` one while ``json.load`` built it."""
     n = 20_000
     rng = np.random.default_rng(7)
     names = [str(i) for i in range(n)]
     targets = np.column_stack([(np.arange(n) + 1) % n, rng.integers(n, size=(n, 3))])
-    path = tmp_path / "big.json"
-    path.write_text(json.dumps({"states": names, "rows": [
+    compact = tmp_path / "big.json"
+    compact.write_text(json.dumps({"states": names, "rows": [
         [[names[t], p] for t, p in zip(row, (0.4, 0.3, 0.2, 0.1))] for row in targets.tolist()]}))
+    saved = tmp_path / "saved.json"
+    save_kernel_json(load_kernel_json(compact), saved)
     del names, targets
     held = []
 
@@ -262,16 +266,132 @@ def test_load_validates_after_the_json_tree_is_freed(tmp_path, monkeypatch):
         return validate_kernel(kernel)
 
     monkeypatch.setattr(chain, "validate_kernel", recording)
-    tracemalloc.start()
+    for path, bound in ((compact, 9.5e6), (saved, 12e6)):
+        held.clear()
+        tracemalloc.start()
+        try:
+            kernel = load_kernel_json(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert kernel.n_states == n and len(held) == 1
+        # the kernel's names and arrays take 2.7 MB; with the tree, 18 MB
+        # were held at validation
+        assert held[0] < 4e6, f"{held[0] / 1e6:.2f} MB held at validation"
+        assert peak < bound, f"{path.name}: the load peaked at {peak / 1e6:.2f} MB"
+
+
+# ---------------------------------------------------------------------------
+# the chain file reader against json.load
+
+
+def _tree_load(path):
+    """The kernel of a chain file read the old way: its whole JSON tree
+    first, then :meth:`TransitionKernel.from_json_dict`."""
+    return TransitionKernel.from_json_dict(chain._read_json(path, "chain file"))
+
+
+def _outcome(load, path):
+    """The states and CSR arrays of ``load(path)``, with their dtypes, or the
+    message of the :class:`InvalidInput` it raises."""
     try:
-        kernel = load_kernel_json(path)
-        tree = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert kernel.n_states == n and len(held) == 1
-    # the kernel's names and arrays take 2.7 MB; with the tree, 18 MB were
-    # held at validation, and the load peaks near 19.5 MB
-    assert tree > 12e6 and held[0] < 4e6, f"{held[0] / 1e6:.2f} MB held at validation"
+        kernel = load(path)
+    except InvalidInput as exc:
+        return str(exc)
+    return kernel.states, [(a.dtype, a.tolist()) for a in (kernel.indptr, kernel.indices,
+                                                           kernel.data)]
+
+
+def _chain_items(data):
+    """The (key, value) items of a random valid chain object of 1-5 states,
+    named by strings or numbers, each row holding the next state on a ring."""
+    n = data.draw(st.integers(1, 5))
+    numeric = data.draw(st.booleans())
+    names = list(range(n)) if numeric else data.draw(
+        st.lists(st.text("abcXY7", min_size=1, max_size=3), min_size=n, max_size=n, unique=True))
+    rows = []
+    for i in range(n):
+        targets = sorted({(i + 1) % n} | set(data.draw(st.lists(st.integers(0, n - 1),
+                                                                 max_size=3))))
+        weights = data.draw(st.lists(st.integers(1, 9), min_size=len(targets),
+                                     max_size=len(targets)))
+        rows.append([[str(names[t]), w / sum(weights)] for t, w in zip(targets, weights)])
+    return [("states", names), ("rows", rows)]
+
+
+def _chain_text(data, items) -> str:
+    """``items`` as a JSON object's text, keys in the order given, compact or
+    indented as drawn."""
+    indent = data.draw(st.sampled_from([None, 2]))
+    sep = ",\n" if indent else ", "
+    return "{" + sep.join(f"{json.dumps(k)}: {json.dumps(v, indent=indent)}"
+                          for k, v in items) + "}\n"
+
+
+_LITERALS = [float("nan"), float("inf"), -float("inf")]
+
+
+@settings(max_examples=120, deadline=None, derandomize=True)
+@given(data=st.data())
+def test_file_reader_matches_the_json_tree(tmp_path_factory, data):
+    # keys in either order, extra keys with NaN and Infinity literals, a
+    # repeated key whose last value wins, and numeric state names load the
+    # same kernel as json.load; a NaN or infinite probability, a numeric
+    # target and an empty row list fail with the same message
+    items = _chain_items(data)
+    rows = items[1][1]
+    if data.draw(st.booleans()):
+        items.reverse()
+    if data.draw(st.booleans()):
+        items.insert(data.draw(st.integers(0, 2)), ("note", [_LITERALS, {"k": None}]))
+    if data.draw(st.booleans()):
+        key = data.draw(st.sampled_from(["states", "rows"]))
+        items.insert(0, (key, [["a"]] if key == "rows" else ["a", "a"]))
+    fault = data.draw(st.sampled_from([None, "literal", "numeric target", "no rows", "empty row"]))
+    if fault == "literal":
+        rows[-1][-1][1] = data.draw(st.sampled_from(_LITERALS))
+    elif fault == "numeric target":
+        rows[0][0][0] = 7
+    elif fault == "no rows":
+        rows.clear()
+    elif fault == "empty row":
+        rows[-1] = []
+    path = tmp_path_factory.getbasetemp() / "chain.json"
+    path.write_text(_chain_text(data, items))
+    got, want = _outcome(load_kernel_json, path), _outcome(_tree_load, path)
+    assert got == want
+    assert isinstance(got, str) == (fault is not None)
+
+
+@settings(max_examples=120, deadline=None, derandomize=True)
+@given(data=st.data())
+def test_file_reader_rejects_what_the_json_tree_rejects(tmp_path_factory, data):
+    items = _chain_items(data)
+    text = _chain_text(data, items)
+    fault = data.draw(st.sampled_from(["truncated", "no comma", "no colon", "trailing",
+                                       "top level", "rows", "row"]))
+    if fault == "truncated":
+        text = text[:data.draw(st.integers(0, len(text.rstrip()) - 1))]
+    elif fault in ("no comma", "no colon"):
+        char = "," if fault == "no comma" else ":"
+        at = data.draw(st.sampled_from([i for i, c in enumerate(text) if c == char]))
+        text = text[:at] + text[at + 1:]
+    elif fault == "trailing":
+        text += data.draw(st.sampled_from(["x", "}", ", 1", "{}", "[]"]))
+    elif fault == "top level":
+        text = json.dumps(data.draw(st.sampled_from([items[1][1], 5, None, "abc", []])))
+    else:
+        bad = data.draw(st.sampled_from([5, "ab", {"a": 1}, None]))
+        rows = items[1][1]
+        if fault == "rows":
+            items[1] = ("rows", bad)
+        else:
+            rows[data.draw(st.integers(0, len(rows) - 1))] = bad
+        text = _chain_text(data, items)
+    path = tmp_path_factory.getbasetemp() / "bad.json"
+    path.write_text(text)
+    got, want = _outcome(load_kernel_json, path), _outcome(_tree_load, path)
+    assert isinstance(got, str) and got == want
 
 
 # ---------------------------------------------------------------------------

@@ -343,6 +343,22 @@ def test_kernel_cache_keeps_a_sparse_target_sweep_within_its_budget():
     assert 0 < len(held) < 64 and held == list(range(64 - len(held), 64))
 
 
+def test_kernel_cache_charges_an_operator_only_for_the_arrays_it_made():
+    # an operator with no kill and no flag steps with the kernel's own
+    # csr.data; charging that array to each operator too cost 192 KB an
+    # operator here, where it adds 72 KB, and the same sweep kept 21 of them
+    kernel = _sparse_kernel(3000, 5, seed=3000)
+    cache = kernel._derived
+    for j in range(64):
+        first_passage_law(kernel, 0, j, 5)
+    (indptr, indices, data, _), cost = cache._entries[("taboo", (63, None, None))]
+    assert data is kernel.csr.data
+    assert cost == indptr.nbytes + indices.nbytes + chain._ENTRY_BYTES
+    assert cache.nbytes == sum(e[1] for e in cache._entries.values()) <= cache.max_bytes
+    held = [j for j in range(64) if ("taboo", (j, None, None)) in cache._entries]
+    assert len(held) >= 2 * 21 and held == list(range(64 - len(held), 64))
+
+
 def test_sparse3000_bit_identity_laws_solve_each_split_once(monkeypatch):
     # the laws of the sparse3000 engine case and their tail certificates,
     # at every horizon, cycle through 5 operators, their bounds and
