@@ -21,9 +21,10 @@ i, counting from step 1; i = j gives the first return).  Representations:
   survivals summed once per block.  The vector is rescaled by exact powers
   of two before its mass can underflow (the rows of a block past the
   rescale point are recomputed from the rescaled row), so a tail is zero
-  only when no mass is left.  Blocks hold up to 128 rows, except that one
-  takes the rest of the horizon when a bound on how fast the operator can
-  lose mass proves that no rescale falls before the horizon.  The log of an
+  only when no mass is left.  Blocks hold up to 128 rows, until a bound on
+  how fast the operator can lose mass, less its rounding, proves that no
+  rescale falls before the horizon: from there, blocks fill the buffer
+  and only the row at the horizon is summed.  The log of an
   entry that unscales below the smallest subnormal is read from its
   rescaled value, so a moment sums it at its own step;
 * sparse: integer atoms with log-weights (:class:`AtomicDist`), for laws with
@@ -57,7 +58,7 @@ the kernel's CSR arrays and at least 1 MiB; an entry costs the bytes of its
 arrays plus 256.  So a sweep over all pairs of a small chain solves each
 pair once (the operators, bounds and certificates of an 8-state sweep cost
 13 KB), while a large chain keeps a few operators, not one per target (an
-operator of a 50 000-state chain with 4 nonzeros a row takes 2.6 MB, of a
+operator of a 50 000-state chain with 4 nonzeros a row takes 1.0 MB, of a
 57.6 MB budget), nor n^2 split vectors (64 MB at n = 200, of a 10 MB
 budget).  A kernel, its derived arrays and every cached array are
 read-only, so no cached value can go stale.  The lifted operators of
@@ -460,7 +461,10 @@ def _log_hold(indptr: np.ndarray, indices: np.ndarray, data: np.ndarray, width: 
     the alive slots of a taboo operator, that mass in a slot is still alive
     ``_HOLD_STEPS`` steps later.  Whatever the taboo vector, its alive mass
     then falls by at most the first factor, and keeps at most the second
-    (before rounding), over any ``_HOLD_STEPS`` steps.
+    (before rounding), over any ``_HOLD_STEPS`` steps.  The first is cut
+    by a factor 1 + gamma(longest column) per product behind it and 1 -
+    gamma(most sums into a slot) per step, so that it bounds rounded steps
+    too (one unit more in each covers the flag's fix-up).
 
     The probabilities v(c) come from ``_HOLD_STEPS`` products of the
     operator's columns with v, the sink's v being 0.  With ``flag``, mass
@@ -479,7 +483,10 @@ def _log_hold(indptr: np.ndarray, indices: np.ndarray, data: np.ndarray, width: 
         v, out = out, v
     alive = v[:width] if flag is None else np.delete(v[:width], 2 * flag)
     least = float(alive.min())
-    return math.log(least) if least > 0.0 else -math.inf, float(alive.max())
+    k = int(np.diff(indptr).max(initial=0))
+    most_into = int(np.bincount(indices, minlength=w)[:width].max(initial=0))
+    slack = _HOLD_STEPS * (math.log1p(_gamma(k + 1)) - math.log1p(-_gamma(most_into + 1)))
+    return math.log(least) - slack if least > 0.0 else -math.inf, float(alive.max())
 
 
 def _gamma(k: int) -> float:
@@ -679,22 +686,24 @@ def _propagate(kernel: TransitionKernel, start: int, horizon: int, *, absorb: in
     exact power of two before the next step, so q never underflows: the
     rows after the first such step are dropped, and the next block starts
     from that row, rescaled.  A rescale point thus depends on the row sums
-    alone, whatever the blocks.  A block takes the rest of the horizon, up
-    to ``span`` rows, when the alive mass is sure to stay above 2^-600
-    through the horizon: it falls by at most e^log_hold over any
-    ``_HOLD_STEPS`` steps (:func:`_log_hold`).  The bound costs more than a
-    block, so it is computed, once per operator, only for a horizon past 2
-    + ``rows``.  Such a block is never rolled back, unless the rounding of
-    the row sums puts one below 2^-600 where the bound is within rounding
-    of it.  Any other block holds 2 rows if it is the first, or the first
-    after a rescale, and otherwise max(reach, 4 * since) rows, at most
-    ``rows``, since being the steps kept since the last rescale
-    (:func:`_block_sizes`).  Its rollback drops at
-    most reach - 1 steps (``_BLOCK_DOUBLES`` multiply-adds) or four steps
-    for each step kept, whichever is more.  Once the alive mass is exactly
-    zero every later step is zero, and stepping stops.  Returns (pmf, surv,
-    scale, q): the mass recorded in and alive after step t, both times
-    2^scale[t], and the final q, times 2^scale[-1].
+    alone, whatever the blocks.  Once the alive mass is proven to stay above
+    2^-600 through the horizon, the blocks hold up to ``span`` rows, are
+    never rolled back, and sum no row but the one at the horizon.  The
+    proof: the alive mass falls by at most e^log_hold over any
+    ``_HOLD_STEPS`` steps (:func:`_log_hold`, less its own rounding and
+    that of the steps), and the carried mass and every later row sum, the
+    same whatever the blocks, round by a factor 1 +- gamma(width), taken
+    off too; so no rescale falls there.  The bound costs ``_HOLD_STEPS``
+    products, so it is computed, once per operator, only for a horizon past
+    2 + ``rows`` and 2 ``_HOLD_STEPS``.  Any other block holds 2 rows if it
+    is the first, or the first after a rescale, and otherwise max(reach, 4
+    * since) rows, at most ``rows``, since being the steps kept since the
+    last rescale (:func:`_block_sizes`).  Its rollback drops at most reach
+    - 1 steps (``_BLOCK_DOUBLES`` multiply-adds) or four steps for each step
+    kept, whichever is more.  Once the alive mass is exactly zero every
+    later step is zero, and stepping stops.  Returns (pmf, alive, scale,
+    q): the mass recorded in step t, times 2^scale[t], and the alive mass
+    and q after the last step, both times 2^scale[-1].
     """
     global _csc_matvec
     if _csc_matvec is None:
@@ -703,9 +712,12 @@ def _propagate(kernel: TransitionKernel, start: int, horizon: int, *, absorb: in
     indptr, indices, data, width = op = _operator(kernel, key)
     w = width + 1
     span, rows, reach, lift = _block_sizes(w, data.size)
-    log_hold = -math.inf  # with no bound, no block is sized from it
-    if span > rows and horizon > 2 + rows:
+    log_hold = -math.inf  # with no bound, no block is proven
+    if horizon > max(2 + rows, 2 * _HOLD_STEPS):
         log_hold = kernel._derived.get(("hold", key), lambda: _log_hold(*op, flag))[0]
+    # a row sum rounds by a factor 1 +- gamma(width), the test below by a few
+    # ulps of 2^9, and products that underflow by far less than 2^-40
+    floor = _LOG_RESCALE_BELOW - 2.0 * math.log1p(-_gamma(width)) + 2.0 ** -40
     fslot = None if flag is None else 2 * flag
     if rows > 1:
         # the lift holds op, so that no other operator can take its id
@@ -716,20 +728,18 @@ def _propagate(kernel: TransitionKernel, start: int, horizon: int, *, absorb: in
     flats = tuple(b.reshape(-1) for b in bufs)
     x = np.zeros(w)
     x[start if flag is None else 2 * start] = 1.0
-    pmf, surv = np.zeros(horizon), np.zeros(horizon)
+    pmf = np.zeros(horizon)
     scale = np.zeros(horizon, dtype=np.int64)
     matvec = _csc_matvec
     t = since = k = 0
     alive = 1.0  # the alive mass of x, as scaled
+    proven = False
     while t < horizon:
         # alive mass falls by at most e^log_hold over any _HOLD_STEPS steps:
-        # when that keeps it above 2^-600 through the horizon, no rescale
-        # can cut a block, and one block takes the rest
-        if math.log(alive) - (t - horizon) // _HOLD_STEPS * log_hold > _LOG_RESCALE_BELOW:
-            m = span
-        else:
-            m = min(rows, max(reach, 4 * since) if since else 2)
-        m = min(m, horizon - t)
+        # once that keeps it above 2^-600 through the horizon, no rescale
+        # can fall before it, and blocks of span rows take the rest
+        proven = proven or math.log(alive) - (t - horizon) // _HOLD_STEPS * log_hold > floor
+        m = min(span if proven else min(rows, max(reach, 4 * since) if since else 2), horizon - t)
         buf, flat = bufs[k], flats[k]
         k ^= 1
         buf[:m] = 0.0
@@ -740,11 +750,15 @@ def _propagate(kernel: TransitionKernel, start: int, horizon: int, *, absorb: in
         if flag is not None:
             buf[m - 1, fslot + 1] += buf[m - 1, fslot]
             buf[:m, fslot] = 0.0
+        if proven:  # only the row at the horizon is summed
+            pmf[t:t + m] = buf[:m, width]
+            t, x = t + m, buf[m - 1]
+            alive = _row_sums(buf[m - 1:m, :width])[0] if t == horizon else alive
+            continue
         s = _row_sums(buf[:m, :width])
         low = (s < _RESCALE_BELOW).nonzero()[0]
         kept = int(low[0]) + 1 if low.size else m
         pmf[t:t + kept] = buf[:kept, width]
-        surv[t:t + kept] = s[:kept]
         t += kept
         since += kept
         x, alive = buf[kept - 1], s[kept - 1]
@@ -757,7 +771,7 @@ def _propagate(kernel: TransitionKernel, start: int, horizon: int, *, absorb: in
             scale[t:] += e
             since = 0
     q = x[:width]
-    return pmf, surv, scale, (q if flag is None else q.reshape(-1, 2))
+    return pmf, alive, scale, (q if flag is None else q.reshape(-1, 2))
 
 
 def _log_scaled(x: float, scale: int) -> float:
@@ -797,8 +811,8 @@ def first_passage_law(kernel: TransitionKernel, source: StateRef, target: StateR
     if horizon < 1:
         raise InvalidInput("horizon must be >= 1")
     i, j = kernel.index_of(source), kernel.index_of(target)
-    pmf, surv, scale, q = _propagate(kernel, i, horizon, absorb=j)
-    return _unscaled_law(pmf, scale, _log_scaled(surv[-1], scale[-1]),
+    pmf, alive, scale, q = _propagate(kernel, i, horizon, absorb=j)
+    return _unscaled_law(pmf, scale, _log_scaled(alive, scale[-1]),
                          _tail_cert(kernel, (j, None, None), horizon, q, scale[-1]))
 
 

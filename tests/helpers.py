@@ -185,6 +185,40 @@ def reference_laws(kernel: TransitionKernel, i: int, j: int,
     return out
 
 
+def reference_survival(kernel: TransitionKernel, start: int, horizon: int, *, absorb: int,
+                       kill: int | None = None,
+                       flag: int | None = None) -> tuple[np.ndarray, np.ndarray]:
+    """(surv, scale): the alive mass of the taboo vector from ``start``
+    after each step t, times 2^scale[t], by the plain ``q @ csr`` loops of
+    :func:`reference_laws`.  Mass entering ``absorb`` or ``kill`` leaves;
+    with ``flag``, the vector holds the pairs (k, visited), mass entering
+    (flag, 0) moves on to (flag, 1) and mass entering (absorb, 0) leaves
+    too.  The mass is summed over the slots in the order (k, visited), as
+    the library lays them out.  Unlike :func:`reference_laws`, the loop
+    never underflows: when the alive mass after a step lies in (0, 2^-600)
+    and a step is left, the vector is scaled by the power of two that lifts
+    that mass to [1/2, 1)."""
+    mat, n = kernel.csr, kernel.n_states
+    q = np.zeros((n, 1 if flag is None else 2))  # the columns (k, 0) and (k, 1)
+    q[start, 0] = 1.0
+    surv, scale = np.zeros(horizon), np.zeros(horizon, dtype=np.int64)
+    for t in range(horizon):
+        r = np.column_stack([col @ mat for col in q.T])
+        if flag is not None:
+            r[flag, 1] += r[flag, 0]
+            r[flag, 0] = 0.0
+        r[absorb] = 0.0
+        if kill is not None:
+            r[kill] = 0.0
+        q = r
+        surv[t] = q.sum()
+        if 0.0 < surv[t] < 2.0 ** -600 and t + 1 < horizon:
+            e = -math.frexp(surv[t])[1]
+            q = np.ldexp(q, e)
+            scale[t + 1:] += e
+    return surv, scale
+
+
 def reference_compound(u, v, pi: float, horizon: int) -> tuple[np.ndarray, float]:
     """The dense geometric compound by its renewal recursion, one step at a
     time with two dot products, as the library computed it before its

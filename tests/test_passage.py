@@ -27,7 +27,7 @@ from recur_moments import chain, passage
 from helpers import (absorbed_mass_iterative, brute_convolve_dicts,
                      enumerate_passage_pmf, pmf_dict_to_array,
                      reaches_oracle, reference_compound, reference_laws,
-                     two_state_return_pmf_11)
+                     reference_survival, two_state_return_pmf_11)
 from helpers import sparse_ring_kernel as _sparse_kernel
 
 ORACLE_H = 8
@@ -145,14 +145,15 @@ def test_rescale_schedule(kernel, absorb, h, mode):
     # mass in (0, 2^-600), by the power of two that lifts that mass to
     # [1/2, 1); the final vector keeps the scale of the last step (on
     # two-state 0.9, step 181 is the first to fall below 2^-600)
-    pmf, surv, scale, q = passage._propagate(kernel, 0, h, absorb=absorb, **mode)
+    pmf, alive, scale, q = passage._propagate(kernel, 0, h, absorb=absorb, **mode)
+    surv = reference_survival(kernel, 0, h, absorb=absorb, **mode)[0]
     entering = np.concatenate(([1.0], surv[:-1]))
     low = (entering > 0.0) & (entering < 2.0 ** -600)
     jumps = np.diff(scale, prepend=0)
     assert low.any() or surv[-1] < 2.0 ** -600  # the case reaches a rescale point
     assert np.array_equal(jumps != 0, low)
     assert all(jumps[t] == -math.frexp(entering[t])[1] for t in np.flatnonzero(low))
-    assert q.sum() == surv[-1]
+    assert q.sum() == surv[-1] == alive
 
 
 _LAWS = {"passage": first_passage_law, "return_avoiding": conditioned_return_law,
@@ -186,12 +187,20 @@ def _engine_cases():
     for n in (16, 64, 200):
         yield pytest.param(n, [(0, 0), (n - 1, 0)], id=f"random{n}")
     yield pytest.param("sparse3000", _SPARSE3000_PAIRS, id="sparse3000")
+    # blocks of one row, as an operator of more than 32 768 slots steps: the
+    # rescaled laws of two-state 0.9, and kill and flag laws that rescale
+    yield pytest.param("span1-two-state", [(0, 1), (1, 1)], id="span1-two-state")
+    yield pytest.param("span1-random3", [(0, 1), (1, 0), (2, 2)], id="span1-random3")
 
 
 @pytest.mark.parametrize("which,pairs", _engine_cases())
-def test_engine_bit_identical_to_reference_loop(which, pairs, request):
+def test_engine_bit_identical_to_reference_loop(which, pairs, request, monkeypatch):
     if which == "sparse3000":
         kernel = _sparse_kernel(3000, 5, seed=3000)
+    elif which in ("span1-two-state", "span1-random3"):
+        monkeypatch.setattr(passage, "_BLOCK_DOUBLES", 4)
+        kernel = build_two_state(0.9) if which == "span1-two-state" else _RANDOM3
+        assert passage._block_sizes(kernel.n_states + 1, kernel.data.size)[:2] == (1, 1)
     elif isinstance(which, str):
         kernel = request.getfixturevalue(which)
     else:
@@ -328,10 +337,12 @@ def test_cache_hammered_by_threads_stays_consistent(which):
     assert all(keys[int(value[0][0])] == key for key, (value, _) in cache._entries.items())
 
 
-def test_kernel_cache_keeps_a_sparse_target_sweep_within_its_budget():
+def test_kernel_cache_keeps_a_sparse_target_sweep_within_its_budget(monkeypatch):
     # 64 taboo operators of a 3000-state chain with 5 nonzeros a row take
     # 17 MB; the kernel's cache, 16 times its 0.26 MB of CSR arrays, keeps
-    # the most recent of them within that budget
+    # the most recent of them within that budget.  The 5-step laws are too
+    # short to pay for the hold bound's 16 products, and build none
+    monkeypatch.setattr(passage, "_log_hold", lambda *op: pytest.fail("hold bound built"))
     kernel = _sparse_kernel(3000, 5, seed=3000)
     cache = kernel._derived
     csr_bytes = kernel.indptr.nbytes + kernel.indices.nbytes + kernel.data.nbytes
@@ -341,6 +352,7 @@ def test_kernel_cache_keeps_a_sparse_target_sweep_within_its_budget():
         assert cache.nbytes == sum(e[1] for e in cache._entries.values()) <= cache.max_bytes
     held = [j for j in range(64) if ("taboo", (j, None, None)) in cache._entries]
     assert 0 < len(held) < 64 and held == list(range(64 - len(held), 64))
+    assert not any(key[0] == "hold" for key in cache._entries)
 
 
 def test_kernel_cache_charges_an_operator_only_for_the_arrays_it_made():
@@ -419,8 +431,9 @@ def test_block_schedule_bounds_rolled_back_steps(monkeypatch, kernel, absorb, h)
     span, rows, reach, lift = passage._block_sizes(op[3] + 1, op[2].size)
     assert rows == reach
     steps = _count_steps(monkeypatch)
-    _, surv, scale, _ = passage._propagate(kernel, 0, h, absorb=absorb)
-    assert surv[-1] > 0.0  # no early stop: every step up to h is kept
+    _, _, scale, _ = passage._propagate(kernel, 0, h, absorb=absorb)
+    # no early stop: every step up to h is kept
+    assert reference_survival(kernel, 0, h, absorb=absorb)[0][-1] > 0.0
     rescales = np.count_nonzero(np.diff(scale, prepend=0))
     if rescales:
         assert rescales >= 5 and h < sum(steps) <= h + rescales * (reach - 1)
@@ -438,9 +451,52 @@ def test_law_sure_to_stay_above_the_rescale_point_steps_in_one_block(monkeypatch
     assert passage._block_sizes(op[3] + 1, op[2].size)[3] == 127
     assert passage._log_hold(*op, None)[0] * -(-600 // passage._HOLD_STEPS) > -600 * math.log(2.0)
     steps = _count_steps(monkeypatch)
-    _, surv, scale, _ = passage._propagate(kernel, 0, 600, absorb=1)
+    _, _, scale, _ = passage._propagate(kernel, 0, 600, absorb=1)
+    surv = reference_laws(kernel, 0, 1, 600)["passage_surv"][0]
     assert not scale.any() and surv[-1] >= 2.0 ** -600
     assert steps == [1] + [127] * 4 + [91]
+
+
+def _summed_rows(monkeypatch):
+    """Rows passed to passage's _row_sums from now on, one entry a call."""
+    row_sums, summed = passage._row_sums, []
+    monkeypatch.setattr(passage, "_row_sums",
+                        lambda rows: summed.append(rows.shape[0]) or row_sums(rows))
+    return summed
+
+
+@pytest.mark.parametrize("block_doubles", [2 ** 16, 4], ids=["one-block", "span1"])
+def test_proven_law_sums_only_the_row_at_its_horizon(monkeypatch, block_doubles):
+    # the law above is proven from its first step, in one block or in 600
+    # blocks of one row; only its last row is summed, for its tail
+    monkeypatch.setattr(passage, "_BLOCK_DOUBLES", block_doubles)
+    kernel = random_kernel(8, np.random.default_rng(8))
+    summed = _summed_rows(monkeypatch)
+    law = first_passage_law(kernel, 0, 1, 600)
+    assert summed == [1]
+    ref = reference_laws(kernel, 0, 1, 600)
+    assert np.array_equal(law.pmf_array(), ref["passage"][0])
+    assert law.log_tail == math.log(ref["passage_surv"][0][-1])
+
+
+@pytest.mark.parametrize("short,proven", [(2.0 ** -50, False), (2.0 ** -35, True)],
+                         ids=["inside", "outside"])
+def test_hold_bound_within_the_rounding_margin_proves_nothing(monkeypatch, short, proven):
+    # a hold bound whose 38 windows of 16 steps clear 2^-600 by less than the
+    # rounding margin (log 2^-600 times 2^-50 is 3.7e-13) leaves the law
+    # checked: its first blocks sum every row, until the mass it has lost
+    # lets the bound prove the rest, and it is the same law.  Clearing 2^-600
+    # by 2^-35 of its log, the bound proves the law from its first step
+    log_hold = passage._LOG_RESCALE_BELOW / 38 * (1.0 - short)
+    assert 38 * log_hold > passage._LOG_RESCALE_BELOW
+    monkeypatch.setattr(passage, "_log_hold", lambda *op: (log_hold, 1.0))
+    kernel = random_kernel(8, np.random.default_rng(8))
+    summed = _summed_rows(monkeypatch)
+    law = first_passage_law(kernel, 0, 1, 600)
+    assert summed == ([1] if proven else [2, 128, 1])
+    ref = reference_laws(kernel, 0, 1, 600)
+    assert np.array_equal(law.pmf_array(), ref["passage"][0])
+    assert law.log_tail == math.log(ref["passage_surv"][0][-1])
 
 
 def _hold_bound_holds(kernel, absorb, kill, flag, h):
@@ -451,10 +507,9 @@ def _hold_bound_holds(kernel, absorb, kill, flag, h):
     for start in range(kernel.n_states):
         if start == kill:
             continue
-        _, surv, scale, _ = passage._propagate(kernel, start, h, absorb=absorb, kill=kill,
-                                               flag=flag)
+        surv, scale = reference_survival(kernel, start, h, absorb=absorb, kill=kill, flag=flag)
         alive = np.concatenate(([1.0], surv))
-        if not alive.all():  # stepping stopped at an exactly zero vector
+        if not alive.all():  # the vector is exactly zero from here on
             alive = alive[:alive.argmin()]
             scale = scale[:alive.size - 1]
         log_alive = np.log(alive) - np.concatenate(([0], scale)) * math.log(2.0)
