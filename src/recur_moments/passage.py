@@ -460,11 +460,12 @@ def _log_hold(indptr: np.ndarray, indices: np.ndarray, data: np.ndarray, width: 
     """The log of the least (-inf for 0) and the greatest probability, over
     the alive slots of a taboo operator, that mass in a slot is still alive
     ``_HOLD_STEPS`` steps later.  Whatever the taboo vector, its alive mass
-    then falls by at most the first factor, and keeps at most the second
-    (before rounding), over any ``_HOLD_STEPS`` steps.  The first is cut
-    by a factor 1 + gamma(longest column) per product behind it and 1 -
-    gamma(most sums into a slot) per step, so that it bounds rounded steps
-    too (one unit more in each covers the flag's fix-up).
+    then falls by at most the first factor, and keeps at most the second,
+    over any ``_HOLD_STEPS`` steps, rounding included: the first is cut by
+    1 + gamma(longest column) a product and 1 - gamma(most sums into a
+    slot) a step (a unit more in each for the flag's fix-up), the second
+    divided by 1 - gamma(longest column + 1) a product and raised by the
+    smallest normal, for underflow.
 
     The probabilities v(c) come from ``_HOLD_STEPS`` products of the
     operator's columns with v, the sink's v being 0.  With ``flag``, mass
@@ -486,7 +487,8 @@ def _log_hold(indptr: np.ndarray, indices: np.ndarray, data: np.ndarray, width: 
     k = int(np.diff(indptr).max(initial=0))
     most_into = int(np.bincount(indices, minlength=w)[:width].max(initial=0))
     slack = _HOLD_STEPS * (math.log1p(_gamma(k + 1)) - math.log1p(-_gamma(most_into + 1)))
-    return math.log(least) - slack if least > 0.0 else -math.inf, float(alive.max())
+    most = float(alive.max()) / (1.0 - _gamma(k + 1)) ** _HOLD_STEPS + _SMALLEST_NORMAL
+    return math.log(least) - slack if least > 0.0 else -math.inf, most
 
 
 def _gamma(k: int) -> float:
@@ -564,7 +566,6 @@ def _tail_vector(kernel: TransitionKernel, key: tuple) -> tuple:
             if rho < 1.0:
                 return rho, v, log_lead, log_step
     most = kernel._derived.get(("hold", key), lambda: _log_hold(*op, flag))[1]
-    most = most / (1.0 - _gamma(k + 1)) ** _HOLD_STEPS + _SMALLEST_NORMAL
     rho = most ** (1.0 / _HOLD_STEPS) * (1.0 + _gamma(2))
     if not rho < 1.0:
         return None, None, 0.0, 0.0
@@ -690,20 +691,21 @@ def _propagate(kernel: TransitionKernel, start: int, horizon: int, *, absorb: in
     2^-600 through the horizon, the blocks hold up to ``span`` rows, are
     never rolled back, and sum no row but the one at the horizon.  The
     proof: the alive mass falls by at most e^log_hold over any
-    ``_HOLD_STEPS`` steps (:func:`_log_hold`, less its own rounding and
-    that of the steps), and the carried mass and every later row sum, the
-    same whatever the blocks, round by a factor 1 +- gamma(width), taken
-    off too; so no rescale falls there.  The bound costs ``_HOLD_STEPS``
-    products, so it is computed, once per operator, only for a horizon past
-    2 + ``rows`` and 2 ``_HOLD_STEPS``.  Any other block holds 2 rows if it
-    is the first, or the first after a rescale, and otherwise max(reach, 4
-    * since) rows, at most ``rows``, since being the steps kept since the
-    last rescale (:func:`_block_sizes`).  Its rollback drops at most reach
-    - 1 steps (``_BLOCK_DOUBLES`` multiply-adds) or four steps for each step
-    kept, whichever is more.  Once the alive mass is exactly zero every
-    later step is zero, and stepping stops.  Returns (pmf, alive, scale,
-    q): the mass recorded in step t, times 2^scale[t], and the alive mass
-    and q after the last step, both times 2^scale[-1].
+    ``_HOLD_STEPS`` steps (:func:`_log_hold`, rounding included), and the
+    carried mass and every later row sum, the same whatever the blocks,
+    round by 1 +- gamma(width), also taken off.  The bound costs
+    ``_HOLD_STEPS`` products, computed once per operator for a horizon past
+    2 + ``rows`` where a proven block outgrows ``rows``, else past 256,
+    where it saves only row sums (it paid back within 128 to 256 steps on
+    cold operators of 3 000 to 50 000 slots).  Any other block holds 2 rows
+    if it is the first, or the first after a rescale, and otherwise
+    max(reach, 4 * since) rows, at most ``rows``, since being the steps kept
+    since the last rescale (:func:`_block_sizes`).  Its rollback drops at
+    most reach - 1 steps (``_BLOCK_DOUBLES`` multiply-adds) or four steps
+    for each step kept, whichever is more.  Once the alive mass is exactly
+    zero every later step is zero, and stepping stops.  Returns (pmf,
+    alive, scale, q): the mass recorded in step t, times 2^scale[t], and
+    the alive mass and q after the last step, both times 2^scale[-1].
     """
     global _csc_matvec
     if _csc_matvec is None:
@@ -713,7 +715,7 @@ def _propagate(kernel: TransitionKernel, start: int, horizon: int, *, absorb: in
     w = width + 1
     span, rows, reach, lift = _block_sizes(w, data.size)
     log_hold = -math.inf  # with no bound, no block is proven
-    if horizon > max(2 + rows, 2 * _HOLD_STEPS):
+    if horizon > (2 + rows if span > rows else 16 * _HOLD_STEPS):
         log_hold = kernel._derived.get(("hold", key), lambda: _log_hold(*op, flag))[0]
     # a row sum rounds by a factor 1 +- gamma(width), the test below by a few
     # ulps of 2^9, and products that underflow by far less than 2^-40
@@ -732,8 +734,7 @@ def _propagate(kernel: TransitionKernel, start: int, horizon: int, *, absorb: in
     scale = np.zeros(horizon, dtype=np.int64)
     matvec = _csc_matvec
     t = since = k = 0
-    alive = 1.0  # the alive mass of x, as scaled
-    proven = False
+    alive, proven = 1.0, False  # the alive mass of x, as scaled; nothing proven yet
     while t < horizon:
         # alive mass falls by at most e^log_hold over any _HOLD_STEPS steps:
         # once that keeps it above 2^-600 through the horizon, no rescale

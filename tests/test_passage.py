@@ -352,7 +352,20 @@ def test_kernel_cache_keeps_a_sparse_target_sweep_within_its_budget(monkeypatch)
         assert cache.nbytes == sum(e[1] for e in cache._entries.values()) <= cache.max_bytes
     held = [j for j in range(64) if ("taboo", (j, None, None)) in cache._entries]
     assert 0 < len(held) < 64 and held == list(range(64 - len(held), 64))
-    assert not any(key[0] == "hold" for key in cache._entries)
+
+
+@pytest.mark.parametrize("h,built", [(256, 0), (257, 1)])
+def test_wide_operator_builds_its_hold_bound_only_past_256_steps(monkeypatch, h, built):
+    # on an operator whose blocks cannot outgrow rows, the bound saves only
+    # row sums; on cold operators of 3 000 to 50 000 slots its 16 products
+    # paid back within 128 to 256 steps, and shorter laws go without it
+    hold, calls = passage._log_hold, []
+    monkeypatch.setattr(passage, "_log_hold", lambda *op: calls.append(op) or hold(*op))
+    kernel = _sparse_kernel(3000, 5, seed=3000)
+    span, rows = passage._block_sizes(kernel.n_states + 1, kernel.data.size)[:2]
+    assert span == rows < 128
+    first_passage_law(kernel, 0, 7, h)
+    assert len(calls) == built
 
 
 def test_kernel_cache_charges_an_operator_only_for_the_arrays_it_made():
