@@ -21,10 +21,9 @@ from .passage import (PassageLaw, TailCert, DominationReport,
 from .momentfn import (MomentFunction, FunctionKind, BurstSchedule,
                        default_burst_schedule, burst_schedule_from_csv,
                        power_fn, log_power_fn, exp_fn, burst_fn, custom_fn,
-                       parse_function_spec, SubmultReport, submult_scan,
-                       Classification, classify, VERDICT_SATISFIES,
-                       VERDICT_VIOLATES_SUBMULT, VERDICT_VIOLATES_GROWTH,
-                       VERDICT_INCONCLUSIVE)
+                       parse_function_spec, Classification, classify,
+                       VERDICT_SATISFIES, VERDICT_VIOLATES_SUBMULT,
+                       VERDICT_VIOLATES_GROWTH, VERDICT_INCONCLUSIVE)
 from .moments import (MomentEstimate, f_moment, SeriesVerdict,
                       lower_bound_series, MCMomentEstimate, mc_f_moment,
                       VERDICT_CONVERGED, VERDICT_DIVERGED,
@@ -50,8 +49,7 @@ __all__ = [
     "MomentFunction", "FunctionKind", "BurstSchedule",
     "default_burst_schedule", "burst_schedule_from_csv", "power_fn",
     "log_power_fn", "exp_fn", "burst_fn", "custom_fn", "parse_function_spec",
-    "SubmultReport", "submult_scan", "Classification", "classify",
-    "VERDICT_SATISFIES",
+    "Classification", "classify", "VERDICT_SATISFIES",
     "VERDICT_VIOLATES_SUBMULT", "VERDICT_VIOLATES_GROWTH",
     "VERDICT_INCONCLUSIVE",
     "MomentEstimate", "f_moment", "SeriesVerdict",

@@ -26,6 +26,7 @@ import threading
 from array import array
 from collections import OrderedDict
 from collections.abc import Sequence
+from contextlib import contextmanager
 from dataclasses import dataclass
 from functools import cached_property
 from typing import TYPE_CHECKING, Union
@@ -273,15 +274,26 @@ def save_kernel_json(kernel: TransitionKernel, path) -> None:
         fh.write("\n")
 
 
-def _read_json(path, what: str, parse=json.loads):
-    """``parse`` of the text of the file at ``path``, by default its JSON
-    value; a file that is not JSON is an :class:`InvalidInput` naming it as
-    ``what``."""
-    with open(path) as fh:
-        try:
-            return parse(fh.read())
-        except ValueError as exc:
-            raise InvalidInput(f"{what} {str(path)!r} is not valid JSON: {exc}") from None
+@contextmanager
+def _opened(path_or_file, mode: str = "r", bad: str | None = None):
+    """Yield an open text handle: a path is opened (and closed on exit) with
+    ``newline=""`` so the csv module controls line endings; an open handle
+    is passed through and left open.  With ``bad``, a ValueError or
+    IndexError raised in the block, a failed decoding included, becomes an
+    :class:`InvalidInput` reading ``bad``, a colon and the error."""
+    named = isinstance(path_or_file, (str, bytes)) or hasattr(path_or_file, "__fspath__")
+    fh = open(path_or_file, mode, newline="") if named else path_or_file
+    try:
+        yield fh
+    except InvalidInput:
+        raise
+    except (ValueError, IndexError) as exc:
+        if bad is None:
+            raise
+        raise InvalidInput(f"{bad}: {exc}") from None
+    finally:
+        if named:
+            fh.close()
 
 
 _decoder = json.JSONDecoder()
@@ -362,8 +374,9 @@ def load_kernel_json(path) -> TransitionKernel:
     come in any order.  Its rows are read one at a time, with only one row's
     Python objects alive at once, and the file's text is freed before
     validation starts."""
-    return _validated(TransitionKernel._from_json_parts(*_read_json(path, "chain file",
-                                                                     _scan_chain)))
+    with _opened(path, bad=f"chain file {str(path)!r} is not valid JSON") as fh:
+        kernel = TransitionKernel._from_json_parts(*_scan_chain(fh.read()))
+    return _validated(kernel)
 
 
 # ---------------------------------------------------------------------------

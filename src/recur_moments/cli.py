@@ -25,7 +25,7 @@ import sys
 
 from ._atomic import AtomicDist
 from .chain import (ChainLike, PetalChain, TransitionKernel, TwoStateChain,
-                    _read_json, load_kernel_json)
+                    _opened, load_kernel_json)
 from .errors import (ConvergenceFailure, IncomparableLaws, InvalidInput,
                      NoSuchPath, PreconditionFailed)
 from .momentfn import classify, parse_function_spec
@@ -66,7 +66,8 @@ def _add_output_args(sub: argparse.ArgumentParser) -> None:
 
 
 def _load_petal(path: str) -> PetalChain:
-    obj = _read_json(path, "petal file")
+    with _opened(path, bad=f"petal file {str(path)!r} is not valid JSON") as fh:
+        obj = json.loads(fh.read())
     try:
         p = float(obj["p"])
         u1 = AtomicDist.from_pairs({int(k): float(v) for k, v in obj["u1"].items()})
@@ -105,8 +106,10 @@ def _kernel_of(chain: ChainLike) -> TransitionKernel:
     return chain if isinstance(chain, TransitionKernel) else chain.kernel()
 
 
-def _resolve_state(kernel: TransitionKernel, raw: str):
-    if raw in kernel.states:
+def _resolve_state(chain: ChainLike, raw: str):
+    """A state name of a kernel as given, else an index; a parametric
+    chain resolves its own names '0' and '1'."""
+    if not isinstance(chain, TransitionKernel) or raw in chain.states:
         return raw
     if raw.lstrip("-").isdigit():
         return int(raw)
@@ -163,16 +166,16 @@ def _cmd_moment(args) -> int:
     chain = _load_chain(args)
     f = parse_function_spec(args.function)
     if args.method == "exact":
-        kernel = _kernel_of(chain)
-        src = _resolve_state(kernel, args.source)
-        tgt = _resolve_state(kernel, args.target)
-        law = first_passage_law(kernel, src, tgt, args.horizon)
+        chain = _kernel_of(chain)
+    src, tgt = _resolve_state(chain, args.source), _resolve_state(chain, args.target)
+    if args.method == "exact":
+        law = first_passage_law(chain, src, tgt, args.horizon)
         est = f_moment(law, f, log_threshold=args.threshold_log)
         _emit(_json_text(est.to_json_dict()), args, "moment.json")
         return 0
     # Monte Carlo: parametric chains sample through their closed forms.
     from .chain import passage_sampler
-    sampler = passage_sampler(chain, args.source, args.target)
+    sampler = passage_sampler(chain, src, tgt)
     est = mc_f_moment(sampler, f, n_samples=args.samples, cap=args.cap, seed=args.seed)
     payload = {
         "log_mean": est.log_mean,

@@ -14,10 +14,9 @@ Two demonstrations, both ending in certified verdicts rather than plots:
   while at the other state the moment series crosses the threshold whenever
   e^delta (1 - p) > 1.
 
-Witness search backs the first demo: pairs (x_k, y_k) where f beats
-submultiplicativity by a prescribed margin.  Burst functions admit exact
-witnesses at flat-region midpoints; for anything else a geometric ladder is
-scanned under an evaluation budget, and running out raises
+Witness search backs the first demo: pairs (x_k, y_k) where a burst
+function beats submultiplicativity by the margin 6 ln k.  The witnesses are
+exact, at flat-region midpoints; a schedule that ends first raises
 :class:`WitnessSearchExhausted` with the partial findings attached.
 """
 
@@ -31,20 +30,17 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._atomic import AtomicDist
-from .chain import build_two_state
+from .chain import _opened, build_two_state
 from .errors import InvalidInput, PreconditionFailed, WitnessSearchExhausted
 from .logspace import LOG_ZERO, exp_text, logsumexp
-from .momentfn import FunctionKind, MomentFunction, burst_fn, default_burst_schedule, exp_fn
+from .momentfn import MomentFunction, burst_fn, default_burst_schedule, exp_fn
 from .moments import SeriesVerdict, _check_threshold, f_moment, lower_bound_series
-from .passage import _opened, first_passage_law
+from .passage import first_passage_law
 
 __all__ = [
     "Witness", "witness_search", "HeavyTailPair", "heavy_tail_pair",
     "DemoReport", "demo_sharp", "demo_exponential", "write_series_trace",
 ]
-
-#: Largest witness coordinate considered; keeps x + y inside int64 atoms.
-_X_CAP = 1 << 61
 
 
 @dataclass(frozen=True)
@@ -63,17 +59,24 @@ class Witness:
                 "log_gain": self.log_gain, "required": self.required}
 
 
-def _default_required(k: int) -> float:
-    # 6 ln k: enough margin that 1/k^2-weighted atoms leave k^2-growing terms.
-    return 6.0 * math.log(k)
+def witness_search(f: MomentFunction, *, count: int) -> tuple[Witness, ...]:
+    """Find ``count`` witnesses of a burst function f with strictly
+    increasing x, indexed k = 2, 3, ...; witness k must beat 6 ln k, the
+    margin that :func:`heavy_tail_pair`'s 1/k^2 weights need.
 
-
-def _burst_witnesses(f: MomentFunction, ks, required_fn) -> tuple[Witness, ...]:
+    The search is exact: the defect at the midpoint of the i-th flat region
+    equals the integer margin u_i - sum_{j<i} u_j, so it just walks the
+    schedule.  Any other f is an :class:`InvalidInput`.  A schedule that
+    ends first, or whose midpoints leave the int64 range, raises
+    :class:`WitnessSearchExhausted` carrying the witnesses found so far.
+    """
+    if count < 1:
+        raise InvalidInput("count must be >= 1")
     table = f.burst_table
     found: list[Witness] = []
     i = 0
-    for k in ks:
-        need = float(required_fn(k))
+    for k in range(2, count + 2):
+        need = 6.0 * math.log(k)
         i += 1
         while True:
             if not table.extend(i):
@@ -89,60 +92,6 @@ def _burst_witnesses(f: MomentFunction, ks, required_fn) -> tuple[Witness, ...]:
             i += 1
         found.append(Witness(k, x, x, float(table.margin(i)), need))
     return tuple(found)
-
-
-def _ladder_witnesses(f: MomentFunction, ks, required_fn,
-                      budget: int) -> tuple[Witness, ...]:
-    found: list[Witness] = []
-    evals = 0
-    j = 0
-    last_x = 0
-    for k in ks:
-        need = float(required_fn(k))
-        while True:
-            x = round(2.0 ** (j / 4.0))
-            j += 1
-            if x <= last_x:
-                continue
-            if x > _X_CAP:
-                raise WitnessSearchExhausted(
-                    f"ladder left the representable range at k={k}", found)
-            evals += 2
-            if evals > budget:
-                raise WitnessSearchExhausted(
-                    f"evaluation budget {budget} exhausted at k={k} "
-                    f"(need gain > {need:.6g})", found)
-            gain = f.log_f(2 * x) - 2.0 * f.log_f(x)
-            if gain > need:
-                found.append(Witness(k, x, x, gain, need))
-                last_x = x
-                break
-    return tuple(found)
-
-
-def witness_search(f: MomentFunction, *, count: int, k_start: int = 2,
-                   required_fn=None, budget: int = 200_000) -> tuple[Witness, ...]:
-    """Find ``count`` witnesses with strictly increasing x, indexed
-    k = k_start, k_start+1, ...; witness k must beat ``required_fn(k)``
-    (default 6 ln k).
-
-    Burst functions are handled exactly: the defect at the midpoint of the
-    i-th flat region equals the integer margin u_i - sum_{j<i} u_j, so the
-    search just walks the schedule.  Other kinds scan symmetric pairs x = y
-    along a quarter-power-of-two ladder; ``budget`` caps f evaluations, and
-    exhaustion raises :class:`WitnessSearchExhausted` carrying the witnesses
-    found so far (functions that satisfy submultiplicativity exhaust any
-    budget, which is the expected outcome, not an error in the input).
-    """
-    if count < 1:
-        raise InvalidInput("count must be >= 1")
-    if k_start < 2:
-        raise InvalidInput("k_start must be >= 2 (margins scale with ln k)")
-    required_fn = required_fn if required_fn is not None else _default_required
-    ks = range(k_start, k_start + count)
-    if f.kind is FunctionKind.BURST:
-        return _burst_witnesses(f, ks, required_fn)
-    return _ladder_witnesses(f, ks, required_fn, budget)
 
 
 # ---------------------------------------------------------------------------
@@ -168,10 +117,10 @@ def _witness_side(f: MomentFunction, points, ks) -> AtomicDist:
     return AtomicDist(pts, raw - logsumexp(raw), LOG_ZERO)
 
 
-def heavy_tail_pair(f: MomentFunction, *, k_max: int,
-                    budget: int = 200_000) -> HeavyTailPair:
-    """Build the pair: atoms at witness points x_k (resp. y_k) with weights
-    proportional to 1 / (f(x_k) k^2) for k = 2..k_max.
+def heavy_tail_pair(f: MomentFunction, *, k_max: int) -> HeavyTailPair:
+    """Build the pair for a burst function f: atoms at witness points x_k
+    (resp. y_k) of :func:`witness_search`, with weights proportional to
+    1 / (f(x_k) k^2) for k = 2..k_max.
 
     Each marginal f-moment is then a normalized sum of 1/k^2 terms, finite
     and exactly computable, while at matched atoms the convolution sees
@@ -180,7 +129,7 @@ def heavy_tail_pair(f: MomentFunction, *, k_max: int,
     """
     if k_max < 3:
         raise InvalidInput("k_max must be >= 3 (at least two witnesses)")
-    ws = witness_search(f, count=k_max - 1, k_start=2, budget=budget)
+    ws = witness_search(f, count=k_max - 1)
     ks = [w.k for w in ws]
     u = _witness_side(f, [w.x for w in ws], ks)
     v = _witness_side(f, [w.y for w in ws], ks)

@@ -31,8 +31,9 @@ class PreconditionFailed(RecurMomentsError):
 
 
 class WitnessSearchExhausted(PreconditionFailed):
-    """The witness search ran out of budget before finding the required
-    sequence; carries the witnesses found so far."""
+    """The burst schedule ran out, or its midpoints left the int64 range,
+    before the witness search found the required sequence; carries the
+    witnesses found so far."""
 
     def __init__(self, message: str, found=()):
         super().__init__(message)

@@ -6,8 +6,7 @@ finite E f(return time) when f meets condition C: some constant K makes
 f(x+y) <= K f(x) f(y) everywhere (C_i), and log f(n)/n tends to zero
 (C_ii).  Neither half follows from finitely many values of f, so
 :func:`classify` decides only from what a function's family knows
-analytically; :func:`submult_scan` reports the defect
-log f(x+y) - log f(x) - log f(y) on a grid as a diagnostic.
+analytically.
 
 Built-in families: powers n^p, powers of log(n+2), exponentials e^(d n),
 and "burst" functions exp(g) where g is flat except for slope-1 runs on
@@ -25,10 +24,11 @@ import threading
 from bisect import bisect_left
 from dataclasses import dataclass
 from enum import Enum
-from typing import Callable, Iterable
+from typing import Callable
 
 import numpy as np
 
+from .chain import _opened
 from .errors import InvalidInput
 from .logspace import exp_text
 
@@ -126,11 +126,8 @@ def default_burst_schedule() -> BurstSchedule:
 
 def burst_schedule_from_csv(path) -> BurstSchedule:
     """Load a finite schedule from CSV rows ``i,s_i,u_i`` (1-based, contiguous)."""
-    with open(path, newline="") as fh:
-        try:
-            lines = list(csv.reader(fh))
-        except UnicodeDecodeError as exc:
-            raise InvalidInput(f"schedule file {str(path)!r} is not text: {exc}") from None
+    with _opened(path, bad=f"schedule file {str(path)!r} is not text") as fh:
+        lines = list(csv.reader(fh))
     rows: list[tuple[int, int, int]] = []
     for raw in lines:
         if not raw or not raw[0].strip():
@@ -386,62 +383,6 @@ def parse_function_spec(spec: str) -> MomentFunction:
             return burst_fn(burst_schedule_from_csv(rest[5:]), name=f"burst:{rest[5:]}")
         raise InvalidInput(f"bad burst spec {spec!r}: use burst:default or burst:file=PATH")
     raise InvalidInput(f"unknown function kind {head!r}")
-
-
-# ---------------------------------------------------------------------------
-# submultiplicativity scan
-
-
-@dataclass(frozen=True)
-class SubmultReport:
-    """Result of scanning log f(x+y) - log f(x) - log f(y) over a grid.
-
-    ``log_grid_k`` is the log of the smallest K satisfying the
-    submultiplicativity bound on the scanned pairs; ``violation_witnesses``
-    lists the pairs with positive defect, largest first.
-    """
-
-    log_grid_k: float
-    violation_witnesses: tuple[tuple[int, int, float], ...]
-
-    @property
-    def grid_k(self) -> float:
-        return math.exp(self.log_grid_k)
-
-
-def submult_scan(f: MomentFunction, xs: Iterable[int], ys: Iterable[int]) -> SubmultReport:
-    """Evaluate the submultiplicativity defect on xs x ys, keeping the 64
-    largest positive defects as witnesses.
-
-    The defect is computed as log f(x+y) - (log f(x) + log f(y)), which makes
-    it exactly symmetric under swapping x and y.  For burst functions the
-    grids are augmented with the analytic witness midpoints (s_i + u_i)/2 up
-    to the grid maximum, since the defect peaks there.
-    """
-    xs = np.unique(np.asarray(list(xs), dtype=np.int64))
-    ys = np.unique(np.asarray(list(ys), dtype=np.int64))
-    if xs.size == 0 or ys.size == 0:
-        raise InvalidInput("scan grids must be nonempty")
-    if xs[0] < 1 or ys[0] < 1:
-        raise InvalidInput("scan grids must contain integers >= 1")
-    if f.kind is FunctionKind.BURST:
-        mids = np.asarray(f.burst_table.midpoints_upto(int(max(xs.max(), ys.max()))),
-                          dtype=np.int64)
-        if mids.size:
-            xs = np.unique(np.concatenate([xs, mids]))
-            ys = np.unique(np.concatenate([ys, mids]))
-
-    lx = f.log_f_array(xs)
-    ly = f.log_f_array(ys)
-    sums = xs[:, None] + ys[None, :]
-    lsum = f.log_f_array(sums.ravel()).reshape(sums.shape)
-    defect = lsum - (lx[:, None] + ly[None, :])
-
-    log_grid_k = float(defect.max())
-    wi, wj = np.nonzero(defect > 0.0)
-    entries = [(int(xs[i]), int(ys[j]), float(defect[i, j])) for i, j in zip(wi, wj)]
-    entries.sort(key=lambda t: (-t[2], t[0], t[1]))
-    return SubmultReport(log_grid_k, tuple(entries[:64]))
 
 
 # ---------------------------------------------------------------------------

@@ -85,14 +85,14 @@ from __future__ import annotations
 
 import csv
 import math
-from contextlib import contextmanager, nullcontext
+from contextlib import nullcontext
 from dataclasses import dataclass
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from ._atomic import _MASS_TOL, AtomicDist
-from .chain import StateRef, TransitionKernel, _ByteCache
+from .chain import StateRef, TransitionKernel, _ByteCache, _opened
 from .errors import IncomparableLaws, InvalidInput, NoSuchPath
 from .logspace import LOG_ZERO, PRUNE_FLOOR_LOG, log_add, log_sub, logsumexp
 
@@ -164,16 +164,18 @@ class PassageLaw:
         return cls(log_pmf=log_pmf, lin_pmf=pmf, log_tail=log_tail, tail_cert=tail_cert)
 
     @classmethod
-    def dense_log(cls, log_pmf, log_tail: float, tail_cert: TailCert | None = None) -> "PassageLaw":
-        """Dense law from a log-pmf over n = 1..len(log_pmf).
+    def _dense_log(cls, log_pmf, log_tail: float, tail_cert: TailCert | None = None,
+                   lin=None) -> "PassageLaw":
+        """Dense law from a log-pmf over n = 1..len(log_pmf), and its linear
+        pmf ``lin`` if known, else exp(log_pmf).
 
-        The logs are kept as given; an entry whose exp is 0 reads 0 in the
-        linear pmf.
+        The logs are kept as given; an entry whose linear value is 0 adds
+        its log mass to the law's unseen mass.
         """
         log_pmf = np.asarray(log_pmf, dtype=float)
         if log_pmf.ndim != 1 or log_pmf.size == 0:
             raise InvalidInput("dense log-pmf must be a nonempty 1-d array")
-        lin = np.exp(log_pmf)
+        lin = np.exp(log_pmf) if lin is None else lin
         log_unseen = logsumexp(log_pmf[(lin == 0.0) & (log_pmf > LOG_ZERO)])
         return cls(log_pmf=log_pmf, lin_pmf=lin, log_tail=log_tail, tail_cert=tail_cert,
                    _log_unseen=log_unseen)
@@ -339,7 +341,7 @@ class PassageLaw:
         log_tail = log_add(self._log_tail, logsumexp(log_past))
         cert = None if self._tail_cert is None and self._cert_due is None else (
             lambda: self._moved_cert(horizon, past, log_past, log_tail))
-        return PassageLaw.dense_log(out, log_tail, tail_cert=cert)
+        return PassageLaw._dense_log(out, log_tail, tail_cert=cert)
 
     def _moved_cert(self, n: int, steps: np.ndarray, logs: np.ndarray,
                     log_tail: float) -> TailCert | None:
@@ -484,11 +486,18 @@ def _log_hold(indptr: np.ndarray, indices: np.ndarray, data: np.ndarray, width: 
         v, out = out, v
     alive = v[:width] if flag is None else np.delete(v[:width], 2 * flag)
     least = float(alive.min())
-    k = int(np.diff(indptr).max(initial=0))
-    most_into = int(np.bincount(indices, minlength=w)[:width].max(initial=0))
+    k, most_into = _fan(indptr, indices, width)
     slack = _HOLD_STEPS * (math.log1p(_gamma(k + 1)) - math.log1p(-_gamma(most_into + 1)))
     most = float(alive.max()) / (1.0 - _gamma(k + 1)) ** _HOLD_STEPS + _SMALLEST_NORMAL
     return math.log(least) - slack if least > 0.0 else -math.inf, most
+
+
+def _fan(indptr: np.ndarray, indices: np.ndarray, width: int) -> tuple[int, int]:
+    """(k, m) of a taboo operator: the entries of its longest column and the
+    most entries into one alive slot, the most products in one sum when its
+    arrays are read as rows and as columns (a propagated step)."""
+    return (int(np.diff(indptr).max(initial=0)),
+            int(np.bincount(indices, minlength=width + 1)[:width].max(initial=0)))
 
 
 def _gamma(k: int) -> float:
@@ -539,8 +548,7 @@ def _tail_vector(kernel: TransitionKernel, key: tuple) -> tuple:
     indptr, indices, data, width = op = _operator(kernel, key)
     flag = key[2]
     fslot = None if flag is None else 2 * flag
-    k = int(np.diff(indptr).max(initial=0))
-    most_into = int(np.bincount(indices, minlength=width + 1)[:width].max(initial=0))
+    k, most_into = _fan(indptr, indices, width)
     log_step, log_lead = -math.log1p(-_gamma(most_into + 1)), -math.log1p(-_gamma(2 * width + 2))
     if width <= _CERT_WIDTH:
         q = _dense_taboo(*op, flag)
@@ -788,14 +796,13 @@ def _unscaled_law(pmf: np.ndarray, scale: np.ndarray, log_tail: float,
     if not scale[-1]:  # scale never decreases, so nothing was rescaled
         return PassageLaw._dense(pmf, log_tail, tail_cert)
     lin = np.ldexp(pmf, -scale)
-    lost = ((lin == 0.0) & (pmf > 0.0)).nonzero()[0]
-    if not lost.size:
+    lost = (lin == 0.0) & (pmf > 0.0)
+    if not lost.any():
         return PassageLaw._dense(lin, log_tail, tail_cert)
     with np.errstate(divide="ignore"):
         log_pmf = np.log(lin)
     log_pmf[lost] = np.log(pmf[lost]) - scale[lost] * _LN2
-    return PassageLaw(log_pmf=log_pmf, lin_pmf=lin, log_tail=log_tail, tail_cert=tail_cert,
-                      _log_unseen=logsumexp(log_pmf[lost]))
+    return PassageLaw._dense_log(log_pmf, log_tail, tail_cert, lin=lin)
 
 
 def first_passage_law(kernel: TransitionKernel, source: StateRef, target: StateRef,
@@ -1235,8 +1242,8 @@ def mixture(laws, weights) -> PassageLaw:
         with np.errstate(invalid="ignore"):
             log_pmf = np.logaddexp.reduce(stack, axis=0)
         tails = [w + c.log_tail for w, c in zip(log_w, comp)]
-        return PassageLaw.dense_log(log_pmf, logsumexp(tails),
-                                    tail_cert=lambda: _mixed_cert(comp, log_w))
+        return PassageLaw._dense_log(log_pmf, logsumexp(tails),
+                                     tail_cert=lambda: _mixed_cert(comp, log_w))
     if all(not law.is_dense for _, law in pairs):
         all_vals, all_lws, tails = [], [], []
         for w, law in pairs:
@@ -1303,18 +1310,6 @@ def stochastic_dominates(a: PassageLaw, b: PassageLaw, tol: float = 1e-10) -> Do
 # CSV serialization
 
 
-@contextmanager
-def _opened(path_or_file, mode: str = "r"):
-    """Yield an open text handle: a path is opened (and closed on exit) with
-    ``newline=""`` so the csv module controls line endings; an open handle
-    is passed through and left open."""
-    if isinstance(path_or_file, (str, bytes)) or hasattr(path_or_file, "__fspath__"):
-        with open(path_or_file, mode, newline="") as fh:
-            yield fh
-    else:
-        yield path_or_file
-
-
 def law_to_csv(law: PassageLaw, path_or_file) -> None:
     """Write ``n,prob,log_prob`` rows (all of 1..horizon for dense laws,
     atoms for sparse) plus tail/certificate footer rows: ``tail_mass``, then
@@ -1342,14 +1337,16 @@ def law_from_csv(path_or_file) -> PassageLaw:
     """Inverse of :func:`law_to_csv`.  Contiguous support starting at 1 is
     reconstructed as dense, anything else as sparse.  A file without all
     three certificate rows filled in loads with no certificate; one with
-    them is checked like any law's (:meth:`PassageLaw._bears`)."""
+    them is checked like any law's (:meth:`PassageLaw._bears`).  A row
+    that does not parse, or a file that is not text, is an
+    :class:`InvalidInput`."""
     ns: list[int] = []
     lps: list[float] = []
     log_tail = LOG_ZERO
     cert_n0: int | None = None
     cert_rho: float | None = None
     cert_log_bound: float | None = None
-    with _opened(path_or_file) as fh:
+    with _opened(path_or_file, bad="law CSV is malformed") as fh:
         for row in csv.reader(fh):
             if not row or row[0] == "n":
                 continue
@@ -1372,6 +1369,6 @@ def law_from_csv(path_or_file) -> PassageLaw:
     ns_arr = np.asarray(ns, dtype=np.int64)
     lp_arr = np.asarray(lps, dtype=float)
     if ns_arr[0] == 1 and np.all(np.diff(ns_arr) == 1):
-        return PassageLaw.dense_log(lp_arr, log_tail, tail_cert=cert)
+        return PassageLaw._dense_log(lp_arr, log_tail, tail_cert=cert)
     keep = lp_arr > LOG_ZERO
     return PassageLaw.sparse(AtomicDist(ns_arr[keep], lp_arr[keep], log_tail), tail_cert=cert)

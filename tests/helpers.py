@@ -14,7 +14,7 @@ import numpy as np
 from scipy import sparse
 from scipy.sparse.csgraph import connected_components
 
-from recur_moments import KernelReport, TransitionKernel
+from recur_moments import FunctionKind, KernelReport, MomentFunction, TransitionKernel
 from recur_moments.chain import ROW_SUM_TOL
 
 
@@ -318,3 +318,15 @@ def reference_kernel_json(states, rows) -> str:
     obj = {"states": list(states),
            "rows": [[[states[j], p] for j, p in row] for row in rows]}
     return json.dumps(obj, indent=2, sort_keys=True) + "\n"
+
+
+def max_submult_defect(f: MomentFunction, upto: int) -> float:
+    """The largest defect log f(x+y) - (log f(x) + log f(y)) over 1 <= x, y
+    <= ``upto``, a grid that for a burst f also takes its midpoints up to
+    ``upto``, where the defect peaks."""
+    grid = set(range(1, upto + 1))
+    if f.kind is FunctionKind.BURST:
+        grid.update(f.burst_table.midpoints_upto(upto))
+    xs = np.array(sorted(grid), dtype=np.int64)
+    lx = f.log_f_array(xs)
+    return float((f.log_f_array(xs[:, None] + xs[None, :]) - (lx[:, None] + lx[None, :])).max())

@@ -288,7 +288,9 @@ def test_load_validates_after_the_json_tree_is_freed(tmp_path, monkeypatch):
 def _tree_load(path):
     """The kernel of a chain file read the old way: its whole JSON tree
     first, then :meth:`TransitionKernel.from_json_dict`."""
-    return TransitionKernel.from_json_dict(chain._read_json(path, "chain file"))
+    with chain._opened(path, bad=f"chain file {str(path)!r} is not valid JSON") as fh:
+        obj = json.loads(fh.read())
+    return TransitionKernel.from_json_dict(obj)
 
 
 def _outcome(load, path):

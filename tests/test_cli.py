@@ -187,6 +187,18 @@ def test_moment_mc_deterministic(capsys):
     assert first == second
 
 
+def test_moment_mc_takes_state_indices_like_exact(tmp_path, capsys):
+    # --from/--to resolve once for both methods: index 0 names state "a"
+    path = tmp_path / "ab.json"
+    path.write_text('{"states": ["a", "b"], "rows": [[["a", 0.5], ["b", 0.5]], [["a", 1.0]]]}')
+    common = ("moment", "--kernel", str(path), "--function", "power:1",
+              "--method", "mc", "--samples", "4096", "--cap", "100")
+    by_name = run_cli(capsys, *common, "--from", "a", "--to", "b")
+    by_index = run_cli(capsys, *common, "--from", "0", "--to", "1")
+    assert by_name[0] == 0 and by_name[2] == ""
+    assert by_index == by_name
+
+
 def test_moment_converges_only_with_a_tail_certificate(capsys):
     base = ("moment", "--builtin", "two-state:0.5", "--from", "1", "--to", "1",
             "--function", "power:1", "--horizon", "100")

@@ -12,8 +12,8 @@ from scipy.special import logsumexp as sp_logsumexp
 from recur_moments import (InvalidInput, PreconditionFailed,
                            WitnessSearchExhausted, burst_fn, custom_fn,
                            default_burst_schedule, demo_exponential,
-                           demo_sharp, heavy_tail_pair, power_fn,
-                           witness_search, write_series_trace)
+                           demo_sharp, heavy_tail_pair, parse_function_spec,
+                           power_fn, witness_search, write_series_trace)
 from recur_moments import constructions
 
 
@@ -49,39 +49,30 @@ def test_burst_witness_gain_is_true_defect():
         assert defect == w.log_gain  # integer exponents: exact
 
 
-def test_submultiplicative_function_exhausts_search():
-    with pytest.raises(WitnessSearchExhausted) as exc:
-        witness_search(power_fn(2), count=3, budget=100)
-    assert exc.value.found == ()
-    assert "budget" in str(exc.value)
+def test_witness_search_rejects_non_burst_function():
+    # witnesses are exact only at burst midpoints; no other f is searched
+    for f in (power_fn(2), custom_fn("nsq-exponent", lambda n: float(n * n))):
+        with pytest.raises(InvalidInput, match="is not a burst function"):
+            witness_search(f, count=3)
 
 
-def test_partial_findings_attached_on_exhaustion():
-    # f(n) = n^2 beats K = 1 only at x = y = 1; later ks need more gain than
-    # the function ever provides, so the ladder runs off the end
-    f = custom_fn("square", lambda n: 2.0 * math.log(n))
-    with pytest.raises(WitnessSearchExhausted) as exc:
-        witness_search(f, count=3, required_fn=lambda k: 0.1 * (k - 1))
-    found = exc.value.found
-    assert len(found) == 1
-    assert found[0].k == 2 and found[0].x == 1
-    assert abs(found[0].log_gain - 2.0 * math.log(2.0)) <= 1e-15
-
-
-def test_ladder_finds_witnesses_for_supermultiplicative():
-    f = custom_fn("nsq-exponent", lambda n: float(n * n))
-    ws = witness_search(f, count=4)
-    assert [w.x for w in ws] == [2, 3, 4, 5]
-    for w in ws:
-        assert w.log_gain == pytest.approx(2.0 * w.x * w.x, abs=1e-12)
-        assert w.log_gain > w.required
+def test_partial_findings_attached_on_exhaustion(tmp_path):
+    # the first three bursts of the default schedule, margins 2, 6 and 14:
+    # k = 2 and 3 find witnesses at the midpoints 12 and 48, and the
+    # schedule ends before a margin above 6 ln 4 for k = 4
+    path = tmp_path / "three.csv"
+    path.write_text("i,s,u\n1,2,2\n2,16,8\n3,72,24\n")
+    f = parse_function_spec(f"burst:file={path}")
+    with pytest.raises(WitnessSearchExhausted, match="schedule ends .* for k=4") as exc:
+        witness_search(f, count=3)
+    assert [(w.k, w.x, w.y, w.log_gain) for w in exc.value.found] == [
+        (2, 12, 12, 6.0), (3, 48, 48, 14.0)]
+    assert [w.required for w in exc.value.found] == [6.0 * math.log(2), 6.0 * math.log(3)]
 
 
 def test_witness_search_validates():
     with pytest.raises(InvalidInput):
         witness_search(_burst(), count=0)
-    with pytest.raises(InvalidInput):
-        witness_search(_burst(), count=2, k_start=1)
 
 
 # ---------------------------------------------------------------------------
@@ -116,8 +107,8 @@ def test_heavy_tail_pair_moment_closed_form():
 def test_heavy_tail_pair_validates():
     with pytest.raises(InvalidInput):
         heavy_tail_pair(_burst(), k_max=2)
-    with pytest.raises(WitnessSearchExhausted):
-        heavy_tail_pair(power_fn(2), k_max=4, budget=100)
+    with pytest.raises(InvalidInput, match="is not a burst function"):
+        heavy_tail_pair(power_fn(2), k_max=4)
 
 
 # ---------------------------------------------------------------------------

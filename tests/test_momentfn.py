@@ -13,8 +13,9 @@ from recur_moments import (BurstSchedule, FunctionKind, InvalidInput,
                            VERDICT_VIOLATES_GROWTH, VERDICT_VIOLATES_SUBMULT,
                            burst_fn, burst_schedule_from_csv, classify,
                            custom_fn, default_burst_schedule, exp_fn,
-                           log_power_fn, parse_function_spec, power_fn,
-                           submult_scan)
+                           log_power_fn, parse_function_spec, power_fn)
+
+from helpers import max_submult_defect
 
 
 def default_burst():
@@ -161,30 +162,6 @@ def test_submult_certificate_none_for_others():
 
 
 # ---------------------------------------------------------------------------
-# scans
-
-
-def test_submult_scan_finds_burst_defects():
-    f = default_burst()
-    xs = range(1, 200)
-    report = submult_scan(f, xs, xs)
-    assert report.violation_witnesses
-    x, y, defect = report.violation_witnesses[0]
-    assert defect == report.log_grid_k
-    # the scan grid is augmented with midpoints, so the exact defect appears
-    assert report.log_grid_k >= 6.0
-
-
-def test_submult_scan_power_stays_below_cert():
-    # defects exist (K = 1 fails) but never exceed the analytic constant;
-    # the largest, f(2)/f(1)^2 = 4, attains it exactly
-    f = power_fn(2)
-    report = submult_scan(f, range(1, 100), range(1, 100))
-    assert abs(report.log_grid_k - math.log(4.0)) <= 1e-12
-    assert all(d <= math.log(4.0) + 1e-12 for _, _, d in report.violation_witnesses)
-
-
-# ---------------------------------------------------------------------------
 # classifier verdicts
 
 
@@ -263,13 +240,10 @@ def test_certificate_bounds_scanned_defect(f):
     out = classify(f)
     log_k = f.log_submult_certificate()
     assert out.verdict == VERDICT_SATISFIES and out.witnesses == ()
-    report = submult_scan(f, range(1, 150), range(1, 150))
-    assert report.log_grid_k <= log_k + 1e-12 * max(1.0, log_k)
+    assert max_submult_defect(f, 149) <= log_k + 1e-12 * max(1.0, log_k)
 
 
-def test_classify_never_scans(monkeypatch):
-    import recur_moments.momentfn as momentfn
-    monkeypatch.setattr(momentfn, "submult_scan", None)
+def test_classify_never_scans():
     calls = []
     fns = [power_fn(2), log_power_fn(1), exp_fn(0.1), default_burst(),
            custom_fn("counted", lambda n: calls.append(n) or 0.1 * n),

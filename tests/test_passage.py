@@ -1095,10 +1095,10 @@ def test_dense_tails_never_complete_by_underflow():
     comp = geometric_compound(one, one, 0.5, horizon=1100)
     assert comp.log_tail == 1100 * math.log(0.5)
     assert f_moment(comp, exp_fn(0.7)).verdict != VERDICT_CONVERGED
-    half = PassageLaw.dense_log([math.log(0.5), math.log(0.5)], -800.0)
+    half = PassageLaw._dense_log([math.log(0.5), math.log(0.5)], -800.0)
     assert abs(convolve(half, half).log_tail - (-800.0 + math.log(2.0))) <= 1e-12
     # mass moved past the horizon is e^-1000, below the smallest double
-    rare = PassageLaw.dense_log([math.log1p(-math.exp(-500.0)), -500.0], -math.inf)
+    rare = PassageLaw._dense_log([math.log1p(-math.exp(-500.0)), -500.0], -math.inf)
     assert convolve(rare, rare, horizon=3).log_tail == -1000.0
 
 
@@ -1267,12 +1267,12 @@ def test_conditioning_on_crossing_dominates_plain_return(kernel3):
 def test_dense_log_folds_sub_floor_entries_into_tail():
     # e^-2000 flushes to zero in linear space; the log pmf keeps it at its
     # step, and the tail is the mass beyond the horizon
-    law = PassageLaw.dense_log(np.array([math.log(0.5), -2000.0]), math.log(0.5))
+    law = PassageLaw._dense_log(np.array([math.log(0.5), -2000.0]), math.log(0.5))
     assert law.linear_pmf().tolist() == [0.5, 0.0]
     assert law.log_pmf[0] == math.log(0.5) and law.log_pmf[1] == -2000.0
     assert law.log_tail == math.log(0.5) and not law.is_complete
     # all of its mass sits at known steps
-    whole = PassageLaw.dense_log(np.array([0.0, -2000.0]), -math.inf)
+    whole = PassageLaw._dense_log(np.array([0.0, -2000.0]), -math.inf)
     assert whole.log_pmf[1] == -2000.0
     assert whole.log_tail == -math.inf and whole.is_complete
 
@@ -1333,7 +1333,7 @@ def test_mixtures_and_cuts_keep_the_tail_certificate():
         log_add(math.log(0.25) + cert.log_bound, math.log(0.75) + other.tail_cert.log_bound),
         rel=1e-14)
     # an operand without a certificate leaves the mixture without one
-    bare = PassageLaw.dense_log(law.log_pmf, law.log_tail)
+    bare = PassageLaw._dense_log(law.log_pmf, law.log_tail)
     assert mixture([law, bare], [0.5, 0.5]).tail_cert is None
     # a certificate the tail does not bear out is dropped, not raised
     assert PassageLaw.dense([0.5, 0.25], 0.25,
@@ -1575,6 +1575,18 @@ def test_csv_rejects_empty(tmp_path):
     path = tmp_path / "empty.csv"
     path.write_text("n,prob,log_prob\n")
     with pytest.raises(InvalidInput):
+        law_from_csv(path)
+
+
+@pytest.mark.parametrize("content", [
+    b"n,prob,log_prob\n1,1.0\n",
+    b"n,prob,log_prob\nx,1.0,0.0\n",
+    b"n,prob,log_prob\n1,1.0,0.0\n\xff\xfe\n",
+], ids=["two-fields", "n-not-an-integer", "not-utf8"])
+def test_csv_rejects_malformed(tmp_path, content):
+    path = tmp_path / "bad.csv"
+    path.write_bytes(content)
+    with pytest.raises(InvalidInput, match="law CSV is malformed"):
         law_from_csv(path)
 
 
