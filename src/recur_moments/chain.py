@@ -623,7 +623,9 @@ def _segment_sums(draws: np.ndarray, counts: np.ndarray) -> np.ndarray:
 
 def _kernel_passage_times(kernel: TransitionKernel, i: int, j: int, n: int,
                           cap: int, rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
-    cum = np.cumsum(kernel.dense_matrix, axis=1)
+    mat = kernel.dense_matrix
+    cum = np.cumsum(mat, axis=1)
+    last = mat.shape[1] - 1 - np.argmax(mat[:, ::-1] > 0.0, axis=1)  # last positive state
     times = np.full(n, cap, dtype=np.int64)
     censored = np.ones(n, dtype=bool)
     active = np.arange(n)
@@ -633,7 +635,8 @@ def _kernel_passage_times(kernel: TransitionKernel, i: int, j: int, n: int,
             break
         u = rng.random(active.size)
         nxt = (cum[state[active]] <= u[:, None]).sum(axis=1)
-        np.clip(nxt, 0, kernel.n_states - 1, out=nxt)
+        # a draw past its row's total (which may be 1 - 1e-12) takes its last positive state
+        np.minimum(nxt, last[state[active]], out=nxt)
         hit = nxt == j
         if hit.any():
             done = active[hit]

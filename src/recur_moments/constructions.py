@@ -35,7 +35,7 @@ from .errors import InvalidInput, PreconditionFailed, WitnessSearchExhausted
 from .logspace import LOG_ZERO, exp_text, logsumexp
 from .momentfn import MomentFunction, burst_fn, default_burst_schedule, exp_fn
 from .moments import SeriesVerdict, _check_threshold, f_moment, lower_bound_series
-from .passage import first_passage_law
+from .passage import PassageLaw, first_passage_law, mixture
 
 __all__ = [
     "Witness", "witness_search", "HeavyTailPair", "heavy_tail_pair",
@@ -122,8 +122,8 @@ def heavy_tail_pair(f: MomentFunction, *, k_max: int) -> HeavyTailPair:
     (resp. y_k) of :func:`witness_search`, with weights proportional to
     1 / (f(x_k) k^2) for k = 2..k_max.
 
-    Each marginal f-moment is then a normalized sum of 1/k^2 terms, finite
-    and exactly computable, while at matched atoms the convolution sees
+    Each marginal f-moment, :func:`f_moment` of a complete sparse law, is a
+    normalized sum of 1/k^2 terms, finite and exact, while at matched atoms
     f(x_k + y_k) > e^(6 ln k) f(x_k) f(y_k), which outruns the k^-4 weight.
     Needs k_max >= 3 so the pair rests on at least two witnesses.
     """
@@ -133,8 +133,7 @@ def heavy_tail_pair(f: MomentFunction, *, k_max: int) -> HeavyTailPair:
     ks = [w.k for w in ws]
     u = _witness_side(f, [w.x for w in ws], ks)
     v = _witness_side(f, [w.y for w in ws], ks)
-    log_ef_u = logsumexp(f.log_f_array(u.atoms) + u.log_probs)
-    log_ef_v = logsumexp(f.log_f_array(v.atoms) + v.log_probs)
+    log_ef_u, log_ef_v = (f_moment(PassageLaw.sparse(d), f).log_partial_sum for d in (u, v))
     return HeavyTailPair(f.name, ws, u, v, float(log_ef_u), float(log_ef_v))
 
 
@@ -187,28 +186,14 @@ def write_series_trace(report: DemoReport, path_or_file) -> None:
             writer.writerow([k, f"{lt:.17g}", f"{lp:.17g}"])
 
 
-def _hub_return_log_ef(f: MomentFunction, pair: HeavyTailPair, p: float) -> float:
-    """Exact log E f(hub return) for the petal chain built from the pair:
-    the return takes 2 steps with probability p (out along the exit edge and
-    straight back), else a loop length drawn evenly from the two sides."""
-    weights: dict[int, float] = {2: math.log(p)}
-    half = math.log((1.0 - p) / 2.0)
-    for dist in (pair.u, pair.v):
-        for v, lp in zip(dist.atoms, dist.log_probs):
-            add = half + float(lp)
-            key = int(v)
-            weights[key] = np.logaddexp(weights[key], add) if key in weights else add
-    values = sorted(weights)
-    return float(logsumexp([f.log_f(v) + weights[v] for v in values]))
-
-
 def demo_sharp(*, k_max: int = 8, p: float = 0.5,
                log_threshold: float = math.log(1e6)) -> DemoReport:
     """Burst-function counterexample, end to end.
 
     Builds f = e^g from the default burst schedule, finds witnesses, forms
     the pair, and evaluates both sides on the petal chain with exit
-    probability ``p``: the hub-return f-moment is exact and small, while the
+    probability ``p``: the hub-return f-moment (:func:`f_moment` of the
+    :func:`mixture` of 2 steps and either loop) is exact and small, while the
     series over two-petal excursion patterns (complete petal k of one loop,
     one exit excursion, traverse petal k of the other loop; probability
     p ((1-p)/2)^2 P_U(x_k) P_V(y_k), elapsed time > x_k + y_k) certifies a
@@ -228,10 +213,13 @@ def demo_sharp(*, k_max: int = 8, p: float = 0.5,
 
     series = lower_bound_series(terms(), log_threshold=log_threshold,
                                 max_terms=len(pair.witnesses))
+    q = (1.0 - p) / 2.0
+    hub = mixture([PassageLaw.point(2), PassageLaw.sparse(pair.u), PassageLaw.sparse(pair.v)],
+                  [p, q, q])
     finite = {
         "log_ef_u": pair.log_ef_u,
         "log_ef_v": pair.log_ef_v,
-        "log_ef_hub_return": _hub_return_log_ef(f, pair, p),
+        "log_ef_hub_return": f_moment(hub, f).log_partial_sum,
     }
     return DemoReport(
         name="sharp",

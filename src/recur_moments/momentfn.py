@@ -53,9 +53,9 @@ class BurstSchedule:
     """Windows on which the log-moment function g climbs with slope 1.
 
     ``start_of(i)`` and ``length_of(i)`` give the i-th burst start s_i and
-    length u_i (1-based).  Constraints, checked at construction on every
-    burst of a finite schedule and on the first 24 of an unbounded one, and
-    incrementally as the schedule is consumed:
+    length u_i (1-based).  Constraints, checked as a :class:`_BurstTable`
+    reads each burst: at construction on every burst of a finite schedule
+    and the first 24 of an unbounded one, then on each later burst:
 
     * s strictly increasing integers, u_i >= 1;
     * u_i <= s_{i+1} - s_i, so each burst ends before the next begins;
@@ -73,29 +73,12 @@ class BurstSchedule:
         limit = 24 if self.n_bursts is None else self.n_bursts
         if limit < 1:
             raise InvalidInput("schedule must contain at least one burst")
-        s = [int(self.start_of(i)) for i in range(1, limit + 1)]
-        u = [int(self.length_of(i)) for i in range(1, limit + 1)]
-        if s[0] < 1:
-            raise InvalidInput("burst starts must be >= 1")
-        for i in range(limit):
-            if u[i] < 1:
-                raise InvalidInput(f"burst length u_{i + 1} = {u[i]} must be >= 1")
-            if i + 1 < limit:
-                if s[i + 1] <= s[i]:
-                    raise InvalidInput("burst starts must be strictly increasing")
-                if u[i] > s[i + 1] - s[i]:
-                    raise InvalidInput(
-                        f"burst {i + 1} overruns the next start: u={u[i]}, gap={s[i + 1] - s[i]}"
-                    )
+        table = _BurstTable(self)
+        table.extend(limit)
         # u_i -> inf proxy: the checked prefix must end in a strictly
-        # increasing run.
-        run = 1
-        for i in range(limit - 1, 0, -1):
-            if u[i] > u[i - 1]:
-                run += 1
-            else:
-                break
-        if run < min(3, limit):
+        # increasing run of three (or of all its lengths, if fewer).
+        last = table._u[-3:]
+        if any(a >= b for a, b in zip(last, last[1:])):
             raise InvalidInput("burst lengths must be strictly increasing toward the end of the prefix")
 
 
@@ -164,13 +147,15 @@ class _BurstTable:
             return False
         s_i = int(self.schedule.start_of(i))
         u_i = int(self.schedule.length_of(i))
-        if self._s:
-            if s_i <= self._s[-1]:
-                raise InvalidInput("burst starts must be strictly increasing")
-            if self._u[-1] > s_i - self._s[-1]:
-                raise InvalidInput(f"burst {i - 1} overruns the next start")
-        if u_i < 1 or s_i < 1:
-            raise InvalidInput("burst parameters must be positive")
+        if not self._s and s_i < 1:
+            raise InvalidInput("burst starts must be >= 1")
+        if self._s and s_i <= self._s[-1]:
+            raise InvalidInput("burst starts must be strictly increasing")
+        if self._s and self._u[-1] > s_i - self._s[-1]:
+            raise InvalidInput(f"burst {i - 1} overruns the next start: "
+                               f"u={self._u[-1]}, gap={s_i - self._s[-1]}")
+        if u_i < 1:
+            raise InvalidInput(f"burst length u_{i} = {u_i} must be >= 1")
         self._s.append(s_i)
         self._u.append(u_i)
         self._cum.append((self._cum[-1] if self._cum else 0) + u_i)

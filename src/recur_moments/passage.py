@@ -18,7 +18,8 @@ i, counting from step 1; i = j gives the first return).  Representations:
   rows of one flat buffer in place, each row summed over the same products
   in the same order as a single step, so every law is the one a call per
   step gives, bit for bit.  The pmf is read from the sink column and the
-  survivals summed once per block.  The vector is rescaled by exact powers
+  survivals summed once per block, in one ``np.add.reduce`` that sums each
+  row to the bits it sums to alone.  The vector is rescaled by exact powers
   of two before its mass can underflow (the rows of a block past the
   rescale point are recomputed from the rescaled row), so a tail is zero
   only when no mass is left.  Blocks hold up to 128 rows, until a bound on
@@ -412,7 +413,8 @@ def _taboo_operator(kernel: TransitionKernel, absorb: int, kill: int | None,
     rows, so each output still sums its sources in ascending order.  Mass
     entering ``absorb`` goes to a sink slot at index ``width``, whose column
     is empty; mass entering ``kill`` is dropped.  With ``flag``, slot 2k+v
-    is state k with visited-flag v, and only (absorb, 1) goes to the sink.
+    is state k with visited-flag v, and only (absorb, 1) goes to the sink;
+    ``kill`` is not read, as its one caller, the crossing law, kills nothing.
     """
     csr = kernel.csr
     ptr, dest, data = csr.indptr, csr.indices, csr.data
@@ -437,8 +439,6 @@ def _taboo_operator(kernel: TransitionKernel, absorb: int, kill: int | None,
         dest2[at] = dest[:, None] * 2 + _FLAG_BITS
         data2[at] = data[:, None]
         keep = dest2 != 2 * absorb
-        if kill is not None:
-            keep &= dest2 >> 1 != kill
         dest2[dest2 == 2 * absorb + 1] = width
         ptr, dest, data = cols, dest2, data2
     if keep is not None:
@@ -650,21 +650,8 @@ def _bind_matvec():
 
 
 def _row_sums(rows: np.ndarray) -> np.ndarray:
-    """``np.add.reduce(rows, axis=1)`` bit for bit for nonnegative entries,
-    in a few whole-column adds instead of a reduction call per row: numpy
-    adds fewer than 8 entries left to right, and 8 to 15 as ((e0 + e1) +
-    (e2 + e3)) + ((e4 + e5) + (e6 + e7)), then the rest left to right."""
-    n = rows.shape[1]
-    if n >= 16:
-        return np.add.reduce(rows, axis=1)
-    if n < 8:
-        s = rows[:, 0].copy()
-    else:
-        s = (rows[:, 0] + rows[:, 1]) + (rows[:, 2] + rows[:, 3])
-        s += (rows[:, 4] + rows[:, 5]) + (rows[:, 6] + rows[:, 7])
-    for c in range(1 if n < 8 else 8, n):
-        s += rows[:, c]
-    return s
+    """Each row's sum, the bits it sums to alone; tests patch it to count rows."""
+    return np.add.reduce(rows, axis=1)
 
 
 def _propagate(kernel: TransitionKernel, start: int, horizon: int, *, absorb: int,
@@ -690,30 +677,31 @@ def _propagate(kernel: TransitionKernel, start: int, horizon: int, *, absorb: in
     last into (flag, 1); the last row is fixed up here, and then column
     (flag, 0) of the block is zeroed.
 
-    After each block, the pmf is read from its sink column and the
-    survivals are its row sums.  Alive mass in (0, 2^-600) is rescaled by an
-    exact power of two before the next step, so q never underflows: the
+    After each block, the pmf is read from its sink column and the survivals
+    are its row sums, one ``np.add.reduce`` (:func:`_row_sums`) that sums
+    each row as it sums it alone.  Alive mass in (0, 2^-600) is rescaled by
+    an exact power of two before the next step, so q never underflows: the
     rows after the first such step are dropped, and the next block starts
     from that row, rescaled.  A rescale point thus depends on the row sums
     alone, whatever the blocks.  Once the alive mass is proven to stay above
     2^-600 through the horizon, the blocks hold up to ``span`` rows, are
-    never rolled back, and sum no row but the one at the horizon.  The
-    proof: the alive mass falls by at most e^log_hold over any
-    ``_HOLD_STEPS`` steps (:func:`_log_hold`, rounding included), and the
-    carried mass and every later row sum, the same whatever the blocks,
-    round by 1 +- gamma(width), also taken off.  The bound costs
-    ``_HOLD_STEPS`` products, computed once per operator for a horizon past
-    2 + ``rows`` where a proven block outgrows ``rows``, else past 256,
-    where it saves only row sums (it paid back within 128 to 256 steps on
-    cold operators of 3 000 to 50 000 slots).  Any other block holds 2 rows
-    if it is the first, or the first after a rescale, and otherwise
-    max(reach, 4 * since) rows, at most ``rows``, since being the steps kept
-    since the last rescale (:func:`_block_sizes`).  Its rollback drops at
-    most reach - 1 steps (``_BLOCK_DOUBLES`` multiply-adds) or four steps
-    for each step kept, whichever is more.  Once the alive mass is exactly
-    zero every later step is zero, and stepping stops.  Returns (pmf,
-    alive, scale, q): the mass recorded in step t, times 2^scale[t], and
-    the alive mass and q after the last step, both times 2^scale[-1].
+    never rolled back, and sum no row but the one at the horizon.  The proof:
+    the alive mass falls by at most e^log_hold over any ``_HOLD_STEPS`` steps
+    (:func:`_log_hold`, rounding included), and the carried mass and every
+    later row sum, the same whatever the blocks, round by 1 +- gamma(width),
+    also taken off.  The bound costs ``_HOLD_STEPS`` products, computed once
+    per operator for a horizon past 2 + ``rows`` where a proven block
+    outgrows ``rows``, else past 256, where it saves only row sums (it paid
+    back within 128 to 256 steps on cold operators of 3 000 to 50 000 slots).
+    Any other block holds 2 rows if it is the first, or the first after a
+    rescale, and otherwise max(reach, 4 * since) rows, at most ``rows``,
+    since being the steps kept since the last rescale (:func:`_block_sizes`).
+    Its rollback drops at most reach - 1 steps (``_BLOCK_DOUBLES``
+    multiply-adds) or four steps for each step kept, whichever is more.  Once
+    the alive mass is exactly zero every later step is zero, and stepping
+    stops.  Returns (pmf, alive, scale, q): the mass recorded in step t,
+    times 2^scale[t], and the alive mass and q after the last step, both
+    times 2^scale[-1].
     """
     global _csc_matvec
     if _csc_matvec is None:

@@ -539,6 +539,25 @@ def test_censoring_reports_cap():
     assert np.all(times[~censored] <= 5)
 
 
+class _FixedDraws:
+    """An rng whose every uniform draw is ``u``."""
+
+    def __init__(self, u):
+        self.u = u
+
+    def random(self, size):
+        return np.full(size, self.u)
+
+
+def test_sampler_never_steps_to_a_zero_probability_state():
+    # row a sums to 1 - 1e-12, inside the validation tolerance; a draw past
+    # its total must land on b, a's last positive state, never on c
+    k = TransitionKernel(["a", "b", "c"], [[(0, 0.499999999999), (1, 0.5)],
+                                           [(0, 0.5), (2, 0.5)], [(0, 1.0)]])
+    times, censored = sample_passage_times(k, "a", "b", 4, 20, rng=_FixedDraws(0.9999999999995))
+    assert not censored.any() and np.all(times == 1)
+
+
 def test_sample_passage_times_single_draw():
     times, censored = sample_passage_times(TwoStateChain(0.5), 1, 1, 1, 100, seed=2)
     assert times.shape == censored.shape == (1,) and not censored[0]

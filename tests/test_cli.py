@@ -520,3 +520,24 @@ def test_installed_console_script_matches_tree():
     tree = run_script_target()
     assert (installed.returncode, installed.stdout) == (tree.returncode,
                                                         tree.stdout)
+
+
+def test_cli_digest_script_runs_its_commands(tmp_path):
+    # tests/cli_digest.py keeps running: a slice of its command set covers
+    # each subcommand, every command exits 0 with output or 2/3 with an
+    # error line, and the slice digests the same twice
+    import cli_digest
+
+    cmds = cli_digest.commands()[::5]
+    assert {argv[0] for argv in cmds} == {"fpt", "moment", "demo", "classify"}
+    cli_digest.write_inputs(str(tmp_path))
+    cwd = os.getcwd()
+    os.chdir(tmp_path)
+    try:
+        results = [cli_digest.run(argv) for argv in cmds]
+    finally:
+        os.chdir(cwd)
+    for argv, (code, out, err) in zip(cmds, results):
+        assert (code == 0 and out and not err) or (
+            code in (2, 3) and err.startswith(("error: ", "usage: "))), argv
+    assert cli_digest.digest(cmds, str(tmp_path)) == cli_digest.digest(cmds, str(tmp_path))

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import math
+import re
 from itertools import accumulate
 
 import numpy as np
@@ -73,6 +74,43 @@ def test_schedule_validation_rejects_overlap():
     with pytest.raises(InvalidInput):
         bad = BurstSchedule(start_of=lambda i: 2 * i, length_of=lambda i: 5)
         burst_fn(bad).log_f(50)
+
+
+def _finite(*bursts):
+    """A finite schedule of the (s_i, u_i) given."""
+    return BurstSchedule(lambda i: bursts[i - 1][0], lambda i: bursts[i - 1][1],
+                         n_bursts=len(bursts))
+
+
+@pytest.mark.parametrize("bursts,message", [
+    ((), "schedule must contain at least one burst"),
+    (((0, 1), (5, 2), (10, 3)), "burst starts must be >= 1"),
+    (((1, 1), (5, 0), (10, 3)), "burst length u_2 = 0 must be >= 1"),
+    (((1, 1), (1, 2), (10, 3)), "burst starts must be strictly increasing"),
+    (((1, 5), (3, 6), (20, 7)), "burst 1 overruns the next start: u=5, gap=2"),
+    (((1, 3), (10, 2), (20, 4)), "burst lengths must be strictly increasing toward the end"),
+], ids=["empty", "start-below-1", "length-below-1", "starts-not-increasing", "overrun",
+        "lengths-not-increasing"])
+def test_schedule_faults_at_construction(bursts, message):
+    with pytest.raises(InvalidInput, match=re.escape(message)):
+        _finite(*bursts)
+
+
+@pytest.mark.parametrize("start,length,message", [
+    (lambda s: s, 1 << 25, "burst starts must be strictly increasing"),
+    (lambda s: s + 1, 1 << 25, "burst 24 overruns the next start: u=402653184, gap=1"),
+    (lambda s: 1 << 40, 0, "burst length u_25 = 0 must be >= 1"),
+], ids=["starts-not-increasing", "overrun", "length-below-1"])
+def test_schedule_faults_past_the_checked_prefix(start, length, message):
+    # the default schedule's first 24 bursts, then a faulty 25th: the
+    # schedule builds, and the same check fails as the schedule is read
+    s_24 = 24 * 24 << 24
+    sched = BurstSchedule(lambda i: i * i << i if i <= 24 else start(s_24),
+                          lambda i: i << i if i <= 24 else length)
+    table = burst_fn(sched).burst_table
+    assert table.burst(24) == (s_24, 24 << 24)
+    with pytest.raises(InvalidInput, match=re.escape(message)):
+        table.burst(25)
 
 
 def test_schedule_csv_roundtrip(tmp_path):

@@ -22,6 +22,7 @@ from recur_moments import (VERDICT_CONVERGED, AtomicDist, IncomparableLaws,
                            hit_before_return_prob, law_from_csv, law_to_csv,
                            mixture, random_kernel, stochastic_dominates)
 from recur_moments.logspace import log_add, logsumexp
+from recur_moments.moments import VERDICT_INCONCLUSIVE as MOMENT_INCONCLUSIVE
 from recur_moments import chain, passage
 
 from helpers import (absorbed_mass_iterative, brute_convolve_dicts,
@@ -629,13 +630,16 @@ def test_all_pairs_sweep_builds_a_lift_per_target_and_steps_each_law_in_six_call
 @pytest.mark.parametrize("cols", range(1, 18))
 def test_row_sums_equal_the_reduction_bit_for_bit(cols):
     # rows of normals, subnormals and zeros, read as _propagate reads them:
-    # the first columns of a wider buffer
+    # the first columns of a wider buffer.  Each row sums to the bits it
+    # sums to on its own, whatever the block, so a rescale point depends on
+    # the row alone
     rng = np.random.default_rng(cols)
     for m in (1, 2, 3, 7, 8, 9, 127, 128, 599, 600):
         buf = rng.random((m, cols + 1)) * np.ldexp(1.0, rng.integers(-1080, 4, (m, cols + 1)))
         buf[rng.random((m, cols + 1)) < 0.2] = 0.0
         rows = buf[:, :cols]
-        assert np.array_equal(passage._row_sums(rows), np.add.reduce(rows, axis=1)), (cols, m)
+        alone = np.array([np.add.reduce(row) for row in rows])
+        assert np.array_equal(passage._row_sums(rows), alone), (cols, m)
 
 
 def test_lift_cache_entry_pins_its_operator(monkeypatch):
@@ -1605,3 +1609,113 @@ def test_random_chain_mass_conservation(rng):
         surv = law.survival_array()
         assert np.all(surv >= -1e-15)
         assert np.all(np.diff(surv) <= 1e-15)
+
+
+# ---------------------------------------------------------------------------
+# tail-certificate fallbacks: no certificate, or one that holds
+
+
+def _cycle(n):
+    """The deterministic cycle k -> k + 1 (mod n) on states '0'..'n-1'."""
+    return TransitionKernel([str(k) for k in range(n)], [[((k + 1) % n, 1.0)] for k in range(n)])
+
+
+def _cert_holds(law, longer):
+    """Whether ``law``'s certificate bounds P(T > N + k) at every step of
+    ``longer``, the same law stepped past law's horizon N."""
+    cert = law.tail_cert
+    surv = longer.survival_array()[law.horizon - 1:]
+    with np.errstate(divide="ignore"):
+        return bool(np.all(np.log(surv) <= cert.log_bound
+                           + np.arange(surv.size) * math.log(cert.rho)))
+
+
+def test_wide_cycle_gets_no_certificate():
+    # 300 alive slots are past the dense solve, and the hold bound is 1 (most
+    # slots keep their mass for 16 steps), so no rho < 1 exists: the law,
+    # and a cut of it, carry no certificate, and a moment is inconclusive
+    law = first_passage_law(_cycle(300), 100, 0, 10)
+    cut = law.to_dense(5)
+    assert law.log_tail == 0.0 and law.tail_cert is None and cut.tail_cert is None
+    assert f_moment(law, exp_fn(0.1)).verdict == MOMENT_INCONCLUSIVE
+
+
+def test_near_critical_two_state_takes_the_hold_certificate():
+    # p = 1e-11: Q's radius 1 - 1e-11 plus the first shift reaches 1, so the
+    # shift loop ends, and the hold bound certifies about (1 - p)^(15/16),
+    # looser than 1 - p.  It holds against P(T > n) = (1 - p)^n out to
+    # 10^12 steps past the horizon
+    p, n = 1e-11, 100
+    cert = first_passage_law(build_two_state(p), 0, 1, n).tail_cert
+    assert cert.start == n and 1.0 - p < cert.rho < 1.0
+    k = np.array([0, 1, 16, 10 ** 3, 10 ** 6, 10 ** 9, 10 ** 10, 10 ** 11, 10 ** 12], dtype=float)
+    assert np.all((n + k) * math.log1p(-p) <= cert.log_bound + k * math.log(cert.rho))
+
+
+def _fails(*args):
+    raise np.linalg.LinAlgError("patched")
+
+
+@pytest.mark.parametrize("name,patched", [
+    ("eigvals", _fails),
+    ("solve", _fails),
+    ("solve", lambda a, b: np.full(b.size, np.inf)),
+    ("solve", lambda a, b: -np.ones(b.size)),
+], ids=["eigvals-fails", "solve-fails", "vector-not-finite", "vector-not-positive"])
+def test_failed_dense_solve_takes_the_hold_certificate(monkeypatch, name, patched):
+    # with no usable (rI - Q)^-1 1, the certificate comes from the hold
+    # bound, rho = M^(1/16) rounded up, and still bounds the tail
+    kernel = random_kernel(5, np.random.default_rng(5))
+    law = first_passage_law(kernel, 0, 1, 40)
+    calls = []
+    with monkeypatch.context() as m:
+        m.setattr(np.linalg, name, lambda *args: calls.append(name) or patched(*args))
+        cert = law.tail_cert
+    most = passage._log_hold(*passage._operator(kernel, (1, None, None)), None)[1]
+    assert calls and cert.rho == most ** (1.0 / passage._HOLD_STEPS) * (1.0 + passage._gamma(2))
+    assert _cert_holds(law, first_passage_law(kernel, 0, 1, 2000))
+
+
+def test_too_steep_a_vector_gives_no_certificate(monkeypatch):
+    # q . v past the float range bounds nothing: no certificate, no error.
+    # Slot 1, the target's, never holds mass
+    kernel = random_kernel(4, np.random.default_rng(4))
+    v = np.array([np.inf, 1.0, np.inf, np.inf])
+    monkeypatch.setattr(passage, "_tail_vector", lambda kernel, key: (0.5, v, 0.0, 0.0))
+    assert first_passage_law(kernel, 0, 1, 20).tail_cert is None
+
+
+def test_cut_forward_moves_the_certificate():
+    # extending a complete law moves its certificate forward: P(T > n + k)
+    # <= rho^(n - N + k) B
+    law = PassageLaw.dense([0.5, 0.5], 0.0, tail_cert=TailCert(2, 0.5, -10.0))
+    assert law.to_dense(5).tail_cert == TailCert(5, 0.5, -10.0 + 3 * math.log(0.5))
+
+
+# ---------------------------------------------------------------------------
+# sparse laws
+
+
+def test_sparse_laws_convolve_to_the_brute_sum():
+    a, b = {1: 0.25, 3: 0.5, 4: 0.25}, {2: 0.5, 5: 0.375, 7: 0.125}
+    want = brute_convolve_dicts(a, b)
+    sa, sb = (PassageLaw.sparse(AtomicDist.from_pairs(d)) for d in (a, b))
+    for horizon in (None, 8):
+        law = convolve(sa, sb, horizon=horizon)
+        assert not law.is_dense
+        got = dict(zip(law.atomic.atoms.tolist(), law.atomic.probs().tolist()))
+        kept = {v: w for v, w in want.items() if horizon is None or v <= horizon}
+        assert got.keys() == kept.keys()
+        assert all(abs(got[v] - w) <= 1e-15 for v, w in kept.items())
+        assert abs(math.exp(law.log_tail) - (sum(want.values()) - sum(kept.values()))) <= 1e-15
+
+
+def test_sparse_law_pmf_and_survival_arrays():
+    law = PassageLaw.sparse(AtomicDist.from_pairs({2: 0.25, 5: 0.75}))
+    assert np.array_equal(law.pmf_array(), [0.0, 0.25, 0.0, 0.0, 0.75])
+    assert np.array_equal(law.pmf_array(7), [0.0, 0.25, 0.0, 0.0, 0.75, 0.0, 0.0])
+    assert np.array_equal(law.survival_array(), [1.0, 0.75, 0.75, 0.75, 0.0])
+    short = PassageLaw.sparse(AtomicDist(np.array([2]), np.array([math.log(0.5)]),
+                                         math.log(0.5)))
+    with pytest.raises(IncomparableLaws):
+        short.pmf_array()
