@@ -623,9 +623,13 @@ def _segment_sums(draws: np.ndarray, counts: np.ndarray) -> np.ndarray:
 
 def _kernel_passage_times(kernel: TransitionKernel, i: int, j: int, n: int,
                           cap: int, rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
-    mat = kernel.dense_matrix
-    cum = np.cumsum(mat, axis=1)
-    last = mat.shape[1] - 1 - np.argmax(mat[:, ::-1] > 0.0, axis=1)  # last positive state
+    csr = kernel.csr
+    counts = np.diff(csr.indptr)
+    real = np.arange(counts.max(initial=1)) < counts[:, None]
+    probs, targets = np.zeros(real.shape), np.zeros(real.shape, dtype=np.int64)
+    probs[real], targets[real] = csr.data, csr.indices
+    cum = np.cumsum(probs, axis=1)  # the CSR rows padded with 0: the bits of the dense rows' cumsum
+    last = real.shape[1] - 1 - np.argmax(probs[:, ::-1] > 0.0, axis=1)  # last positive entry
     times = np.full(n, cap, dtype=np.int64)
     censored = np.ones(n, dtype=bool)
     active = np.arange(n)
@@ -635,8 +639,8 @@ def _kernel_passage_times(kernel: TransitionKernel, i: int, j: int, n: int,
             break
         u = rng.random(active.size)
         nxt = (cum[state[active]] <= u[:, None]).sum(axis=1)
-        # a draw past its row's total (which may be 1 - 1e-12) takes its last positive state
-        np.minimum(nxt, last[state[active]], out=nxt)
+        # a draw past its row's total (which may be 1 - 1e-12) takes its last positive entry
+        nxt = targets[state[active], np.minimum(nxt, last[state[active]])]
         hit = nxt == j
         if hit.any():
             done = active[hit]

@@ -42,9 +42,11 @@ only nonnegative terms.
 A tail *certificate* (N, rho, B) of a law computed to horizon N asserts
 P(T > N+k) <= rho^k B for every k >= 0, not only on computed points; moment
 code refuses to extrapolate without one.  A propagated law's comes from its
-taboo operator Q (:func:`_tail_vector`): a vector v >= 1 with Qv <= rho v,
-checked with one product of the operator's own arrays, so that B = q_N . v;
-a conditioned law divides that by the probability of its event.  A law
+taboo operator Q (:func:`_tail_vector`): a vector v >= 1 with Qv <= rho v
+on every slot that can hold mass (one an entry of Q enters), checked with
+one product of the operator's own arrays, so that B = q_N . v; v comes from
+the solves of Noda's iteration, with no eigenvalue computed.  A conditioned
+law divides B by the probability of its event.  A law
 builds it on first use (:attr:`PassageLaw.tail_cert`).
 
 What the laws of one kernel share is built once per kernel and kept in its
@@ -382,7 +384,8 @@ _BLOCK_ROWS = 128
 _BLOCK_DOUBLES = 2 ** 16
 _LIFT_CACHE_BYTES = 2 ** 20
 _HOLD_STEPS = 16  # steps over which _log_hold bounds the loss of alive mass
-_CERT_WIDTH = 256  # widest taboo operator whose tail certificate comes from a dense solve
+_CERT_WIDTH = 256  # widest taboo operator whose tail certificate comes from dense solves
+_CERT_SOLVES = 5  # most solves of Noda's iteration for one tail certificate
 _FLAG_BITS = np.array([0, 1], dtype=np.int32)
 _csc_matvec = None  # scipy's compiled CSC matvec, bound and checked by the first _propagate
 
@@ -530,49 +533,48 @@ def _tail_vector(kernel: TransitionKernel, key: tuple) -> tuple:
     v) e^(log_lead + N log_step) (Collatz-Wielandt; Seneta, *Non-negative
     Matrices and Markov Chains*, ch. 1).
 
-    v >= 1 on every alive slot, so the alive mass q . 1 is at most q . v;
-    and Qv <= rho v on every slot that can hold mass, so q_(N+k) . v <=
-    rho^k q_N . v.  That is checked with one product of the operator's own
-    arrays read as rows, rho rounded up by gamma of the longest row, and
-    there is no certificate unless rho < 1.  The operator of up to
-    ``_CERT_WIDTH`` alive slots gives v = (rI - Q)^-1 1 for r just above
-    the spectral radius of Q, from a dense solve: then Qv = rv - 1 <= rv
-    and v >= 1/r on every slot, however reducible Q is.  r starts 1e-10
-    above the radius that ``eigvals`` gives and moves up by 1000 times
-    until the check passes.  A wider operator, or one that fails, takes v
-    = 1 and the greatest alive mass M left after ``_HOLD_STEPS`` steps
-    from :func:`_log_hold`: the alive mass then falls by M every
-    ``_HOLD_STEPS`` steps and never grows, so rho = M^(1/16) holds with
-    B times rho^-15.  log_step bounds the rounding of one propagated step,
-    gamma of the most sums into one slot, and log_lead that of q . v."""
+    Mass after step 0 sits only in live slots: those an entry of the
+    operator enters, but (flag, 0), whose mass the fold moves on.  There v
+    >= 1, so the alive mass q . 1 is at most q . v, and Qv <= rho v, so
+    q_(N+k) . v <= rho^k q_N . v, as :func:`_checked_ratio` checks; there
+    is no certificate unless rho < 1.  Up to ``_CERT_WIDTH`` alive slots, v
+    comes from Noda's iteration (*Numer. Math.* 17 (1971) 382-386): from r
+    = 1 and v = 1, up to ``_CERT_SOLVES`` dense solves x = (rI - Q)^-1 v,
+    x scaled to 1 on its least live slot, each kept with r its checked
+    ratio while that ratio falls: every pair kept is a certificate, its rho
+    below the last, and no eigenvalue is computed.  A wider operator, or
+    one with no ratio below 1, takes v = 1 and the greatest alive mass M
+    left after ``_HOLD_STEPS`` steps from :func:`_log_hold`: the alive mass
+    then falls by M every ``_HOLD_STEPS`` steps and never grows, so rho =
+    M^(1/16) holds with B times rho^-15.  log_step bounds the rounding of
+    one propagated step, gamma of the most sums into one slot, and log_lead
+    that of q . v."""
     indptr, indices, data, width = op = _operator(kernel, key)
     flag = key[2]
-    fslot = None if flag is None else 2 * flag
     k, most_into = _fan(indptr, indices, width)
     log_step, log_lead = -math.log1p(-_gamma(most_into + 1)), -math.log1p(-_gamma(2 * width + 2))
     if width <= _CERT_WIDTH:
         q = _dense_taboo(*op, flag)
-        try:
-            radius = float(np.abs(np.linalg.eigvals(q)).max(initial=0.0))
-        except np.linalg.LinAlgError:  # the eigenvalues did not converge
-            radius = math.inf
-        for shift in (1e-10, 1e-7, 1e-4):
-            r = radius + shift
-            if not r < 1.0:
-                break
+        live = np.bincount(indices, minlength=width + 1)[:width] > 0
+        if flag is not None:
+            live[2 * flag] = False
+        r, v = 1.0, np.ones(width)
+        for _ in range(_CERT_SOLVES):
             try:
-                v = np.linalg.solve(r * np.eye(width) - q, np.ones(width))
+                x = np.linalg.solve(r * np.eye(width) - q, v)
             except np.linalg.LinAlgError:  # r is an eigenvalue of Q, to working precision
-                continue
-            if fslot is not None:
-                v[fslot] = v[fslot + 1]
-            low = v.min()
-            if not (low > 0.0 and np.isfinite(v).all()):
-                continue
-            v /= low
-            rho = _checked_ratio(op, v, fslot, k)
-            if rho < 1.0:
-                return rho, v, log_lead, log_step
+                break
+            if flag is not None:
+                x[2 * flag] = x[2 * flag + 1]
+            if not (np.isfinite(x).all() and (x[live] > 0.0).all()):
+                break
+            x /= x[live].min(initial=math.inf)  # no live slot: v = 0, and every q_N . v = 0
+            rho = _checked_ratio(op, x, live, k)
+            if not rho < r:
+                break
+            r, v = rho, x
+        if r < 1.0:
+            return r, v, log_lead, log_step
     most = kernel._derived.get(("hold", key), lambda: _log_hold(*op, flag))[1]
     rho = most ** (1.0 / _HOLD_STEPS) * (1.0 + _gamma(2))
     if not rho < 1.0:
@@ -580,20 +582,17 @@ def _tail_vector(kernel: TransitionKernel, key: tuple) -> tuple:
     return rho, np.ones(width), log_lead - (_HOLD_STEPS - 1) * math.log(rho), log_step
 
 
-def _checked_ratio(op: tuple, v: np.ndarray, fslot: int | None, k: int) -> float:
-    """The least rho with Qv <= rho v on every alive slot but (flag, 0), as
-    the operator's arrays read as rows give Qv, rounded up for rounding and
-    underflow; v >= 1 on the alive slots."""
+def _checked_ratio(op: tuple, v: np.ndarray, live: np.ndarray, k: int) -> float:
+    """The least rho with Qv <= rho v on the ``live`` slots, as the
+    operator's arrays read as rows give Qv, rounded up for rounding and
+    underflow; v >= 1 on those slots."""
     from scipy.sparse._sparsetools import csr_matvec
 
     indptr, indices, data, width = op
-    x, out = np.zeros(width + 1), np.zeros(width + 1)
-    x[:width] = v
+    x, out = np.append(v, 0.0), np.zeros(width + 1)
     csr_matvec(width + 1, width + 1, indptr, indices, data, x, out)
-    ratio = out[:width] / v
-    if fslot is not None:
-        ratio[fslot] = 0.0
-    return float(ratio.max()) * (1.0 + 2.0 * _gamma(k + 2)) + _SMALLEST_NORMAL
+    ratio = out[:width][live] / v[live]
+    return float(ratio.max(initial=0.0)) * (1.0 + 2.0 * _gamma(k + 2)) + _SMALLEST_NORMAL
 
 
 def _lift(indptr: np.ndarray, indices: np.ndarray, data: np.ndarray, w: int, steps: int,

@@ -261,6 +261,40 @@ def sparse_ring_kernel(n: int, per_row: int, seed: int) -> TransitionKernel:
     return TransitionKernel([str(i) for i in range(n)], rows)
 
 
+def cycle_kernel(n: int) -> TransitionKernel:
+    """The deterministic cycle k -> k + 1 (mod n) on states '0'..'n-1'."""
+    return TransitionKernel([str(k) for k in range(n)], [[((k + 1) % n, 1.0)] for k in range(n)])
+
+
+def dense_passage_times(kernel: TransitionKernel, i: int, j: int, n: int, cap: int,
+                        rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
+    """(times, censored) of n first passages i -> j, stepped through the
+    cumulative sums of the dense rows, as the library sampled before it read
+    the CSR rows (an n x n matrix and its cumsum)."""
+    mat = kernel.dense_matrix
+    cum = np.cumsum(mat, axis=1)
+    last = mat.shape[1] - 1 - np.argmax(mat[:, ::-1] > 0.0, axis=1)  # last positive state
+    times = np.full(n, cap, dtype=np.int64)
+    censored = np.ones(n, dtype=bool)
+    active = np.arange(n)
+    state = np.full(n, i, dtype=np.int64)
+    for t in range(1, cap + 1):
+        if active.size == 0:
+            break
+        u = rng.random(active.size)
+        nxt = (cum[state[active]] <= u[:, None]).sum(axis=1)
+        np.minimum(nxt, last[state[active]], out=nxt)
+        hit = nxt == j
+        if hit.any():
+            done = active[hit]
+            times[done] = t
+            censored[done] = False
+            active = active[~hit]
+            nxt = nxt[~hit]
+        state[active] = nxt
+    return times, censored
+
+
 # ---------------------------------------------------------------------------
 # the row loops the library ran before it stored kernels as CSR arrays; each
 # takes the states and the rows as lists of (target index, probability)

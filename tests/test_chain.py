@@ -19,7 +19,7 @@ from recur_moments import (AtomicDist, InvalidInput, KernelReport, PetalChain,
 
 from recur_moments import chain
 
-from helpers import (hitting_time_means, reference_csr, reference_dense,
+from helpers import (dense_passage_times, hitting_time_means, reference_csr, reference_dense,
                      reference_kernel_json, reference_report, sparse_ring_kernel)
 
 
@@ -529,6 +529,35 @@ def test_petal_macro_sampler_matches_kernel_sampler():
     t_step, _ = sample_passage_times(kernel, 0, 0, 100_000, 10_000, seed=3)
     for v in (1, 2, 3, 4, 5):
         assert abs((t_macro == v).mean() - (t_step == v).mean()) <= 0.01
+
+
+@pytest.mark.parametrize("n", [2, 3, 5, 8, 13, 21, 30])
+def test_kernel_sampler_draws_what_the_dense_rows_draw(n):
+    # the padded CSR rows give each draw the step the dense rows' cumsum
+    # gives, so the same seed samples the same (times, censored)
+    kernel = random_kernel(n, np.random.default_rng(n))
+    for i, j in ((0, n - 1), (n - 1, n - 1), (n // 2, 0)):
+        got = sample_passage_times(kernel, i, j, 500, 60, seed=n + i)
+        want = dense_passage_times(kernel, i, j, 500, 60, np.random.default_rng(
+            np.random.SeedSequence(n + i)))
+        assert all(np.array_equal(a, b) for a, b in zip(got, want))
+
+
+def test_kernel_sampler_on_a_sparse_chain_needs_no_dense_rows():
+    # 10 draws of 5 steps on a 2 000-state chain with 5 entries a row: the
+    # dense rows and their cumsum peaked at 64.9 MiB, the padded CSR rows
+    # hold 10 000 entries
+    kernel = sparse_ring_kernel(2000, 5, seed=2000)
+    tracemalloc.start()
+    try:
+        got = sample_passage_times(kernel, 0, 1000, 10, 5, seed=1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * 2 ** 20
+    want = dense_passage_times(kernel, 0, 1000, 10, 5, np.random.default_rng(
+        np.random.SeedSequence(1)))
+    assert all(np.array_equal(a, b) for a, b in zip(got, want))
 
 
 def test_censoring_reports_cap():

@@ -541,3 +541,32 @@ def test_cli_digest_script_runs_its_commands(tmp_path):
         assert (code == 0 and out and not err) or (
             code in (2, 3) and err.startswith(("error: ", "usage: "))), argv
     assert cli_digest.digest(cmds, str(tmp_path)) == cli_digest.digest(cmds, str(tmp_path))
+
+
+def test_law_digest_compare_flags_a_raised_bound(tmp_path):
+    # tests/law_digest.py keeps its records checkable: a slice of its laws
+    # compared with itself passes, and against a copy with one upper bound
+    # raised, or one verdict changed, it exits 1 and names what moved
+    import law_digest
+
+    fns = [(spec, recur_moments.parse_function_spec(spec)) for spec in law_digest.FUNCTIONS]
+    lines = [law_digest.record(key, law, spec, recur_moments.f_moment(law, f))
+             for key, law in law_digest.small_laws(sizes=(3, 4), seeds=(0,), horizons=(60,))
+             if not isinstance(law, Exception) for spec, f in fns]
+    old = tmp_path / "old.jsonl"
+    old.write_text("".join(line + "\n" for line in lines))
+    out = io.StringIO()
+    assert law_digest.compare(str(old), str(old), out) == 0
+    assert "0 verdict changes, 0 lost certificates" in out.getvalue()
+    records = [json.loads(line) for line in lines]
+    bounded = [r for r in records if r["log_upper_bound"] not in (None, -math.inf)]
+    assert bounded
+    for field, value in (("log_upper_bound", bounded[0]["log_upper_bound"] + 1e-9),
+                         ("verdict", "diverged")):
+        changed = tmp_path / f"{field}.jsonl"
+        changed.write_text("".join(json.dumps({**r, field: value} if r is bounded[0] else r) + "\n"
+                                   for r in records))
+        out = io.StringIO()
+        assert law_digest.compare(str(old), str(changed), out) == 1
+        assert bounded[0]["key"] in out.getvalue()
+        assert law_digest.main(["--compare", str(changed), str(changed)]) == 0

@@ -14,7 +14,7 @@ from recur_moments import (InvalidInput, PassageLaw,
                            lower_bound_series, mc_f_moment,
                            passage_sampler, power_fn)
 
-from helpers import hitting_time_means
+from helpers import cycle_kernel, hitting_time_means
 
 
 def _t11(horizon=80, p=0.5):
@@ -149,6 +149,53 @@ def test_power_bracket_behind_a_slow_trap_holds_the_true_moment(tmp_path, h):
     assert est.log_partial_sum <= _K4_LOG_SECOND_MOMENT
     if est.verdict == VERDICT_CONVERGED:
         assert est.log_upper_bound >= _K4_LOG_SECOND_MOMENT
+
+
+def test_slow_trap_certificate_bound_is_tight(tmp_path):
+    # k4's return to a at h = 40: Noda's solves certify rho within rounding
+    # of Q's radius with a bound of e^-14.51; a certificate from shifts
+    # above the radius had e^-5.30
+    cert = first_passage_law(_json_kernel(tmp_path, _K4), "a", "a", 40).tail_cert
+    assert cert.log_bound <= -14.0
+
+
+def test_nilpotent_cycle_mean_has_a_usable_bracket():
+    # T from 5 to 0 on the 40-cycle is 35.  Its taboo operator is nilpotent,
+    # and a certificate from shifts above the radius 0 had a vector so steep
+    # that the upper log read 389.23; five Noda solves give 17.92
+    est = f_moment(first_passage_law(cycle_kernel(40), 5, 0, 10), power_fn(1))
+    assert est.verdict == VERDICT_CONVERGED
+    assert est.log_partial_sum <= math.log(35.0) <= est.log_upper_bound <= 18.0
+
+
+# Verdicts still wrong or loose, each pinned until the ROADMAP item named in
+# its reason lands and flips it.
+_K5_LOG_SIXTH_MOMENT = 20.23995844133858
+
+
+@pytest.mark.xfail(strict=True, reason="ROADMAP item 5: a certified bracket outranks the "
+                   "threshold, so k5 prints diverged for a finite moment")
+@pytest.mark.parametrize("h", [60, 600])
+def test_k5_sixth_moment_is_converged(h):
+    est = f_moment(first_passage_law(build_two_state(0.1), 1, 1, h), power_fn(6))
+    assert est.verdict == VERDICT_CONVERGED
+    assert est.log_partial_sum <= _K5_LOG_SIXTH_MOMENT <= est.log_upper_bound
+
+
+@pytest.mark.xfail(strict=True, reason="ROADMAP item 13: exact tails from the operator's "
+                   "solves converge k4's second moment at h = 40")
+def test_k4_second_moment_is_converged_at_40(tmp_path):
+    est = f_moment(first_passage_law(_json_kernel(tmp_path, _K4), "a", "a", 40), power_fn(2))
+    assert est.verdict == VERDICT_CONVERGED
+    assert est.log_partial_sum <= _K4_LOG_SECOND_MOMENT <= est.log_upper_bound
+
+
+@pytest.mark.xfail(strict=True, reason="ROADMAP item 13: exact tails give the 40-cycle's "
+                   "mean a bracket at most 1e-9 nats wide")
+def test_nilpotent_cycle_mean_bracket_is_exact():
+    est = f_moment(first_passage_law(cycle_kernel(40), 5, 0, 10), power_fn(1))
+    assert est.verdict == VERDICT_CONVERGED
+    assert est.log_upper_bound - est.log_partial_sum <= 1e-9
 
 
 def test_custom_function_without_growth_bound_is_inconclusive():

@@ -29,6 +29,7 @@ from helpers import (absorbed_mass_iterative, brute_convolve_dicts,
                      enumerate_passage_pmf, pmf_dict_to_array,
                      reaches_oracle, reference_compound, reference_laws,
                      reference_survival, two_state_return_pmf_11)
+from helpers import cycle_kernel as _cycle
 from helpers import sparse_ring_kernel as _sparse_kernel
 
 ORACLE_H = 8
@@ -1422,7 +1423,7 @@ def test_tail_cert_derived_for_geometric_chain():
     cert = law.tail_cert
     assert cert is not None and cert.start == 120
     # the taboo operator keeps 0.7 of the mass a step; the certified rho is
-    # that within the shift of its solve
+    # that within the rounding of its check
     assert 0.7 <= cert.rho < 0.7 + 1e-9
     longer = first_passage_law(build_two_state(0.3), 1, 1, 600)
     log_surv = np.logaddexp.accumulate(np.concatenate(([longer.log_tail],
@@ -1444,21 +1445,23 @@ _CERT_LAWS = {"passage": (first_passage_law, lambda i, j: (j, None, None)),
 
 def _certifies_its_operator(kernel, key) -> bool:
     """Whether the cached (rho, v) of ``key`` has v >= 1 and Qv <= rho v on
-    every alive slot but (flag, 0), in exact arithmetic on the operator's
-    own entries."""
+    every slot that can hold mass after step 0, in exact arithmetic on the
+    operator's own entries: the alive slots some entry enters, but (flag,
+    0), whose mass moves on to (flag, 1).  With no such slot it holds."""
     from fractions import Fraction
 
     rho, v = kernel._derived.get(("cert", key), lambda: passage._tail_vector(kernel, key))[:2]
     indptr, indices, data, width = passage._operator(kernel, key)
     fslot = None if key[2] is None else 2 * key[2]
+    live = sorted({int(d) for d in indices if d < width} - {fslot})
     x = [Fraction(float(e)) for e in v] + [Fraction(0)]
     if fslot is not None:
         x[fslot] = x[fslot + 1]
-    for c in range(width):
+    for c in live:
         qv = sum(Fraction(float(data[e])) * x[indices[e]] for e in range(indptr[c], indptr[c + 1]))
-        if c != fslot and qv > Fraction(rho) * x[c]:
+        if qv > Fraction(rho) * x[c]:
             return False
-    return min(v) >= 1.0
+    return all(x[c] >= 1 for c in live)
 
 
 @settings(max_examples=40, deadline=None, derandomize=True)
@@ -1615,11 +1618,6 @@ def test_random_chain_mass_conservation(rng):
 # tail-certificate fallbacks: no certificate, or one that holds
 
 
-def _cycle(n):
-    """The deterministic cycle k -> k + 1 (mod n) on states '0'..'n-1'."""
-    return TransitionKernel([str(k) for k in range(n)], [[((k + 1) % n, 1.0)] for k in range(n)])
-
-
 def _cert_holds(law, longer):
     """Whether ``law``'s certificate bounds P(T > N + k) at every step of
     ``longer``, the same law stepped past law's horizon N."""
@@ -1640,14 +1638,15 @@ def test_wide_cycle_gets_no_certificate():
     assert f_moment(law, exp_fn(0.1)).verdict == MOMENT_INCONCLUSIVE
 
 
-def test_near_critical_two_state_takes_the_hold_certificate():
-    # p = 1e-11: Q's radius 1 - 1e-11 plus the first shift reaches 1, so the
-    # shift loop ends, and the hold bound certifies about (1 - p)^(15/16),
-    # looser than 1 - p.  It holds against P(T > n) = (1 - p)^n out to
-    # 10^12 steps past the horizon
+def test_near_critical_two_state_is_certified_by_its_solves():
+    # p = 1e-11: Q's radius is 1 - p, and the solves of (rI - Q)^-1 reach a
+    # checked ratio within rounding of it, not the hold bound's looser
+    # (1 - p)^(15/16).  It holds against P(T > n) = (1 - p)^n out to 10^12
+    # steps past the horizon
     p, n = 1e-11, 100
     cert = first_passage_law(build_two_state(p), 0, 1, n).tail_cert
     assert cert.start == n and 1.0 - p < cert.rho < 1.0
+    assert cert.rho - (1.0 - p) <= 1e-14
     k = np.array([0, 1, 16, 10 ** 3, 10 ** 6, 10 ** 9, 10 ** 10, 10 ** 11, 10 ** 12], dtype=float)
     assert np.all((n + k) * math.log1p(-p) <= cert.log_bound + k * math.log(cert.rho))
 
@@ -1656,20 +1655,19 @@ def _fails(*args):
     raise np.linalg.LinAlgError("patched")
 
 
-@pytest.mark.parametrize("name,patched", [
-    ("eigvals", _fails),
-    ("solve", _fails),
-    ("solve", lambda a, b: np.full(b.size, np.inf)),
-    ("solve", lambda a, b: -np.ones(b.size)),
-], ids=["eigvals-fails", "solve-fails", "vector-not-finite", "vector-not-positive"])
-def test_failed_dense_solve_takes_the_hold_certificate(monkeypatch, name, patched):
-    # with no usable (rI - Q)^-1 1, the certificate comes from the hold
+@pytest.mark.parametrize("patched", [
+    _fails,
+    lambda a, b: np.full(b.size, np.inf),
+    lambda a, b: -np.ones(b.size),
+], ids=["solve-fails", "vector-not-finite", "vector-not-positive"])
+def test_failed_dense_solve_takes_the_hold_certificate(monkeypatch, patched):
+    # with no usable (I - Q)^-1 1, the certificate comes from the hold
     # bound, rho = M^(1/16) rounded up, and still bounds the tail
     kernel = random_kernel(5, np.random.default_rng(5))
     law = first_passage_law(kernel, 0, 1, 40)
     calls = []
     with monkeypatch.context() as m:
-        m.setattr(np.linalg, name, lambda *args: calls.append(name) or patched(*args))
+        m.setattr(np.linalg, "solve", lambda *args: calls.append(args) or patched(*args))
         cert = law.tail_cert
     most = passage._log_hold(*passage._operator(kernel, (1, None, None)), None)[1]
     assert calls and cert.rho == most ** (1.0 / passage._HOLD_STEPS) * (1.0 + passage._gamma(2))
