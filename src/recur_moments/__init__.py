@@ -11,8 +11,7 @@ from ._atomic import AtomicDist
 from .chain import (TransitionKernel, KernelReport, validate_kernel,
                     build_two_state, build_petal_chain, random_kernel,
                     stationary_distribution, TwoStateChain, PetalChain,
-                    sample_passage_times,
-                    passage_sampler, save_kernel_json, load_kernel_json)
+                    sample_passage_times, save_kernel_json, load_kernel_json)
 from .passage import (PassageLaw, TailCert, DominationReport,
                       first_passage_law, hit_before_return_prob,
                       conditioned_return_law, conditioned_hit_law,
@@ -40,7 +39,7 @@ __all__ = [
     "AtomicDist",
     "TransitionKernel", "KernelReport", "validate_kernel", "build_two_state",
     "build_petal_chain", "random_kernel", "stationary_distribution",
-    "TwoStateChain", "PetalChain", "sample_passage_times", "passage_sampler",
+    "TwoStateChain", "PetalChain", "sample_passage_times",
     "save_kernel_json", "load_kernel_json",
     "PassageLaw", "TailCert", "DominationReport", "first_passage_law",
     "hit_before_return_prob", "conditioned_return_law", "conditioned_hit_law",

@@ -90,9 +90,6 @@ class AtomicDist:
         """Linear-space atom probabilities."""
         return np.exp(self.log_probs)
 
-    def as_dict(self) -> dict[int, float]:
-        return {int(v): float(p) for v, p in zip(self.atoms, self.probs())}
-
     def log_prob(self, value: int) -> float:
         idx = np.searchsorted(self.atoms, value)
         if idx < self.atoms.size and self.atoms[idx] == value:

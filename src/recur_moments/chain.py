@@ -64,9 +64,10 @@ def _csr_arrays(rows) -> tuple[array, array, array, dict, Exception | None]:
     at a time.  Row i's entries are ``indptr[i]:indptr[i+1]`` of ``slots``
     and ``data``; ``targets`` numbers each distinct target in the order first
     seen, and an entry's slot is the number of its target, so the targets
-    can be resolved once, after the rows (:func:`_indices`).  ``error`` is
-    the first TypeError or ValueError a row raised, or None: the rows after
-    it are still read, so that a reader feeding them reads its whole file."""
+    can be resolved once, after the rows (:func:`_indices`).  A probability
+    must be a number, not a bool or a string.  ``error`` is the first
+    TypeError or ValueError a row raised, or None: the rows after it are
+    still read, so that a reader feeding them reads its whole file."""
     targets: dict = {}
     indptr, slots, data = array("q", [0]), array("q"), array("d")
     slot, add_slot, add_p, end_row = targets.setdefault, slots.append, data.append, indptr.append
@@ -78,8 +79,10 @@ def _csr_arrays(rows) -> tuple[array, array, array, dict, Exception | None]:
     for row in rows:
         try:
             for t, p in row:
+                if type(p) is bool:
+                    raise TypeError(f"probability {p!r} is not a number")
                 add_slot(slot(t, len(targets)))
-                add_p(float(p))
+                add_p(p)
         except (TypeError, ValueError) as exc:
             error = error or exc
         end_row(len(slots))
@@ -591,9 +594,9 @@ class PetalChain:
             if not dist.is_complete:
                 raise InvalidInput(f"{name} must be a complete distribution (no tail mass)")
 
-    def kernel(self, max_petals: int | None = None) -> TransitionKernel:
-        cap = max_petals if max_petals is not None else max(self.u1.atoms.size, self.u2.atoms.size)
-        return build_petal_chain(self.u1, self.u2, self.p, cap)
+    def kernel(self) -> TransitionKernel:
+        return build_petal_chain(self.u1, self.u2, self.p,
+                                 max(self.u1.atoms.size, self.u2.atoms.size))
 
     def loop_mixture(self) -> tuple[np.ndarray, np.ndarray]:
         """Merged atoms and linear probabilities of the even U1/U2 mixture."""
@@ -686,11 +689,7 @@ def _petal_times(chain: PetalChain, src: int, tgt: int, n: int,
         return times
     loops = rng.geometric(p, size=n).astype(np.int64) - 1  # loops before exiting
     sums = loop_sums(loops)
-    if (src, tgt) == (1, 0):
-        return sums + 1
-    if (src, tgt) == (0, 0):
-        return sums + 2
-    raise InvalidInput(f"unsupported petal macro passage {src} -> {tgt}")
+    return sums + 1 if (src, tgt) == (1, 0) else sums + 2  # 1 -> 0, or 0 -> 0
 
 
 def _resolve_binary_state(state: StateRef) -> int:
@@ -730,13 +729,3 @@ def sample_passage_times(chain: ChainLike, source: StateRef, target: StateRef,
     censored = times > cap
     times = np.where(censored, cap, times).astype(np.int64)
     return times, censored
-
-
-def passage_sampler(chain: ChainLike, source: StateRef, target: StateRef):
-    """Bind (chain, source, target) into a sampler callable
-    ``(n, cap, rng) -> (times, censored)`` for the Monte Carlo machinery."""
-
-    def sampler(n: int, cap: int, rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
-        return sample_passage_times(chain, source, target, n, cap, rng=rng)
-
-    return sampler

@@ -65,13 +65,20 @@ def _add_output_args(sub: argparse.ArgumentParser) -> None:
                      help="write the payload (and side artifacts) into DIR with default names")
 
 
+def _number(value) -> float:
+    """A JSON number as a float; float() would also read true and "1"."""
+    if isinstance(value, (bool, str)):
+        raise TypeError(f"{value!r} is not a number")
+    return float(value)
+
+
 def _load_petal(path: str) -> PetalChain:
     with _opened(path, bad=f"petal file {str(path)!r} is not valid JSON") as fh:
         obj = json.loads(fh.read())
     try:
-        p = float(obj["p"])
-        u1 = AtomicDist.from_pairs({int(k): float(v) for k, v in obj["u1"].items()})
-        u2 = AtomicDist.from_pairs({int(k): float(v) for k, v in obj["u2"].items()})
+        p = _number(obj["p"])
+        u1 = AtomicDist.from_pairs({int(k): _number(v) for k, v in obj["u1"].items()})
+        u2 = AtomicDist.from_pairs({int(k): _number(v) for k, v in obj["u2"].items()})
     except (KeyError, TypeError, ValueError) as exc:
         raise InvalidInput(f"bad petal JSON {path!r}: {exc}") from None
     return PetalChain(u1, u2, p)
@@ -170,13 +177,15 @@ def _cmd_moment(args) -> int:
     src, tgt = _resolve_state(chain, args.source), _resolve_state(chain, args.target)
     if args.method == "exact":
         law = first_passage_law(chain, src, tgt, args.horizon)
-        est = f_moment(law, f, log_threshold=args.threshold_log)
+        est = f_moment(law, f)
         _emit(_json_text(est.to_json_dict()), args, "moment.json")
         return 0
     # Monte Carlo: parametric chains sample through their closed forms.
-    from .chain import passage_sampler
-    sampler = passage_sampler(chain, src, tgt)
-    est = mc_f_moment(sampler, f, n_samples=args.samples, cap=args.cap, seed=args.seed)
+    # Looked up at call time, so that a wrapper swapped into the chain
+    # module (perfbench/tracing.py) is the one called.
+    from .chain import sample_passage_times
+    est = mc_f_moment(lambda n, cap, rng: sample_passage_times(chain, src, tgt, n, cap, rng=rng),
+                      f, n_samples=args.samples, cap=args.cap, seed=args.seed)
     payload = {
         "log_mean": est.log_mean,
         "se_log": est.se_log,
@@ -259,9 +268,6 @@ def build_parser() -> argparse.ArgumentParser:
     mom.add_argument("--method", choices=["exact", "mc"], default="exact")
     mom.add_argument("--horizon", type=int, default=1024,
                      help="computed support for --method exact (default 1024)")
-    mom.add_argument("--threshold-log", type=float, default=math.log(1e6),
-                     help="divergence threshold on the log partial sum, relative "
-                          "to log f(1) (default ln 1e6)")
     mom.add_argument("--samples", type=int, default=100_000,
                      help="Monte Carlo sample count (default 100000)")
     mom.add_argument("--cap", type=int, default=10 ** 6,

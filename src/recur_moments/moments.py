@@ -17,13 +17,14 @@ whenever gamma rho < 1, since f(N+k) <= f(N) gamma^k and P(T = N+k) <=
 P(T > N+k-1) <= rho^(k-1) B.  Growth ratio bounds are registered for
 the power, log-power, exponential and burst families only; without a tail
 certificate and such a bound the verdict is ``inconclusive``, never a guess.
-``diverged`` means the partial sum alone crossed the divergence threshold: a
-certified lower-bound crossing, not a claim that the series is infinite.
+``diverged`` means the partial sum is +inf, or that no tail bound holds
+and the partial sum alone crossed the divergence threshold ln 1e6 + log
+f(1): a certified lower-bound crossing, not a claim that the series is
+infinite.
 """
 
 from __future__ import annotations
 
-import json
 import math
 from contextlib import nullcontext
 from dataclasses import dataclass
@@ -45,6 +46,10 @@ __all__ = [
 VERDICT_CONVERGED = "converged"
 VERDICT_DIVERGED = "diverged"
 VERDICT_INCONCLUSIVE = "inconclusive"
+
+#: The divergence threshold of :func:`f_moment` on the log partial sum,
+#: relative to log f(1).
+_LOG_THRESHOLD = math.log(1e6)
 
 #: Samples per Monte Carlo chunk, each drawn from its own stream spawned
 #: from the seed; changing it changes every result for a given seed.
@@ -84,10 +89,6 @@ class MomentEstimate:
             "N": int(self.N),
         }
 
-    def to_json(self) -> str:
-        # -Infinity is emitted as a bare literal for complete laws.
-        return json.dumps(self.to_json_dict(), sort_keys=True)
-
 
 _log_n = np.zeros(0)  # log 1, ..., log N for the largest N asked for so far, read-only
 
@@ -126,37 +127,34 @@ def _check_threshold(log_threshold: float) -> None:
         raise InvalidInput("divergence threshold must be finite")
 
 
-def f_moment(law: PassageLaw, f: MomentFunction, *,
-             log_threshold: float = math.log(1e6)) -> MomentEstimate:
+def f_moment(law: PassageLaw, f: MomentFunction) -> MomentEstimate:
     """Certified estimate of E f(T) for a passage-time law.
 
-    Verdict order: ``diverged`` if the exact partial sum exceeds
-    f(1) * exp(log_threshold), so rescaling f does not change verdicts;
+    Verdict order: ``diverged`` if the exact partial sum is +inf;
     ``converged`` if the law is complete or a valid tail bound exists (a
     tail certificate and f's registered growth ratio bound with
-    gamma * rho < 1); otherwise ``inconclusive``.  Functions without a
-    registered bound (:func:`custom_fn`) never get a tail bound.
+    gamma * rho < 1), however large the partial sum; ``diverged`` if the
+    partial sum exceeds f(1) * 1e6 (:data:`_LOG_THRESHOLD`), so rescaling f
+    does not change verdicts; otherwise ``inconclusive``.  Functions
+    without a registered bound (:func:`custom_fn`) never get a tail bound.
     """
-    _check_threshold(log_threshold)
     n_cutoff = law.horizon
     log_partial, log_tail = _log_partial_sum(law, f), law.log_tail
-    if log_partial > log_threshold + f.log_f(1):
+    if log_partial == math.inf:
         return MomentEstimate(log_partial, None, VERDICT_DIVERGED, n_cutoff)
     if log_tail == LOG_ZERO:
         return MomentEstimate(log_partial, LOG_ZERO, VERDICT_CONVERGED, n_cutoff)
     cert = law.tail_cert
-    if cert is None:
-        return MomentEstimate(log_partial, None, VERDICT_INCONCLUSIVE, n_cutoff)
-    gamma = f.growth_ratio_bound(n_cutoff)
-    if gamma is None:
-        return MomentEstimate(log_partial, None, VERDICT_INCONCLUSIVE, n_cutoff)
-    rho = cert.rho
-    if not gamma * rho < 1.0:
-        return MomentEstimate(log_partial, None, VERDICT_INCONCLUSIVE, n_cutoff,
-                              gamma=gamma, rho=rho)
-    bound = f.log_f(n_cutoff) + cert.log_bound + math.log(gamma) - math.log1p(-gamma * rho)
-    return MomentEstimate(log_partial, bound, VERDICT_CONVERGED, n_cutoff,
-                          gamma=gamma, rho=rho)
+    gamma = None if cert is None else f.growth_ratio_bound(n_cutoff)
+    if gamma is not None and gamma * cert.rho < 1.0:
+        bound = (f.log_f(n_cutoff) + cert.log_bound + math.log(gamma)
+                 - math.log1p(-gamma * cert.rho))
+        return MomentEstimate(log_partial, bound, VERDICT_CONVERGED, n_cutoff,
+                              gamma=gamma, rho=cert.rho)
+    if log_partial > _LOG_THRESHOLD + f.log_f(1):
+        return MomentEstimate(log_partial, None, VERDICT_DIVERGED, n_cutoff)
+    return MomentEstimate(log_partial, None, VERDICT_INCONCLUSIVE, n_cutoff,
+                          gamma=gamma, rho=None if gamma is None else cert.rho)
 
 
 # ---------------------------------------------------------------------------
@@ -185,7 +183,7 @@ def lower_bound_series(log_terms, *, log_threshold: float,
     """Accumulate log-space terms until the partial sum crosses the
     threshold or the term budget runs out.
 
-    ``log_terms`` yields floats or (index, log_term) pairs; the trace records
+    ``log_terms`` yields (index, log_term) pairs; the trace records
     (index, log_term, log_partial_after) per term consumed.
     """
     _check_threshold(log_threshold)
@@ -195,11 +193,8 @@ def lower_bound_series(log_terms, *, log_threshold: float,
     trace: list[tuple[int, float, float]] = []
     crossing: int | None = None
     count = 0
-    for item in log_terms:
-        if isinstance(item, tuple):
-            k, lt = int(item[0]), float(item[1])
-        else:
-            k, lt = count, float(item)
+    for k, lt in log_terms:
+        k, lt = int(k), float(lt)
         log_partial = log_add(log_partial, lt)
         trace.append((k, lt, log_partial))
         count += 1

@@ -149,7 +149,7 @@ class PassageLaw:
     @classmethod
     def dense(cls, pmf, tail: float, tail_cert: TailCert | None = None) -> "PassageLaw":
         """Dense law from a linear-space pmf over n = 1..len(pmf)."""
-        if tail < 0:
+        if not tail >= 0:
             raise InvalidInput("probabilities must be nonnegative")
         return cls._dense(pmf, math.log(tail) if tail > 0 else LOG_ZERO, tail_cert)
 
@@ -267,12 +267,6 @@ class PassageLaw:
         if self.is_dense:
             return log_add(logsumexp(self._log_pmf), self._log_tail)
         return self._atomic.log_mass()
-
-    def linear_pmf(self) -> np.ndarray | None:
-        """Linear-space pmf over 1..horizon; every dense law carries one, in
-        which an entry below the float range reads 0.  None for sparse
-        laws."""
-        return self._lin_pmf
 
     def _linear_view(self) -> tuple[np.ndarray, np.ndarray, float]:
         """(pmf, log pmf, log tail) of a dense law as a linear pmf sees it:
@@ -1043,16 +1037,14 @@ def _conv_dense(a: PassageLaw, b: PassageLaw, horizon: int | None) -> PassageLaw
 def convolve(a, b, *, horizon: int | None = None):
     """Distribution of the sum of two independent passage times.
 
-    Dense x dense and sparse x sparse only (convert explicitly to mix);
-    :class:`AtomicDist` inputs convolve to an :class:`AtomicDist`.  Mass
-    landing beyond ``horizon`` or below ``PRUNE_FLOOR_LOG`` moves to the tail.
+    Dense x dense and sparse x sparse only (convert explicitly to mix).
+    Mass landing beyond ``horizon`` or below ``PRUNE_FLOOR_LOG`` moves to the
+    tail.
     """
     if horizon is not None and horizon < 1:
         raise InvalidInput("horizon must be >= 1")
-    if isinstance(a, AtomicDist) and isinstance(b, AtomicDist):
-        return _conv_atomic(a, b, horizon)
     if not (isinstance(a, PassageLaw) and isinstance(b, PassageLaw)):
-        raise InvalidInput("convolve needs two PassageLaw or two AtomicDist operands")
+        raise InvalidInput("convolve needs two PassageLaw operands")
     if a.is_dense and b.is_dense:
         return _conv_dense(a, b, horizon)
     if not a.is_dense and not b.is_dense:
@@ -1216,11 +1208,9 @@ def mixture(laws, weights) -> PassageLaw:
         raise InvalidInput("need matching nonempty laws and weights")
     if np.any(weights < 0):
         raise InvalidInput("mixture weights must be nonnegative")
-    if abs(weights.sum() - 1.0) > 1e-12:
+    if not abs(weights.sum() - 1.0) <= 1e-12:  # a NaN weight sums to NaN
         raise InvalidInput("mixture weights must sum to 1 within 1e-12")
     pairs = [(w, law) for w, law in zip(weights, laws) if w > 0]
-    if not pairs:
-        raise InvalidInput("all mixture weights are zero")
     if all(law.is_dense for _, law in pairs):
         h = min(law.horizon for _, law in pairs)
         comp = [law.to_dense(h) for _, law in pairs]

@@ -20,6 +20,11 @@ schedule file can have) and a file that is not JSON.  The commands:
 * ``moment --method mc`` on two-state, petal and kernel chains;
 * ``classify`` of each function family and schedule file;
 * ``fpt`` and ``moment`` on the petal chain;
+* the verdict order of ``moment``: the sixth moment of the slow two-state
+  chain's return time (p = 0.1), finite but past the divergence threshold,
+  at horizons 60, 600 and 1024, where a certified bracket outranks the
+  threshold, and ``exp:1.0`` at p = 0.5, whose moment is infinite and
+  whose partial sum crosses it; a change of that order changes the digest;
 * error cases, which exit 2 or 3.
 
 The digest covers each command's argv, exit code, standard output and the
@@ -118,6 +123,11 @@ def commands() -> list[list[str]]:
         ["moment", "--builtin", "petal:petal.json", "--from", "1", "--to", "1",
          "--function", "power:1", "--horizon", "600"],
     ]
+    for h in ("60", "600", "1024"):
+        out.append(["moment", "--builtin", "two-state:0.1", "--from", "1", "--to", "1",
+                    "--function", "power:6", "--horizon", h])
+    out.append(["moment", "--builtin", "two-state:0.5", "--from", "1", "--to", "1",
+                "--function", "exp:1.0", "--horizon", "200"])
     for f in ("power:2", "power:0.5", "logpow:3", "exp:0.5", "burst:default",
               *(f"burst:file={name}" for name in SCHEDULES)):
         out.append(["classify", "--function", f])
@@ -137,8 +147,7 @@ def commands() -> list[list[str]]:
         ["fpt", "--kernel", "kernel5.json", "--from", "0", "--to", "1", "--horizon", "0"],
         ["fpt", "--kernel", "kernel5.json", *law, "--mode", "sideways"],
         ["moment", "--kernel", "kernel5.json", *law, "--function", "cube:3"],
-        ["moment", "--kernel", "kernel5.json", *law, "--function", "power:1",
-         "--threshold-log", "-inf"],
+        ["demo", "sharp", "--threshold-log", "-inf"],
         ["demo", "sharp", "--p", "1.5"],
         ["demo", "sharp", "--k-max", "2"],
     ]

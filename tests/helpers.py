@@ -234,8 +234,8 @@ def reference_compound(u, v, pi: float, horizon: int) -> tuple[np.ndarray, float
         out[:min(h, arr.size)] = arr[:h]
         return out
 
-    qu_rev = (q * fit(u.linear_pmf(), 0.0))[::-1].copy()  # q u_h, ..., q u_1
-    pv = pi * fit(v.linear_pmf(), 0.0)
+    qu_rev = (q * fit(u.pmf_array(), 0.0))[::-1].copy()  # q u_h, ..., q u_1
+    pv = pi * fit(v.pmf_array(), 0.0)
     s_free = (pi * fit(v.survival_array(), math.exp(v.log_tail))
               + q * fit(u.survival_array(), math.exp(u.log_tail)))
     c = np.empty(h)      # c[t] = P(C = t+1)

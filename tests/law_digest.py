@@ -105,7 +105,7 @@ def record(key: str, law, spec: str, est) -> str:
 
 def _digest(law, out) -> None:
     out.update(law.log_pmf.tobytes())
-    out.update(law.linear_pmf().tobytes())
+    out.update(law.pmf_array().tobytes())
     out.update(_floats(law.log_tail))
 
 

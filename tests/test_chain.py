@@ -509,6 +509,19 @@ def test_two_state_sampler_matches_closed_form_moments():
     assert abs(mean - 3.0) <= 4.0 * math.sqrt(2.0 / times.size)
 
 
+def test_parametric_samplers_of_the_other_pairs_match_closed_forms():
+    # from 0, the two-state chain steps to 1 with probability p each step:
+    # T_01 is geometric on {1, 2, ...}, E T = 1/p = 4, Var T = (1-p)/p^2 = 12
+    times, censored = sample_passage_times(TwoStateChain(0.25), 0, 1, 100_000, 10_000, seed=5)
+    assert not censored.any() and times.min() == 1
+    assert abs(times.mean() - 4.0) <= 4.0 * math.sqrt(12.0 / times.size)
+    # 1 steps to 0 surely, and a petal chain's exit state 0 to its hub 1
+    for chain, pair in ((TwoStateChain(0.25), (1, 0)),
+                        (PetalChain(*_petal_pair(), 0.5), (0, 1))):
+        times, censored = sample_passage_times(chain, *pair, 1000, 10, seed=5)
+        assert not censored.any() and (times == 1).all()
+
+
 def test_kernel_sampler_agrees_with_parametric(kernel3):
     chain = TwoStateChain(0.4)
     kernel = chain.kernel()

@@ -216,14 +216,21 @@ def test_moment_converges_only_with_a_tail_certificate(capsys):
 @pytest.mark.parametrize("function", ["power:100000", "exp:800"])
 def test_moment_overflowing_growth_ratio_is_inconclusive(capsys, function):
     # gamma = (1 + 1/N)^p and e^delta overflow a float: exit 1 with an
-    # OverflowError.  An unbounded gamma bounds no tail
+    # OverflowError.  An unbounded gamma bounds no tail, so the verdict is
+    # never converged (the partial sum, past the threshold, says diverged)
     rc, out, err = run_cli(capsys, "moment", "--builtin", "two-state:0.5",
                            "--from", "1", "--to", "1", "--function", function,
-                           "--horizon", "100", "--threshold-log", "1e7")
+                           "--horizon", "100")
     assert rc == 0 and err == ""
     payload = json.loads(out)
-    assert payload["verdict"] == "inconclusive"
+    assert payload["verdict"] != "converged"
     assert payload["log_tail_bound"] is None
+
+
+def test_moment_has_no_threshold_flag(capsys):
+    rc, out, err = run_cli(capsys, "moment", "--builtin", "two-state:0.5", "--from", "1",
+                           "--to", "1", "--function", "power:1", "--threshold-log", "30")
+    assert rc == 2 and out == "" and "unrecognized arguments" in err
 
 
 # ---------------------------------------------------------------------------
@@ -316,7 +323,7 @@ def test_demo_precondition_failure_exits_3(capsys):
     ("moment", "--builtin", "two-state:0.5", "--from", "1", "--to", "1",
      "--function", "power:1", "--method", "mc", "--seed", "-1"),
     ("moment", "--builtin", "two-state:0.5", "--from", "1", "--to", "1",
-     "--function", "power:1", "--threshold-log", "inf"),
+     "--function", "power:1", "--horizon", "0"),
     ("demo", "sharp", "--threshold-log", "nan"),
     ("demo", "exponential", "--threshold-log", "inf"),
 ])
@@ -331,8 +338,8 @@ _MOMENT_2STATE = ("moment", "--builtin", "two-state:0.5", "--from", "1", "--to",
 
 
 @pytest.mark.parametrize("argv, flag, value", [
-    (_MOMENT_2STATE, "--threshold-log", "-1e3"),
-    (_MOMENT_2STATE, "--threshold-log", "-1E+3"),
+    (_MOMENT_2STATE, "--horizon", "-1e3"),
+    (_MOMENT_2STATE, "--samples", "-1E+3"),
     (("demo", "sharp"), "--threshold-log", "-1e3"),
     (("demo", "sharp"), "--p", "-1e3"),
     (("demo", "exponential"), "--delta", "-1e3"),
@@ -345,12 +352,7 @@ def test_signed_exponent_value_reads_as_a_number(capsys, argv, flag, value):
     assert "expected one argument" not in separate[2]
 
 
-def test_negative_exponent_threshold_diverges(capsys):
-    rc, out, _ = run_cli(capsys, *_MOMENT_2STATE, "--threshold-log", "-1e3")
-    assert rc == 0 and json.loads(out)["verdict"] == "diverged"
-
-
-@pytest.mark.parametrize("argv", [_MOMENT_2STATE, ("demo", "sharp")])
+@pytest.mark.parametrize("argv", [("demo", "exponential"), ("demo", "sharp")])
 def test_negative_infinite_threshold_exits_2(capsys, argv):
     rc, out, err = run_cli(capsys, *argv, "--threshold-log", "-inf")
     assert rc == 2 and out == ""
@@ -414,6 +416,8 @@ def test_bad_petal_file_exits_2(tmp_path, capsys):
     [5],
     [[["a", "x"]]],
     [[["a", None]]],
+    [[["a", True]]],  # float() reads true and "1" alike as 1.0
+    [[["a", "1"]]],
 ])
 def test_malformed_kernel_rows_exit_2(tmp_path, capsys, rows):
     path = tmp_path / "k.json"
@@ -422,6 +426,18 @@ def test_malformed_kernel_rows_exit_2(tmp_path, capsys, rows):
                            "--from", "a", "--to", "a", "--horizon", "5")
     assert rc == 2 and out == ""
     assert err.startswith("error:")
+
+
+@pytest.mark.parametrize("field, value", [("p", "0.5"), ("u1", {"3": True}),
+                                          ("u2", {"5": "1"})])
+def test_petal_probability_that_is_not_a_json_number_exits_2(tmp_path, capsys, field, value):
+    spec = tmp_path / "petal.json"
+    petal = {"p": 0.5, "u1": {"3": 1.0}, "u2": {"5": 1.0}, field: value}
+    spec.write_text(json.dumps(petal))
+    rc, out, err = run_cli(capsys, "fpt", "--builtin", f"petal:{spec}",
+                           "--from", "1", "--to", "1", "--horizon", "5")
+    assert rc == 2 and out == ""
+    assert err.startswith("error:") and "petal" in err
 
 
 @pytest.mark.parametrize("flag, prefix", [("--kernel", ""), ("--builtin", "petal:")])

@@ -43,21 +43,42 @@ def test_default_schedule_midpoints_and_margins():
         assert table.margin(i) == (1 << (i + 1)) - 2
 
 
+def test_default_schedule_facts_hold_in_exact_integers():
+    # the facts classify's certificate and the sharp demo quote, for the
+    # first 200 bursts
+    table = default_burst().burst_table
+    cum, end = 0, 0  # u_1 + ... + u_{i-1} and s_{i-1} + u_{i-1}
+    for i in range(1, 201):
+        s_i, u_i = table.burst(i)
+        assert (s_i, u_i) == (i * i << i, i << i)
+        # the midpoint is an integer in the flat region after burst i-1
+        mid, odd = divmod(s_i + u_i, 2)
+        assert odd == 0 and table.midpoint(i) == mid and end <= mid <= s_i
+        assert table.g(mid) == cum
+        # margin u_i - sum_{k<i} u_k = 2^(i+1) - 2
+        assert u_i - cum == table.margin(i) == (2 << i) - 2
+        # the peak of g(n)/n sits at the burst end, and the peaks decrease
+        assert table.g(s_i + u_i) == cum + u_i
+        if i > 1:
+            assert (cum + u_i) * end < cum * (s_i + u_i)
+        cum, end = cum + u_i, s_i + u_i
+
+
 def test_default_schedule_g_values():
-    f = default_burst()
+    table = default_burst().burst_table
+    g = table.g
     # g is 0 before the first burst, climbs 1 per step inside bursts,
     # and is flat in between
-    assert f.burst_g(1) == 0 and f.burst_g(2) == 0
-    assert f.burst_g(3) == 1 and f.burst_g(4) == 2
-    assert f.burst_g(5) == 2  # flat after burst 1 (s=2, u=2)
-    assert f.burst_g(16) == 2 and f.burst_g(20) == 6 and f.burst_g(24) == 10
-    assert f.burst_g(30) == 10  # flat after burst 2
+    assert g(1) == 0 and g(2) == 0
+    assert g(3) == 1 and g(4) == 2
+    assert g(5) == 2  # flat after burst 1 (s=2, u=2)
+    assert g(16) == 2 and g(20) == 6 and g(24) == 10
+    assert g(30) == 10  # flat after burst 2
     # at the i-th midpoint, g = sum of earlier lengths = (i-2) 2^i + 2
-    table = f.burst_table
     for i in range(2, 12):
-        assert f.burst_g(table.midpoint(i)) == (i - 2) * (1 << i) + 2
+        assert g(table.midpoint(i)) == (i - 2) * (1 << i) + 2
         end = sum(k << k for k in range(1, i + 1))
-        assert f.burst_g(2 * table.midpoint(i)) == end
+        assert g(2 * table.midpoint(i)) == end
 
 
 def test_burst_defect_identity():

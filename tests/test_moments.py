@@ -11,14 +11,20 @@ from recur_moments import (InvalidInput, PassageLaw,
                            MOMENT_INCONCLUSIVE, build_two_state,
                            custom_fn, exp_fn, f_moment,
                            first_passage_law, load_kernel_json,
-                           lower_bound_series, mc_f_moment,
-                           passage_sampler, power_fn)
+                           lower_bound_series, mc_f_moment, power_fn,
+                           sample_passage_times)
 
 from helpers import cycle_kernel, hitting_time_means
 
 
 def _t11(horizon=80, p=0.5):
     return first_passage_law(build_two_state(p), 1, 1, horizon)
+
+
+def _sampler_11(p):
+    """Return times to state 1 of the two-state chain, for mc_f_moment."""
+    chain = TwoStateChain(p)
+    return lambda n, cap, rng: sample_passage_times(chain, 1, 1, n, cap, rng=rng)
 
 
 # ---------------------------------------------------------------------------
@@ -168,20 +174,20 @@ def test_nilpotent_cycle_mean_has_a_usable_bracket():
     assert est.log_partial_sum <= math.log(35.0) <= est.log_upper_bound <= 18.0
 
 
-# Verdicts still wrong or loose, each pinned until the ROADMAP item named in
-# its reason lands and flips it.
+# k5: E T^6 of the slow two-state chain's return time is e^20.24, past the
+# threshold f(1) 1e6, yet finite; the certified bracket outranks the threshold
 _K5_LOG_SIXTH_MOMENT = 20.23995844133858
 
 
-@pytest.mark.xfail(strict=True, reason="ROADMAP item 5: a certified bracket outranks the "
-                   "threshold, so k5 prints diverged for a finite moment")
-@pytest.mark.parametrize("h", [60, 600])
+@pytest.mark.parametrize("h", [60, 600, 1024])
 def test_k5_sixth_moment_is_converged(h):
     est = f_moment(first_passage_law(build_two_state(0.1), 1, 1, h), power_fn(6))
     assert est.verdict == VERDICT_CONVERGED
     assert est.log_partial_sum <= _K5_LOG_SIXTH_MOMENT <= est.log_upper_bound
 
 
+# Verdicts still wrong or loose, each pinned until the ROADMAP item named in
+# its reason lands and flips it.
 @pytest.mark.xfail(strict=True, reason="ROADMAP item 13: exact tails from the operator's "
                    "solves converge k4's second moment at h = 40")
 def test_k4_second_moment_is_converged_at_40(tmp_path):
@@ -206,26 +212,15 @@ def test_custom_function_without_growth_bound_is_inconclusive():
 
 
 def test_threshold_is_scale_calibrated():
-    # the verdict must not change when f is multiplied by a huge constant;
-    # E T = 3 sits between the two thresholds
-    base = custom_fn("plain", lambda n: math.log(n))
-    scaled = custom_fn("scaled", lambda n: math.log(n) + 500.0)
+    # the verdict must not change when f is multiplied by a huge constant.
+    # With no growth bound, E T = 3 stays below the threshold f(1) 1e6, and
+    # the partial sum of E e^T, e^32.7, crosses it
     law = _t11(100)
-    for lt, verdict in ((math.log(2.0), VERDICT_DIVERGED),
-                        (math.log(4.0), MOMENT_INCONCLUSIVE)):
-        assert f_moment(law, base, log_threshold=lt).verdict == verdict
-        assert f_moment(law, scaled, log_threshold=lt).verdict == verdict
-
-
-def test_threshold_flips_to_diverged():
-    est = f_moment(_t11(100), power_fn(1), log_threshold=math.log(2.0))
-    assert est.verdict == VERDICT_DIVERGED
-
-
-@pytest.mark.parametrize("lt", [math.inf, -math.inf, math.nan])
-def test_non_finite_threshold_is_rejected(lt):
-    with pytest.raises(InvalidInput, match="threshold"):
-        f_moment(_t11(100), power_fn(1), log_threshold=lt)
+    for log_f, verdict in ((math.log, MOMENT_INCONCLUSIVE), (float, VERDICT_DIVERGED)):
+        base = custom_fn("plain", log_f)
+        scaled = custom_fn("scaled", lambda n, log_f=log_f: log_f(n) + 500.0)
+        assert f_moment(law, base).verdict == verdict
+        assert f_moment(law, scaled).verdict == verdict
 
 
 def test_moment_json_contract():
@@ -233,10 +228,9 @@ def test_moment_json_contract():
     obj = est.to_json_dict()
     assert set(obj) == {"log_partial_sum", "log_tail_bound", "verdict", "N"}
     assert obj["N"] == 6
-    text = est.to_json()
-    assert "-Infinity" in text  # complete law: explicit -inf tail bound
+    assert "-Infinity" in json.dumps(obj)  # complete law: explicit -inf tail bound
     est2 = f_moment(_t11(50), exp_fn(2.0))
-    assert json.loads(est2.to_json())["log_tail_bound"] is None
+    assert est2.to_json_dict()["log_tail_bound"] is None
 
 
 def test_sparse_law_moment():
@@ -252,7 +246,8 @@ def test_sparse_law_moment():
 
 
 def test_lower_bound_series_crossing():
-    out = lower_bound_series([math.log(0.4)] * 100, log_threshold=0.0, max_terms=100)
+    out = lower_bound_series(enumerate([math.log(0.4)] * 100), log_threshold=0.0,
+                             max_terms=100)
     # partial sums 0.4, 0.8, 1.2: crosses at the third term (index 2)
     assert out.crossed and out.crossing_index == 2
     assert out.n_terms == 3
@@ -263,7 +258,8 @@ def test_lower_bound_series_crossing():
 
 
 def test_lower_bound_series_budget():
-    out = lower_bound_series(iter([0.0] * 1000), log_threshold=1e9, max_terms=7)
+    out = lower_bound_series(((k, 0.0) for k in range(1000)), log_threshold=1e9,
+                             max_terms=7)
     assert not out.crossed and out.n_terms == 7 and out.crossing_index is None
 
 
@@ -274,7 +270,7 @@ def test_lower_bound_series_indexed_items():
 
 def test_lower_bound_series_validates():
     with pytest.raises(InvalidInput):
-        lower_bound_series([0.0], log_threshold=1.0, max_terms=0)
+        lower_bound_series([(0, 0.0)], log_threshold=1.0, max_terms=0)
 
 
 @pytest.mark.parametrize("lt", [math.inf, -math.inf, math.nan])
@@ -283,7 +279,7 @@ def test_lower_bound_series_rejects_non_finite_threshold(lt):
     # as JSON; both are rejected before any term is drawn
     def terms():
         raise AssertionError("term drawn")
-        yield 0.0
+        yield (0, 0.0)
 
     with pytest.raises(InvalidInput, match="divergence threshold must be finite"):
         lower_bound_series(terms(), log_threshold=lt)
@@ -294,7 +290,7 @@ def test_lower_bound_series_rejects_non_finite_threshold(lt):
 
 
 def test_mc_matches_exact_mean():
-    sampler = passage_sampler(TwoStateChain(0.5), 1, 1)
+    sampler = _sampler_11(0.5)
     est = mc_f_moment(sampler, power_fn(1), n_samples=200_000, cap=10_000, seed=42)
     assert est.n_censored == 0
     mean = est.mean
@@ -302,14 +298,14 @@ def test_mc_matches_exact_mean():
 
 
 def test_mc_censoring_gives_lower_bound():
-    sampler = passage_sampler(TwoStateChain(0.5), 1, 1)
+    sampler = _sampler_11(0.5)
     est = mc_f_moment(sampler, power_fn(1), n_samples=100_000, cap=3, seed=42)
     assert est.n_censored > 0
     assert est.mean < 3.0  # censored mass contributes f(cap) < f(T)
 
 
 def test_mc_deterministic_across_thread_counts(monkeypatch):
-    sampler = passage_sampler(TwoStateChain(0.3), 1, 1)
+    sampler = _sampler_11(0.3)
     monkeypatch.delenv("RECUR_MOMENTS_THREADS", raising=False)
     a = mc_f_moment(sampler, power_fn(1), n_samples=150_000, cap=1000, seed=9)
     monkeypatch.setenv("RECUR_MOMENTS_THREADS", "8")
@@ -319,13 +315,13 @@ def test_mc_deterministic_across_thread_counts(monkeypatch):
 
 def test_mc_log_space_survives_huge_f():
     # f(T) ~ e^(40 T) overflows linear doubles instantly; log accumulation must not
-    sampler = passage_sampler(TwoStateChain(0.5), 1, 1)
+    sampler = _sampler_11(0.5)
     est = mc_f_moment(sampler, exp_fn(40.0), n_samples=4096, cap=100, seed=3)
     assert math.isfinite(est.log_mean) and est.log_mean > 80.0 - math.log(4096)
 
 
 def test_mc_validates():
-    sampler = passage_sampler(TwoStateChain(0.5), 1, 1)
+    sampler = _sampler_11(0.5)
     with pytest.raises(InvalidInput):
         mc_f_moment(sampler, power_fn(1), n_samples=1, cap=10, seed=0)
     with pytest.raises(InvalidInput):

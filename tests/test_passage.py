@@ -90,7 +90,7 @@ def test_first_passage_tail_survives_underflow():
     # pmf; the log pmf keeps their true logs at their own steps
     law = first_passage_law(build_two_state(0.9), 0, 1, 400)
     log_pmf = math.log(0.9) + np.arange(400) * math.log(0.1)
-    lost = law.linear_pmf() == 0.0
+    lost = law.pmf_array() == 0.0
     assert lost.any() and np.all(log_pmf[lost] < -1074 * math.log(2.0))
     assert np.all(np.abs(law.log_pmf[lost] - log_pmf[lost]) <= 1e-9)
     assert abs(law.log_tail - 400 * math.log(0.1)) <= 1e-9
@@ -115,7 +115,7 @@ def test_entries_below_the_subnormal_range_join_the_tail(law_fn, i, j, h):
     # P(T > h) = 2^-(h-1)
     law = law_fn(build_two_state(0.5), i, j, h)
     k = np.arange(2, h + 1)
-    lost = law.linear_pmf()[1:] == 0.0
+    lost = law.pmf_array()[1:] == 0.0
     assert lost.any() and law.log_pmf[0] == -math.inf
     assert np.all(np.abs(law.log_pmf[1:][lost] + (k[lost] - 1.0) * math.log(2.0)) <= 1e-9)
     assert abs(law.log_tail + (h - 1) * math.log(2.0)) <= 1e-9
@@ -245,7 +245,7 @@ def test_propagation_never_builds_a_transpose(kernel3, monkeypatch):
 
 def _same_law(a, b) -> bool:
     return (np.array_equal(a.log_pmf, b.log_pmf)
-            and np.array_equal(a.linear_pmf(), b.linear_pmf())
+            and np.array_equal(a.pmf_array(), b.pmf_array())
             and a.log_tail == b.log_tail and a.tail_cert == b.tail_cert)
 
 
@@ -1011,11 +1011,14 @@ def test_crossing_equals_hit_then_passage(kernel3):
 # convolution algebra
 
 
+def _convolve_atoms(a: AtomicDist, b: AtomicDist, **kwargs) -> AtomicDist:
+    return convolve(PassageLaw.sparse(a), PassageLaw.sparse(b), **kwargs).atomic
+
+
 def test_convolve_atomic_exact():
-    a = AtomicDist.from_pairs({1: 0.25, 3: 0.75})
-    b = AtomicDist.from_pairs({2: 0.5, 4: 0.5})
-    c = convolve(a, b)
-    oracle = brute_convolve_dicts(a.as_dict(), b.as_dict())
+    pa, pb = {1: 0.25, 3: 0.75}, {2: 0.5, 4: 0.5}
+    c = _convolve_atoms(AtomicDist.from_pairs(pa), AtomicDist.from_pairs(pb))
+    oracle = brute_convolve_dicts(pa, pb)
     assert set(c.atoms.tolist()) == set(oracle)
     for v, p in zip(c.atoms, c.probs()):
         assert abs(p - oracle[int(v)]) <= 1e-15
@@ -1036,7 +1039,7 @@ def test_convolve_dense_matches_brute(kernel3):
 def test_convolve_horizon_truncation_conserves_mass():
     a = AtomicDist.from_pairs({1: 0.5, 10: 0.5})
     b = AtomicDist.from_pairs({1: 0.5, 10: 0.5})
-    c = convolve(a, b, horizon=12)
+    c = _convolve_atoms(a, b, horizon=12)
     # the 20-atom (mass .25) moved to the tail
     assert abs(math.exp(c.log_tail) - 0.25) <= 1e-15
     assert abs(math.exp(c.log_mass())) - 1.0 <= 1e-12
@@ -1045,7 +1048,7 @@ def test_convolve_horizon_truncation_conserves_mass():
 def test_convolve_tail_composition():
     a = AtomicDist(np.array([1], dtype=np.int64), np.array([math.log(0.6)]), math.log(0.4))
     b = AtomicDist(np.array([2], dtype=np.int64), np.array([math.log(0.7)]), math.log(0.3))
-    c = convolve(a, b)
+    c = _convolve_atoms(a, b)
     # only the 0.6 * 0.7 product is assignable; the rest is tail
     assert abs(math.exp(c.log_prob(3)) - 0.42) <= 1e-15
     assert abs(math.exp(c.log_tail) - 0.58) <= 1e-15
@@ -1056,7 +1059,7 @@ def test_convolve_prunes_tiny_masses_into_tail():
     a = AtomicDist(np.array([1, 5], dtype=np.int64),
                    np.array([-1e-300, -800.0]))
     b = AtomicDist.point_mass(1)
-    c = convolve(a, b)
+    c = _convolve_atoms(a, b)
     assert c.atoms.tolist() == [2]
     assert abs(c.log_tail - (-800.0)) <= 1e-9
 
@@ -1075,8 +1078,8 @@ def test_convolve_associative_on_atoms(pairs):
     total = sum(w for _, w in pairs)
     dist = AtomicDist.from_pairs({v: w / total for v, w in pairs})
     single = AtomicDist.from_pairs({2: 0.5, 3: 0.5})
-    left = convolve(convolve(dist, single), single)
-    right = convolve(dist, convolve(single, single))
+    left = _convolve_atoms(_convolve_atoms(dist, single), single)
+    right = _convolve_atoms(dist, _convolve_atoms(single, single))
     assert left.atoms.tolist() == right.atoms.tolist()
     assert np.abs(left.log_probs - right.log_probs).max() <= 1e-12
 
@@ -1273,7 +1276,7 @@ def test_dense_log_folds_sub_floor_entries_into_tail():
     # e^-2000 flushes to zero in linear space; the log pmf keeps it at its
     # step, and the tail is the mass beyond the horizon
     law = PassageLaw._dense_log(np.array([math.log(0.5), -2000.0]), math.log(0.5))
-    assert law.linear_pmf().tolist() == [0.5, 0.0]
+    assert law.pmf_array().tolist() == [0.5, 0.0]
     assert law.log_pmf[0] == math.log(0.5) and law.log_pmf[1] == -2000.0
     assert law.log_tail == math.log(0.5) and not law.is_complete
     # all of its mass sits at known steps
