@@ -14,8 +14,8 @@ closed forms used all over the test suite:
   mass at 2 with U1 and U2.
 
 scipy is imported on first use, not with the module: ``csr`` loads
-``scipy.sparse``, and :func:`validate_kernel`, which every JSON kernel load
-runs, loads ``scipy.sparse.csgraph`` and with it ``scipy.linalg``.
+``scipy.sparse``.  :func:`validate_kernel`, which every JSON kernel load
+runs, loads no scipy module.
 """
 
 from __future__ import annotations
@@ -418,10 +418,9 @@ class KernelReport:
 def validate_kernel(kernel: TransitionKernel) -> KernelReport:
     """Check row sums (within ROW_SUM_TOL of 1), probability ranges, target
     indices, and strong connectivity of the positive-probability graph.
-    Out-of-range entries are left out of the other checks."""
-    from scipy import sparse
-    from scipy.sparse.csgraph import connected_components
-
+    Out-of-range entries are left out of the other checks.  The strong
+    components are counted by Tarjan's algorithm, in O(n + m) time for n
+    states and m entries."""
     n, states, ptr, j, p = kernel.n_states, kernel.states, kernel.indptr, kernel.indices, kernel.data
     row_of = np.repeat(np.arange(n), np.diff(ptr))
     inside = (j >= 0) & (j < n)
@@ -431,13 +430,53 @@ def validate_kernel(kernel: TransitionKernel) -> KernelReport:
     prob_bad = tuple((states[row_of[k]], states[j[k]], float(p[k]))
                      for k in np.flatnonzero(inside & ~((p > 0.0) & (p <= 1.0 + ROW_SUM_TOL))))
     target_bad = tuple((states[row_of[k]], int(j[k])) for k in np.flatnonzero(~inside))
-    del row_of  # the graph below is the larger transient; keep them apart
-    live = inside & (p > 0.0)
-    live_ptr = np.concatenate(([0], np.cumsum(live)))[ptr]
-    graph = sparse.csr_matrix((np.ones(live_ptr[-1], dtype=bool), j[live], live_ptr), shape=(n, n))
-    graph.sum_duplicates()  # connected_components miscounts or hangs on duplicate entries
-    n_comp, _ = connected_components(graph, directed=True, connection="strong")
-    return KernelReport(sum_bad, prob_bad, target_bad, n_comp == 1, int(n_comp))
+    del row_of  # freed before the component count's work arrays are made
+    n_comp = _count_strong_components(memoryview(ptr), memoryview(j), (inside & (p > 0.0)).tobytes())
+    return KernelReport(sum_bad, prob_bad, target_bad, n_comp == 1, n_comp)
+
+
+def _count_strong_components(ptr, targets, live: bytes) -> int:
+    """The strong components of the graph of the CSR entries e with nonzero
+    ``live[e]``, counted by Tarjan's algorithm on an explicit stack, so a path
+    of any length fits.  ``seen`` is a state's preorder number from 1 (0 if
+    unreached), ``low`` the least one known to reach back from its subtree,
+    ``resume`` the next entry to scan of each state on the path."""
+    n = len(ptr) - 1
+    seen, low = array("q", bytes(8 * n)), array("q", bytes(8 * n))
+    resume, closed = array("q", ptr[:-1]), bytearray(n)
+    open_states, path = array("q"), array("q")
+    count = clock = 0
+    for root in range(n):
+        if not seen[root]:
+            path.append(root)
+        while path:
+            v = path[-1]
+            if not seen[v]:  # first reached
+                clock += 1
+                seen[v] = low[v] = clock
+                open_states.append(v)
+            low_v = low[v]
+            for e in range(resume[v], ptr[v + 1]):
+                if live[e]:
+                    w = targets[e]
+                    seen_w = seen[w]
+                    if not seen_w:  # descend into w; v's scan resumes past e
+                        resume[v], low[v] = e + 1, low_v
+                        path.append(w)
+                        break
+                    if seen_w < low_v and not closed[w]:
+                        low_v = seen_w
+            else:  # v is finished: it roots a component or passes low_v up
+                path.pop()
+                if low_v == seen[v]:
+                    count += 1
+                    w = -1
+                    while w != v:
+                        w = open_states.pop()
+                        closed[w] = 1
+                elif low_v < low[path[-1]]:
+                    low[path[-1]] = low_v
+    return count
 
 
 # ---------------------------------------------------------------------------

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import json
 import math
+import time
 import tracemalloc
 
 import numpy as np
@@ -49,6 +50,57 @@ def test_validate_flags_reducible():
     k = TransitionKernel(["x", "y"], [[(0, 1.0)], [(1, 1.0)]])
     rep = validate_kernel(k)
     assert not rep.irreducible and rep.n_strong_components == 2
+
+
+def test_validate_summary_names_three_components():
+    # {x, y} is a cycle, z steps into it, and w loops on itself
+    k = TransitionKernel(["x", "y", "z", "w"], [[(1, 1.0)], [(0, 1.0)], [(0, 1.0)], [(3, 1.0)]])
+    assert validate_kernel(k).summary() == "not irreducible (3 strong components)"
+
+
+def _random_digraph_rows(rng, n: int) -> list:
+    """Up to a random width of entries a row: self-loops, repeated targets,
+    targets out of range, zero and negative probabilities, and empty rows,
+    so that only some entries are edges of the strong-component graph.  A
+    third of the graphs also have a ring, which makes most of them strong."""
+    rows, width, ring = [], rng.integers(1, 10), rng.random() < 1 / 3
+    for i in range(n):
+        targets = rng.integers(-1, n + 1, size=rng.integers(0, width + 1)).tolist()
+        if targets and rng.random() < 0.3:
+            targets[0] = i
+        if targets and rng.random() < 0.3:
+            targets.append(targets[-1])
+        row = [(t, float(rng.choice([0.5, 0.5, 0.5, 0.0, -0.5]))) for t in targets]
+        if ring:
+            row.insert(rng.integers(len(row) + 1), ((i + 1) % n, 0.5))
+        rows.append(row)
+    return rows
+
+
+def test_strong_component_count_matches_csgraph():
+    """The count, and with it the whole report, equals the reference's,
+    which counts with scipy's csgraph, on 600 seeded random digraphs of 0 to
+    40 states."""
+    for seed in range(600):
+        n = seed % 41
+        rows = _random_digraph_rows(np.random.default_rng(seed), n)
+        states = [str(i) for i in range(n)]
+        got = validate_kernel(TransitionKernel(states, rows))
+        assert repr(got) == repr(reference_report(states, rows)), seed
+
+
+@pytest.mark.parametrize("last", ["cycle", "path"])
+def test_strong_components_of_a_50000_state_walk(last):
+    """The deepest search: 50 000 states, each stepping to the next, and
+    the last to the first (one component) or to itself (50 000)."""
+    n = 50_000
+    nxt = [k + 1 for k in range(n - 1)] + [0 if last == "cycle" else n - 1]
+    kernel = TransitionKernel([str(k) for k in range(n)], [[(t, 1.0)] for t in nxt])
+    start = time.perf_counter()
+    rep = validate_kernel(kernel)
+    elapsed = time.perf_counter() - start
+    assert rep.n_strong_components == (1 if last == "cycle" else n)
+    assert elapsed < 0.5, f"validate_kernel took {elapsed:.3f} s"
 
 
 def test_kernel_json_roundtrip(tmp_path, kernel4):
@@ -139,7 +191,7 @@ _RAW_ROWS = {
                                     [(0, 0.7), (0, 0.1), (0, 0.1), (0, 0.1)],
                                     [(1, 1.0 / 3), (0, 1.0 / 3), (1, 1.0 / 3)]]),
     "reducible": (["x", "y"], [[(0, 1.0)], [(1, 1.0)]]),
-    # scipy's strong components miscount or hang on duplicate graph entries
+    # most rows repeat a target, an edge the strong-component count must see once
     "duplicates300": _duplicate_kernel(300, 6, seed=5),
 }
 

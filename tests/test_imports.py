@@ -1,6 +1,7 @@
 """Which scipy subpackages each entry point loads, each probed in a fresh
 interpreter: this test process has scipy.sparse.csgraph loaded already
-(helpers imports it), so an in-process check would see nothing."""
+(helpers imports it), so an in-process check would see nothing.  No entry
+point of the package loads scipy.linalg or scipy.sparse.linalg."""
 
 from __future__ import annotations
 
@@ -10,7 +11,11 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
+import pytest
+
 import recur_moments
+from recur_moments import random_kernel, save_kernel_json
 
 _PROBE = """
 import json, sys
@@ -59,21 +64,35 @@ def test_law_and_moment_load_only_scipy_sparse():
     assert not loaded(mods, "scipy.sparse.linalg")
 
 
-def test_kernel_validation_loads_csgraph_on_first_use(tmp_path):
+def test_kernel_validation_loads_no_scipy(tmp_path):
     path = tmp_path / "reducible.json"
     path.write_text('{"states": ["a", "b", "c"], '
                     '"rows": [[["b", 1.0]], [["a", 1.0]], [["c", 1.0]]]}')
     mods = scipy_modules_after(
-        "import sys\n"
         "from recur_moments import InvalidInput, load_kernel_json\n"
-        "assert 'scipy.sparse.csgraph' not in sys.modules\n"
         "try:\n"
         f"    load_kernel_json({str(path)!r})\n"
         "except InvalidInput as exc:\n"
         "    assert 'not irreducible (2 strong components)' in str(exc), exc\n"
         "else:\n"
         "    raise AssertionError('a reducible chain was accepted')\n")
-    assert loaded(mods, "scipy.sparse.csgraph")
+    assert mods == set()
+
+
+@pytest.mark.parametrize("argv", [
+    ["fpt", "--from", "0", "--to", "1", "--horizon", "50"],
+    ["moment", "--from", "0", "--to", "0", "--function", "power:2", "--horizon", "600"],
+], ids=["fpt", "moment"])
+def test_kernel_file_commands_load_no_csgraph_or_linalg(tmp_path, argv):
+    path = tmp_path / "kernel8.json"
+    save_kernel_json(random_kernel(8, np.random.default_rng(8)), path)
+    mods = scipy_modules_after(
+        "import contextlib, io\n"
+        "from recur_moments.cli import main\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        f"    assert main({[*argv, '--kernel', str(path)]!r}) == 0\n")
+    for package in ("scipy.sparse.csgraph", "scipy.sparse.linalg", "scipy.linalg"):
+        assert not loaded(mods, package), package
 
 
 def test_dense_compound_loads_no_scipy_linalg():
