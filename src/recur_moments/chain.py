@@ -66,8 +66,8 @@ def _csr_arrays(rows) -> tuple[array, array, array, dict, Exception | None]:
     seen, and an entry's slot is the number of its target, so the targets
     can be resolved once, after the rows (:func:`_indices`).  A probability
     must be a number, not a bool or a string.  ``error`` is the first
-    TypeError or ValueError a row raised, or None: the rows after it are
-    still read, so that a reader feeding them reads its whole file."""
+    TypeError, ValueError or OverflowError of a row, or None: later rows
+    are still read, so that a reader feeding them reads its whole file."""
     targets: dict = {}
     indptr, slots, data = array("q", [0]), array("q"), array("d")
     slot, add_slot, add_p, end_row = targets.setdefault, slots.append, data.append, indptr.append
@@ -83,7 +83,7 @@ def _csr_arrays(rows) -> tuple[array, array, array, dict, Exception | None]:
                     raise TypeError(f"probability {p!r} is not a number")
                 add_slot(slot(t, len(targets)))
                 add_p(p)
-        except (TypeError, ValueError) as exc:
+        except (TypeError, ValueError, OverflowError) as exc:  # an int past the float range
             error = error or exc
         end_row(len(slots))
     return indptr, slots, data, targets, error
@@ -283,17 +283,20 @@ def _opened(path_or_file, mode: str = "r", bad: str | None = None):
     ``newline=""`` so the csv module controls line endings; an open handle
     is passed through and left open.  With ``bad``, a ValueError or
     IndexError raised in the block, a failed decoding included, becomes an
-    :class:`InvalidInput` reading ``bad``, a colon and the error."""
+    :class:`InvalidInput` reading ``bad``, a colon and the error, and a
+    RecursionError, which the JSON decoder raises on deep nesting, one
+    reading ``bad`` and "nested too deeply"."""
     named = isinstance(path_or_file, (str, bytes)) or hasattr(path_or_file, "__fspath__")
     fh = open(path_or_file, mode, newline="") if named else path_or_file
     try:
         yield fh
     except InvalidInput:
         raise
-    except (ValueError, IndexError) as exc:
+    except (ValueError, IndexError, RecursionError) as exc:
         if bad is None:
             raise
-        raise InvalidInput(f"{bad}: {exc}") from None
+        reason = "nested too deeply" if isinstance(exc, RecursionError) else exc
+        raise InvalidInput(f"{bad}: {reason}") from None
     finally:
         if named:
             fh.close()
@@ -491,10 +494,6 @@ def build_two_state(p: float) -> TransitionKernel:
     return TransitionKernel(["0", "1"], [[(0, 1.0 - p), (1, p)], [(0, 1.0)]])
 
 
-def petal_state_name(side: str, petal: int, step: int) -> str:
-    return f"{side}:{petal}:{step}"
-
-
 def _truncate_side(dist: "AtomicDist", max_petals: int) -> tuple[np.ndarray, np.ndarray]:
     """Keep the ``max_petals`` largest-mass atoms; renormalize the kept mass.
 
@@ -522,34 +521,18 @@ def build_petal_chain(u1: "AtomicDist", u2: "AtomicDist", p: float,
         raise InvalidInput(f"petal chain needs 0 < p < 1, got {p}")
     if max_petals < 1:
         raise InvalidInput("max_petals must be >= 1")
-    sides = {"L": _truncate_side(u1, max_petals), "R": _truncate_side(u2, max_petals)}
-
-    states = ["0", "1"]
-    for side in ("L", "R"):
-        values, _ = sides[side]
-        for n_idx, x in enumerate(values, start=1):
-            for m in range(1, int(x)):
-                states.append(petal_state_name(side, n_idx, m))
-    index = {name: i for i, name in enumerate(states)}
-
-    hub_targets: dict[int, float] = {index["0"]: p}
-    rows: list[list[tuple[int, float]]] = [[] for _ in states]
-    rows[index["0"]] = [(index["1"], 1.0)]
-    for side in ("L", "R"):
-        values, probs = sides[side]
-        for n_idx, (x, w) in enumerate(zip(values, probs), start=1):
-            weight = (1.0 - p) / 2.0 * float(w)
-            x = int(x)
-            if x == 1:
-                hub_targets[index["1"]] = hub_targets.get(index["1"], 0.0) + weight
-                continue
-            first = index[petal_state_name(side, n_idx, 1)]
+    states, rows = ["0", "1"], [[(1, 1.0)], []]
+    hub_targets: dict[int, float] = {0: p}
+    for side, dist in (("L", u1), ("R", u2)):
+        values, probs = _truncate_side(dist, max_petals)
+        for n_idx, (x, w) in enumerate(zip(values.tolist(), probs.tolist()), start=1):
+            weight = (1.0 - p) / 2.0 * w
+            first = len(states) if x > 1 else 1  # a loop of length 1 enters the hub
             hub_targets[first] = hub_targets.get(first, 0.0) + weight
             for m in range(1, x):
-                here = index[petal_state_name(side, n_idx, m)]
-                nxt = index["1"] if m == x - 1 else index[petal_state_name(side, n_idx, m + 1)]
-                rows[here] = [(nxt, 1.0)]
-    rows[index["1"]] = sorted(hub_targets.items())
+                states.append(f"{side}:{n_idx}:{m}")
+                rows.append([(len(states) if m < x - 1 else 1, 1.0)])
+    rows[1] = sorted(hub_targets.items())
     return TransitionKernel(states, rows)
 
 

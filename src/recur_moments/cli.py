@@ -72,14 +72,20 @@ def _number(value) -> float:
     return float(value)
 
 
+def _loop_law(obj, key: str) -> AtomicDist:
+    """The loop-length law of a petal file's object ``key``: {length: prob, ...}."""
+    pairs = obj[key]
+    if not isinstance(pairs, dict):
+        raise TypeError(f"{key!r} is not an object of length: probability pairs")
+    return AtomicDist.from_pairs({int(k): _number(v) for k, v in pairs.items()})
+
+
 def _load_petal(path: str) -> PetalChain:
     with _opened(path, bad=f"petal file {str(path)!r} is not valid JSON") as fh:
         obj = json.loads(fh.read())
     try:
-        p = _number(obj["p"])
-        u1 = AtomicDist.from_pairs({int(k): _number(v) for k, v in obj["u1"].items()})
-        u2 = AtomicDist.from_pairs({int(k): _number(v) for k, v in obj["u2"].items()})
-    except (KeyError, TypeError, ValueError) as exc:
+        p, u1, u2 = _number(obj["p"]), _loop_law(obj, "u1"), _loop_law(obj, "u2")
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:  # past float or int64
         raise InvalidInput(f"bad petal JSON {path!r}: {exc}") from None
     return PetalChain(u1, u2, p)
 
@@ -206,7 +212,7 @@ def _cmd_demo(args) -> int:
         report = demo_exponential(delta=args.delta,
                                   p=args.p if args.p is not None else 0.25,
                                   log_threshold=args.threshold_log)
-    _emit(report.to_json() + "\n", args, f"demo_{report.name}.json")
+    _emit(_json_text(report.to_json_dict()), args, f"demo_{report.name}.json")
     if args.trace:
         write_series_trace(report, args.trace)
     elif args.output_dir:

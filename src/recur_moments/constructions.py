@@ -23,7 +23,6 @@ exact, at flat-region midpoints; a schedule that ends first raises
 from __future__ import annotations
 
 import csv
-import json
 import math
 from dataclasses import dataclass
 
@@ -61,7 +60,7 @@ class Witness:
 
 def witness_search(f: MomentFunction, *, count: int) -> tuple[Witness, ...]:
     """Find ``count`` witnesses of a burst function f with strictly
-    increasing x, indexed k = 2, 3, ...; witness k must beat 6 ln k, the
+    increasing x = y, indexed k = 2, 3, ...; witness k must beat 6 ln k, the
     margin that :func:`heavy_tail_pair`'s 1/k^2 weights need.
 
     The search is exact: the defect at the midpoint of the i-th flat region
@@ -101,7 +100,8 @@ def witness_search(f: MomentFunction, *, count: int) -> tuple[Witness, ...]:
 @dataclass(frozen=True)
 class HeavyTailPair:
     """Atomic laws U, V with exactly computable finite f-moments, built so
-    the convolution's f-moment blows up along the witness diagonal."""
+    the convolution's f-moment blows up along the witness diagonal.  As
+    :func:`heavy_tail_pair` builds them, V is U."""
 
     f_name: str
     witnesses: tuple[Witness, ...]
@@ -111,18 +111,13 @@ class HeavyTailPair:
     log_ef_v: float
 
 
-def _witness_side(f: MomentFunction, points, ks) -> AtomicDist:
-    pts = np.asarray(points, dtype=np.int64)
-    raw = -f.log_f_array(pts) - 2.0 * np.log(np.asarray(ks, dtype=float))
-    return AtomicDist(pts, raw - logsumexp(raw), LOG_ZERO)
-
-
 def heavy_tail_pair(f: MomentFunction, *, k_max: int) -> HeavyTailPair:
     """Build the pair for a burst function f: atoms at witness points x_k
-    (resp. y_k) of :func:`witness_search`, with weights proportional to
-    1 / (f(x_k) k^2) for k = 2..k_max.
+    of :func:`witness_search`, with weights proportional to 1 / (f(x_k) k^2)
+    for k = 2..k_max.  Every witness has y_k = x_k, so U and V are one law,
+    built once.
 
-    Each marginal f-moment, :func:`f_moment` of a complete sparse law, is a
+    Its f-moment, :func:`f_moment` of a complete sparse law, is a
     normalized sum of 1/k^2 terms, finite and exact, while at matched atoms
     f(x_k + y_k) > e^(6 ln k) f(x_k) f(y_k), which outruns the k^-4 weight.
     Needs k_max >= 3 so the pair rests on at least two witnesses.
@@ -130,11 +125,11 @@ def heavy_tail_pair(f: MomentFunction, *, k_max: int) -> HeavyTailPair:
     if k_max < 3:
         raise InvalidInput("k_max must be >= 3 (at least two witnesses)")
     ws = witness_search(f, count=k_max - 1)
-    ks = [w.k for w in ws]
-    u = _witness_side(f, [w.x for w in ws], ks)
-    v = _witness_side(f, [w.y for w in ws], ks)
-    log_ef_u, log_ef_v = (f_moment(PassageLaw.sparse(d), f).log_partial_sum for d in (u, v))
-    return HeavyTailPair(f.name, ws, u, v, float(log_ef_u), float(log_ef_v))
+    pts = np.array([w.x for w in ws], dtype=np.int64)
+    raw = -f.log_f_array(pts) - 2.0 * np.log(np.array([w.k for w in ws], dtype=float))
+    u = AtomicDist(pts, raw - logsumexp(raw), LOG_ZERO)
+    log_ef = float(f_moment(PassageLaw.sparse(u), f).log_partial_sum)
+    return HeavyTailPair(f.name, ws, u, u, log_ef, log_ef)
 
 
 # ---------------------------------------------------------------------------
@@ -171,9 +166,6 @@ class DemoReport:
             "witnesses": [w.to_json_dict() for w in self.witnesses],
             "notes": self.notes,
         }
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_json_dict(), sort_keys=True, indent=2)
 
 
 def write_series_trace(report: DemoReport, path_or_file) -> None:

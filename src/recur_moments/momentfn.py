@@ -22,7 +22,7 @@ import functools
 import math
 import threading
 from bisect import bisect_left
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
 from typing import Callable
 
@@ -30,9 +30,8 @@ import numpy as np
 
 from .chain import _opened
 from .errors import InvalidInput
-from .logspace import exp_text
+from .logspace import _LN2, exp_text
 
-_LN2 = math.log(2.0)
 _LN3 = math.log(3.0)
 
 
@@ -53,9 +52,13 @@ class BurstSchedule:
     """Windows on which the log-moment function g climbs with slope 1.
 
     ``start_of(i)`` and ``length_of(i)`` give the i-th burst start s_i and
-    length u_i (1-based).  Constraints, checked as a :class:`_BurstTable`
-    reads each burst: at construction on every burst of a finite schedule
-    and the first 24 of an unbounded one, then on each later burst:
+    length u_i (1-based).  The schedule reads each burst once, when a query
+    first needs it, and keeps s_i, u_i and u_1 + ... + u_i as exact
+    integers; its queries are exact integers too: :meth:`g`, :meth:`burst`,
+    :meth:`margin`, :meth:`midpoint` and :meth:`midpoints_upto`, with
+    :meth:`extend` to read ahead.  Constraints, checked as each burst is
+    read: at construction on every burst of a finite schedule and the
+    first 24 of an unbounded one, then on each later burst:
 
     * s strictly increasing integers, u_i >= 1;
     * u_i <= s_{i+1} - s_i, so each burst ends before the next begins;
@@ -68,74 +71,30 @@ class BurstSchedule:
     start_of: Callable[[int], int]
     length_of: Callable[[int], int]
     n_bursts: int | None = None
+    # the bursts read so far, grown under _lock; _cum[i] = u_1 + ... + u_{i+1}
+    _s: list[int] = field(default_factory=list, init=False, repr=False, compare=False)
+    _u: list[int] = field(default_factory=list, init=False, repr=False, compare=False)
+    _cum: list[int] = field(default_factory=list, init=False, repr=False, compare=False)
+    _lock: threading.Lock = field(default_factory=threading.Lock, init=False, repr=False,
+                                  compare=False)
 
     def __post_init__(self):
         limit = 24 if self.n_bursts is None else self.n_bursts
         if limit < 1:
             raise InvalidInput("schedule must contain at least one burst")
-        table = _BurstTable(self)
-        table.extend(limit)
+        self.extend(limit)
         # u_i -> inf proxy: the checked prefix must end in a strictly
         # increasing run of three (or of all its lengths, if fewer).
-        last = table._u[-3:]
+        last = self._u[-3:]
         if any(a >= b for a, b in zip(last, last[1:])):
             raise InvalidInput("burst lengths must be strictly increasing toward the end of the prefix")
 
-
-@functools.cache
-def default_burst_schedule() -> BurstSchedule:
-    """The reference schedule s_i = i^2 2^i, u_i = i 2^i, one shared object.
-
-    Every midpoint (s_i + u_i)/2 is an integer sitting in a flat region, the
-    defect margins u_i - sum_{k<i} u_k equal 2^(i+1) - 2, since sum_{k<i}
-    k 2^k = (i - 2) 2^i + 2, and the peaks of g(n)/n at the burst ends,
-    (sum_{k<=i} u_k) / (s_i + u_i), decrease toward zero; tests/test_momentfn.py
-    checks all three in exact integers for i <= 200.  :func:`classify`
-    recognises the schedule by identity.
-    """
-    return BurstSchedule(lambda i: i * i << i, lambda i: i << i)
-
-
-def burst_schedule_from_csv(path) -> BurstSchedule:
-    """Load a finite schedule from CSV rows ``i,s_i,u_i`` (1-based, contiguous)."""
-    with _opened(path, bad=f"schedule file {str(path)!r} is not text") as fh:
-        lines = list(csv.reader(fh))
-    rows: list[tuple[int, int, int]] = []
-    for raw in lines:
-        if not raw or not raw[0].strip():
-            continue
-        try:
-            rows.append((int(raw[0]), int(raw[1]), int(raw[2])))
-        except (ValueError, IndexError):
-            if not rows:  # tolerate a header line
-                continue
-            raise InvalidInput(f"bad schedule row: {raw!r}")
-    rows.sort()
-    if not rows:
-        raise InvalidInput("schedule file contains no rows")
-    if [i for i, _, _ in rows] != list(range(1, len(rows) + 1)):
-        raise InvalidInput("schedule rows must be indexed 1..n without gaps")
-    s = [si for _, si, _ in rows]
-    u = [ui for _, _, ui in rows]
-    return BurstSchedule(lambda i: s[i - 1], lambda i: u[i - 1], n_bursts=len(rows))
-
-
-class _BurstTable:
-    """Lazily grown (s_i, u_i) arrays with exact integer evaluation of g."""
-
-    def __init__(self, schedule: BurstSchedule):
-        self.schedule = schedule
-        self._s: list[int] = []
-        self._u: list[int] = []
-        self._cum: list[int] = []  # cum[i] = u_1 + ... + u_{i+1}
-        self._lock = threading.Lock()
-
     def _append_next(self) -> bool:
         i = len(self._s) + 1
-        if self.schedule.n_bursts is not None and i > self.schedule.n_bursts:
+        if self.n_bursts is not None and i > self.n_bursts:
             return False
-        s_i = int(self.schedule.start_of(i))
-        u_i = int(self.schedule.length_of(i))
+        s_i = int(self.start_of(i))
+        u_i = int(self.length_of(i))
         if not self._s and s_i < 1:
             raise InvalidInput("burst starts must be >= 1")
         if self._s and s_i <= self._s[-1]:
@@ -195,6 +154,44 @@ class _BurstTable:
         return out
 
 
+@functools.cache
+def default_burst_schedule() -> BurstSchedule:
+    """The reference schedule s_i = i^2 2^i, u_i = i 2^i, one shared object.
+
+    Every midpoint (s_i + u_i)/2 is an integer sitting in a flat region, the
+    defect margins u_i - sum_{k<i} u_k equal 2^(i+1) - 2, since sum_{k<i}
+    k 2^k = (i - 2) 2^i + 2, and the peaks of g(n)/n at the burst ends,
+    (sum_{k<=i} u_k) / (s_i + u_i), decrease toward zero; tests/test_momentfn.py
+    checks all three in exact integers for i <= 200.  :func:`classify`
+    recognises the schedule by identity.
+    """
+    return BurstSchedule(lambda i: i * i << i, lambda i: i << i)
+
+
+def burst_schedule_from_csv(path) -> BurstSchedule:
+    """Load a finite schedule from CSV rows ``i,s_i,u_i`` (1-based, contiguous)."""
+    with _opened(path, bad=f"schedule file {str(path)!r} is not text") as fh:
+        lines = list(csv.reader(fh))
+    rows: list[tuple[int, int, int]] = []
+    for raw in lines:
+        if not raw or not raw[0].strip():
+            continue
+        try:
+            rows.append((int(raw[0]), int(raw[1]), int(raw[2])))
+        except (ValueError, IndexError):
+            if not rows:  # tolerate a header line
+                continue
+            raise InvalidInput(f"bad schedule row: {raw!r}")
+    rows.sort()
+    if not rows:
+        raise InvalidInput("schedule file contains no rows")
+    if [i for i, _, _ in rows] != list(range(1, len(rows) + 1)):
+        raise InvalidInput("schedule rows must be indexed 1..n without gaps")
+    s = [si for _, si, _ in rows]
+    u = [ui for _, _, ui in rows]
+    return BurstSchedule(lambda i: s[i - 1], lambda i: u[i - 1], n_bursts=len(rows))
+
+
 # ---------------------------------------------------------------------------
 # moment functions
 
@@ -203,11 +200,11 @@ class MomentFunction:
     """A non-decreasing unbounded function on {1, 2, ...} seen through log f.
 
     Instances are immutable by convention and safe to share; burst-backed
-    functions memoize their schedule behind a lock.
+    functions read their schedule, which memoizes its bursts behind a lock.
     """
 
     def __init__(self, name: str, kind: FunctionKind, log_eval: Callable[[int], float],
-                 *, param: float | None = None, table: _BurstTable | None = None):
+                 *, param: float | None = None, table: BurstSchedule | None = None):
         self.name = name
         self.kind = kind
         self.param = param
@@ -236,7 +233,7 @@ class MomentFunction:
         return np.array([self._log_eval(int(n)) for n in arr.ravel()], dtype=float).reshape(arr.shape)
 
     @property
-    def burst_table(self) -> _BurstTable:
+    def burst_table(self) -> BurstSchedule:
         if self._table is None:
             raise InvalidInput(f"{self.name} is not a burst function")
         return self._table
@@ -279,10 +276,9 @@ class MomentFunction:
             return self.param * _LN2
         if self.kind is FunctionKind.LOG_POWER:
             return self.param * math.log((1.0 + _LN2 / _LN3) / _LN3)
-        sched = self._table.schedule if self.kind is FunctionKind.BURST else None
-        if sched is not None and sched.n_bursts is not None:
-            try:
-                return float(sum(sched.length_of(i) for i in range(1, sched.n_bursts + 1)))
+        if self.kind is FunctionKind.BURST and self._table.n_bursts is not None:
+            try:  # construction read every burst of a finite schedule
+                return float(self._table._cum[-1])
             except OverflowError:  # K exists, but log K is past the float range
                 return None
         return None
@@ -318,9 +314,8 @@ def exp_fn(delta: float) -> MomentFunction:
 def burst_fn(schedule: BurstSchedule, name: str = "burst:custom") -> MomentFunction:
     """f = e^g for the piecewise-linear g driven by ``schedule``; g is exact
     integer arithmetic throughout."""
-    table = _BurstTable(schedule)
     return MomentFunction(name, FunctionKind.BURST,
-                          lambda n: float(table.g(n)), table=table)
+                          lambda n: float(schedule.g(n)), table=schedule)
 
 
 def custom_fn(name: str, log_eval: Callable[[int], float]) -> MomentFunction:
@@ -373,7 +368,7 @@ class Classification:
     rate: float | None = None
 
 
-def _midpoint_witnesses(table: _BurstTable) -> tuple[tuple[int, int, float], ...]:
+def _midpoint_witnesses(table: BurstSchedule) -> tuple[tuple[int, int, float], ...]:
     """(m, m, log f(2m) - 2 log f(m)) at the burst midpoints m <= 2^18 with a
     positive defect, largest first.  The defect is exact integer arithmetic;
     it equals the margin u_i - sum_{k<i} u_k when m sits in a flat region."""
@@ -408,7 +403,7 @@ def classify(f: MomentFunction) -> Classification:
         )
     if f.kind is FunctionKind.BURST:
         witnesses = _midpoint_witnesses(f.burst_table)
-        if f.burst_table.schedule is default_burst_schedule():
+        if f.burst_table is default_burst_schedule():
             return Classification(
                 VERDICT_VIOLATES_SUBMULT,
                 "analytic certificate: log f(2m_i) - 2 log f(m_i) = 2^(i+1) - 2 "

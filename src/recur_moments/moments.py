@@ -54,6 +54,7 @@ _LOG_THRESHOLD = math.log(1e6)
 #: Samples per Monte Carlo chunk, each drawn from its own stream spawned
 #: from the seed; changing it changes every result for a given seed.
 _MC_CHUNK = 65536
+_INT64_MAX = int(np.iinfo(np.int64).max)
 
 
 @dataclass(frozen=True)
@@ -247,6 +248,9 @@ def mc_f_moment(sampler, f: MomentFunction, *, n_samples: int, cap: int,
         raise InvalidInput("cap must be >= 1")
     if seed < 0:
         raise InvalidInput(f"seed must be >= 0, got {seed}")
+    for name, value in (("n_samples", n_samples), ("cap", cap)):  # times and counts are int64
+        if value > _INT64_MAX:
+            raise InvalidInput(f"{name} must be at most {_INT64_MAX}, got {value}")
     n_chunks = (n_samples + _MC_CHUNK - 1) // _MC_CHUNK
     sizes = [_MC_CHUNK] * (n_chunks - 1) + [n_samples - _MC_CHUNK * (n_chunks - 1)]
     children = np.random.SeedSequence(seed).spawn(n_chunks)

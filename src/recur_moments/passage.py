@@ -67,26 +67,26 @@ budget).  A kernel, its derived arrays and every cached array are
 read-only, so no cached value can go stale.  The lifted operators of
 :func:`_lift` are ``lift`` times the size of the operator they lift, and
 are kept apart, in one process-wide cache of the same class (``_LIFTS``,
-``_LIFT_CACHE_BYTES`` = 1 MiB): lifts kept by each kernel raised the
-decomposition benchmark's peak RSS from 54.7 to 71.1 MB.
+``_LIFT_CACHE_BYTES`` = 1 MiB), so that their memory is bounded once for
+the process, not once for every kernel alive.
 A lift spans every row of a block after its first, up to 127 steps, so a
 600-step law of a small chain takes six compiled calls, and the eight
 lifts of an all-pairs sweep of an 8-state chain (0.82 MB) share the cache.
-Against 192 KiB with 24 KiB lifts, the 1 MiB bound costs the decomposition
-benchmark 1.2 MB of peak RSS, and moments_allpairs 1.0 MB.  A lift is
-keyed by the ``id`` of the cached operator it lifts, and holds that
-operator, so the key of a freed kernel's operator can never match a new
-one.
+A lift is keyed by the ``id`` of the cached operator it lifts, and holds
+that operator, so the key of a freed kernel's operator can never match a
+new one.
 
 scipy is imported on first use, not with the module: the first propagated
 law loads ``scipy.sparse`` (through the kernel's ``csr`` and the compiled
-matvec).  The calculus on laws (compound, convolution, mixture, domination)
-runs on numpy alone.
+products of :func:`_products`, the one binding to scipy's private
+``_sparsetools``).  The calculus on laws (compound, convolution, mixture,
+domination) runs on numpy alone.
 """
 
 from __future__ import annotations
 
 import csv
+import functools
 import math
 from contextlib import nullcontext
 from dataclasses import dataclass
@@ -97,7 +97,7 @@ from numpy.lib.stride_tricks import sliding_window_view
 from ._atomic import _MASS_TOL, AtomicDist
 from .chain import StateRef, TransitionKernel, _ByteCache, _opened
 from .errors import IncomparableLaws, InvalidInput, NoSuchPath
-from .logspace import LOG_ZERO, PRUNE_FLOOR_LOG, log_add, log_sub, logsumexp
+from .logspace import _LN2, LOG_ZERO, PRUNE_FLOOR_LOG, log_add, log_sub, logsumexp
 
 __all__ = [
     "AtomicDist", "TailCert", "PassageLaw", "DominationReport",
@@ -372,7 +372,6 @@ class PassageLaw:
 
 
 _RESCALE_BELOW = 2.0 ** -600
-_LN2 = math.log(2.0)
 _LOG_RESCALE_BELOW = -600 * _LN2
 _BLOCK_ROWS = 128
 _BLOCK_DOUBLES = 2 ** 16
@@ -381,7 +380,7 @@ _HOLD_STEPS = 16  # steps over which _log_hold bounds the loss of alive mass
 _CERT_WIDTH = 256  # widest taboo operator whose tail certificate comes from dense solves
 _CERT_SOLVES = 5  # most solves of Noda's iteration for one tail certificate
 _FLAG_BITS = np.array([0, 1], dtype=np.int32)
-_csc_matvec = None  # scipy's compiled CSC matvec, bound and checked by the first _propagate
+_MAX_HORIZON = np.iinfo(np.intp).max // 8  # the most float64 entries one array can index
 
 
 def _block_sizes(w: int, nnz: int) -> tuple[int, int, int, int]:
@@ -470,8 +469,7 @@ def _log_hold(indptr: np.ndarray, indices: np.ndarray, data: np.ndarray, width: 
     operator's columns with v, the sink's v being 0.  With ``flag``, mass
     entering (flag, 0) moves on to (flag, 1), so that slot takes the v of
     (flag, 1) before each product and is left out."""
-    from scipy.sparse._sparsetools import csr_matvec
-
+    csr_matvec = _products()[1]
     w = width + 1
     v, out = np.ones(w), np.empty(w)
     v[width] = 0.0
@@ -580,11 +578,9 @@ def _checked_ratio(op: tuple, v: np.ndarray, live: np.ndarray, k: int) -> float:
     """The least rho with Qv <= rho v on the ``live`` slots, as the
     operator's arrays read as rows give Qv, rounded up for rounding and
     underflow; v >= 1 on those slots."""
-    from scipy.sparse._sparsetools import csr_matvec
-
     indptr, indices, data, width = op
     x, out = np.append(v, 0.0), np.zeros(width + 1)
-    csr_matvec(width + 1, width + 1, indptr, indices, data, x, out)
+    _products()[1](width + 1, width + 1, indptr, indices, data, x, out)
     ratio = out[:width][live] / v[live]
     return float(ratio.max(initial=0.0)) * (1.0 + 2.0 * _gamma(k + 2)) + _SMALLEST_NORMAL
 
@@ -620,13 +616,17 @@ def _lift(indptr: np.ndarray, indices: np.ndarray, data: np.ndarray, w: int, ste
     return lptr, (dest + w * step).ravel(), lval.ravel()
 
 
-def _bind_matvec():
-    """scipy's compiled ``csc_matvec``, once it has stepped a 2-state
-    operator through three lifted steps in place exactly as three
-    single-step calls do.  A scipy whose ``csc_matvec`` copied its input
-    would make every lifted law silently wrong, so it raises RuntimeError."""
+@functools.cache
+def _products():
+    """(csc_matvec, csr_matvec), scipy's compiled products: the package's
+    one binding to the private ``scipy.sparse._sparsetools``.  Bound on the
+    first call, once ``csc_matvec`` has stepped a 2-state operator through
+    three lifted steps in place exactly as three single-step calls do.  A
+    scipy whose ``csc_matvec`` copied its input would make every lifted law
+    silently wrong, so that raises RuntimeError, and the next call checks
+    again."""
     import scipy
-    from scipy.sparse._sparsetools import csc_matvec
+    from scipy.sparse._sparsetools import csc_matvec, csr_matvec
     ptr, ind = np.array([0, 2, 3], dtype=np.int32), np.array([0, 1, 0], dtype=np.int32)
     val = np.array([0.25, 0.75, 1.0])
     rows = np.zeros((4, 2))
@@ -639,7 +639,7 @@ def _bind_matvec():
     if not np.array_equal(flat, rows.ravel()):
         raise RuntimeError(f"scipy {scipy.__version__}: csc_matvec does not add into its "
                            "input in place, which lifted propagation needs")
-    return csc_matvec
+    return csc_matvec, csr_matvec
 
 
 def _row_sums(rows: np.ndarray) -> np.ndarray:
@@ -696,9 +696,7 @@ def _propagate(kernel: TransitionKernel, start: int, horizon: int, *, absorb: in
     times 2^scale[t], and the alive mass and q after the last step, both
     times 2^scale[-1].
     """
-    global _csc_matvec
-    if _csc_matvec is None:
-        _csc_matvec = _bind_matvec()
+    matvec = _products()[0]
     key = (absorb, kill, flag)
     indptr, indices, data, width = op = _operator(kernel, key)
     w = width + 1
@@ -721,7 +719,6 @@ def _propagate(kernel: TransitionKernel, start: int, horizon: int, *, absorb: in
     x[start if flag is None else 2 * start] = 1.0
     pmf = np.zeros(horizon)
     scale = np.zeros(horizon, dtype=np.int64)
-    matvec = _csc_matvec
     t = since = k = 0
     alive, proven = 1.0, False  # the alive mass of x, as scaled; nothing proven yet
     while t < horizon:
@@ -786,6 +783,15 @@ def _unscaled_law(pmf: np.ndarray, scale: np.ndarray, log_tail: float,
     return PassageLaw._dense_log(log_pmf, log_tail, tail_cert, lin=lin)
 
 
+def _check_horizon(horizon: int) -> None:
+    """InvalidInput unless a law of ``horizon`` steps fits numpy's arrays,
+    checked before anything of that size is allocated."""
+    if horizon < 1:
+        raise InvalidInput("horizon must be >= 1")
+    if horizon > _MAX_HORIZON:
+        raise InvalidInput(f"horizon must be at most {_MAX_HORIZON}, got {horizon}")
+
+
 def first_passage_law(kernel: TransitionKernel, source: StateRef, target: StateRef,
                       horizon: int) -> PassageLaw:
     """Exact law of the first hit of ``target`` from ``source`` up to
@@ -797,8 +803,7 @@ def first_passage_law(kernel: TransitionKernel, source: StateRef, target: StateR
     exact powers of two once its mass falls below 2^-600, so the log tail is
     -inf only when no mass is left, never because a float underflowed.
     """
-    if horizon < 1:
-        raise InvalidInput("horizon must be >= 1")
+    _check_horizon(horizon)
     i, j = kernel.index_of(source), kernel.index_of(target)
     pmf, alive, scale, q = _propagate(kernel, i, horizon, absorb=j)
     return _unscaled_law(pmf, scale, _log_scaled(alive, scale[-1]),
@@ -882,8 +887,7 @@ def _reaches(kernel: TransitionKernel, start: int, goal: int, avoid: int) -> boo
 
 def _distinct(kernel: TransitionKernel, source: StateRef, target: StateRef,
               horizon: int) -> tuple[int, int]:
-    if horizon < 1:
-        raise InvalidInput("horizon must be >= 1")
+    _check_horizon(horizon)
     i, j = kernel.index_of(source), kernel.index_of(target)
     if i == j:
         raise InvalidInput("source and target must differ")

@@ -440,6 +440,48 @@ def test_petal_probability_that_is_not_a_json_number_exits_2(tmp_path, capsys, f
     assert err.startswith("error:") and "petal" in err
 
 
+_DEEP = "[" * 5000 + "]" * 5000
+_HUGE = "1" + "0" * 399  # an integer past the float range
+
+
+@pytest.mark.parametrize("flag, text, message", [
+    ("--kernel", '{"states": ["a"], "rows": [[["a", %s]]]}' % _HUGE,
+     "bad chain rows: int too large to convert to float"),
+    ("--kernel", '{"states": ["a"], "rows": [%s]}' % _DEEP, "is not valid JSON: nested too deeply"),
+    ("--builtin", '{"p": 0.5, "u1": [1, 2], "u2": {"2": 1.0}}',
+     "'u1' is not an object of length: probability pairs"),
+    ("--builtin", '{"p": 0.5, "u1": {"1%s": 1.0}, "u2": {"2": 1.0}}' % ("0" * 29,),
+     "too large to convert"),
+    ("--builtin", '{"p": %s, "u1": {"2": 1.0}, "u2": {"2": 1.0}}' % _HUGE,
+     "int too large to convert to float"),
+    ("--builtin", _DEEP, "is not valid JSON: nested too deeply"),
+], ids=["kernel-400-digit-p", "kernel-deep", "petal-u1-list", "petal-30-digit-atom",
+        "petal-400-digit-p", "petal-deep"])
+def test_file_past_a_range_or_nested_deeply_exits_2(tmp_path, capsys, flag, text, message):
+    # each ended in a traceback with exit 1 (OverflowError, RecursionError
+    # or AttributeError), not in one error line
+    path = tmp_path / "chain.json"
+    path.write_text(text)
+    rc, out, err = run_cli(capsys, "fpt", flag, f"{'petal:' if flag == '--builtin' else ''}{path}",
+                           "--from", "0", "--to", "1", "--horizon", "5")
+    assert rc == 2 and out == ""
+    assert err.startswith("error:") and message in err and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("argv, message", [
+    (("fpt", "--horizon", str(10 ** 30)), f"horizon must be at most {2 ** 60 - 1}"),
+    (("moment", "--function", "power:1", "--method", "mc", "--samples", str(10 ** 30)),
+     f"n_samples must be at most {2 ** 63 - 1}"),
+    (("moment", "--function", "power:1", "--method", "mc", "--cap", str(10 ** 30)),
+     f"cap must be at most {2 ** 63 - 1}"),
+], ids=["horizon", "samples", "cap"])
+def test_count_past_int64_exits_2(capsys, argv, message):
+    # numpy's ValueError or an OverflowError, each a traceback with exit 1
+    rc, out, err = run_cli(capsys, *argv, "--builtin", "two-state:0.5", "--from", "0", "--to", "1")
+    assert rc == 2 and out == ""
+    assert err == f"error: {message}, got {10 ** 30}\n"
+
+
 @pytest.mark.parametrize("flag, prefix", [("--kernel", ""), ("--builtin", "petal:")])
 def test_non_utf8_json_file_exits_2(tmp_path, capsys, flag, prefix):
     path = tmp_path / "chain.json"

@@ -2,7 +2,6 @@ from __future__ import annotations
 
 import csv
 import io
-import json
 import math
 
 import numpy as np
@@ -89,6 +88,13 @@ def test_heavy_tail_pair_structure():
     assert pair.u.atoms.tolist() == pair.v.atoms.tolist()
     np.testing.assert_allclose(pair.u.log_probs, pair.v.log_probs, rtol=0, atol=0)
     assert pair.log_ef_u == pair.log_ef_v
+
+
+def test_heavy_tail_pair_builds_one_law_for_both_sides():
+    # every witness has y = x, so V is U, built and moment-summed once
+    pair = heavy_tail_pair(_burst(), k_max=8)
+    assert pair.u is pair.v
+    assert all(w.y == w.x for w in pair.witnesses)
 
 
 def test_heavy_tail_pair_moment_closed_form():
@@ -190,7 +196,7 @@ def test_demo_sharp_rejects_non_finite_threshold_before_witness_search(monkeypat
 
 def test_demo_report_json():
     rep = demo_sharp()
-    obj = json.loads(rep.to_json())
+    obj = rep.to_json_dict()
     assert obj["name"] == "sharp" and obj["succeeded"] is True
     assert obj["series"]["crossing_index"] == 4
     assert len(obj["witnesses"]) == 7

@@ -5,6 +5,7 @@ point of the package loads scipy.linalg or scipy.sparse.linalg."""
 
 from __future__ import annotations
 
+import ast
 import json
 import os
 import subprocess
@@ -133,3 +134,41 @@ def test_return_time_decomposition_loads_no_scipy_linalg():
     assert loaded(mods, "scipy.sparse")
     assert not loaded(mods, "scipy.linalg")
     assert not loaded(mods, "scipy.sparse.csgraph")
+
+
+def _code_references(name: str) -> set[str]:
+    """``module.function`` of the innermost function around each mention of
+    ``name`` in the package's code: in an import, a name, an attribute or a
+    string that is not a docstring (``module.<module>`` outside functions)."""
+    found = set()
+    for path in sorted(Path(recur_moments.__file__).resolve().parent.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        docstrings = {id(node.body[0].value) for node in ast.walk(tree)
+                      if isinstance(node, (ast.Module, ast.ClassDef, ast.FunctionDef))
+                      and node.body and isinstance(node.body[0], ast.Expr)}
+
+        def visit(node, where):
+            if isinstance(node, ast.FunctionDef):
+                where = f"{path.stem}.{node.name}"
+            if isinstance(node, (ast.Import, ast.ImportFrom)):
+                text = " ".join([getattr(node, "module", None) or "",
+                                 *(alias.name for alias in node.names)])
+            elif isinstance(node, ast.Constant) and id(node) not in docstrings:
+                text = node.value if isinstance(node.value, str) else ""
+            else:
+                text = getattr(node, "attr", None) or getattr(node, "id", "")
+            if name in text:
+                found.add(where)
+            for child in ast.iter_child_nodes(node):
+                visit(child, where)
+
+        visit(tree, f"{path.stem}.<module>")
+    return found
+
+
+def test_scipy_private_products_are_bound_in_one_function():
+    # scipy's private _sparsetools is reached only through passage._products,
+    # which checks the in-place update lifted steps rely on
+    assert _code_references("_sparsetools") == {"passage._products"}
+    assert _code_references("_products") >= {"passage._propagate", "passage._log_hold",
+                                              "passage._checked_ratio"}

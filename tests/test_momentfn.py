@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import math
 import re
+from collections import Counter
 from itertools import accumulate
 
 import numpy as np
@@ -14,7 +15,8 @@ from recur_moments import (BurstSchedule, FunctionKind, InvalidInput,
                            VERDICT_VIOLATES_GROWTH, VERDICT_VIOLATES_SUBMULT,
                            burst_fn, burst_schedule_from_csv, classify,
                            custom_fn, default_burst_schedule, exp_fn,
-                           log_power_fn, parse_function_spec, power_fn)
+                           log_power_fn, parse_function_spec, power_fn,
+                           witness_search)
 
 from helpers import max_submult_defect
 
@@ -143,6 +145,31 @@ def test_schedule_csv_roundtrip(tmp_path):
     assert sched.n_bursts == 3
     with pytest.raises(InvalidInput):
         f.burst_table.burst(4)
+
+
+@pytest.mark.parametrize("n_bursts", [None, 10], ids=["unbounded", "finite"])
+def test_schedule_reads_each_burst_once(n_bursts):
+    # construction checks a prefix; two burst functions, classify (with its
+    # certificate on a finite schedule) and the witness search read on from
+    # what the schedule has kept, never calling start_of or length_of again
+    reads = Counter()
+
+    def start(i):
+        reads["s", i] += 1
+        return i * i << i
+
+    def length(i):
+        reads["u", i] += 1
+        return i << i
+
+    sched = BurstSchedule(start, length, n_bursts=n_bursts)
+    f, g = burst_fn(sched), burst_fn(sched, "burst:other")
+    assert f.burst_table is g.burst_table is sched
+    for fn in (f, g):
+        classify(fn)
+        assert fn.log_f(5000) == 642.0  # u_1 + ... + u_6; s_7 = 6272
+    assert len(witness_search(f, count=4)) == 4
+    assert len(reads) >= 20 and set(reads.values()) == {1}
 
 
 # ---------------------------------------------------------------------------

@@ -1,7 +1,9 @@
 from __future__ import annotations
 
+import decimal
 import json
 import math
+from decimal import Decimal
 
 import numpy as np
 import pytest
@@ -202,6 +204,28 @@ def test_nilpotent_cycle_mean_bracket_is_exact():
     est = f_moment(first_passage_law(cycle_kernel(40), 5, 0, 10), power_fn(1))
     assert est.verdict == VERDICT_CONVERGED
     assert est.log_upper_bound - est.log_partial_sum <= 1e-9
+
+
+def _two_state_return_mean():
+    # moment --builtin two-state:0.5 --from 0 --to 0 --function power:1: the
+    # return time is 1 or 2, each with probability 1/2, so E T = 3/2 exactly
+    return f_moment(first_passage_law(build_two_state(0.5), 0, 0, 1024), power_fn(1))
+
+
+def test_two_state_return_mean_bracket_has_zero_width():
+    est = _two_state_return_mean()
+    assert est.verdict == VERDICT_CONVERGED
+    assert est.log_partial_sum == 0.4054651081081644 == est.log_upper_bound
+    assert est.log_tail_bound == -math.inf
+
+
+@pytest.mark.xfail(strict=True, reason="ROADMAP item 16: a zero-width bracket holds the "
+                   "float nearest ln 1.5, about 2.9e-18 above it, not ln 1.5")
+def test_two_state_return_mean_bracket_holds_the_exact_log():
+    est = _two_state_return_mean()
+    with decimal.localcontext(decimal.Context(prec=50)):
+        exact = Decimal("1.5").ln()
+        assert Decimal(est.log_partial_sum) <= exact <= Decimal(est.log_upper_bound)
 
 
 def test_custom_function_without_growth_bound_is_inconclusive():

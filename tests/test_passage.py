@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import functools
 import io
 import itertools
 import math
@@ -410,15 +411,14 @@ def _count_steps(monkeypatch):
     call.  A single-step call has n_row = n_col = w, the slots of a row; a
     lifted call has n_row = n_col + w.  A call takes n_col // w steps."""
     steps = []
+    kernel_call, csr_matvec = passage._products()
 
     def counting(*args):
         n_row, n_col = args[:2]
         steps.append(n_col // (n_row - n_col or n_row))
         return kernel_call(*args)
 
-    # passage binds its name on the first law, so it may still be unbound
-    from scipy.sparse._sparsetools import csc_matvec as kernel_call
-    monkeypatch.setattr(passage, "_csc_matvec", counting)
+    monkeypatch.setattr(passage, "_products", lambda: (counting, csr_matvec))
     return steps
 
 
@@ -735,12 +735,13 @@ def test_propagation_refuses_a_matvec_that_copies_its_input(monkeypatch):
         real(n_row, n_col, ptr, ind, val, x.copy(), y)
 
     monkeypatch.setattr(tools, "csc_matvec", copying)
-    monkeypatch.setattr(passage, "_csc_matvec", None)
+    # an unbound binding for this test, the process's own restored after it
+    monkeypatch.setattr(passage, "_products", functools.cache(passage._products.__wrapped__))
     with pytest.raises(RuntimeError, match=f"scipy {scipy.__version__}"):
         first_passage_law(build_two_state(0.5), 0, 1, 10)
     monkeypatch.setattr(tools, "csc_matvec", real)
     assert first_passage_law(build_two_state(0.5), 0, 1, 10).horizon == 10
-    assert passage._csc_matvec is real
+    assert passage._products()[0] is real
 
 
 @settings(max_examples=40, deadline=None)
