@@ -51,6 +51,8 @@ _ENTRY_BYTES = 256
 #: at least ``_CACHE_FLOOR_BYTES``.
 _CACHE_PER_CSR_BYTE = 16
 _CACHE_FLOOR_BYTES = 2 ** 20
+_MAX_ENTRIES = np.iinfo(np.intp).max // 8  # the most float64 or int64 entries one array indexes
+_INT64_MAX = int(np.iinfo(np.int64).max)
 
 
 def _read_only(*arrays) -> None:
@@ -272,9 +274,8 @@ def _validated(kernel: TransitionKernel) -> TransitionKernel:
 
 
 def save_kernel_json(kernel: TransitionKernel, path) -> None:
-    with open(path, "w") as fh:
-        json.dump(kernel.to_json_dict(), fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    with _opened(path, "w") as fh:
+        fh.write(json.dumps(kernel.to_json_dict(), indent=2, sort_keys=True) + "\n")
 
 
 @contextmanager
@@ -738,6 +739,9 @@ def sample_passage_times(chain: ChainLike, source: StateRef, target: StateRef,
         raise InvalidInput("n_samples must be >= 0")
     if cap < 1:
         raise InvalidInput("cap must be >= 1")
+    for name, value, most in (("n_samples", n_samples, _MAX_ENTRIES), ("cap", cap, _INT64_MAX)):
+        if value > most:  # before any array of n_samples int64 times is made
+            raise InvalidInput(f"{name} must be at most {most}, got {value}")
     if rng is None:
         rng = np.random.default_rng(np.random.SeedSequence(seed))
     if isinstance(chain, TransitionKernel):

@@ -142,7 +142,7 @@ def _emit(text: str, args, default_name: str) -> None:
     else:
         sys.stdout.write(text)
         return
-    with open(path, "w", newline="") as fh:
+    with _opened(path, "w") as fh:
         fh.write(text)
 
 

@@ -15,9 +15,9 @@ Two demonstrations, both ending in certified verdicts rather than plots:
   e^delta (1 - p) > 1.
 
 Witness search backs the first demo: pairs (x_k, y_k) where a burst
-function beats submultiplicativity by the margin 6 ln k.  The witnesses are
-exact, at flat-region midpoints; a schedule that ends first raises
-:class:`WitnessSearchExhausted` with the partial findings attached.
+function beats submultiplicativity by the margin 6 ln k.  Each gain is the
+exact defect g(2x) - 2 g(x) at a burst midpoint x; a schedule that ends
+first raises :class:`WitnessSearchExhausted` with the partial findings.
 """
 
 from __future__ import annotations
@@ -29,7 +29,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._atomic import AtomicDist
-from .chain import _opened, build_two_state
+from .chain import _INT64_MAX, _opened, build_two_state
 from .errors import InvalidInput, PreconditionFailed, WitnessSearchExhausted
 from .logspace import LOG_ZERO, exp_text, logsumexp
 from .momentfn import MomentFunction, burst_fn, default_burst_schedule, exp_fn
@@ -63,10 +63,10 @@ def witness_search(f: MomentFunction, *, count: int) -> tuple[Witness, ...]:
     increasing x = y, indexed k = 2, 3, ...; witness k must beat 6 ln k, the
     margin that :func:`heavy_tail_pair`'s 1/k^2 weights need.
 
-    The search is exact: the defect at the midpoint of the i-th flat region
-    equals the integer margin u_i - sum_{j<i} u_j, so it just walks the
-    schedule.  Any other f is an :class:`InvalidInput`.  A schedule that
-    ends first, or whose midpoints leave the int64 range, raises
+    The search walks the burst midpoints x = (s_i + u_i) // 2, and each gain
+    is :meth:`BurstSchedule.defect`, the exact log f(2x) - 2 log f(x).  Any
+    other f is an :class:`InvalidInput`.  A schedule that ends first, or whose
+    midpoints leave the int64 range, raises
     :class:`WitnessSearchExhausted` carrying the witnesses found so far.
     """
     if count < 1:
@@ -76,20 +76,20 @@ def witness_search(f: MomentFunction, *, count: int) -> tuple[Witness, ...]:
     i = 0
     for k in range(2, count + 2):
         need = 6.0 * math.log(k)
-        i += 1
         while True:
+            i += 1
             if not table.extend(i):
                 raise WitnessSearchExhausted(
-                    f"burst schedule ends before a margin above {need:.6g} for k={k}",
+                    f"burst schedule ends before a defect above {need:.6g} for k={k}",
                     found)
             x = table.midpoint(i)
-            if x > np.iinfo(np.int64).max:
+            if x > _INT64_MAX:
                 raise WitnessSearchExhausted(
                     f"burst midpoints left the int64 range at k={k}", found)
-            if table.margin(i) > need and (not found or x > found[-1].x):
+            gain = table.defect(x)
+            if gain > need and (not found or x > found[-1].x):
                 break
-            i += 1
-        found.append(Witness(k, x, x, float(table.margin(i)), need))
+        found.append(Witness(k, x, x, float(gain), need))
     return tuple(found)
 
 

@@ -55,7 +55,7 @@ class BurstSchedule:
     length u_i (1-based).  The schedule reads each burst once, when a query
     first needs it, and keeps s_i, u_i and u_1 + ... + u_i as exact
     integers; its queries are exact integers too: :meth:`g`, :meth:`burst`,
-    :meth:`margin`, :meth:`midpoint` and :meth:`midpoints_upto`, with
+    :meth:`defect`, :meth:`midpoint` and :meth:`midpoints_upto`, with
     :meth:`extend` to read ahead.  Constraints, checked as each burst is
     read: at construction on every burst of a finite schedule and the
     first 24 of an unbounded one, then on each later burst:
@@ -134,11 +134,9 @@ class BurstSchedule:
             raise InvalidInput(f"schedule has no burst {i}")
         return self._s[i - 1], self._u[i - 1]
 
-    def margin(self, i: int) -> int:
-        """u_i - sum_{k<i} u_k, the submultiplicativity defect achieved at the
-        i-th midpoint (exact integer)."""
-        s_i, u_i = self.burst(i)
-        return u_i - (self._cum[i - 2] if i >= 2 else 0)
+    def defect(self, x: int) -> int:
+        """g(2x) - 2 g(x), the submultiplicativity defect of e^g at x = y."""
+        return self.g(2 * x) - 2 * self.g(x)
 
     def midpoint(self, i: int) -> int:
         s_i, u_i = self.burst(i)
@@ -158,9 +156,9 @@ class BurstSchedule:
 def default_burst_schedule() -> BurstSchedule:
     """The reference schedule s_i = i^2 2^i, u_i = i 2^i, one shared object.
 
-    Every midpoint (s_i + u_i)/2 is an integer sitting in a flat region, the
-    defect margins u_i - sum_{k<i} u_k equal 2^(i+1) - 2, since sum_{k<i}
-    k 2^k = (i - 2) 2^i + 2, and the peaks of g(n)/n at the burst ends,
+    Every midpoint (s_i + u_i)/2 is an integer sitting in a flat region, so
+    its defect g(2m_i) - 2 g(m_i) is u_i - sum_{k<i} u_k = 2^(i+1) - 2, since
+    sum_{k<i} k 2^k = (i - 2) 2^i + 2, and the peaks of g(n)/n at the burst ends,
     (sum_{k<=i} u_k) / (s_i + u_i), decrease toward zero; tests/test_momentfn.py
     checks all three in exact integers for i <= 200.  :func:`classify`
     recognises the schedule by identity.
@@ -370,9 +368,8 @@ class Classification:
 
 def _midpoint_witnesses(table: BurstSchedule) -> tuple[tuple[int, int, float], ...]:
     """(m, m, log f(2m) - 2 log f(m)) at the burst midpoints m <= 2^18 with a
-    positive defect, largest first.  The defect is exact integer arithmetic;
-    it equals the margin u_i - sum_{k<i} u_k when m sits in a flat region."""
-    defects = [(m, table.g(2 * m) - 2 * table.g(m)) for m in table.midpoints_upto(_WITNESS_EXTENT)]
+    positive defect, largest first; the defect is exact integer arithmetic."""
+    defects = [(m, table.defect(m)) for m in table.midpoints_upto(_WITNESS_EXTENT)]
     return tuple(sorted(((m, m, float(d)) for m, d in defects if d > 0),
                         key=lambda w: (-w[2], w[0])))
 
@@ -385,7 +382,7 @@ def classify(f: MomentFunction) -> Classification:
     :meth:`MomentFunction.log_submult_certificate` (powers, log-powers and
     finite burst schedules).  Exponentials e^(d n) violate subexponential
     growth with rate exactly d.  The default burst schedule violates
-    submultiplicativity: its midpoint margins are 2^(i+1) - 2, unbounded.
+    submultiplicativity: its midpoint defects are 2^(i+1) - 2, unbounded.
     Any other burst schedule is Inconclusive with its midpoint defects
     attached as evidence, and custom functions are Inconclusive.
     """

@@ -31,6 +31,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .chain import _INT64_MAX
 from .errors import InvalidInput
 from .logspace import LOG_ZERO, log_add, log_sub, logsumexp
 from .momentfn import FunctionKind, MomentFunction
@@ -54,7 +55,6 @@ _LOG_THRESHOLD = math.log(1e6)
 #: Samples per Monte Carlo chunk, each drawn from its own stream spawned
 #: from the seed; changing it changes every result for a given seed.
 _MC_CHUNK = 65536
-_INT64_MAX = int(np.iinfo(np.int64).max)
 
 
 @dataclass(frozen=True)
@@ -238,9 +238,10 @@ def mc_f_moment(sampler, f: MomentFunction, *, n_samples: int, cap: int,
     """Monte Carlo estimate of E f(T) from a trajectory sampler.
 
     ``sampler(n, cap, rng)`` must return (times, censored): passage times as
-    int64 (cap where censored) and the censoring mask.  Sampling is split
-    into fixed-size chunks with independent spawned RNG streams, run and
-    combined in chunk order, so results are byte-identical for a given seed.
+    int64 (cap where censored) and the censoring mask.  Chunk k of the
+    fixed-size chunks draws from ``SeedSequence(seed, spawn_key=(k,))``, the
+    k-th child ``spawn`` gives, made when the loop reaches it; chunks are
+    combined in order, so results are byte-identical for a given seed.
     """
     if n_samples < 2:
         raise InvalidInput("need at least 2 samples")
@@ -251,12 +252,10 @@ def mc_f_moment(sampler, f: MomentFunction, *, n_samples: int, cap: int,
     for name, value in (("n_samples", n_samples), ("cap", cap)):  # times and counts are int64
         if value > _INT64_MAX:
             raise InvalidInput(f"{name} must be at most {_INT64_MAX}, got {value}")
-    n_chunks = (n_samples + _MC_CHUNK - 1) // _MC_CHUNK
-    sizes = [_MC_CHUNK] * (n_chunks - 1) + [n_samples - _MC_CHUNK * (n_chunks - 1)]
-    children = np.random.SeedSequence(seed).spawn(n_chunks)
     log_s1, log_s2, n_cens = LOG_ZERO, LOG_ZERO, 0
-    for child, size in zip(children, sizes):
-        times, censored = sampler(size, cap, np.random.default_rng(child))
+    for k in range((n_samples + _MC_CHUNK - 1) // _MC_CHUNK):
+        rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(k,)))
+        times, censored = sampler(min(_MC_CHUNK, n_samples - k * _MC_CHUNK), cap, rng)
         lf = f.log_f_array(np.asarray(times, dtype=np.int64))
         log_s1 = log_add(log_s1, logsumexp(lf))
         log_s2 = log_add(log_s2, logsumexp(2.0 * lf))

@@ -95,7 +95,7 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from ._atomic import _MASS_TOL, AtomicDist
-from .chain import StateRef, TransitionKernel, _ByteCache, _opened
+from .chain import _MAX_ENTRIES, StateRef, TransitionKernel, _ByteCache, _opened
 from .errors import IncomparableLaws, InvalidInput, NoSuchPath
 from .logspace import _LN2, LOG_ZERO, PRUNE_FLOOR_LOG, log_add, log_sub, logsumexp
 
@@ -291,7 +291,7 @@ class PassageLaw:
     def pmf_array(self, horizon: int | None = None) -> np.ndarray:
         """Linear pmf over 1..horizon; exact, so sparse laws must be complete
         (their zero entries are then known to be zero)."""
-        h = horizon if horizon is not None else self.horizon
+        h = self.horizon if horizon is None else _check_horizon(horizon)
         if self.is_dense:
             if h > self.horizon:
                 raise InvalidInput("cannot extend a dense pmf beyond its horizon")
@@ -321,8 +321,7 @@ class PassageLaw:
     def to_dense(self, horizon: int) -> "PassageLaw":
         """Re-represent on 1..horizon; mass beyond moves into the tail.
         Extending a dense law beyond its horizon requires a complete law."""
-        if horizon < 1:
-            raise InvalidInput("horizon must be >= 1")
+        _check_horizon(horizon)
         if self.is_dense:
             if horizon == self.horizon:
                 return self
@@ -380,7 +379,6 @@ _HOLD_STEPS = 16  # steps over which _log_hold bounds the loss of alive mass
 _CERT_WIDTH = 256  # widest taboo operator whose tail certificate comes from dense solves
 _CERT_SOLVES = 5  # most solves of Noda's iteration for one tail certificate
 _FLAG_BITS = np.array([0, 1], dtype=np.int32)
-_MAX_HORIZON = np.iinfo(np.intp).max // 8  # the most float64 entries one array can index
 
 
 def _block_sizes(w: int, nnz: int) -> tuple[int, int, int, int]:
@@ -783,13 +781,14 @@ def _unscaled_law(pmf: np.ndarray, scale: np.ndarray, log_tail: float,
     return PassageLaw._dense_log(log_pmf, log_tail, tail_cert, lin=lin)
 
 
-def _check_horizon(horizon: int) -> None:
-    """InvalidInput unless a law of ``horizon`` steps fits numpy's arrays,
-    checked before anything of that size is allocated."""
+def _check_horizon(horizon: int) -> int:
+    """``horizon``, once a law of that many steps is known to fit numpy's
+    arrays; checked before anything of that size is allocated."""
     if horizon < 1:
         raise InvalidInput("horizon must be >= 1")
-    if horizon > _MAX_HORIZON:
-        raise InvalidInput(f"horizon must be at most {_MAX_HORIZON}, got {horizon}")
+    if horizon > _MAX_ENTRIES:
+        raise InvalidInput(f"horizon must be at most {_MAX_ENTRIES}, got {horizon}")
+    return horizon
 
 
 def first_passage_law(kernel: TransitionKernel, source: StateRef, target: StateRef,
@@ -1045,8 +1044,8 @@ def convolve(a, b, *, horizon: int | None = None):
     Mass landing beyond ``horizon`` or below ``PRUNE_FLOOR_LOG`` moves to the
     tail.
     """
-    if horizon is not None and horizon < 1:
-        raise InvalidInput("horizon must be >= 1")
+    if horizon is not None:
+        _check_horizon(horizon)
     if not (isinstance(a, PassageLaw) and isinstance(b, PassageLaw)):
         raise InvalidInput("convolve needs two PassageLaw operands")
     if a.is_dense and b.is_dense:
@@ -1088,8 +1087,8 @@ def geometric_compound(u: PassageLaw, v: PassageLaw, pi: float, *,
     below that floor are pruned into the tail.  All mass
     not assigned within the horizon lands in the tail.
     """
-    if horizon is not None and horizon < 1:
-        raise InvalidInput("horizon must be >= 1")
+    if horizon is not None:
+        _check_horizon(horizon)
     if not 0.0 < pi <= 1.0:
         raise InvalidInput(f"pi must be in (0, 1], got {pi}")
     if pi == 1.0:

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 from scipy.special import logsumexp as sp_logsumexp
 
-from recur_moments import (InvalidInput, PreconditionFailed,
+from recur_moments import (BurstSchedule, InvalidInput, PreconditionFailed,
                            WitnessSearchExhausted, burst_fn, custom_fn,
                            default_burst_schedule, demo_exponential,
                            demo_sharp, heavy_tail_pair, parse_function_spec,
@@ -48,6 +48,26 @@ def test_burst_witness_gain_is_true_defect():
         assert defect == w.log_gain  # integer exponents: exact
 
 
+def test_witness_search_takes_no_false_witness_from_a_sloped_midpoint():
+    # s_i = 10 i^2, u_i = 4 + i: the midpoint 7 of burst 1 sits inside the
+    # burst, where g(14) - 2 g(7) = 4 < 6 ln 2, though u_1 = 5 is above it
+    f = burst_fn(BurstSchedule(lambda i: 10 * i * i, lambda i: 4 + i, n_bursts=3))
+    with pytest.raises(WitnessSearchExhausted, match="defect above 4.15888 for k=2") as exc:
+        witness_search(f, count=1)
+    assert exc.value.found == ()
+
+
+def test_witness_gain_is_the_exact_defect_at_odd_burst_ends():
+    # s_i = 4^i + 1, u_i = 4^(i-1) + i: s_i + u_i is odd for even i, so the
+    # midpoint (s_i + u_i) // 2 is one step short of flat and its defect is
+    # one below u_i - sum_{k<i} u_k (40, not 41, at x = 162)
+    f = burst_fn(BurstSchedule(lambda i: 4 ** i + 1, lambda i: 4 ** (i - 1) + i))
+    ws = witness_search(f, count=6)
+    for w in ws:
+        assert w.log_gain == f.log_f(2 * w.x) - 2.0 * f.log_f(w.x) > w.required
+    assert [(w.x, w.log_gain) for w in ws[:2]] == [(42, 11.0), (162, 40.0)]
+
+
 def test_witness_search_rejects_non_burst_function():
     # witnesses are exact only at burst midpoints; no other f is searched
     for f in (power_fn(2), custom_fn("nsq-exponent", lambda n: float(n * n))):
@@ -56,9 +76,9 @@ def test_witness_search_rejects_non_burst_function():
 
 
 def test_partial_findings_attached_on_exhaustion(tmp_path):
-    # the first three bursts of the default schedule, margins 2, 6 and 14:
+    # the first three bursts of the default schedule, defects 2, 6 and 14:
     # k = 2 and 3 find witnesses at the midpoints 12 and 48, and the
-    # schedule ends before a margin above 6 ln 4 for k = 4
+    # schedule ends before a defect above 6 ln 4 for k = 4
     path = tmp_path / "three.csv"
     path.write_text("i,s,u\n1,2,2\n2,16,8\n3,72,24\n")
     f = parse_function_spec(f"burst:file={path}")

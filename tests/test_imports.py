@@ -136,10 +136,10 @@ def test_return_time_decomposition_loads_no_scipy_linalg():
     assert not loaded(mods, "scipy.sparse.csgraph")
 
 
-def _code_references(name: str) -> set[str]:
-    """``module.function`` of the innermost function around each mention of
-    ``name`` in the package's code: in an import, a name, an attribute or a
-    string that is not a docstring (``module.<module>`` outside functions)."""
+def _scan(hit) -> set[str]:
+    """``module.function`` of the innermost function around each node of the
+    package's code, docstrings aside, for which ``hit(node)`` holds
+    (``module.<module>`` outside functions)."""
     found = set()
     for path in sorted(Path(recur_moments.__file__).resolve().parent.glob("*.py")):
         tree = ast.parse(path.read_text())
@@ -150,14 +150,7 @@ def _code_references(name: str) -> set[str]:
         def visit(node, where):
             if isinstance(node, ast.FunctionDef):
                 where = f"{path.stem}.{node.name}"
-            if isinstance(node, (ast.Import, ast.ImportFrom)):
-                text = " ".join([getattr(node, "module", None) or "",
-                                 *(alias.name for alias in node.names)])
-            elif isinstance(node, ast.Constant) and id(node) not in docstrings:
-                text = node.value if isinstance(node.value, str) else ""
-            else:
-                text = getattr(node, "attr", None) or getattr(node, "id", "")
-            if name in text:
+            if id(node) not in docstrings and hit(node):
                 found.add(where)
             for child in ast.iter_child_nodes(node):
                 visit(child, where)
@@ -166,9 +159,40 @@ def _code_references(name: str) -> set[str]:
     return found
 
 
+def _code_references(name: str) -> set[str]:
+    """Where the package's code mentions ``name``: in an import, a name, an
+    attribute or a string that is not a docstring."""
+    def mentions(node) -> bool:
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            text = " ".join([getattr(node, "module", None) or "",
+                             *(alias.name for alias in node.names)])
+        elif isinstance(node, ast.Constant):
+            text = node.value if isinstance(node.value, str) else ""
+        else:
+            text = getattr(node, "attr", None) or getattr(node, "id", "")
+        return name in text
+
+    return _scan(mentions)
+
+
+def _callers(name: str) -> set[str]:
+    """Where the package's code calls ``name``, bare or as an attribute."""
+    return _scan(lambda node: isinstance(node, ast.Call) and name in (
+        getattr(node.func, "id", None), getattr(node.func, "attr", None)))
+
+
 def test_scipy_private_products_are_bound_in_one_function():
     # scipy's private _sparsetools is reached only through passage._products,
     # which checks the in-place update lifted steps rely on
     assert _code_references("_sparsetools") == {"passage._products"}
     assert _code_references("_products") >= {"passage._propagate", "passage._log_hold",
                                               "passage._checked_ratio"}
+
+
+def test_each_job_is_done_in_one_place():
+    # one horizon check for every law mode and the calculus, each Monte
+    # Carlo stream made when its chunk is reached, every file opened by
+    # chain._opened
+    assert _code_references("horizon must be >= 1") == {"passage._check_horizon"}
+    assert _callers("spawn") == set()
+    assert _callers("open") == {"chain._opened"}

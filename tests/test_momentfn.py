@@ -40,9 +40,9 @@ def test_default_schedule_first_bursts():
 def test_default_schedule_midpoints_and_margins():
     table = default_burst().burst_table
     for i in range(1, 15):
-        # midpoint 2^(i-1) i (i+1); margin 2^(i+1) - 2, both exact integers
+        # midpoint 2^(i-1) i (i+1); defect 2^(i+1) - 2, both exact integers
         assert table.midpoint(i) == (1 << (i - 1)) * i * (i + 1)
-        assert table.margin(i) == (1 << (i + 1)) - 2
+        assert table.defect(table.midpoint(i)) == (1 << (i + 1)) - 2
 
 
 def test_default_schedule_facts_hold_in_exact_integers():
@@ -57,8 +57,8 @@ def test_default_schedule_facts_hold_in_exact_integers():
         mid, odd = divmod(s_i + u_i, 2)
         assert odd == 0 and table.midpoint(i) == mid and end <= mid <= s_i
         assert table.g(mid) == cum
-        # margin u_i - sum_{k<i} u_k = 2^(i+1) - 2
-        assert u_i - cum == table.margin(i) == (2 << i) - 2
+        # the defect there is u_i - sum_{k<i} u_k = 2^(i+1) - 2
+        assert u_i - cum == table.defect(mid) == (2 << i) - 2
         # the peak of g(n)/n sits at the burst end, and the peaks decrease
         assert table.g(s_i + u_i) == cum + u_i
         if i > 1:
@@ -84,13 +84,13 @@ def test_default_schedule_g_values():
 
 
 def test_burst_defect_identity():
-    # f(2x_i) / f(x_i)^2 = e^(margin_i) exactly in log space
+    # f(2x_i) / f(x_i)^2 = e^(defect_i) exactly in log space
     f = default_burst()
     table = f.burst_table
     for i in range(1, 12):
         x = table.midpoint(i)
         defect = f.log_f(2 * x) - 2.0 * f.log_f(x)
-        assert defect == float(table.margin(i))
+        assert defect == float(table.defect(x)) == float((2 << i) - 2)
 
 
 def test_schedule_validation_rejects_overlap():

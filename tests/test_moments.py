@@ -344,6 +344,38 @@ def test_mc_log_space_survives_huge_f():
     assert math.isfinite(est.log_mean) and est.log_mean > 80.0 - math.log(4096)
 
 
+def test_mc_chunk_k_draws_the_k_th_spawned_stream():
+    seen = []
+
+    def sampler(n, cap, rng):
+        seen.append(rng.random(4))
+        return np.ones(n, dtype=np.int64), np.zeros(n, dtype=bool)
+
+    mc_f_moment(sampler, power_fn(1), n_samples=4 * 65536 + 1, cap=10, seed=5)
+    children = np.random.SeedSequence(5).spawn(5)
+    assert len(seen) == 5
+    for got, child in zip(seen, children):
+        assert np.array_equal(got, np.random.default_rng(child).random(4))
+
+
+class _FirstDraw(Exception):
+    pass
+
+
+def test_mc_reaches_its_first_draw_without_spawning_every_stream(monkeypatch):
+    # 2^30 samples are 2^14 chunks, whose streams are made one at a time
+    class NoSpawn(np.random.SeedSequence):
+        def spawn(self, n_children):
+            raise AssertionError(f"spawned {n_children} streams before the first draw")
+
+    def sampler(n, cap, rng):
+        raise _FirstDraw
+
+    monkeypatch.setattr(np.random, "SeedSequence", NoSpawn)
+    with pytest.raises(_FirstDraw):
+        mc_f_moment(sampler, power_fn(1), n_samples=2 ** 30, cap=10, seed=0)
+
+
 def test_mc_validates():
     sampler = _sampler_11(0.5)
     with pytest.raises(InvalidInput):

@@ -9,16 +9,16 @@ import math
 import numpy as np
 import pytest
 
-from recur_moments import (AtomicDist, IncomparableLaws, InvalidInput, PassageLaw,
-                           PetalChain, TransitionKernel, TwoStateChain,
-                           build_petal_chain, build_two_state,
-                           burst_schedule_from_csv, conditioned_hit_law,
-                           conditioned_return_law, convolve, crossing_return_law,
-                           first_passage_law, geometric_compound,
-                           hit_before_return_prob, mixture, power_fn,
-                           random_kernel, sample_passage_times,
-                           stochastic_dominates)
-from recur_moments import cli
+from recur_moments import (AtomicDist, ConvergenceFailure, IncomparableLaws,
+                           InvalidInput, PassageLaw, PetalChain,
+                           TransitionKernel, TwoStateChain, build_petal_chain,
+                           build_two_state, burst_schedule_from_csv,
+                           conditioned_hit_law, conditioned_return_law,
+                           convolve, crossing_return_law, first_passage_law,
+                           geometric_compound, hit_before_return_prob, mixture,
+                           power_fn, random_kernel, sample_passage_times,
+                           stationary_distribution, stochastic_dominates)
+from recur_moments import chain, cli
 from recur_moments.logspace import log1mexp, log_sub
 
 _HALF = math.log(0.5)
@@ -36,6 +36,16 @@ def _two_state():
 
 def _ints(*values):
     return np.array(values, dtype=np.int64)
+
+
+def _pair_kernel(*rows):
+    return TransitionKernel(["a", "b"], list(rows))
+
+
+# past the most 8-byte entries one array can index, and past int64
+_HUGE = 10 ** 30
+_MOST_ENTRIES = np.iinfo(np.intp).max // 8
+_PAST_ARRAYS = f"at most {_MOST_ENTRIES}, got {_HUGE}"
 
 
 _RAISES = {
@@ -71,6 +81,10 @@ _RAISES = {
     "log-prob-0": (lambda: _dense().log_prob(0), InvalidInput, "passage times are >= 1"),
     "pmf-past-horizon": (lambda: _dense().pmf_array(3), InvalidInput, "cannot extend"),
     "to-dense-0": (lambda: _dense().to_dense(0), InvalidInput, "horizon must be >= 1"),
+    "to-dense-past-arrays": (lambda: PassageLaw.point(2).to_dense(2 ** 62), InvalidInput,
+                             f"horizon must be at most {_MOST_ENTRIES}, got {2 ** 62}"),
+    "pmf-past-arrays": (lambda: PassageLaw.point(2).pmf_array(_HUGE),
+                        InvalidInput, _PAST_ARRAYS),
     "dominates-open-sparse": (
         lambda: stochastic_dominates(
             PassageLaw.sparse(AtomicDist(_ints(1), np.array([_HALF]), _HALF)),
@@ -89,6 +103,8 @@ _RAISES = {
                                   InvalidInput, "horizon must be >= 1"),
     # the calculus: operand types, and results with nothing left in the horizon
     "convolve-atomic": (lambda: convolve(_U1, _U2), InvalidInput, "two PassageLaw operands"),
+    "convolve-past-arrays": (lambda: convolve(_dense(), _dense(), horizon=_HUGE),
+                             InvalidInput, _PAST_ARRAYS),
     "convolve-past-horizon": (
         lambda: convolve(PassageLaw.point(5), PassageLaw.point(5), horizon=3),
         InvalidInput, "no atoms within the horizon"),
@@ -96,6 +112,8 @@ _RAISES = {
                         InvalidInput, "PassageLaw operands"),
     "compound-mixed": (lambda: geometric_compound(_dense(), PassageLaw.point(1), 0.5),
                        InvalidInput, "same representation"),
+    "compound-past-arrays": (lambda: geometric_compound(_dense(), _dense(), 0.5, horizon=_HUGE),
+                             InvalidInput, _PAST_ARRAYS),
     "compound-past-horizon": (
         lambda: geometric_compound(PassageLaw.point(5), PassageLaw.point(5), 0.5, horizon=3),
         InvalidInput, "no atoms within the horizon"),
@@ -117,6 +135,19 @@ _RAISES = {
     "petal-max-petals": (lambda: build_petal_chain(_U1, _U2, 0.5, max_petals=0),
                          InvalidInput, "max_petals must be >= 1"),
     "petal-chain-p": (lambda: PetalChain(_U1, _U2, 0.0), InvalidInput, "0 < p < 1"),
+    "sampler-samples-past-arrays": (lambda: sample_passage_times(_two_state(), 0, 0, _HUGE, 2),
+                                    InvalidInput, "n_samples must be " + _PAST_ARRAYS),
+    "sampler-cap-past-int64": (lambda: sample_passage_times(_two_state(), 0, 0, 2, _HUGE),
+                               InvalidInput, f"cap must be at most {2 ** 63 - 1}, got {_HUGE}"),
+    "parametric-cap-past-int64": (lambda: sample_passage_times(TwoStateChain(0.5), 0, 0, 2, _HUGE),
+                                  InvalidInput, f"cap must be at most {2 ** 63 - 1}"),
+    "stationary-zero-pivot": (lambda: stationary_distribution(_pair_kernel([(0, 1.0)], [(1, 1.0)])),
+                              ConvergenceFailure, "zero pivot"),
+    "stationary-residual": (lambda: stationary_distribution(_pair_kernel([(1, 0.5)], [(0, 1.0)])),
+                            ConvergenceFailure, r"stationary residual 0\.333333 exceeds 1e-10"),
+    "kernel-target-out-of-range": (
+        lambda: chain._validated(_pair_kernel([(1, 0.5), (5, 0.5)], [(0, 1.0)])),
+        InvalidInput, r"1 out-of-range target\(s\)"),
     "parametric-state-name": (lambda: sample_passage_times(TwoStateChain(0.5), "a", "1", 1, 1),
                               InvalidInput, "states '0' and '1'"),
     "parametric-state-index": (lambda: sample_passage_times(TwoStateChain(0.5), 2, 1, 1, 1),
