@@ -265,6 +265,14 @@ def _state_number(state) -> int:
         raise InvalidInput(f"state ref {state!r} is neither a name nor an integer") from None
 
 
+def _count(name: str, value) -> int:
+    """A count as an int, read as :func:`_state_number` reads a state."""
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise InvalidInput(f"{name} must be an integer, got {value!r}") from None
+
+
 def _validated(kernel: TransitionKernel) -> TransitionKernel:
     """``kernel``, once :func:`validate_kernel` finds it valid."""
     report = validate_kernel(kernel)
@@ -735,6 +743,7 @@ def sample_passage_times(chain: ChainLike, source: StateRef, target: StateRef,
     Censored entries report ``cap`` in ``times``.  Parametric chains use
     their closed-form macro-step samplers; kernels step state by state.
     """
+    n_samples, cap = _count("n_samples", n_samples), _count("cap", cap)
     if n_samples < 0:
         raise InvalidInput("n_samples must be >= 0")
     if cap < 1:

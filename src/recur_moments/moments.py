@@ -31,7 +31,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .chain import _INT64_MAX
+from .chain import _INT64_MAX, _count
 from .errors import InvalidInput
 from .logspace import LOG_ZERO, log_add, log_sub, logsumexp
 from .momentfn import FunctionKind, MomentFunction
@@ -243,6 +243,7 @@ def mc_f_moment(sampler, f: MomentFunction, *, n_samples: int, cap: int,
     k-th child ``spawn`` gives, made when the loop reaches it; chunks are
     combined in order, so results are byte-identical for a given seed.
     """
+    n_samples, cap, seed = _count("n_samples", n_samples), _count("cap", cap), _count("seed", seed)
     if n_samples < 2:
         raise InvalidInput("need at least 2 samples")
     if cap < 1:

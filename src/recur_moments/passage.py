@@ -12,7 +12,8 @@ i, counting from step 1; i = j gives the first return).  Representations:
   ``csc_matvec`` and a taboo operator built from the kernel's CSR arrays
   once per kernel (see below): P^T with the mass entering j routed to a sink
   slot, whose column is empty, and the mass entering a killed state dropped.
-  Laws that track a visited-flag step the interleaved pairs (k, visited).
+  Laws that track a visited flag step the pairs (k, visited) with an
+  operator that itself sends the mass entering (flag, 0) to (flag, 1).
   Steps run in blocks.  The first row of a block is one single-step call;
   the others take a few calls with a block-lifted operator that steps many
   rows of one flat buffer in place, each row summed over the same products
@@ -95,7 +96,7 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from ._atomic import _MASS_TOL, AtomicDist
-from .chain import _MAX_ENTRIES, StateRef, TransitionKernel, _ByteCache, _opened
+from .chain import _MAX_ENTRIES, StateRef, TransitionKernel, _ByteCache, _count, _opened
 from .errors import IncomparableLaws, InvalidInput, NoSuchPath
 from .logspace import _LN2, LOG_ZERO, PRUNE_FLOOR_LOG, log_add, log_sub, logsumexp
 
@@ -321,7 +322,7 @@ class PassageLaw:
     def to_dense(self, horizon: int) -> "PassageLaw":
         """Re-represent on 1..horizon; mass beyond moves into the tail.
         Extending a dense law beyond its horizon requires a complete law."""
-        _check_horizon(horizon)
+        horizon = _check_horizon(horizon)
         if self.is_dense:
             if horizon == self.horizon:
                 return self
@@ -378,7 +379,6 @@ _LIFT_CACHE_BYTES = 2 ** 20
 _HOLD_STEPS = 16  # steps over which _log_hold bounds the loss of alive mass
 _CERT_WIDTH = 256  # widest taboo operator whose tail certificate comes from dense solves
 _CERT_SOLVES = 5  # most solves of Noda's iteration for one tail certificate
-_FLAG_BITS = np.array([0, 1], dtype=np.int32)
 
 
 def _block_sizes(w: int, nnz: int) -> tuple[int, int, int, int]:
@@ -407,8 +407,9 @@ def _taboo_operator(kernel: TransitionKernel, absorb: int, kill: int | None,
     rows, so each output still sums its sources in ascending order.  Mass
     entering ``absorb`` goes to a sink slot at index ``width``, whose column
     is empty; mass entering ``kill`` is dropped.  With ``flag``, slot 2k+v
-    is state k with visited-flag v, and only (absorb, 1) goes to the sink;
-    ``kill`` is not read, as its one caller, the crossing law, kills nothing.
+    is state k with visited-flag v, mass entering (flag, 0) goes to (flag,
+    1), the flag's one rule, kept here alone, and only (absorb, 1) goes to
+    the sink; ``kill`` is not read, as the crossing law kills nothing.
     """
     csr = kernel.csr
     ptr, dest, data = csr.indptr, csr.indices, csr.data
@@ -430,8 +431,9 @@ def _taboo_operator(kernel: TransitionKernel, absorb: int, kill: int | None,
         np.add(ptr[:-1, None], bounds, out=cols[:-1].reshape(n, 2))
         cols[-1] = 2 * nnz
         dest2, data2 = np.empty(2 * nnz, dtype=dest.dtype), np.empty(2 * nnz)
-        dest2[at] = dest[:, None] * 2 + _FLAG_BITS
+        dest2[at] = dest[:, None] * 2 + np.arange(2, dtype=dest.dtype)
         data2[at] = data[:, None]
+        dest2[dest2 == 2 * flag] = 2 * flag + 1
         keep = dest2 != 2 * absorb
         dest2[dest2 == 2 * absorb + 1] = width
         ptr, dest, data = cols, dest2, data2
@@ -446,42 +448,37 @@ def _taboo_operator(kernel: TransitionKernel, absorb: int, kill: int | None,
 
 
 def _operator(kernel: TransitionKernel, key: tuple) -> tuple:
-    """The taboo operator of ``key`` = (absorb, kill, flag), from the
-    kernel's cache."""
+    """The taboo operator of ``key`` = (absorb, kill, flag), from the kernel's cache."""
     return kernel._derived.get(("taboo", key), lambda: _taboo_operator(kernel, *key))
 
 
-def _log_hold(indptr: np.ndarray, indices: np.ndarray, data: np.ndarray, width: int,
-              flag: int | None) -> tuple[float, float]:
+def _log_hold(indptr: np.ndarray, indices: np.ndarray,
+              data: np.ndarray, width: int) -> tuple[float, float]:
     """The log of the least (-inf for 0) and the greatest probability, over
     the alive slots of a taboo operator, that mass in a slot is still alive
     ``_HOLD_STEPS`` steps later.  Whatever the taboo vector, its alive mass
     then falls by at most the first factor, and keeps at most the second,
     over any ``_HOLD_STEPS`` steps, rounding included: the first is cut by
     1 + gamma(longest column) a product and 1 - gamma(most sums into a
-    slot) a step (a unit more in each for the flag's fix-up), the second
-    divided by 1 - gamma(longest column + 1) a product and raised by the
-    smallest normal, for underflow.
+    slot) a step (a unit more in each: dropping it would change the bits of
+    every non-crossing certificate), the second divided by 1 - gamma(longest
+    column + 1) a product and raised by the smallest normal, for underflow.
 
     The probabilities v(c) come from ``_HOLD_STEPS`` products of the
-    operator's columns with v, the sink's v being 0.  With ``flag``, mass
-    entering (flag, 0) moves on to (flag, 1), so that slot takes the v of
-    (flag, 1) before each product and is left out."""
+    operator's columns with v, the sink's v being 0; a flag operator's
+    (flag, 0), which nothing enters, sums just what (flag, 1) sums."""
     csr_matvec = _products()[1]
     w = width + 1
     v, out = np.ones(w), np.empty(w)
     v[width] = 0.0
     for _ in range(_HOLD_STEPS):
-        if flag is not None:
-            v[2 * flag] = v[2 * flag + 1]
         out.fill(0.0)
         csr_matvec(w, w, indptr, indices, data, v, out)  # column c of the CSC arrays as row c
         v, out = out, v
-    alive = v[:width] if flag is None else np.delete(v[:width], 2 * flag)
-    least = float(alive.min())
+    least = float(v[:width].min())
     k, most_into = _fan(indptr, indices, width)
     slack = _HOLD_STEPS * (math.log1p(_gamma(k + 1)) - math.log1p(-_gamma(most_into + 1)))
-    most = float(alive.max()) / (1.0 - _gamma(k + 1)) ** _HOLD_STEPS + _SMALLEST_NORMAL
+    most = float(v[:width].max()) / (1.0 - _gamma(k + 1)) ** _HOLD_STEPS + _SMALLEST_NORMAL
     return math.log(least) - slack if least > 0.0 else -math.inf, most
 
 
@@ -500,18 +497,14 @@ def _gamma(k: int) -> float:
     return k * 2.0 ** -53 / (1.0 - k * 2.0 ** -53)
 
 
-def _dense_taboo(indptr: np.ndarray, indices: np.ndarray, data: np.ndarray, width: int,
-                 flag: int | None) -> np.ndarray:
+def _dense_taboo(indptr: np.ndarray, indices: np.ndarray, data: np.ndarray,
+                 width: int) -> np.ndarray:
     """The alive part of a taboo operator as a dense matrix Q, row c the
-    slots that mass in slot c moves to in one step; with ``flag``, the move
-    (flag, 0) -> (flag, 1) folded in."""
+    slots that mass in slot c moves to in one step."""
     q = np.zeros((width, width))
     src = np.repeat(np.arange(width), np.diff(indptr[:width + 1]))
     alive = indices[:src.size] < width
     np.add.at(q, (src[alive], indices[:src.size][alive]), data[:src.size][alive])
-    if flag is not None:
-        q[:, 2 * flag + 1] += q[:, 2 * flag]
-        q[:, 2 * flag] = 0.0
     return q
 
 
@@ -524,7 +517,7 @@ def _tail_vector(kernel: TransitionKernel, key: tuple) -> tuple:
     Matrices and Markov Chains*, ch. 1).
 
     Mass after step 0 sits only in live slots: those an entry of the
-    operator enters, but (flag, 0), whose mass the fold moves on.  There v
+    operator enters, never a flag operator's (flag, 0).  There v
     >= 1, so the alive mass q . 1 is at most q . v, and Qv <= rho v, so
     q_(N+k) . v <= rho^k q_N . v, as :func:`_checked_ratio` checks; there
     is no certificate unless rho < 1.  Up to ``_CERT_WIDTH`` alive slots, v
@@ -540,22 +533,17 @@ def _tail_vector(kernel: TransitionKernel, key: tuple) -> tuple:
     one propagated step, gamma of the most sums into one slot, and log_lead
     that of q . v."""
     indptr, indices, data, width = op = _operator(kernel, key)
-    flag = key[2]
     k, most_into = _fan(indptr, indices, width)
     log_step, log_lead = -math.log1p(-_gamma(most_into + 1)), -math.log1p(-_gamma(2 * width + 2))
     if width <= _CERT_WIDTH:
-        q = _dense_taboo(*op, flag)
+        q = _dense_taboo(*op)
         live = np.bincount(indices, minlength=width + 1)[:width] > 0
-        if flag is not None:
-            live[2 * flag] = False
         r, v = 1.0, np.ones(width)
         for _ in range(_CERT_SOLVES):
             try:
                 x = np.linalg.solve(r * np.eye(width) - q, v)
             except np.linalg.LinAlgError:  # r is an eigenvalue of Q, to working precision
                 break
-            if flag is not None:
-                x[2 * flag] = x[2 * flag + 1]
             if not (np.isfinite(x).all() and (x[live] > 0.0).all()):
                 break
             x /= x[live].min(initial=math.inf)  # no live slot: v = 0, and every q_N . v = 0
@@ -565,7 +553,7 @@ def _tail_vector(kernel: TransitionKernel, key: tuple) -> tuple:
             r, v = rho, x
         if r < 1.0:
             return r, v, log_lead, log_step
-    most = kernel._derived.get(("hold", key), lambda: _log_hold(*op, flag))[1]
+    most = kernel._derived.get(("hold", key), lambda: _log_hold(*op))[1]
     rho = most ** (1.0 / _HOLD_STEPS) * (1.0 + _gamma(2))
     if not rho < 1.0:
         return None, None, 0.0, 0.0
@@ -583,8 +571,8 @@ def _checked_ratio(op: tuple, v: np.ndarray, live: np.ndarray, k: int) -> float:
     return float(ratio.max(initial=0.0)) * (1.0 + 2.0 * _gamma(k + 2)) + _SMALLEST_NORMAL
 
 
-def _lift(indptr: np.ndarray, indices: np.ndarray, data: np.ndarray, w: int, steps: int,
-          flag_slot: int | None) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _lift(indptr: np.ndarray, indices: np.ndarray, data: np.ndarray, w: int,
+          steps: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """CSC arrays (indptr, indices, data) of ``steps`` steps of a w-slot
     operator over one flat buffer of ``steps + 1`` rows of w: column t*w + c
     holds the entries of column c, into row t + 1.
@@ -593,18 +581,10 @@ def _lift(indptr: np.ndarray, indices: np.ndarray, data: np.ndarray, w: int, ste
     rows 1..steps from row 0: it adds the columns in ascending order and
     reads a column's input slot only when it reaches that column, after
     every column of the rows before has been added in.  So each slot sums
-    the same products in the same order as a single-step call.  With
-    ``flag_slot`` = 2f, column (t, 2f) holds instead one entry 1.0 into
-    slot 2f + 1 of its own row: the crossing fix-up y[2f+1] += y[2f] of row
-    t, added before column 2f + 1 reads that slot.  The P-edges of slot 2f
-    are left out; they only ever carried 0.0.
+    the same products in the same order as a single-step call.  No entry
+    writes the row it reads: a flag operator holds its own rule.
     """
     ptr, dest, val = indptr[:-1], indices + w, data
-    if flag_slot is not None:
-        a, b = indptr[flag_slot], indptr[flag_slot + 1]
-        dest = np.concatenate((dest[:a], [flag_slot + 1], dest[b:]), dtype=dest.dtype)
-        val = np.concatenate((val[:a], [1.0], val[b:]))
-        ptr = ptr + np.where(np.arange(w) > flag_slot, 1 - (b - a), 0)
     nnz, step = val.size, np.arange(steps, dtype=indices.dtype)[:, None]
     lptr = np.empty(steps * w + 1, dtype=indices.dtype)
     np.add(ptr, nnz * step, out=lptr[:-1].reshape(steps, w))
@@ -633,7 +613,7 @@ def _products():
         csc_matvec(2, 2, ptr, ind, val, rows[t], rows[t + 1])
     flat = np.zeros(8)
     flat[0] = 1.0
-    csc_matvec(8, 6, *_lift(ptr, ind, val, 2, 3, None), flat, flat)
+    csc_matvec(8, 6, *_lift(ptr, ind, val, 2, 3), flat, flat)
     if not np.array_equal(flat, rows.ravel()):
         raise RuntimeError(f"scipy {scipy.__version__}: csc_matvec does not add into its "
                            "input in place, which lifted propagation needs")
@@ -653,8 +633,8 @@ def _propagate(kernel: TransitionKernel, start: int, horizon: int, *, absorb: in
 
     Mass entering ``absorb`` is recorded from the sink slot; mass entering
     ``kill`` is gone.  With ``flag``, q holds the pairs (k, visited) and
-    only mass that has visited ``flag`` is recorded; each step moves the
-    mass entering (flag, 0) to (flag, 1).
+    only mass that has visited ``flag`` is recorded; the operator moves the
+    mass entering (flag, 0) on, so here ``flag`` picks the start and shapes q.
 
     Steps fill the rows of a block buffer, at most ``_BLOCK_DOUBLES``
     doubles; two buffers alternate, so the carried vector is never copied.
@@ -663,10 +643,7 @@ def _propagate(kernel: TransitionKernel, start: int, horizon: int, *, absorb: in
     lifted operator of :func:`_lift`, each covering up to ``lift`` steps
     (:func:`_block_sizes`); with one row a block it is not built.  Every slot
     is summed over the same products in the same order as with one call a
-    step, so the laws are the same bit for bit, whatever the blocks.  With
-    ``flag``, the lifted operator moves slot (flag, 0) of every row but the
-    last into (flag, 1); the last row is fixed up here, and then column
-    (flag, 0) of the block is zeroed.
+    step, so the laws are the same bit for bit, whatever the blocks.
 
     After each block, the pmf is read from its sink column and the survivals
     are its row sums, one ``np.add.reduce`` (:func:`_row_sums`) that sums
@@ -701,15 +678,14 @@ def _propagate(kernel: TransitionKernel, start: int, horizon: int, *, absorb: in
     span, rows, reach, lift = _block_sizes(w, data.size)
     log_hold = -math.inf  # with no bound, no block is proven
     if horizon > (2 + rows if span > rows else 16 * _HOLD_STEPS):
-        log_hold = kernel._derived.get(("hold", key), lambda: _log_hold(*op, flag))[0]
+        log_hold = kernel._derived.get(("hold", key), lambda: _log_hold(*op))[0]
     # a row sum rounds by a factor 1 +- gamma(width), the test below by a few
     # ulps of 2^9, and products that underflow by far less than 2^-40
     floor = _LOG_RESCALE_BELOW - 2.0 * math.log1p(-_gamma(width)) + 2.0 ** -40
-    fslot = None if flag is None else 2 * flag
     if rows > 1:
         # the lift holds op, so that no other operator can take its id
         lptr, lind, ldat, _ = _LIFTS.get(
-            id(op), lambda: (*_lift(indptr, indices, data, w, lift, fslot), op))
+            id(op), lambda: (*_lift(indptr, indices, data, w, lift), op))
     size = min(horizon, span)
     bufs = (np.empty((size, w)), np.empty((size, w)))
     flats = tuple(b.reshape(-1) for b in bufs)
@@ -732,9 +708,6 @@ def _propagate(kernel: TransitionKernel, start: int, horizon: int, *, absorb: in
         for r0 in range(0, (m - 1) * w, lift * w):
             y = flat[r0:min(r0 + (lift + 1) * w, m * w)]
             matvec(y.size, y.size - w, lptr, lind, ldat, y, y)
-        if flag is not None:
-            buf[m - 1, fslot + 1] += buf[m - 1, fslot]
-            buf[:m, fslot] = 0.0
         if proven:  # only the row at the horizon is summed
             pmf[t:t + m] = buf[:m, width]
             t, x = t + m, buf[m - 1]
@@ -782,8 +755,9 @@ def _unscaled_law(pmf: np.ndarray, scale: np.ndarray, log_tail: float,
 
 
 def _check_horizon(horizon: int) -> int:
-    """``horizon``, once a law of that many steps is known to fit numpy's
-    arrays; checked before anything of that size is allocated."""
+    """``horizon`` as an int, once a law of that many steps is known to fit
+    numpy's arrays; checked before anything of that size is allocated."""
+    horizon = _count("horizon", horizon)
     if horizon < 1:
         raise InvalidInput("horizon must be >= 1")
     if horizon > _MAX_ENTRIES:
@@ -802,7 +776,7 @@ def first_passage_law(kernel: TransitionKernel, source: StateRef, target: StateR
     exact powers of two once its mass falls below 2^-600, so the log tail is
     -inf only when no mass is left, never because a float underflowed.
     """
-    _check_horizon(horizon)
+    horizon = _check_horizon(horizon)
     i, j = kernel.index_of(source), kernel.index_of(target)
     pmf, alive, scale, q = _propagate(kernel, i, horizon, absorb=j)
     return _unscaled_law(pmf, scale, _log_scaled(alive, scale[-1]),
@@ -885,12 +859,12 @@ def _reaches(kernel: TransitionKernel, start: int, goal: int, avoid: int) -> boo
 
 
 def _distinct(kernel: TransitionKernel, source: StateRef, target: StateRef,
-              horizon: int) -> tuple[int, int]:
-    _check_horizon(horizon)
+              horizon: int) -> tuple[int, int, int]:
+    horizon = _check_horizon(horizon)
     i, j = kernel.index_of(source), kernel.index_of(target)
     if i == j:
         raise InvalidInput("source and target must differ")
-    return i, j
+    return i, j, horizon
 
 
 def _conditioned(kernel: TransitionKernel, key: tuple, pmf: np.ndarray, alive: float,
@@ -919,7 +893,7 @@ def conditioned_return_law(kernel: TransitionKernel, source: StateRef, target: S
     that of the taboo operator that kills j, with B = q_N . v / (1 - pi)
     (:func:`_conditioned`).
     """
-    i, j = _distinct(kernel, source, target, horizon)
+    i, j, horizon = _distinct(kernel, source, target, horizon)
     if not _reaches(kernel, i, i, j):
         raise NoSuchPath(f"every return from {kernel.states[i]!r} visits {kernel.states[j]!r}")
     pi = _hit_split(kernel, i, j)[0]
@@ -935,7 +909,7 @@ def conditioned_hit_law(kernel: TransitionKernel, source: StateRef, target: Stat
     Raises :class:`NoSuchPath` when no path from i reaches j before
     returning.  The tail is q_N . h_j / pi, with h_j(k) = P_k(hit j before
     i)."""
-    i, j = _distinct(kernel, source, target, horizon)
+    i, j, horizon = _distinct(kernel, source, target, horizon)
     if not _reaches(kernel, i, j, i):
         raise NoSuchPath(f"no path from {kernel.states[i]!r} reaches {kernel.states[j]!r} "
                          "before returning")
@@ -957,7 +931,7 @@ def crossing_return_law(kernel: TransitionKernel, source: StateRef, target: Stat
     tail is (sum q1_N + q0_N . h_j) / pi, with q0, q1 the unflagged and
     flagged parts of the taboo vector.
     """
-    i, j = _distinct(kernel, source, target, horizon)
+    i, j, horizon = _distinct(kernel, source, target, horizon)
     if not _reaches(kernel, i, j, i):
         raise NoSuchPath(f"no return from {kernel.states[i]!r} visits {kernel.states[j]!r}")
     pi, h_j = _hit_split(kernel, i, j)
@@ -1045,7 +1019,7 @@ def convolve(a, b, *, horizon: int | None = None):
     tail.
     """
     if horizon is not None:
-        _check_horizon(horizon)
+        horizon = _check_horizon(horizon)
     if not (isinstance(a, PassageLaw) and isinstance(b, PassageLaw)):
         raise InvalidInput("convolve needs two PassageLaw operands")
     if a.is_dense and b.is_dense:
@@ -1088,7 +1062,7 @@ def geometric_compound(u: PassageLaw, v: PassageLaw, pi: float, *,
     not assigned within the horizon lands in the tail.
     """
     if horizon is not None:
-        _check_horizon(horizon)
+        horizon = _check_horizon(horizon)
     if not 0.0 < pi <= 1.0:
         raise InvalidInput(f"pi must be in (0, 1], got {pi}")
     if pi == 1.0:

@@ -32,17 +32,34 @@ first line of its standard error.  The package is imported from the
 ``src`` directory of the checkout that holds this file, so to compare two
 commits run the script in each checkout (copy it into one that predates
 it).  The count of commands goes to standard error.
+
+Two options show which commands moved, not only that the digest did:
+
+    python3 tests/cli_digest.py --records FILE
+    python3 tests/cli_digest.py --compare OLD NEW
+
+``--records`` also writes one JSON line per command: its argv, exit code,
+standard output and the first line of its standard error; the digest
+prints as without it.  ``--compare`` reads two such files, one from each
+commit, and lists each command whose exit code or output differs, with the
+largest relative difference between the numbers the two outputs hold in
+the same places ("text" when the words or the count of numbers differ).
+It exits 1 on a missing command or a changed exit code, else 0.
 """
 
 from __future__ import annotations
 
+import argparse
 import contextlib
 import hashlib
 import io
 import json
+import math
 import os
+import re
 import sys
 import tempfile
+from pathlib import Path
 
 sys.path.insert(0, os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src"))
 
@@ -66,6 +83,7 @@ SCHEDULES = {  # file name -> rows i,s_i,u_i
     "lengths_not_increasing.csv": ((1, 1, 3), (2, 10, 2), (3, 20, 4)),
 }
 MC = ("--method", "mc", "--samples", "2000", "--cap", "500", "--seed", "7")
+_NUMBER = re.compile(r"(?<![\w.])-?(?:inf|nan|\d+(?:\.\d*)?(?:[eE][-+]?\d+)?)(?![\w.])")
 
 
 def write_inputs(directory: str) -> None:
@@ -162,27 +180,90 @@ def run(argv: list[str]) -> tuple[int, str, str]:
     return code, out.getvalue(), err.getvalue().partition("\n")[0]
 
 
-def digest(cmds: list[list[str]], directory: str) -> str:
-    """The sha256 over the results of ``cmds``, run in ``directory`` (which
-    holds the files of :func:`write_inputs`)."""
-    h = hashlib.sha256()
+def results(cmds: list[list[str]], directory: str) -> list[tuple[int, str, str]]:
+    """:func:`run` of each of ``cmds`` in ``directory`` (which holds the
+    files of :func:`write_inputs`)."""
     cwd = os.getcwd()
     os.chdir(directory)
     try:
-        for argv in cmds:
-            h.update(repr((argv, *run(argv))).encode())
+        return [run(argv) for argv in cmds]
     finally:
         os.chdir(cwd)
+
+
+def _sha256(cmds: list[list[str]], found: list[tuple[int, str, str]]) -> str:
+    h = hashlib.sha256()
+    for argv, result in zip(cmds, found):
+        h.update(repr((argv, *result)).encode())
     return h.hexdigest()
 
 
-def main() -> None:
+def digest(cmds: list[list[str]], directory: str) -> str:
+    """The sha256 over the results of ``cmds``, run in ``directory``."""
+    return _sha256(cmds, results(cmds, directory))
+
+
+def record(argv: list[str], result: tuple[int, str, str]) -> str:
+    """The JSON line of one command and its :func:`run` for ``--records``."""
+    code, out, err = result
+    return json.dumps({"argv": argv, "code": code, "stdout": out, "stderr": err})
+
+
+def _largest_change(old: str, new: str) -> str:
+    """The largest relative difference between the numbers at the same
+    places of two outputs, or "text" when the rest of them differs."""
+    a, b = _NUMBER.findall(old), _NUMBER.findall(new)
+    if len(a) != len(b) or _NUMBER.sub("#", old) != _NUMBER.sub("#", new):
+        return "text"
+    most = 0.0
+    for x, y in zip(map(float, a), map(float, b)):
+        if x != y:
+            gap = abs(x - y) / max(abs(x), abs(y)) if math.isfinite(x - y) else math.inf
+            most = max(most, gap)
+    return f"{most:.3g}"
+
+
+def compare(old_path: str, new_path: str, out=sys.stdout) -> int:
+    """List the commands of ``new_path`` whose exit code or output differs
+    from ``old_path``; 1 on a missing command or a changed exit code, else
+    0."""
+    old, new = ({json.dumps(r["argv"]): r for r in map(json.loads, lines)}
+                for lines in (Path(p).read_text().splitlines() for p in (old_path, new_path)))
+    missing = sorted(old.keys() ^ new.keys())
+    common = [key for key in old if key in new]
+    codes = [key for key in common if old[key]["code"] != new[key]["code"]]
+    moved = [key for key in common if key not in codes and any(
+        old[key][part] != new[key][part] for part in ("stdout", "stderr"))]
+    print(f"{len(common)} commands in both, {len(missing)} in one only", file=out)
+    print(f"{len(codes)} exit codes changed, {len(moved)} outputs changed", file=out)
+    for key in moved:
+        change = _largest_change(old[key]["stdout"] + old[key]["stderr"],
+                                 new[key]["stdout"] + new[key]["stderr"])
+        print(f"  largest relative change {change}: {' '.join(json.loads(key))}", file=out)
+    for what, keys in (("in one only", missing), ("exit code changed", codes)):
+        for key in keys:
+            print(f"  {what}: {' '.join(json.loads(key))}", file=out)
+    return int(bool(missing or codes))
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.partition("\n")[0])
+    parser.add_argument("--records", metavar="FILE", help="also write one JSON line per command")
+    parser.add_argument("--compare", nargs=2, metavar=("OLD", "NEW"),
+                        help="compare two records files instead")
+    args = parser.parse_args(argv)
+    if args.compare:
+        return compare(*args.compare)
     cmds = commands()
     with tempfile.TemporaryDirectory() as directory:
         write_inputs(directory)
-        print(digest(cmds, directory))
+        found = results(cmds, directory)
+    if args.records:
+        Path(args.records).write_text("".join(record(*pair) + "\n" for pair in zip(cmds, found)))
+    print(_sha256(cmds, found))
     print(f"{len(cmds)} commands", file=sys.stderr)
+    return 0
 
 
 if __name__ == "__main__":
-    main()
+    sys.exit(main())

@@ -174,15 +174,30 @@ def reference_laws(kernel: TransitionKernel, i: int, j: int,
             r[kill] = 0.0
             q = r
         out[key] = (pmf, denom)
-    q0, q1, pmf = start(), np.zeros(n), np.zeros(horizon)
+    pairs, q, pmf = pair_matrix(kernel, j), np.zeros(2 * n), np.zeros(horizon)
+    q[2 * i] = 1.0
     for t in range(horizon):
-        r0, r1 = q0 @ mat, q1 @ mat
-        pmf[t] = r1[i]
-        r1[j] += r0[j]
-        r0[j] = r0[i] = r1[i] = 0.0
-        q0, q1 = r0, r1
+        r = q @ pairs
+        pmf[t] = r[2 * i + 1]
+        r[2 * i] = r[2 * i + 1] = 0.0
+        q = r
     out["crossing"] = (pmf, pi)
     return out
+
+
+def pair_matrix(kernel: TransitionKernel, flag: int) -> sparse.csr_matrix:
+    """The kernel's CSR matrix on the pairs (k, visited ``flag``), slot
+    2k+v: row 2k+v holds the entries of row k, into the slots 2d+v, except
+    that an entry into (flag, 0) enters (flag, 1).  ``q @ pair_matrix``
+    then sums each slot over its sources in ascending order, one pass."""
+    mat, n = kernel.csr, kernel.n_states
+    rows = [(2 * mat.indices[a:b] + v, mat.data[a:b])
+            for a, b in zip(mat.indptr[:-1], mat.indptr[1:]) for v in (0, 1)]
+    dest = np.concatenate([d for d, _ in rows]).astype(mat.indices.dtype)
+    dest[dest == 2 * flag] = 2 * flag + 1
+    indptr = np.concatenate(([0], np.cumsum([d.size for d, _ in rows])))
+    return sparse.csr_matrix((np.concatenate([p for _, p in rows]), dest, indptr),
+                             shape=(2 * n, 2 * n))
 
 
 def reference_survival(kernel: TransitionKernel, start: int, horizon: int, *, absorb: int,
@@ -191,25 +206,22 @@ def reference_survival(kernel: TransitionKernel, start: int, horizon: int, *, ab
     """(surv, scale): the alive mass of the taboo vector from ``start``
     after each step t, times 2^scale[t], by the plain ``q @ csr`` loops of
     :func:`reference_laws`.  Mass entering ``absorb`` or ``kill`` leaves;
-    with ``flag``, the vector holds the pairs (k, visited), mass entering
-    (flag, 0) moves on to (flag, 1) and mass entering (absorb, 0) leaves
-    too.  The mass is summed over the slots in the order (k, visited), as
-    the library lays them out.  Unlike :func:`reference_laws`, the loop
+    with ``flag``, the vector holds the pairs (k, visited) of
+    :func:`pair_matrix`, and mass entering (absorb, 0) leaves too.  The
+    mass is summed over the slots in the order (k, visited), as the library
+    lays them out.  Unlike :func:`reference_laws`, the loop
     never underflows: when the alive mass after a step lies in (0, 2^-600)
     and a step is left, the vector is scaled by the power of two that lifts
     that mass to [1/2, 1)."""
-    mat, n = kernel.csr, kernel.n_states
-    q = np.zeros((n, 1 if flag is None else 2))  # the columns (k, 0) and (k, 1)
-    q[start, 0] = 1.0
+    mat, wide = (kernel.csr, 1) if flag is None else (pair_matrix(kernel, flag), 2)
+    q = np.zeros(wide * kernel.n_states)  # slot k, or the slots 2k and 2k+1
+    q[wide * start] = 1.0
     surv, scale = np.zeros(horizon), np.zeros(horizon, dtype=np.int64)
     for t in range(horizon):
-        r = np.column_stack([col @ mat for col in q.T])
-        if flag is not None:
-            r[flag, 1] += r[flag, 0]
-            r[flag, 0] = 0.0
-        r[absorb] = 0.0
+        r = q @ mat
+        r[wide * absorb:wide * (absorb + 1)] = 0.0
         if kill is not None:
-            r[kill] = 0.0
+            r[wide * kill:wide * (kill + 1)] = 0.0
         q = r
         surv[t] = q.sum()
         if 0.0 < surv[t] < 2.0 ** -600 and t + 1 < horizon:

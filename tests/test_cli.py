@@ -601,6 +601,38 @@ def test_cli_digest_script_runs_its_commands(tmp_path):
     assert cli_digest.digest(cmds, str(tmp_path)) == cli_digest.digest(cmds, str(tmp_path))
 
 
+def test_cli_digest_compare_names_the_commands_that_moved(tmp_path):
+    # tests/cli_digest.py says which commands moved: records of a slice
+    # compared with themselves pass; a copy with one number nudged lists
+    # that command with its relative change and exits 0, and a copy with
+    # one exit code changed, or one command gone, exits 1
+    import cli_digest
+
+    cmds = [argv for argv in cli_digest.commands() if "two-state:0.5" in argv][:40:8]
+    cli_digest.write_inputs(str(tmp_path))
+    lines = [cli_digest.record(*pair)
+             for pair in zip(cmds, cli_digest.results(cmds, str(tmp_path)))]
+    records = [json.loads(line) for line in lines]
+    old = tmp_path / "old.jsonl"
+    old.write_text("".join(line + "\n" for line in lines))
+    out = io.StringIO()
+    assert cli_digest.compare(str(old), str(old), out) == 0
+    assert "0 exit codes changed, 0 outputs changed" in out.getvalue()
+    target = next(r for r in records if ",0.5," in r["stdout"])
+    nudged = target["stdout"].replace(",0.5,", ",0.5000000000001,", 1)
+    for change, code in (({"stdout": nudged}, 0), ({"code": 3}, 1)):
+        moved = tmp_path / "moved.jsonl"
+        moved.write_text("".join(json.dumps({**r, **change} if r is target else r) + "\n"
+                                 for r in records))
+        out = io.StringIO()
+        assert cli_digest.compare(str(old), str(moved), out) == code
+        assert " ".join(target["argv"]) in out.getvalue()
+        assert ("largest relative change 2e-13" in out.getvalue()) == (code == 0)
+    assert cli_digest._largest_change("a 1\n", "b 1\n") == "text"
+    (tmp_path / "short.jsonl").write_text("".join(line + "\n" for line in lines[1:]))
+    assert cli_digest.main(["--compare", str(old), str(tmp_path / "short.jsonl")]) == 1
+
+
 def test_law_digest_compare_flags_a_raised_bound(tmp_path):
     # tests/law_digest.py keeps its records checkable: a slice of its laws
     # compared with itself passes, and against a copy with one upper bound

@@ -196,3 +196,15 @@ def test_each_job_is_done_in_one_place():
     assert _code_references("horizon must be >= 1") == {"passage._check_horizon"}
     assert _callers("spawn") == set()
     assert _callers("open") == {"chain._opened"}
+
+
+def test_the_crossing_flag_is_read_in_one_operator():
+    # the visited flag's rule, mass entering (flag, 0) lands on (flag, 1),
+    # lives in passage._taboo_operator; the step loop reads the flag only
+    # for its start slot and the pairs it returns, and no lift, hold bound,
+    # dense operator or certificate takes it
+    names = {"flag", "fslot", "flag_slot"}
+    found = _scan(lambda node: getattr(node, "id", None) in names
+                  or (isinstance(node, (ast.arg, ast.keyword)) and node.arg in names))
+    assert {where for where in found if where.startswith("passage.")} == {
+        "passage._taboo_operator", "passage._propagate", "passage.crossing_return_law"}

@@ -464,7 +464,7 @@ def test_law_sure_to_stay_above_the_rescale_point_steps_in_one_block(monkeypatch
     kernel = random_kernel(8, np.random.default_rng(8))
     op = passage._taboo_operator(kernel, 1, None, None)
     assert passage._block_sizes(op[3] + 1, op[2].size)[3] == 127
-    assert passage._log_hold(*op, None)[0] * -(-600 // passage._HOLD_STEPS) > -600 * math.log(2.0)
+    assert passage._log_hold(*op)[0] * -(-600 // passage._HOLD_STEPS) > -600 * math.log(2.0)
     steps = _count_steps(monkeypatch)
     _, _, scale, _ = passage._propagate(kernel, 0, 600, absorb=1)
     surv = reference_laws(kernel, 0, 1, 600)["passage_surv"][0]
@@ -518,7 +518,7 @@ def _hold_bound_holds(kernel, absorb, kill, flag, h):
     """Whether every computed survival ratio over _HOLD_STEPS steps is at
     least e^log_hold, from every start."""
     op = passage._taboo_operator(kernel, absorb, kill, flag)
-    log_hold = passage._log_hold(*op, flag)[0]
+    log_hold = passage._log_hold(*op)[0]
     for start in range(kernel.n_states):
         if start == kill:
             continue
@@ -660,16 +660,12 @@ def test_lift_cache_entry_pins_its_operator(monkeypatch):
     assert too_big[0].size == 1 << 17 and id(fresh[0]) not in passage._LIFTS._entries
 
 
-def _single_steps(op, w, x, steps, fslot):
-    """Rows of ``steps`` single-step calls from x; with ``fslot`` = 2f, each
-    row then moves slot 2f into 2f + 1."""
+def _single_steps(op, w, x, steps):
+    """Rows of ``steps`` single-step calls from x."""
     from scipy.sparse._sparsetools import csc_matvec
     out = np.zeros((steps, w))
     for t in range(steps):
         csc_matvec(w, w, *op, x, out[t])
-        if fslot is not None:
-            out[t, fslot + 1] += out[t, fslot]
-            out[t, fslot] = 0.0
         x = out[t]
     return out
 
@@ -686,13 +682,32 @@ def _lifted_operators():
         yield pytest.param(name, kernel, id=name)
 
 
+@pytest.mark.parametrize("name,kernel", [p for p in _lifted_operators()
+                                         if p.id in ("dense8", "selfloop")])
+def test_lift_writes_only_the_next_row(name, kernel):
+    # an entry that wrote the row its own call reads made each lifted row
+    # wait on the one before; a flag operator keeps its rule itself, so no
+    # entry of it, lifted or not, enters (flag, 0)
+    n = kernel.n_states
+    for absorb, kill, flag in ((0, None, None), (n - 1, 1, None), (1, None, 0),
+                               (0, None, n - 1), (n - 1, None, 1)):  # selfloop's b steps to itself
+        op = passage._taboo_operator(kernel, absorb, kill, flag)
+        w = op[3] + 1
+        lift = passage._block_sizes(w, op[2].size)[3]
+        lptr, lind, _ = passage._lift(*op[:3], w, lift)
+        column = np.repeat(np.arange(lift * w), np.diff(lptr))
+        assert np.array_equal(lind // w, column // w + 1), (name, absorb, kill, flag)
+        if flag is not None:
+            assert 2 * flag not in op[1] and 2 * flag not in lind % w, (name, flag)
+
+
 @pytest.mark.parametrize("name,kernel", _lifted_operators())
 def test_lifted_chunk_equals_single_steps(name, kernel):
     # a block of m = c + 1 rows, one single-step call and one lifted call
     # over a chunk of c steps, gives the rows that m single-step calls give,
     # bit for bit, in all three modes and for every m up to lift + 1.  As in
-    # _propagate, row 0 is a raw single step from a carried vector, and in
-    # flag mode the last row is fixed up by hand and column 2f zeroed
+    # _propagate, row 0 is a raw single step from a carried vector; a flag
+    # operator sends (f, 0) on to (f, 1) itself, so no row is touched by hand
     from scipy.sparse._sparsetools import csc_matvec
     n = kernel.n_states
     rng = np.random.default_rng(n)
@@ -702,24 +717,18 @@ def test_lifted_chunk_equals_single_steps(name, kernel):
     for absorb, mode in modes:
         op = passage._taboo_operator(kernel, absorb, mode.get("kill"), mode.get("flag"))
         w = op[3] + 1
-        fslot = None if "flag" not in mode else 2 * mode["flag"]
         span, rows, reach, lift = passage._block_sizes(w, op[2].size)
         if name == "dense64":  # a lift bounded by _BLOCK_DOUBLES entries
             assert lift == reach - 1 < rows - 1
-        lifted = passage._lift(*op[:3], w, lift, fslot)
+        lifted = passage._lift(*op[:3], w, lift)
         x = rng.random(w)
-        if fslot is not None:
-            x[fslot] = 0.0
         for c in range(lift + 1):
-            expected = _single_steps(op[:3], w, x, c + 1, fslot)
+            expected = _single_steps(op[:3], w, x, c + 1)
             flat = np.zeros((c + 1) * w)
             csc_matvec(w, w, *op[:3], x, flat)
             if c:
                 csc_matvec(flat.size, c * w, *lifted, flat, flat)
             got = flat.reshape(c + 1, w)
-            if fslot is not None:
-                got[c, fslot + 1] += got[c, fslot]
-                got[:, fslot] = 0.0
             assert np.array_equal(got, expected), (name, absorb, mode, c)
 
 
@@ -1450,17 +1459,14 @@ _CERT_LAWS = {"passage": (first_passage_law, lambda i, j: (j, None, None)),
 def _certifies_its_operator(kernel, key) -> bool:
     """Whether the cached (rho, v) of ``key`` has v >= 1 and Qv <= rho v on
     every slot that can hold mass after step 0, in exact arithmetic on the
-    operator's own entries: the alive slots some entry enters, but (flag,
-    0), whose mass moves on to (flag, 1).  With no such slot it holds."""
+    operator's own entries: the alive slots some entry enters.  With no
+    such slot it holds."""
     from fractions import Fraction
 
     rho, v = kernel._derived.get(("cert", key), lambda: passage._tail_vector(kernel, key))[:2]
     indptr, indices, data, width = passage._operator(kernel, key)
-    fslot = None if key[2] is None else 2 * key[2]
-    live = sorted({int(d) for d in indices if d < width} - {fslot})
+    live = sorted({int(d) for d in indices if d < width})
     x = [Fraction(float(e)) for e in v] + [Fraction(0)]
-    if fslot is not None:
-        x[fslot] = x[fslot + 1]
     for c in live:
         qv = sum(Fraction(float(data[e])) * x[indices[e]] for e in range(indptr[c], indptr[c + 1]))
         if qv > Fraction(rho) * x[c]:
@@ -1560,7 +1566,7 @@ def test_wide_operator_is_certified_by_sixteen_steps_of_its_alive_mass():
     rho, v = kernel._derived.get(("cert", (1, None, None)), lambda: None)[:2]
     assert np.all(v == 1.0) and cert.rho == rho
     op = passage._operator(kernel, (1, None, None))
-    assert rho ** 16 >= passage._log_hold(*op, None)[1]
+    assert rho ** 16 >= passage._log_hold(*op)[1]
     log_surv = np.logaddexp.accumulate(np.concatenate(([longer.log_tail],
                                                        longer.log_pmf[:39:-1])))[::-1]
     assert np.all(log_surv <= cert.log_bound + np.arange(81) * math.log(rho))
@@ -1673,7 +1679,7 @@ def test_failed_dense_solve_takes_the_hold_certificate(monkeypatch, patched):
     with monkeypatch.context() as m:
         m.setattr(np.linalg, "solve", lambda *args: calls.append(args) or patched(*args))
         cert = law.tail_cert
-    most = passage._log_hold(*passage._operator(kernel, (1, None, None)), None)[1]
+    most = passage._log_hold(*passage._operator(kernel, (1, None, None)))[1]
     assert calls and cert.rho == most ** (1.0 / passage._HOLD_STEPS) * (1.0 + passage._gamma(2))
     assert _cert_holds(law, first_passage_law(kernel, 0, 1, 2000))
 

@@ -15,8 +15,8 @@ from recur_moments import (AtomicDist, ConvergenceFailure, IncomparableLaws,
                            build_two_state, burst_schedule_from_csv,
                            conditioned_hit_law, conditioned_return_law,
                            convolve, crossing_return_law, first_passage_law,
-                           geometric_compound, hit_before_return_prob, mixture,
-                           power_fn, random_kernel, sample_passage_times,
+                           geometric_compound, hit_before_return_prob, mc_f_moment,
+                           mixture, power_fn, random_kernel, sample_passage_times,
                            stationary_distribution, stochastic_dominates)
 from recur_moments import chain, cli
 from recur_moments.logspace import log1mexp, log_sub
@@ -85,6 +85,12 @@ _RAISES = {
                              f"horizon must be at most {_MOST_ENTRIES}, got {2 ** 62}"),
     "pmf-past-arrays": (lambda: PassageLaw.point(2).pmf_array(_HUGE),
                         InvalidInput, _PAST_ARRAYS),
+    # a count that is not an integer, read once by chain._count; each ended
+    # in a TypeError from numpy or SeedSequence
+    "pmf-horizon-float": (lambda: PassageLaw.point(2).pmf_array(2.5),
+                          InvalidInput, "horizon must be an integer, got 2.5"),
+    "to-dense-float": (lambda: PassageLaw.point(2).to_dense(1.5),
+                       InvalidInput, "horizon must be an integer, got 1.5"),
     "dominates-open-sparse": (
         lambda: stochastic_dominates(
             PassageLaw.sparse(AtomicDist(_ints(1), np.array([_HALF]), _HALF)),
@@ -101,10 +107,18 @@ _RAISES = {
                             InvalidInput, "horizon must be >= 1"),
     "return-crossing-horizon-0": (lambda: crossing_return_law(_two_state(), 0, 1, 0),
                                   InvalidInput, "horizon must be >= 1"),
+    "passage-horizon-float": (lambda: first_passage_law(_two_state(), 0, 1, 600.0),
+                              InvalidInput, "horizon must be an integer, got 600.0"),
+    "passage-horizon-numpy-float": (lambda: first_passage_law(_two_state(), 0, 1, np.float64(5)),
+                                    InvalidInput, r"horizon must be an integer, got .*5\.0"),
+    "hit-first-horizon-float": (lambda: conditioned_hit_law(_two_state(), 0, 1, 10.0),
+                                InvalidInput, "horizon must be an integer, got 10.0"),
     # the calculus: operand types, and results with nothing left in the horizon
     "convolve-atomic": (lambda: convolve(_U1, _U2), InvalidInput, "two PassageLaw operands"),
     "convolve-past-arrays": (lambda: convolve(_dense(), _dense(), horizon=_HUGE),
                              InvalidInput, _PAST_ARRAYS),
+    "convolve-horizon-float": (lambda: convolve(_dense(), _dense(), horizon=3.5),
+                               InvalidInput, "horizon must be an integer, got 3.5"),
     "convolve-past-horizon": (
         lambda: convolve(PassageLaw.point(5), PassageLaw.point(5), horizon=3),
         InvalidInput, "no atoms within the horizon"),
@@ -114,6 +128,8 @@ _RAISES = {
                        InvalidInput, "same representation"),
     "compound-past-arrays": (lambda: geometric_compound(_dense(), _dense(), 0.5, horizon=_HUGE),
                              InvalidInput, _PAST_ARRAYS),
+    "compound-horizon-float": (lambda: geometric_compound(_dense(), _dense(), 0.5, horizon=4.0),
+                               InvalidInput, "horizon must be an integer, got 4.0"),
     "compound-past-horizon": (
         lambda: geometric_compound(PassageLaw.point(5), PassageLaw.point(5), 0.5, horizon=3),
         InvalidInput, "no atoms within the horizon"),
@@ -139,6 +155,16 @@ _RAISES = {
                                     InvalidInput, "n_samples must be " + _PAST_ARRAYS),
     "sampler-cap-past-int64": (lambda: sample_passage_times(_two_state(), 0, 0, 2, _HUGE),
                                InvalidInput, f"cap must be at most {2 ** 63 - 1}, got {_HUGE}"),
+    "sampler-samples-float": (lambda: sample_passage_times(_two_state(), 0, 0, 10.5, 5),
+                              InvalidInput, "n_samples must be an integer, got 10.5"),
+    "sampler-cap-float": (lambda: sample_passage_times(_two_state(), 0, 0, 10, cap=5.5),
+                          InvalidInput, "cap must be an integer, got 5.5"),
+    "mc-seed-float": (lambda: mc_f_moment(lambda n, cap, rng: sample_passage_times(
+                          _two_state(), 0, 0, n, cap, rng=rng), power_fn(1),
+                          n_samples=10, cap=5, seed=1.5),
+                      InvalidInput, "seed must be an integer, got 1.5"),
+    "mc-samples-float": (lambda: mc_f_moment(None, power_fn(1), n_samples=10.0, cap=5, seed=1),
+                         InvalidInput, "n_samples must be an integer, got 10.0"),
     "parametric-cap-past-int64": (lambda: sample_passage_times(TwoStateChain(0.5), 0, 0, 2, _HUGE),
                                   InvalidInput, f"cap must be at most {2 ** 63 - 1}"),
     "stationary-zero-pivot": (lambda: stationary_distribution(_pair_kernel([(0, 1.0)], [(1, 1.0)])),
@@ -172,3 +198,21 @@ def test_input_check_raises(case):
     call, exc, match = _RAISES[case]
     with pytest.raises(exc, match=match):
         call()
+
+
+def test_numpy_integer_counts_are_read_as_ints():
+    # chain._count takes any integer type: an np.int64 horizon, sample size,
+    # cap or seed gives what the int gives
+    k, big = _two_state(), np.int64
+    assert np.array_equal(first_passage_law(k, 0, 1, big(50)).pmf_array(),
+                          first_passage_law(k, 0, 1, 50).pmf_array())
+    assert crossing_return_law(k, 0, 1, big(7)).horizon == 7
+    assert PassageLaw.point(2).to_dense(big(3)).horizon == 3
+    times = sample_passage_times(k, 0, 0, big(20), big(5), seed=3)[0]
+    assert np.array_equal(times, sample_passage_times(k, 0, 0, 20, 5, seed=3)[0])
+
+    def sampler(n, cap, rng):
+        return sample_passage_times(k, 0, 0, n, cap, rng=rng)
+
+    assert (mc_f_moment(sampler, power_fn(1), n_samples=big(30), cap=big(9), seed=big(4))
+            == mc_f_moment(sampler, power_fn(1), n_samples=30, cap=9, seed=4))
