@@ -10,6 +10,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .chain import _INT64_MAX, _count, _counts
 from .errors import InvalidInput
 from .logspace import LOG_ZERO, log_add, logsumexp
 
@@ -35,7 +36,7 @@ class AtomicDist:
     log_tail: float = LOG_ZERO
 
     def __post_init__(self):
-        atoms = np.asarray(self.atoms, dtype=np.int64)
+        atoms = _counts("atoms", self.atoms)
         log_probs = np.asarray(self.log_probs, dtype=float)
         object.__setattr__(self, "atoms", atoms)
         object.__setattr__(self, "log_probs", log_probs)
@@ -44,8 +45,6 @@ class AtomicDist:
             raise InvalidInput("atoms and log_probs must be 1-d arrays of equal length")
         if atoms.size == 0:
             raise InvalidInput("an atomic distribution needs at least one atom")
-        if atoms[0] < 1:
-            raise InvalidInput("atoms must be >= 1")
         if atoms.size > 1 and not np.all(np.diff(atoms) > 0):
             raise InvalidInput("atoms must be strictly increasing")
         if self.log_tail > _MASS_TOL:
@@ -59,10 +58,10 @@ class AtomicDist:
     @classmethod
     def from_pairs(cls, pairs) -> "AtomicDist":
         """Build from (value, probability) pairs in linear space."""
-        items = sorted((int(v), float(p)) for v, p in dict(pairs).items())
+        items = sorted((_count("atom", v, 1, _INT64_MAX), float(p)) for v, p in dict(pairs).items())
         if not items:
             raise InvalidInput("no atoms given")
-        values = np.array([v for v, _ in items], dtype=np.int64)
+        values = np.array([v for v, _ in items])
         probs = np.array([p for _, p in items], dtype=float)
         if np.any(probs <= 0):
             raise InvalidInput("atom probabilities must be positive")
@@ -71,7 +70,7 @@ class AtomicDist:
 
     @classmethod
     def point_mass(cls, value: int) -> "AtomicDist":
-        return cls(np.array([int(value)], dtype=np.int64), np.array([0.0]))
+        return cls(np.array([_count("atom", value, 1, _INT64_MAX)]), np.array([0.0]))
 
     # -- accessors ---------------------------------------------------------
 

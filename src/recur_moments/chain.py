@@ -182,7 +182,7 @@ class TransitionKernel:
                 return self._state_index[state]
             except KeyError:
                 raise InvalidInput(f"unknown state {state!r}") from None
-        idx = _state_number(state)
+        idx = _count("state", state)
         if not 0 <= idx < self.n_states:
             raise InvalidInput(f"state index {idx} out of range")
         return idx
@@ -256,21 +256,31 @@ class TransitionKernel:
         return kernel
 
 
-def _state_number(state) -> int:
-    """A state index as an int; a ref that is not integral, such as 1.7 or
-    2.0, is an :class:`InvalidInput`, never rounded to a state."""
+def _count(name: str, value, least: int | None = None, most: int | None = None) -> int:
+    """The package's one reader of a count, step, atom or state index:
+    ``value`` read with ``operator.index``, so 2.5 or 2.0 is never rounded but
+    an :class:`InvalidInput` naming ``name``, as is a value past its bounds."""
     try:
-        return operator.index(state)
-    except TypeError:
-        raise InvalidInput(f"state ref {state!r} is neither a name nor an integer") from None
-
-
-def _count(name: str, value) -> int:
-    """A count as an int, read as :func:`_state_number` reads a state."""
-    try:
-        return operator.index(value)
+        value = operator.index(value)
     except TypeError:
         raise InvalidInput(f"{name} must be an integer, got {value!r}") from None
+    if least is not None and value < least:
+        raise InvalidInput(f"{name} must be >= {least}")
+    if most is not None and value > most:
+        raise InvalidInput(f"{name} must be at most {most}, got {value}")
+    return value
+
+
+def _counts(name: str, values) -> np.ndarray:
+    """:func:`_count` of every entry of an array, each at least 1, as int64:
+    an array whose dtype does not cast to int64 without loss is an
+    :class:`InvalidInput`, never cast."""
+    arr = np.asarray(values)
+    if arr.size and not np.can_cast(arr.dtype, np.int64):
+        raise InvalidInput(f"{name} must be integers, got an array of {arr.dtype}")
+    if arr.size and arr.min() < 1:
+        raise InvalidInput(f"{name} must be >= 1")
+    return arr.astype(np.int64, copy=False)
 
 
 def _validated(kernel: TransitionKernel) -> TransitionKernel:
@@ -528,8 +538,7 @@ def build_petal_chain(u1: "AtomicDist", u2: "AtomicDist", p: float,
     """
     if not 0.0 < p < 1.0:
         raise InvalidInput(f"petal chain needs 0 < p < 1, got {p}")
-    if max_petals < 1:
-        raise InvalidInput("max_petals must be >= 1")
+    max_petals = _count("max_petals", max_petals, 1)
     states, rows = ["0", "1"], [[(1, 1.0)], []]
     hub_targets: dict[int, float] = {0: p}
     for side, dist in (("L", u1), ("R", u2)):
@@ -549,8 +558,7 @@ def random_kernel(n_states: int, rng: np.random.Generator,
                   min_prob: float = 0.05) -> TransitionKernel:
     """Random fully-supported kernel: Dirichlet rows floored at roughly
     ``min_prob`` per entry, hence irreducible and aperiodic."""
-    if n_states < 1:
-        raise InvalidInput("need at least one state")
+    n_states = _count("n_states", n_states, 1)
     mat = rng.dirichlet(np.ones(n_states), size=n_states)
     mat = (mat + min_prob) / (1.0 + n_states * min_prob)
     mat /= mat.sum(axis=1, keepdims=True)
@@ -728,7 +736,7 @@ def _resolve_binary_state(state: StateRef) -> int:
         if state in ("0", "1"):
             return int(state)
         raise InvalidInput(f"parametric chains expose states '0' and '1', got {state!r}")
-    idx = _state_number(state)
+    idx = _count("state", state)
     if idx not in (0, 1):
         raise InvalidInput(f"parametric chains expose states 0 and 1, got {idx}")
     return idx
@@ -743,15 +751,10 @@ def sample_passage_times(chain: ChainLike, source: StateRef, target: StateRef,
     Censored entries report ``cap`` in ``times``.  Parametric chains use
     their closed-form macro-step samplers; kernels step state by state.
     """
-    n_samples, cap = _count("n_samples", n_samples), _count("cap", cap)
-    if n_samples < 0:
-        raise InvalidInput("n_samples must be >= 0")
-    if cap < 1:
-        raise InvalidInput("cap must be >= 1")
-    for name, value, most in (("n_samples", n_samples, _MAX_ENTRIES), ("cap", cap, _INT64_MAX)):
-        if value > most:  # before any array of n_samples int64 times is made
-            raise InvalidInput(f"{name} must be at most {most}, got {value}")
+    n_samples = _count("n_samples", n_samples, 0, _MAX_ENTRIES)  # before any array that long
+    cap = _count("cap", cap, 1, _INT64_MAX)
     if rng is None:
+        seed = None if seed is None else _count("seed", seed, 0)
         rng = np.random.default_rng(np.random.SeedSequence(seed))
     if isinstance(chain, TransitionKernel):
         i, j = chain.index_of(source), chain.index_of(target)

@@ -122,9 +122,7 @@ def _kernel_of(chain: ChainLike) -> TransitionKernel:
 def _resolve_state(chain: ChainLike, raw: str):
     """A state name of a kernel as given, else an index; a parametric
     chain resolves its own names '0' and '1'."""
-    if not isinstance(chain, TransitionKernel) or raw in chain.states:
-        return raw
-    if raw.lstrip("-").isdigit():
+    if isinstance(chain, TransitionKernel) and raw not in chain.states and raw.removeprefix("-").isdecimal():
         return int(raw)
     return raw  # index_of will raise a descriptive InvalidInput
 

@@ -29,7 +29,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._atomic import AtomicDist
-from .chain import _INT64_MAX, _opened, build_two_state
+from .chain import _INT64_MAX, _count, _opened, build_two_state
 from .errors import InvalidInput, PreconditionFailed, WitnessSearchExhausted
 from .logspace import LOG_ZERO, exp_text, logsumexp
 from .momentfn import MomentFunction, burst_fn, default_burst_schedule, exp_fn
@@ -69,8 +69,7 @@ def witness_search(f: MomentFunction, *, count: int) -> tuple[Witness, ...]:
     midpoints leave the int64 range, raises
     :class:`WitnessSearchExhausted` carrying the witnesses found so far.
     """
-    if count < 1:
-        raise InvalidInput("count must be >= 1")
+    count = _count("count", count, 1)
     table = f.burst_table
     found: list[Witness] = []
     i = 0
@@ -122,6 +121,7 @@ def heavy_tail_pair(f: MomentFunction, *, k_max: int) -> HeavyTailPair:
     f(x_k + y_k) > e^(6 ln k) f(x_k) f(y_k), which outruns the k^-4 weight.
     Needs k_max >= 3 so the pair rests on at least two witnesses.
     """
+    k_max = _count("k_max", k_max)
     if k_max < 3:
         raise InvalidInput("k_max must be >= 3 (at least two witnesses)")
     ws = witness_search(f, count=k_max - 1)
@@ -217,7 +217,7 @@ def demo_sharp(*, k_max: int = 8, p: float = 0.5,
         name="sharp",
         succeeded=series.crossed,
         log_threshold=log_threshold,
-        params={"k_max": k_max, "p": p, "function": f.name},
+        params={"k_max": pair.witnesses[-1].k, "p": p, "function": f.name},  # k is k_max, an int
         finite_side=finite,
         series=series,
         witnesses=pair.witnesses,

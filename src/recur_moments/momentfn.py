@@ -28,7 +28,7 @@ from typing import Callable
 
 import numpy as np
 
-from .chain import _opened
+from .chain import _count, _counts, _opened
 from .errors import InvalidInput
 from .logspace import _LN2, exp_text
 
@@ -79,7 +79,7 @@ class BurstSchedule:
                                   compare=False)
 
     def __post_init__(self):
-        limit = 24 if self.n_bursts is None else self.n_bursts
+        limit = 24 if self.n_bursts is None else _count("n_bursts", self.n_bursts)
         if limit < 1:
             raise InvalidInput("schedule must contain at least one burst")
         self.extend(limit)
@@ -93,8 +93,7 @@ class BurstSchedule:
         i = len(self._s) + 1
         if self.n_bursts is not None and i > self.n_bursts:
             return False
-        s_i = int(self.start_of(i))
-        u_i = int(self.length_of(i))
+        s_i, u_i = _count(f"s_{i}", self.start_of(i)), _count(f"u_{i}", self.length_of(i))
         if not self._s and s_i < 1:
             raise InvalidInput("burst starts must be >= 1")
         if self._s and s_i <= self._s[-1]:
@@ -213,14 +212,10 @@ class MomentFunction:
         return f"MomentFunction({self.name!r})"
 
     def log_f(self, n: int) -> float:
-        if n < 1:
-            raise InvalidInput(f"moment functions are defined for n >= 1, got {n}")
-        return float(self._log_eval(int(n)))
+        return float(self._log_eval(_count("n", n, 1)))
 
     def log_f_array(self, ns) -> np.ndarray:
-        arr = np.asarray(ns)
-        if arr.size and arr.min() < 1:
-            raise InvalidInput("moment functions are defined for n >= 1")
+        arr = _counts("ns", ns)
         with np.errstate(over="ignore"):  # a log f(n) past the float range is +inf
             if self.kind is FunctionKind.POWER:
                 return self.param * np.log(arr.astype(float))
@@ -228,7 +223,7 @@ class MomentFunction:
                 return self.param * np.log(np.log(arr.astype(float) + 2.0))
             if self.kind is FunctionKind.EXPONENTIAL:
                 return self.param * arr.astype(float)
-        return np.array([self._log_eval(int(n)) for n in arr.ravel()], dtype=float).reshape(arr.shape)
+        return np.array([self._log_eval(n) for n in arr.ravel().tolist()], dtype=float).reshape(arr.shape)
 
     @property
     def burst_table(self) -> BurstSchedule:
@@ -244,8 +239,7 @@ class MomentFunction:
         one unit of log per step.  A bound past the float range is +inf.
         Custom functions carry no bound.
         """
-        if start < 1:
-            raise InvalidInput("start must be >= 1")
+        start = _count("start", start, 1)
         try:
             if self.kind is FunctionKind.POWER:
                 return (1.0 + 1.0 / start) ** self.param

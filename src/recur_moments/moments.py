@@ -188,14 +188,13 @@ def lower_bound_series(log_terms, *, log_threshold: float,
     (index, log_term, log_partial_after) per term consumed.
     """
     _check_threshold(log_threshold)
-    if max_terms < 1:
-        raise InvalidInput("max_terms must be >= 1")
+    max_terms = _count("max_terms", max_terms, 1)
     log_partial = LOG_ZERO
     trace: list[tuple[int, float, float]] = []
     crossing: int | None = None
     count = 0
     for k, lt in log_terms:
-        k, lt = int(k), float(lt)
+        k, lt = _count("term index", k), float(lt)
         log_partial = log_add(log_partial, lt)
         trace.append((k, lt, log_partial))
         count += 1
@@ -243,21 +242,13 @@ def mc_f_moment(sampler, f: MomentFunction, *, n_samples: int, cap: int,
     k-th child ``spawn`` gives, made when the loop reaches it; chunks are
     combined in order, so results are byte-identical for a given seed.
     """
-    n_samples, cap, seed = _count("n_samples", n_samples), _count("cap", cap), _count("seed", seed)
-    if n_samples < 2:
-        raise InvalidInput("need at least 2 samples")
-    if cap < 1:
-        raise InvalidInput("cap must be >= 1")
-    if seed < 0:
-        raise InvalidInput(f"seed must be >= 0, got {seed}")
-    for name, value in (("n_samples", n_samples), ("cap", cap)):  # times and counts are int64
-        if value > _INT64_MAX:
-            raise InvalidInput(f"{name} must be at most {_INT64_MAX}, got {value}")
+    n_samples = _count("n_samples", n_samples, 2, _INT64_MAX)  # times and counts are int64
+    cap, seed = _count("cap", cap, 1, _INT64_MAX), _count("seed", seed, 0)
     log_s1, log_s2, n_cens = LOG_ZERO, LOG_ZERO, 0
     for k in range((n_samples + _MC_CHUNK - 1) // _MC_CHUNK):
         rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(k,)))
         times, censored = sampler(min(_MC_CHUNK, n_samples - k * _MC_CHUNK), cap, rng)
-        lf = f.log_f_array(np.asarray(times, dtype=np.int64))
+        lf = f.log_f_array(times)
         log_s1 = log_add(log_s1, logsumexp(lf))
         log_s2 = log_add(log_s2, logsumexp(2.0 * lf))
         n_cens += int(np.count_nonzero(censored))

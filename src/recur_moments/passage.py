@@ -121,8 +121,7 @@ class TailCert:
     log_bound: float
 
     def __post_init__(self):
-        if self.start < 1:
-            raise InvalidInput("certificate start must be >= 1")
+        object.__setattr__(self, "start", _count("certificate start", self.start, 1))
         if not 0.0 < self.rho < 1.0:
             raise InvalidInput(f"certificate ratio must be in (0, 1), got {self.rho}")
         if not self.log_bound < math.inf:
@@ -279,8 +278,7 @@ class PassageLaw:
                 log_add(self._log_tail, self._log_unseen))
 
     def log_prob(self, n: int) -> float:
-        if n < 1:
-            raise InvalidInput("passage times are >= 1")
+        n = _count("n", n, 1)
         if self.is_dense:
             return float(self._log_pmf[n - 1]) if n <= self.horizon else LOG_ZERO
         return self._atomic.log_prob(n)
@@ -755,14 +753,8 @@ def _unscaled_law(pmf: np.ndarray, scale: np.ndarray, log_tail: float,
 
 
 def _check_horizon(horizon: int) -> int:
-    """``horizon`` as an int, once a law of that many steps is known to fit
-    numpy's arrays; checked before anything of that size is allocated."""
-    horizon = _count("horizon", horizon)
-    if horizon < 1:
-        raise InvalidInput("horizon must be >= 1")
-    if horizon > _MAX_ENTRIES:
-        raise InvalidInput(f"horizon must be at most {_MAX_ENTRIES}, got {horizon}")
-    return horizon
+    """``horizon`` as an int that numpy's arrays can hold, before any is made."""
+    return _count("horizon", horizon, 1, _MAX_ENTRIES)
 
 
 def first_passage_law(kernel: TransitionKernel, source: StateRef, target: StateRef,
@@ -1236,8 +1228,11 @@ def stochastic_dominates(a: PassageLaw, b: PassageLaw, tol: float = 1e-10) -> Do
 
     Dense laws must share a horizon; sparse laws must both be complete (an
     unassigned tail makes the CDF unknowable).  The violation reported is
-    max over computed n of CDF_a(n) - CDF_b(n), clipped at zero.
+    max over computed n of CDF_a(n) - CDF_b(n), clipped at zero; ``tol``
+    must be finite.
     """
+    if not math.isfinite(tol):
+        raise InvalidInput(f"tol must be finite, got {tol}")
     if a.is_dense and b.is_dense:
         if a.horizon != b.horizon:
             raise IncomparableLaws(f"horizons differ: {a.horizon} vs {b.horizon}")
@@ -1320,7 +1315,7 @@ def law_from_csv(path_or_file) -> PassageLaw:
         raise InvalidInput("law CSV contains no support rows")
     cert = (None if None in (cert_n0, cert_rho, cert_log_bound)
             else TailCert(cert_n0, cert_rho, cert_log_bound))
-    ns_arr = np.asarray(ns, dtype=np.int64)
+    ns_arr = np.asarray(ns)  # an n past int64 makes an object array, which AtomicDist refuses
     lp_arr = np.asarray(lps, dtype=float)
     if ns_arr[0] == 1 and np.all(np.diff(ns_arr) == 1):
         return PassageLaw._dense_log(lp_arr, log_tail, tail_cert=cert)

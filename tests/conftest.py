@@ -2,8 +2,13 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from recur_moments import TransitionKernel
+
+# every property test draws the same examples on every run and stores none
+settings.register_profile("fixed", derandomize=True, database=None, deadline=None)
+settings.load_profile("fixed")
 
 
 @pytest.fixture

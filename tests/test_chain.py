@@ -385,7 +385,7 @@ def _chain_text(data, items) -> str:
 _LITERALS = [float("nan"), float("inf"), -float("inf")]
 
 
-@settings(max_examples=120, deadline=None, derandomize=True)
+@settings(max_examples=120)
 @given(data=st.data())
 def test_file_reader_matches_the_json_tree(tmp_path_factory, data):
     # keys in either order, extra keys with NaN and Infinity literals, a
@@ -417,7 +417,7 @@ def test_file_reader_matches_the_json_tree(tmp_path_factory, data):
     assert isinstance(got, str) == (fault is not None)
 
 
-@settings(max_examples=120, deadline=None, derandomize=True)
+@settings(max_examples=120)
 @given(data=st.data())
 def test_file_reader_rejects_what_the_json_tree_rejects(tmp_path_factory, data):
     items = _chain_items(data)
@@ -510,7 +510,7 @@ def test_random_kernel_is_valid(rng):
         assert k.dense_matrix.min() >= 0.05 / (1.0 + n * 0.05) - 1e-12
 
 
-@settings(max_examples=25, deadline=None)
+@settings(max_examples=25)
 @given(n=st.integers(2, 8), seed=st.integers(0, 2**32 - 1))
 def test_random_kernel_rows_always_stochastic(n, seed):
     k = random_kernel(n, np.random.default_rng(seed))

@@ -451,7 +451,7 @@ _HUGE = "1" + "0" * 399  # an integer past the float range
     ("--builtin", '{"p": 0.5, "u1": [1, 2], "u2": {"2": 1.0}}',
      "'u1' is not an object of length: probability pairs"),
     ("--builtin", '{"p": 0.5, "u1": {"1%s": 1.0}, "u2": {"2": 1.0}}' % ("0" * 29,),
-     "too large to convert"),
+     f"atom must be at most {2 ** 63 - 1}, got 1"),
     ("--builtin", '{"p": %s, "u1": {"2": 1.0}, "u2": {"2": 1.0}}' % _HUGE,
      "int too large to convert to float"),
     ("--builtin", _DEEP, "is not valid JSON: nested too deeply"),
@@ -480,6 +480,16 @@ def test_count_past_int64_exits_2(capsys, argv, message):
     rc, out, err = run_cli(capsys, *argv, "--builtin", "two-state:0.5", "--from", "0", "--to", "1")
     assert rc == 2 and out == ""
     assert err == f"error: {message}, got {10 ** 30}\n"
+
+
+@pytest.mark.parametrize("ref", ["--1", "\u00b2"], ids=["double-minus", "superscript-two"])
+def test_state_ref_that_int_cannot_read_exits_2(capsys, ref):
+    # each passed the digit test of the state resolver, then ended in int()'s
+    # ValueError, a traceback with exit 1
+    rc, out, err = run_cli(capsys, "fpt", "--builtin", "two-state:0.5", f"--from={ref}",
+                           "--to", "1", "--horizon", "5")
+    assert rc == 2 and out == ""
+    assert err == f"error: unknown state {ref!r}\n"
 
 
 @pytest.mark.parametrize("flag, prefix", [("--kernel", ""), ("--builtin", "petal:")])

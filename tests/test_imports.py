@@ -175,10 +175,12 @@ def _code_references(name: str) -> set[str]:
     return _scan(mentions)
 
 
-def _callers(name: str) -> set[str]:
-    """Where the package's code calls ``name``, bare or as an attribute."""
+def _callers(name: str, *first) -> set[str]:
+    """Where the package's code calls ``name``, bare or as an attribute,
+    with the constants ``first`` as its leading arguments if any are given."""
     return _scan(lambda node: isinstance(node, ast.Call) and name in (
-        getattr(node.func, "id", None), getattr(node.func, "attr", None)))
+        getattr(node.func, "id", None), getattr(node.func, "attr", None))
+        and [getattr(arg, "value", arg) for arg in node.args[:len(first)]] == list(first))
 
 
 def test_scipy_private_products_are_bound_in_one_function():
@@ -190,10 +192,11 @@ def test_scipy_private_products_are_bound_in_one_function():
 
 
 def test_each_job_is_done_in_one_place():
-    # one horizon check for every law mode and the calculus, each Monte
-    # Carlo stream made when its chunk is reached, every file opened by
-    # chain._opened
-    assert _code_references("horizon must be >= 1") == {"passage._check_horizon"}
+    # one integer reader, chain._count, and one horizon check for every law
+    # mode and the calculus, each Monte Carlo stream made when its chunk is
+    # reached, every file opened by chain._opened
+    assert _callers("index") == {"chain._count"}
+    assert _callers("_count", "horizon") == {"passage._check_horizon"}
     assert _callers("spawn") == set()
     assert _callers("open") == {"chain._opened"}
 

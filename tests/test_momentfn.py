@@ -318,7 +318,7 @@ def finite_burst_fns(draw):
     return burst_fn(BurstSchedule(lambda i: s[i - 1], lambda i: u[i - 1], n_bursts=n))
 
 
-@settings(max_examples=40, deadline=None)
+@settings(max_examples=40)
 @given(f=st.one_of(st.floats(0.05, 50.0).map(power_fn), st.floats(0.05, 50.0).map(log_power_fn),
                    finite_burst_fns()))
 def test_certificate_bounds_scanned_defect(f):

@@ -753,7 +753,7 @@ def test_propagation_refuses_a_matvec_that_copies_its_input(monkeypatch):
     assert passage._products()[0] is real
 
 
-@settings(max_examples=40, deadline=None)
+@settings(max_examples=40)
 @given(p=st.floats(0.01, 0.99), h=st.integers(1, 3000))
 @example(p=0.9, h=3000)
 def test_long_horizons_match_two_state_closed_forms(p, h):
@@ -952,7 +952,7 @@ def _bfs_reaches(adj: list[list[int]], start: int, goal: int, avoid: int) -> boo
     return False
 
 
-@settings(max_examples=60, deadline=None)
+@settings(max_examples=60)
 @given(data=st.data(), n=st.integers(1, 12))
 def test_path_check_matches_bfs_on_random_sparse_kernels(data, n):
     adj = [data.draw(st.lists(st.integers(0, n - 1), max_size=3), label=f"row {s}")
@@ -1081,7 +1081,7 @@ def test_convolve_rejects_mixed_representations(kernel3):
         convolve(dense, sparse)
 
 
-@settings(max_examples=30, deadline=None)
+@settings(max_examples=30)
 @given(st.lists(st.tuples(st.integers(1, 30), st.integers(1, 5)), min_size=1,
                 max_size=4, unique_by=lambda t: t[0]))
 def test_convolve_associative_on_atoms(pairs):
@@ -1474,7 +1474,7 @@ def _certifies_its_operator(kernel, key) -> bool:
     return all(x[c] >= 1 for c in live)
 
 
-@settings(max_examples=40, deadline=None, derandomize=True)
+@settings(max_examples=40)
 @given(n=st.integers(2, 8), seed=st.integers(0, 2 ** 16), h1=st.integers(1, 1000),
        extra=st.integers(1, 500), which=st.sampled_from(sorted(_CERT_LAWS)), data=st.data())
 def test_tail_certificate_bounds_the_survival_past_its_horizon(n, seed, h1, extra, which, data):

@@ -4,20 +4,23 @@ raises and a piece of its message."""
 from __future__ import annotations
 
 import io
+import json
 import math
 
 import numpy as np
 import pytest
 
-from recur_moments import (AtomicDist, ConvergenceFailure, IncomparableLaws,
-                           InvalidInput, PassageLaw, PetalChain,
-                           TransitionKernel, TwoStateChain, build_petal_chain,
-                           build_two_state, burst_schedule_from_csv,
+from recur_moments import (AtomicDist, BurstSchedule, ConvergenceFailure,
+                           IncomparableLaws, InvalidInput, PassageLaw, PetalChain,
+                           TailCert, TransitionKernel, TwoStateChain, build_petal_chain,
+                           build_two_state, burst_fn, burst_schedule_from_csv,
                            conditioned_hit_law, conditioned_return_law,
-                           convolve, crossing_return_law, first_passage_law,
-                           geometric_compound, hit_before_return_prob, mc_f_moment,
-                           mixture, power_fn, random_kernel, sample_passage_times,
-                           stationary_distribution, stochastic_dominates)
+                           convolve, crossing_return_law, default_burst_schedule,
+                           demo_sharp, first_passage_law, geometric_compound,
+                           heavy_tail_pair, hit_before_return_prob, law_from_csv, lower_bound_series,
+                           mc_f_moment, mixture, power_fn, random_kernel,
+                           sample_passage_times, stationary_distribution,
+                           stochastic_dominates, witness_search)
 from recur_moments import chain, cli
 from recur_moments.logspace import log1mexp, log_sub
 
@@ -40,6 +43,10 @@ def _ints(*values):
 
 def _pair_kernel(*rows):
     return TransitionKernel(["a", "b"], list(rows))
+
+
+def _burst():
+    return burst_fn(default_burst_schedule())
 
 
 # past the most 8-byte entries one array can index, and past int64
@@ -78,7 +85,7 @@ _RAISES = {
     # reads a law cannot answer
     "sparse-log-pmf": (lambda: PassageLaw.point(2).log_pmf, InvalidInput, "no dense pmf"),
     "dense-atomic": (lambda: _dense().atomic, InvalidInput, "no atomic"),
-    "log-prob-0": (lambda: _dense().log_prob(0), InvalidInput, "passage times are >= 1"),
+    "log-prob-0": (lambda: _dense().log_prob(0), InvalidInput, "n must be >= 1"),
     "pmf-past-horizon": (lambda: _dense().pmf_array(3), InvalidInput, "cannot extend"),
     "to-dense-0": (lambda: _dense().to_dense(0), InvalidInput, "horizon must be >= 1"),
     "to-dense-past-arrays": (lambda: PassageLaw.point(2).to_dense(2 ** 62), InvalidInput,
@@ -91,6 +98,47 @@ _RAISES = {
                           InvalidInput, "horizon must be an integer, got 2.5"),
     "to-dense-float": (lambda: PassageLaw.point(2).to_dense(1.5),
                        InvalidInput, "horizon must be an integer, got 1.5"),
+    # a step, atom or count that is not an integer: each was rounded down
+    # to an integer, read as a float, or ended in a TypeError or IndexError
+    "atoms-float": (lambda: AtomicDist([1.5], [0.0]),
+                    InvalidInput, "atoms must be integers, got an array of float64"),
+    "pairs-float-atom": (lambda: AtomicDist.from_pairs({2.5: 1.0}),
+                         InvalidInput, "atom must be an integer, got 2.5"),
+    "point-mass-float": (lambda: AtomicDist.point_mass(2.7),
+                         InvalidInput, "atom must be an integer, got 2.7"),
+    "point-law-float": (lambda: PassageLaw.point(2.5),
+                        InvalidInput, "atom must be an integer, got 2.5"),
+    "log-prob-float": (lambda: _dense().log_prob(2.5), InvalidInput, "n must be an integer, got 2.5"),
+    "prob-float": (lambda: _dense().prob(1.0), InvalidInput, "n must be an integer, got 1.0"),
+    "cert-start-float": (lambda: TailCert(1.5, 0.5, 0.0),
+                         InvalidInput, "certificate start must be an integer, got 1.5"),
+    "log-f-float": (lambda: power_fn(2).log_f(2.7), InvalidInput, "n must be an integer, got 2.7"),
+    "log-f-array-float": (lambda: power_fn(2).log_f_array([2.7]),
+                          InvalidInput, "ns must be integers, got an array of float64"),
+    "growth-ratio-start-float": (lambda: power_fn(1).growth_ratio_bound(1.5),
+                                 InvalidInput, "start must be an integer, got 1.5"),
+    "schedule-start-float": (lambda: BurstSchedule(lambda i: (2, 16.5, 72)[i - 1],
+                                                   lambda i: (2, 8, 24)[i - 1], n_bursts=3),
+                             InvalidInput, "s_2 must be an integer, got 16.5"),
+    "series-max-terms-float": (lambda: lower_bound_series(iter([(1, 0.0), (2, 0.0)]),
+                                                          log_threshold=5.0, max_terms=1.5),
+                               InvalidInput, "max_terms must be an integer, got 1.5"),
+    "random-kernel-float": (lambda: random_kernel(2.5, np.random.default_rng(0)),
+                            InvalidInput, "n_states must be an integer, got 2.5"),
+    "petal-max-petals-float": (lambda: build_petal_chain(_U1, _U1, 0.5, 1.5),
+                               InvalidInput, "max_petals must be an integer, got 1.5"),
+    "witness-count-float": (lambda: witness_search(_burst(), count=2.0),
+                            InvalidInput, "count must be an integer, got 2.0"),
+    "heavy-tail-k-max-float": (lambda: heavy_tail_pair(_burst(), k_max=3.5),
+                               InvalidInput, "k_max must be an integer, got 3.5"),
+    "demo-sharp-k-max-float": (lambda: demo_sharp(k_max=4.0),
+                               InvalidInput, "k_max must be an integer, got 4.0"),
+    # a NaN tol reported dominates=False with a violation of 0.0
+    "dominates-nan-tol": (lambda: stochastic_dominates(_dense(), _dense(), tol=math.nan),
+                          InvalidInput, "tol must be finite, got nan"),
+    # an OverflowError from numpy
+    "law-csv-n-past-int64": (lambda: law_from_csv(io.StringIO(f"n,prob,log_prob\n{_HUGE},1,0\n")),
+                             InvalidInput, "atoms must be integers, got an array of object"),
     "dominates-open-sparse": (
         lambda: stochastic_dominates(
             PassageLaw.sparse(AtomicDist(_ints(1), np.array([_HALF]), _HALF)),
@@ -141,7 +189,7 @@ _RAISES = {
                       InvalidInput, "cannot mix dense and sparse"),
     # chains
     "random-kernel-0": (lambda: random_kernel(0, np.random.default_rng(0)),
-                        InvalidInput, "at least one state"),
+                        InvalidInput, "n_states must be >= 1"),
     "duplicate-states": (lambda: TransitionKernel.from_json_dict(
                              {"states": ["a", "a"], "rows": [[["a", 1.0]], [["a", 1.0]]]}),
                          InvalidInput, "duplicate state names"),
@@ -159,6 +207,8 @@ _RAISES = {
                               InvalidInput, "n_samples must be an integer, got 10.5"),
     "sampler-cap-float": (lambda: sample_passage_times(_two_state(), 0, 0, 10, cap=5.5),
                           InvalidInput, "cap must be an integer, got 5.5"),
+    "sampler-seed-float": (lambda: sample_passage_times(_two_state(), 0, 0, 10, 5, seed=2.5),
+                           InvalidInput, "seed must be an integer, got 2.5"),
     "mc-seed-float": (lambda: mc_f_moment(lambda n, cap, rng: sample_passage_times(
                           _two_state(), 0, 0, n, cap, rng=rng), power_fn(1),
                           n_samples=10, cap=5, seed=1.5),
@@ -216,3 +266,12 @@ def test_numpy_integer_counts_are_read_as_ints():
 
     assert (mc_f_moment(sampler, power_fn(1), n_samples=big(30), cap=big(9), seed=big(4))
             == mc_f_moment(sampler, power_fn(1), n_samples=30, cap=9, seed=4))
+    # and an atom, a step and a k_max
+    assert AtomicDist.from_pairs({big(3): 1.0}).atoms.tolist() == [3]
+    assert AtomicDist.point_mass(big(3)).atoms.tolist() == [3]
+    assert PassageLaw.point(big(2)).prob(big(2)) == 1.0
+    assert power_fn(2).log_f(big(600)) == power_fn(2).log_f(600)
+    assert np.array_equal(power_fn(2).log_f_array(np.arange(1, 5, dtype=np.int32)),
+                          power_fn(2).log_f_array([1, 2, 3, 4]))
+    assert (json.dumps(demo_sharp(k_max=big(4)).to_json_dict())
+            == json.dumps(demo_sharp(k_max=4).to_json_dict()))
