@@ -656,11 +656,21 @@ ChainLike = Union[TransitionKernel, TwoStateChain, PetalChain]
 
 
 def _segment_sums(draws: np.ndarray, counts: np.ndarray) -> np.ndarray:
-    """Sum consecutive segments of ``draws`` with lengths ``counts``
-    (zero-length segments allowed)."""
-    cs = np.concatenate([[0], np.cumsum(draws)])
+    """Sum consecutive segments of ``draws``, nonnegative int64, with lengths
+    ``counts`` (zero-length segments allowed), saturating at 2^63 - 1.  The
+    high and low 32 bits of the draws are summed apart: neither sum of a
+    segment of fewer than 2^31 draws can wrap (a running sum past int64
+    wraps, and its differences wrap back), so a sum past int64 is caught
+    exactly."""
     ends = np.cumsum(counts)
-    return cs[ends] - cs[ends - counts]
+
+    def sums(x: np.ndarray) -> np.ndarray:
+        cs = np.concatenate([[0], np.cumsum(x)])
+        return cs[ends] - cs[ends - counts]
+
+    low = sums(draws & 0xFFFFFFFF)
+    high = sums(draws >> 32) + (low >> 32)
+    return np.where(high >> 31 == 0, (high << 32) | (low & 0xFFFFFFFF), _INT64_MAX)
 
 
 def _kernel_passage_times(kernel: TransitionKernel, i: int, j: int, n: int,
@@ -703,19 +713,13 @@ def _two_state_times(chain: TwoStateChain, src: int, tgt: int, n: int,
         return rng.geometric(p, size=n).astype(np.int64)
     if (src, tgt) == (1, 0):
         return np.ones(n, dtype=np.int64)
-    return 1 + rng.geometric(p, size=n).astype(np.int64)
+    return 1 + np.minimum(rng.geometric(p, size=n), _INT64_MAX - 1)  # saturates, as the draw does
 
 
-def _petal_times(chain: PetalChain, src: int, tgt: int, n: int,
+def _petal_times(chain: PetalChain, src: int, tgt: int, n: int, cap: int,
                  rng: np.random.Generator) -> np.ndarray:
     values, probs = chain.loop_mixture()
     p = chain.p
-
-    def loop_sums(counts: np.ndarray) -> np.ndarray:
-        total = int(counts.sum())
-        draws = rng.choice(values, size=total, p=probs) if total else np.empty(0, dtype=np.int64)
-        return _segment_sums(draws, counts)
-
     if (src, tgt) == (0, 1):
         return np.ones(n, dtype=np.int64)
     if (src, tgt) == (1, 1):
@@ -727,8 +731,15 @@ def _petal_times(chain: PetalChain, src: int, tgt: int, n: int,
             times[~exit_first] = rng.choice(values, size=k, p=probs)
         return times
     loops = rng.geometric(p, size=n).astype(np.int64) - 1  # loops before exiting
-    sums = loop_sums(loops)
-    return sums + 1 if (src, tgt) == (1, 0) else sums + 2  # 1 -> 0, or 0 -> 0
+    steps = 1 if (src, tgt) == (1, 0) else 2  # the steps outside the loops: 1 -> 0, or 0 -> 0
+    # every loop takes a step at least, so a trajectory of more than cap -
+    # steps loops is censored before its loops are drawn or summed
+    over = loops > cap - steps
+    counts = np.where(over, 0, loops)
+    total = int(counts.sum())
+    draws = rng.choice(values, size=total, p=probs) if total else np.empty(0, dtype=np.int64)
+    sums = np.minimum(_segment_sums(draws, counts), _INT64_MAX - steps) + steps
+    return np.where(over, _INT64_MAX, sums)
 
 
 def _resolve_binary_state(state: StateRef) -> int:
@@ -763,7 +774,9 @@ def sample_passage_times(chain: ChainLike, source: StateRef, target: StateRef,
     if isinstance(chain, TwoStateChain):
         times = _two_state_times(chain, src, tgt, n_samples, rng)
     else:
-        times = _petal_times(chain, src, tgt, n_samples, rng)
-    censored = times > cap
+        times = _petal_times(chain, src, tgt, n_samples, cap, rng)
+    # 2^63 - 1 stands for a draw or a sum that saturated there, censored
+    # even under the largest cap
+    censored = times > min(cap, _INT64_MAX - 1)
     times = np.where(censored, cap, times).astype(np.int64)
     return times, censored

@@ -5,13 +5,15 @@ i, counting from step 1; i = j gives the first return).  Representations:
 
 * dense: the log pmf over n = 1..horizon, every entry its true log, with
   its linear view, plus the tail mass P(T > horizon) kept in log space.  An
-  entry below the smallest subnormal reads 0 in the linear view; the log of
-  the mass those entries hold is kept beside it, and the calculus on linear
-  pmfs counts it in its output tail.  The pmf comes from propagating the
-  taboo vector q_n(k) = P(X_n = k, j not yet hit) with scipy's compiled
-  ``csc_matvec`` and a taboo operator built from the kernel's CSR arrays
-  once per kernel (see below): P^T with the mass entering j routed to a sink
-  slot, whose column is empty, and the mass entering a killed state dropped.
+  entry below the smallest subnormal reads 0 in the linear view; the
+  calculus on linear pmfs derives the mass of those entries from the two
+  arrays and counts it in its output tail.  One builder makes every
+  propagated law, first passage or conditioned (:func:`_law`).  The pmf
+  comes from propagating the taboo vector q_n(k) = P(X_n = k, j not yet
+  hit) with scipy's compiled ``csc_matvec`` and a taboo operator built
+  from the kernel's CSR arrays once per kernel (see below): P^T with the
+  mass entering j routed to a sink slot, whose column is empty, and the
+  mass entering a killed state dropped.
   Laws that track a visited flag step the pairs (k, visited) with an
   operator that itself sends the mass entering (flag, 0) to (flag, 1).
   Steps run in blocks.  The first row of a block is one single-step call;
@@ -129,10 +131,22 @@ class TailCert:
 
 
 class PassageLaw:
-    """Distribution of a positive-integer passage time (dense or sparse)."""
+    """Distribution of a positive-integer passage time (dense or sparse).  A
+    dense law is given its true logs ``log_pmf`` and, if known, its linear
+    pmf ``lin_pmf``, else exp(log_pmf): two nonempty 1-d arrays of one
+    shape, and nothing derived from them."""
 
     def __init__(self, *, log_pmf=None, lin_pmf=None, atomic=None,
-                 log_tail=LOG_ZERO, tail_cert=None, _log_unseen=LOG_ZERO):
+                 log_tail=LOG_ZERO, tail_cert=None):
+        if atomic is None:
+            log_pmf = np.asarray(log_pmf, dtype=float)
+            if log_pmf.ndim != 1 or log_pmf.size == 0:
+                raise InvalidInput("dense log-pmf must be a nonempty 1-d array")
+            lin_pmf = np.exp(log_pmf) if lin_pmf is None else np.asarray(lin_pmf, dtype=float)
+            if lin_pmf.shape != log_pmf.shape:
+                raise InvalidInput("dense pmf and log-pmf must have one shape")
+        elif log_pmf is not None or lin_pmf is not None:
+            raise InvalidInput("a law is dense or sparse, not both")
         self._log_pmf = log_pmf
         self._lin_pmf = lin_pmf
         self._atomic = atomic
@@ -140,8 +154,6 @@ class PassageLaw:
         # a function in place of a certificate builds it on first use (tail_cert)
         due = callable(tail_cert)
         self._tail_cert, self._cert_due = (None, tail_cert) if due else (tail_cert, None)
-        # log of the mass of the entries that read 0 in the linear pmf
-        self._log_unseen = _log_unseen
         self._check()
 
     # -- constructors ------------------------------------------------------
@@ -165,23 +177,6 @@ class PassageLaw:
         with np.errstate(divide="ignore") if not low > 0.0 else nullcontext():
             log_pmf = np.log(pmf)
         return cls(log_pmf=log_pmf, lin_pmf=pmf, log_tail=log_tail, tail_cert=tail_cert)
-
-    @classmethod
-    def _dense_log(cls, log_pmf, log_tail: float, tail_cert: TailCert | None = None,
-                   lin=None) -> "PassageLaw":
-        """Dense law from a log-pmf over n = 1..len(log_pmf), and its linear
-        pmf ``lin`` if known, else exp(log_pmf).
-
-        The logs are kept as given; an entry whose linear value is 0 adds
-        its log mass to the law's unseen mass.
-        """
-        log_pmf = np.asarray(log_pmf, dtype=float)
-        if log_pmf.ndim != 1 or log_pmf.size == 0:
-            raise InvalidInput("dense log-pmf must be a nonempty 1-d array")
-        lin = np.exp(log_pmf) if lin is None else lin
-        log_unseen = logsumexp(log_pmf[(lin == 0.0) & (log_pmf > LOG_ZERO)])
-        return cls(log_pmf=log_pmf, lin_pmf=lin, log_tail=log_tail, tail_cert=tail_cert,
-                   _log_unseen=log_unseen)
 
     @classmethod
     def sparse(cls, atomic: AtomicDist, tail_cert: TailCert | None = None) -> "PassageLaw":
@@ -270,12 +265,13 @@ class PassageLaw:
 
     def _linear_view(self) -> tuple[np.ndarray, np.ndarray, float]:
         """(pmf, log pmf, log tail) of a dense law as a linear pmf sees it:
-        an entry that reads 0 there has log -inf, and its mass counts in the
-        tail, which is then log_tail and ``_log_unseen`` added in log space."""
-        if self._log_unseen == LOG_ZERO:
-            return self._lin_pmf, self._log_pmf, self._log_tail
-        return (self._lin_pmf, np.where(self._lin_pmf > 0.0, self._log_pmf, LOG_ZERO),
-                log_add(self._log_tail, self._log_unseen))
+        an entry that reads 0 there has log -inf, and its mass, the unseen
+        mass, counts in the tail, added in log space."""
+        lin, logs = self._lin_pmf, self._log_pmf
+        if lin[lin.argmin()] > 0.0:  # no entry reads 0, without a reduction's set-up cost
+            return lin, logs, self._log_tail
+        unseen = logsumexp(logs[(lin == 0.0) & (logs > LOG_ZERO)])
+        return lin, np.where(lin > 0.0, logs, LOG_ZERO), log_add(self._log_tail, unseen)
 
     def log_prob(self, n: int) -> float:
         n = _count("n", n, 1)
@@ -336,7 +332,7 @@ class PassageLaw:
         log_tail = log_add(self._log_tail, logsumexp(log_past))
         cert = None if self._tail_cert is None and self._cert_due is None else (
             lambda: self._moved_cert(horizon, past, log_past, log_tail))
-        return PassageLaw._dense_log(out, log_tail, tail_cert=cert)
+        return PassageLaw(log_pmf=out, log_tail=log_tail, tail_cert=cert)
 
     def _moved_cert(self, n: int, steps: np.ndarray, logs: np.ndarray,
                     log_tail: float) -> TailCert | None:
@@ -623,11 +619,12 @@ def _row_sums(rows: np.ndarray) -> np.ndarray:
     return np.add.reduce(rows, axis=1)
 
 
-def _propagate(kernel: TransitionKernel, start: int, horizon: int, *, absorb: int,
-               kill: int | None = None, flag: int | None = None) -> tuple[np.ndarray, ...]:
+def _propagate(kernel: TransitionKernel, start: int, horizon: int,
+               key: tuple) -> tuple[np.ndarray, ...]:
     """Step the taboo vector q_n(k) = P(X_n = k, not absorbed or killed) from
-    ``start`` with the operator of :func:`_taboo_operator`, whose compiled
-    ``csc_matvec`` gives ``q @ csr`` bit for bit.
+    ``start`` with the operator of ``key`` = (absorb, kill, flag)
+    (:func:`_taboo_operator`), whose compiled ``csc_matvec`` gives ``q @
+    csr`` bit for bit.
 
     Mass entering ``absorb`` is recorded from the sink slot; mass entering
     ``kill`` is gone.  With ``flag``, q holds the pairs (k, visited) and
@@ -670,7 +667,7 @@ def _propagate(kernel: TransitionKernel, start: int, horizon: int, *, absorb: in
     times 2^scale[-1].
     """
     matvec = _products()[0]
-    key = (absorb, kill, flag)
+    flag = key[2]
     indptr, indices, data, width = op = _operator(kernel, key)
     w = width + 1
     span, rows, reach, lift = _block_sizes(w, data.size)
@@ -735,21 +732,48 @@ def _log_scaled(x: float, scale: int) -> float:
     return math.log(x) - scale * _LN2 if x > 0.0 else LOG_ZERO
 
 
-def _unscaled_law(pmf: np.ndarray, scale: np.ndarray, log_tail: float,
-                  tail_cert: TailCert | None = None) -> PassageLaw:
-    """Dense law with pmf[t] 2^-scale[t] at step t + 1 and tail e^log_tail
-    beyond the horizon.  An entry that unscales below the smallest subnormal
-    reads 0 in the linear pmf; its log is read from the scaled value."""
-    if not scale[-1]:  # scale never decreases, so nothing was rescaled
-        return PassageLaw._dense(pmf, log_tail, tail_cert)
+def _law(kernel: TransitionKernel, start: int, horizon: int, key: tuple,
+         tail=None, p: float = 1.0) -> PassageLaw:
+    """The law of a passage from ``start``, stepped to ``horizon`` N with the
+    taboo operator of ``key`` = (absorb, kill, flag) (:func:`_propagate`)
+    and conditioned on an event of probability p: the pmf recorded within
+    the horizon, and as tail ``tail(q)``, the probability that the mass
+    alive at the horizon, in taboo vector q, ends in the event (all of that
+    mass without ``tail``), both divided by p.  The tail is computed
+    directly, never as a difference.
+
+    An entry that unscales below the smallest subnormal reads 0 in the
+    linear pmf; its log is read from the scaled value.  The certificate is
+    built on first use from the operator's cached (rho, v)
+    (:func:`_tail_vector`): P(T > N + k) <= rho^k B for every k >= 0, with
+    B = (q . v) / p times the rounding factors, since the event's
+    probability from q is q . h for some h <= 1."""
+    pmf, alive, scale, q = _propagate(kernel, start, horizon, key)
+    log_p, s = math.log(p), int(scale[-1])
+    log_tail = _log_scaled(alive if tail is None else tail(q), s) - log_p
+    pmf = pmf / p
+    q = q.ravel().copy()  # not a view that keeps the propagation's block buffer
+
+    def cert() -> TailCert | None:
+        rho, v, log_lead, log_step = kernel._derived.get(("cert", key),
+                                                         lambda: _tail_vector(kernel, key))
+        if rho is None:
+            return None
+        b = float(q @ v)
+        if not b < math.inf:  # a vector too steep for the float range
+            return None
+        return TailCert(horizon, rho, _log_scaled(b, s) + log_lead + horizon * log_step - log_p)
+
+    if not s:  # scale never decreases, so nothing was rescaled
+        return PassageLaw._dense(pmf, log_tail, cert)
     lin = np.ldexp(pmf, -scale)
     lost = (lin == 0.0) & (pmf > 0.0)
     if not lost.any():
-        return PassageLaw._dense(lin, log_tail, tail_cert)
+        return PassageLaw._dense(lin, log_tail, cert)
     with np.errstate(divide="ignore"):
         log_pmf = np.log(lin)
     log_pmf[lost] = np.log(pmf[lost]) - scale[lost] * _LN2
-    return PassageLaw._dense_log(log_pmf, log_tail, tail_cert, lin=lin)
+    return PassageLaw(log_pmf=log_pmf, lin_pmf=lin, log_tail=log_tail, tail_cert=cert)
 
 
 def _check_horizon(horizon: int) -> int:
@@ -770,33 +794,7 @@ def first_passage_law(kernel: TransitionKernel, source: StateRef, target: StateR
     """
     horizon = _check_horizon(horizon)
     i, j = kernel.index_of(source), kernel.index_of(target)
-    pmf, alive, scale, q = _propagate(kernel, i, horizon, absorb=j)
-    return _unscaled_law(pmf, scale, _log_scaled(alive, scale[-1]),
-                         _tail_cert(kernel, (j, None, None), horizon, q, scale[-1]))
-
-
-def _tail_cert(kernel: TransitionKernel, key: tuple, horizon: int, q: np.ndarray,
-               scale: int, log_p: float = 0.0):
-    """A function that gives the tail certificate of a law stepped to
-    ``horizon`` N with the taboo operator of ``key``, whose final taboo
-    vector is q times 2^scale and whose tail is divided by e^log_p: from
-    the operator's cached (rho, v) (:func:`_tail_vector`), P(T > N + k) <=
-    rho^k B for every k >= 0, with B = (q . v) 2^-scale / e^log_p times the
-    rounding factors."""
-    q = q.ravel().copy()  # not a view that keeps the propagation's block buffer
-
-    def build() -> TailCert | None:
-        rho, v, log_lead, log_step = kernel._derived.get(("cert", key),
-                                                         lambda: _tail_vector(kernel, key))
-        if rho is None:
-            return None
-        b = float(q @ v)
-        if not b < math.inf:  # a vector too steep for the float range
-            return None
-        return TailCert(horizon, rho,
-                        _log_scaled(b, int(scale)) + log_lead + horizon * log_step - log_p)
-
-    return build
+    return _law(kernel, i, horizon, (j, None, None))
 
 
 def _hit_split(kernel: TransitionKernel, i: int, j: int) -> tuple[float, np.ndarray]:
@@ -859,21 +857,6 @@ def _distinct(kernel: TransitionKernel, source: StateRef, target: StateRef,
     return i, j, horizon
 
 
-def _conditioned(kernel: TransitionKernel, key: tuple, pmf: np.ndarray, alive: float,
-                 scale: np.ndarray, q: np.ndarray, p: float) -> PassageLaw:
-    """Law conditioned on an event of probability p, from :func:`_propagate`
-    output with the operator of ``key``: the event's pmf within the
-    horizon, and as tail the probability ``alive`` that the mass still
-    alive there ends in the event, both divided by p.  The tail is computed
-    directly, never as a difference.  That probability is q . h for some h
-    <= 1, so the law's survival is at most the taboo vector's alive mass
-    over p, and the operator's certificate (:func:`_tail_cert`) holds for
-    it divided by p."""
-    log_p = math.log(p)
-    return _unscaled_law(pmf / p, scale, _log_scaled(alive, scale[-1]) - log_p,
-                         _tail_cert(kernel, key, pmf.size, q, scale[-1], log_p))
-
-
 def conditioned_return_law(kernel: TransitionKernel, source: StateRef, target: StateRef,
                            horizon: int) -> PassageLaw:
     """Law of the return time of i restricted to excursions that never visit
@@ -883,15 +866,14 @@ def conditioned_return_law(kernel: TransitionKernel, source: StateRef, target: S
     The tail is q_N . h_i / (1 - pi), with q_N the taboo vector at the
     horizon and h_i(k) = P_k(hit i before j).  Its tail certificate is
     that of the taboo operator that kills j, with B = q_N . v / (1 - pi)
-    (:func:`_conditioned`).
+    (:func:`_law`).
     """
     i, j, horizon = _distinct(kernel, source, target, horizon)
     if not _reaches(kernel, i, i, j):
         raise NoSuchPath(f"every return from {kernel.states[i]!r} visits {kernel.states[j]!r}")
     pi = _hit_split(kernel, i, j)[0]
     h_i = _hit_split(kernel, j, i)[1]
-    pmf, _, scale, q = _propagate(kernel, i, horizon, absorb=i, kill=j)
-    return _conditioned(kernel, (i, j, None), pmf, q @ h_i, scale, q, 1.0 - pi)
+    return _law(kernel, i, horizon, (i, j, None), lambda q: q @ h_i, 1.0 - pi)
 
 
 def conditioned_hit_law(kernel: TransitionKernel, source: StateRef, target: StateRef,
@@ -906,8 +888,7 @@ def conditioned_hit_law(kernel: TransitionKernel, source: StateRef, target: Stat
         raise NoSuchPath(f"no path from {kernel.states[i]!r} reaches {kernel.states[j]!r} "
                          "before returning")
     pi, h_j = _hit_split(kernel, i, j)
-    pmf, _, scale, q = _propagate(kernel, i, horizon, absorb=j, kill=i)
-    return _conditioned(kernel, (j, i, None), pmf, q @ h_j, scale, q, pi)
+    return _law(kernel, i, horizon, (j, i, None), lambda q: q @ h_j, pi)
 
 
 def crossing_return_law(kernel: TransitionKernel, source: StateRef, target: StateRef,
@@ -927,8 +908,7 @@ def crossing_return_law(kernel: TransitionKernel, source: StateRef, target: Stat
     if not _reaches(kernel, i, j, i):
         raise NoSuchPath(f"no return from {kernel.states[i]!r} visits {kernel.states[j]!r}")
     pi, h_j = _hit_split(kernel, i, j)
-    pmf, _, scale, q = _propagate(kernel, i, horizon, absorb=i, flag=j)
-    return _conditioned(kernel, (i, None, j), pmf, q[:, 1].sum() + q[:, 0] @ h_j, scale, q, pi)
+    return _law(kernel, i, horizon, (i, None, j), lambda q: q[:, 1].sum() + q[:, 0] @ h_j, pi)
 
 
 # ---------------------------------------------------------------------------
@@ -1188,8 +1168,8 @@ def mixture(laws, weights) -> PassageLaw:
         with np.errstate(invalid="ignore"):
             log_pmf = np.logaddexp.reduce(stack, axis=0)
         tails = [w + c.log_tail for w, c in zip(log_w, comp)]
-        return PassageLaw._dense_log(log_pmf, logsumexp(tails),
-                                     tail_cert=lambda: _mixed_cert(comp, log_w))
+        return PassageLaw(log_pmf=log_pmf, log_tail=logsumexp(tails),
+                          tail_cert=lambda: _mixed_cert(comp, log_w))
     if all(not law.is_dense for _, law in pairs):
         all_vals, all_lws, tails = [], [], []
         for w, law in pairs:
@@ -1318,6 +1298,6 @@ def law_from_csv(path_or_file) -> PassageLaw:
     ns_arr = np.asarray(ns)  # an n past int64 makes an object array, which AtomicDist refuses
     lp_arr = np.asarray(lps, dtype=float)
     if ns_arr[0] == 1 and np.all(np.diff(ns_arr) == 1):
-        return PassageLaw._dense_log(lp_arr, log_tail, tail_cert=cert)
+        return PassageLaw(log_pmf=lp_arr, log_tail=log_tail, tail_cert=cert)
     keep = lp_arr > LOG_ZERO
     return PassageLaw.sparse(AtomicDist(ns_arr[keep], lp_arr[keep], log_tail), tail_cert=cert)

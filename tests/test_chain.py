@@ -596,6 +596,17 @@ def test_petal_macro_sampler_matches_kernel_sampler():
         assert abs((t_macro == v).mean() - (t_step == v).mean()) <= 0.01
 
 
+def test_loop_sums_are_exact_up_to_int64_and_saturate_past_it():
+    # segments of loop lengths: empty, exactly 2^63 - 1, one past it, far
+    # past it, and small ones behind a running sum that wraps
+    big = 2 ** 62
+    draws = np.array([big, big - 1, big, big, big] * 3 + [3, 4], dtype=np.int64)
+    counts = np.array([0, 2, 2, 11, 0, 2], dtype=np.int64)
+    top = 2 ** 63 - 1
+    assert chain._segment_sums(draws, counts).tolist() == [0, top, top, top, 0, 7]
+    assert chain._segment_sums(draws[:2], np.array([1, 1])).tolist() == [big, big - 1]
+
+
 @pytest.mark.parametrize("n", [2, 3, 5, 8, 13, 21, 30])
 def test_kernel_sampler_draws_what_the_dense_rows_draw(n):
     # the padded CSR rows give each draw the step the dense rows' cumsum

@@ -482,6 +482,39 @@ def test_count_past_int64_exits_2(capsys, argv, message):
     assert err == f"error: {message}, got {10 ** 30}\n"
 
 
+_TINY_P_PETAL = {"p": 1e-300, "u1": {"2": 1.0}, "u2": {"3": 1.0}}
+_LOOPS_OF_2_62 = {"p": 0.5, "u1": {str(2 ** 62): 1.0}, "u2": {str(2 ** 62): 1.0}}
+
+
+@pytest.mark.parametrize("chain, ends, cap, samples", [
+    (_TINY_P_PETAL, ("0", "0"), 10 ** 6, 10),
+    (_TINY_P_PETAL, ("1", "0"), 10 ** 6, 10),
+    ("two-state:1e-300", ("1", "1"), 10 ** 6, 10),
+    (_LOOPS_OF_2_62, ("0", "0"), 10 ** 6, 100),
+    ("two-state:1e-300", ("0", "1"), 2 ** 63 - 1, 10),
+], ids=["petal-tiny-p-0-0", "petal-tiny-p-1-0", "two-state-tiny-p-1-1",
+        "petal-two-loops-past-int64", "two-state-saturated-draws-at-the-largest-cap"])
+def test_monte_carlo_counts_past_int64_are_censored(tmp_path, capsys, chain, ends, cap, samples):
+    # loop counts and times past int64 wrapped: the petal runs ended in
+    # numpy's "negative dimensions" traceback or exited 2 with "ns must be
+    # >= 1", and draws that numpy saturates at 2^63 - 1 counted as within
+    # a cap of 2^63 - 1.  Each such trajectory is censored at the cap; the
+    # runs that exit first at 0 in two steps are not
+    if isinstance(chain, dict):
+        spec = tmp_path / "petal.json"
+        spec.write_text(json.dumps(chain))
+        chain = f"petal:{spec}"
+    rc, out, err = run_cli(capsys, "moment", "--builtin", chain, "--from", ends[0],
+                           "--to", ends[1], "--function", "power:1", "--method", "mc",
+                           "--samples", str(samples), "--cap", str(cap))
+    assert rc == 0 and err == ""
+    payload = json.loads(out)
+    censored = payload["n_censored"]
+    assert 0 < censored <= samples and (censored == samples or chain.startswith("petal"))
+    want = (2.0 * (samples - censored) + float(cap) * censored) / samples
+    assert payload["log_mean"] == pytest.approx(math.log(want), rel=1e-12)
+
+
 @pytest.mark.parametrize("ref", ["--1", "\u00b2"], ids=["double-minus", "superscript-two"])
 def test_state_ref_that_int_cannot_read_exits_2(capsys, ref):
     # each passed the digit test of the state resolver, then ended in int()'s

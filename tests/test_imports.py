@@ -193,10 +193,12 @@ def test_scipy_private_products_are_bound_in_one_function():
 
 def test_each_job_is_done_in_one_place():
     # one integer reader, chain._count, and one horizon check for every law
-    # mode and the calculus, each Monte Carlo stream made when its chunk is
-    # reached, every file opened by chain._opened
+    # mode and the calculus, one builder of every propagated law, each Monte
+    # Carlo stream made when its chunk is reached, every file opened by
+    # chain._opened
     assert _callers("index") == {"chain._count"}
     assert _callers("_count", "horizon") == {"passage._check_horizon"}
+    assert _callers("_propagate") == {"passage._law"}
     assert _callers("spawn") == set()
     assert _callers("open") == {"chain._opened"}
 
@@ -210,4 +212,4 @@ def test_the_crossing_flag_is_read_in_one_operator():
     found = _scan(lambda node: getattr(node, "id", None) in names
                   or (isinstance(node, (ast.arg, ast.keyword)) and node.arg in names))
     assert {where for where in found if where.startswith("passage.")} == {
-        "passage._taboo_operator", "passage._propagate", "passage.crossing_return_law"}
+        "passage._taboo_operator", "passage._propagate"}

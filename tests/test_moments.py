@@ -1,9 +1,11 @@
 from __future__ import annotations
 
 import decimal
+import io
 import json
 import math
 from decimal import Decimal
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -130,12 +132,33 @@ def test_inconclusive_when_gamma_rho_too_big():
 # probability: the survival ratio looks settled long before the trap's rate
 # takes over.  k3: the trap c keeps itself with 0.99, so E e^(0.6 T) is
 # infinite (e^0.6 * 0.99 > 1).  k4: the trap keeps itself with 0.999999, and
-# E T^2 = 13.000001 for the return time of a.
+# E T^2 = 13.000001 for the return time of a, with the decimal probabilities.
 _K3 = ('{"states":["a","b","c"],"rows":[[["b",1.0],["c",1e-30]],'
        '[["a",0.5],["b",0.5]],[["a",0.01],["c",0.99]]]}')
 _K4 = ('{"states":["a","b","c"],"rows":[[["b",0.999999999999],["c",1e-12]],'
        '[["a",0.5],["b",0.5]],[["a",0.000001],["c",0.999999]]]}')
-_K4_LOG_SECOND_MOMENT = math.log(13.000001)
+
+
+def _k4_log_second_moment() -> float:
+    """log E T^2 of k4's return to a, exact for the doubles its kernel
+    stores: 13.000000999817466, 1.4e-11 nats below log 13.000001.  Their
+    rows sum to 1 only within 1e-12, so the steps into a are the stored
+    sink vector r, not 1 - Q 1.  With Q the steps within {b, c} and N =
+    (I - Q)^-1, sum_j (j + 2)^2 Q^j = 2 N^3 + N^2 + N, so E T^2 = P(a, a)
+    + s (2 N^3 r + N^2 r + N r), s the steps from a into {b, c}."""
+    kernel = load_kernel_json(io.StringIO(_K4))
+    (aa, ab, ac), (ba, bb, bc), (ca, cb, cc) = (
+        [Fraction(float(x)) for x in row] for row in kernel.dense_matrix)
+    det = (1 - bb) * (1 - cc) - bc * cb
+    x, solves = [ba, ca], []
+    for _ in range(3):  # N r, N^2 r, N^3 r
+        x = [((1 - cc) * x[0] + bc * x[1]) / det, (cb * x[0] + (1 - bb) * x[1]) / det]
+        solves.append(x)
+    (n1, n2, n3) = solves
+    return math.log(aa + sum(s * (2 * u + v + w) for s, u, v, w in zip((ab, ac), n3, n2, n1)))
+
+
+_K4_LOG_SECOND_MOMENT = _k4_log_second_moment()
 
 
 def _json_kernel(tmp_path, text):
@@ -204,6 +227,23 @@ def test_nilpotent_cycle_mean_bracket_is_exact():
     est = f_moment(first_passage_law(cycle_kernel(40), 5, 0, 10), power_fn(1))
     assert est.verdict == VERDICT_CONVERGED
     assert est.log_upper_bound - est.log_partial_sum <= 1e-9
+
+
+@pytest.mark.xfail(strict=True, reason="ROADMAP item 4: E T^3 of the slow two-state "
+                   "chain's return time is finite, yet its partial sum at h = 1000, e^18.55, "
+                   "crosses the threshold and reads diverged")
+def test_slow_two_state_third_moment_is_not_diverged():
+    est = f_moment(first_passage_law(build_two_state(0.001), 1, 1, 1000), power_fn(3))
+    assert est.verdict != VERDICT_DIVERGED
+
+
+@pytest.mark.xfail(strict=True, reason="ROADMAP item 4: E T^4 of the two-state chain's "
+                   "return time at p = 0.01 is finite, yet its partial sums at h = 100 and "
+                   "200, e^16.03 and e^18.68, cross the threshold and read diverged")
+@pytest.mark.parametrize("h", [100, 200])
+def test_two_state_fourth_moment_is_not_diverged(h):
+    est = f_moment(first_passage_law(build_two_state(0.01), 1, 1, h), power_fn(4))
+    assert est.verdict != VERDICT_DIVERGED
 
 
 def _two_state_return_mean():

@@ -148,7 +148,8 @@ def test_rescale_schedule(kernel, absorb, h, mode):
     # mass in (0, 2^-600), by the power of two that lifts that mass to
     # [1/2, 1); the final vector keeps the scale of the last step (on
     # two-state 0.9, step 181 is the first to fall below 2^-600)
-    pmf, alive, scale, q = passage._propagate(kernel, 0, h, absorb=absorb, **mode)
+    key = (absorb, mode.get("kill"), mode.get("flag"))
+    pmf, alive, scale, q = passage._propagate(kernel, 0, h, key)
     surv = reference_survival(kernel, 0, h, absorb=absorb, **mode)[0]
     entering = np.concatenate(([1.0], surv[:-1]))
     low = (entering > 0.0) & (entering < 2.0 ** -600)
@@ -446,7 +447,7 @@ def test_block_schedule_bounds_rolled_back_steps(monkeypatch, kernel, absorb, h)
     span, rows, reach, lift = passage._block_sizes(op[3] + 1, op[2].size)
     assert rows == reach
     steps = _count_steps(monkeypatch)
-    _, _, scale, _ = passage._propagate(kernel, 0, h, absorb=absorb)
+    _, _, scale, _ = passage._propagate(kernel, 0, h, (absorb, None, None))
     # no early stop: every step up to h is kept
     assert reference_survival(kernel, 0, h, absorb=absorb)[0][-1] > 0.0
     rescales = np.count_nonzero(np.diff(scale, prepend=0))
@@ -466,7 +467,7 @@ def test_law_sure_to_stay_above_the_rescale_point_steps_in_one_block(monkeypatch
     assert passage._block_sizes(op[3] + 1, op[2].size)[3] == 127
     assert passage._log_hold(*op)[0] * -(-600 // passage._HOLD_STEPS) > -600 * math.log(2.0)
     steps = _count_steps(monkeypatch)
-    _, _, scale, _ = passage._propagate(kernel, 0, 600, absorb=1)
+    _, _, scale, _ = passage._propagate(kernel, 0, 600, (1, None, None))
     surv = reference_laws(kernel, 0, 1, 600)["passage_surv"][0]
     assert not scale.any() and surv[-1] >= 2.0 ** -600
     assert steps == [1] + [127] * 4 + [91]
@@ -1113,10 +1114,10 @@ def test_dense_tails_never_complete_by_underflow():
     comp = geometric_compound(one, one, 0.5, horizon=1100)
     assert comp.log_tail == 1100 * math.log(0.5)
     assert f_moment(comp, exp_fn(0.7)).verdict != VERDICT_CONVERGED
-    half = PassageLaw._dense_log([math.log(0.5), math.log(0.5)], -800.0)
+    half = PassageLaw(log_pmf=[math.log(0.5), math.log(0.5)], log_tail=-800.0)
     assert abs(convolve(half, half).log_tail - (-800.0 + math.log(2.0))) <= 1e-12
     # mass moved past the horizon is e^-1000, below the smallest double
-    rare = PassageLaw._dense_log([math.log1p(-math.exp(-500.0)), -500.0], -math.inf)
+    rare = PassageLaw(log_pmf=[math.log1p(-math.exp(-500.0)), -500.0], log_tail=-math.inf)
     assert convolve(rare, rare, horizon=3).log_tail == -1000.0
 
 
@@ -1285,14 +1286,33 @@ def test_conditioning_on_crossing_dominates_plain_return(kernel3):
 def test_dense_log_folds_sub_floor_entries_into_tail():
     # e^-2000 flushes to zero in linear space; the log pmf keeps it at its
     # step, and the tail is the mass beyond the horizon
-    law = PassageLaw._dense_log(np.array([math.log(0.5), -2000.0]), math.log(0.5))
+    law = PassageLaw(log_pmf=np.array([math.log(0.5), -2000.0]), log_tail=math.log(0.5))
     assert law.pmf_array().tolist() == [0.5, 0.0]
     assert law.log_pmf[0] == math.log(0.5) and law.log_pmf[1] == -2000.0
     assert law.log_tail == math.log(0.5) and not law.is_complete
     # all of its mass sits at known steps
-    whole = PassageLaw._dense_log(np.array([0.0, -2000.0]), -math.inf)
+    whole = PassageLaw(log_pmf=np.array([0.0, -2000.0]), log_tail=-math.inf)
     assert whole.log_pmf[1] == -2000.0
     assert whole.log_tail == -math.inf and whole.is_complete
+
+
+def test_dense_law_derives_its_unseen_mass_from_its_two_arrays():
+    # the mass of e^-2000 reads 0 in the linear pmf, however the law was
+    # built: a convolution counts it in its tail.  A stored unseen mass
+    # that only one constructor set made this one complete, losing 2e^-2000
+    law = PassageLaw(log_pmf=np.array([0.0, -2000.0]), lin_pmf=np.array([1.0, 0.0]))
+    both = convolve(law, law)
+    assert not both.is_complete
+    assert both.log_tail == pytest.approx(-2000.0 + math.log(2.0), rel=1e-15)
+
+
+def test_dense_law_given_only_its_logs_reads_their_exp():
+    # the linear pmf is exp(log_pmf) when not given; it was left None, and
+    # the survival ended in an AttributeError
+    law = PassageLaw(log_pmf=[math.log(0.5), math.log(0.25)], log_tail=math.log(0.25))
+    assert law.pmf_array().tolist() == [0.5, 0.25]
+    assert law.survival_array().tolist() == [0.5, 0.25]
+    assert PassageLaw(log_pmf=[0.0]).survival_array().tolist() == [0.0]
 
 
 def test_reloaded_law_keeps_dense_calculus():
@@ -1351,7 +1371,7 @@ def test_mixtures_and_cuts_keep_the_tail_certificate():
         log_add(math.log(0.25) + cert.log_bound, math.log(0.75) + other.tail_cert.log_bound),
         rel=1e-14)
     # an operand without a certificate leaves the mixture without one
-    bare = PassageLaw._dense_log(law.log_pmf, law.log_tail)
+    bare = PassageLaw(log_pmf=law.log_pmf, log_tail=law.log_tail)
     assert mixture([law, bare], [0.5, 0.5]).tail_cert is None
     # a certificate the tail does not bear out is dropped, not raised
     assert PassageLaw.dense([0.5, 0.25], 0.25,

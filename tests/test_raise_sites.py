@@ -80,8 +80,17 @@ _RAISES = {
     # NaN > 0 is False, so a NaN tail read as no tail: a complete law whose
     # moment printed converged
     "dense-nan-tail": (lambda: PassageLaw.dense([1.0], math.nan), InvalidInput, "nonnegative"),
-    "dense-log-empty": (lambda: PassageLaw._dense_log([], 0.0),
+    "dense-log-empty": (lambda: PassageLaw(log_pmf=[], log_tail=0.0),
                         InvalidInput, "log-pmf must be a nonempty"),
+    # a linear pmf without its logs, and arrays of two shapes (an
+    # AttributeError, and a 3-entry survival for a 1-step law)
+    "dense-lin-only": (lambda: PassageLaw(lin_pmf=[1.0]),
+                       InvalidInput, "log-pmf must be a nonempty"),
+    "dense-shapes-differ": (lambda: PassageLaw(log_pmf=[0.0], lin_pmf=[1.0, 0.0, 0.0]),
+                            InvalidInput, "pmf and log-pmf must have one shape"),
+    # both forms: the law read as dense, and its horizon ended in an AttributeError
+    "dense-and-sparse": (lambda: PassageLaw(log_pmf=[0.0], atomic=AtomicDist.point_mass(2)),
+                         InvalidInput, "dense or sparse, not both"),
     # reads a law cannot answer
     "sparse-log-pmf": (lambda: PassageLaw.point(2).log_pmf, InvalidInput, "no dense pmf"),
     "dense-atomic": (lambda: _dense().atomic, InvalidInput, "no atomic"),
